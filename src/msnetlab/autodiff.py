@@ -2,10 +2,11 @@
 
 The engine is deliberately small: it provides exactly the operations the
 CTR models in this package need (embedding gather with sparse gradient
-accumulation, matmul, concat, masked row softmax, sigmoid, leaky rectifier,
-elementwise arithmetic, row-wise norms and dot products, stop-gradient,
-masked mean, binary cross-entropy) and nothing else.  No broadcasting
-rules, no GPU, no higher-order derivatives.
+accumulation, matmul over matrices or stacks of them, reshape, transpose,
+concat, masked row softmax, sigmoid, leaky rectifier, clamp, elementwise
+arithmetic, row norms and row scaling, stop-gradient, masked mean, binary
+cross-entropy) and nothing else.  No broadcasting rules, no GPU, no
+higher-order derivatives.
 
 A ``Tape`` is rebuilt for every forward pass (define-by-run).  ``Tensor``
 values are immutable once created; parameters live in a ``ParamStore`` and
@@ -259,19 +260,19 @@ class Tape:
         return Tensor(out, nid)
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.values.ndim != 2 or b.values.ndim != 2 or \
-                a.values.shape[1] != b.values.shape[0]:
-            raise AutodiffError(
-                f"matmul shape mismatch {a.values.shape} @ {b.values.shape}")
-        out = a.values @ b.values
-        an, bn = a.node, b.node
+        """Matrix product, or a stack of them over equal leading dims."""
         av, bv = a.values, b.values
+        if av.ndim < 2 or av.ndim != bv.ndim or \
+                av.shape[:-2] != bv.shape[:-2] or av.shape[-1] != bv.shape[-2]:
+            raise AutodiffError(f"matmul shape mismatch {av.shape} @ {bv.shape}")
+        out = av @ bv
+        an, bn = a.node, b.node
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if an is not None:
-                self._accum(grads, an, g @ bv.T)
+                self._accum(grads, an, g @ bv.swapaxes(-1, -2))
             if bn is not None:
-                self._accum(grads, bn, av.T @ g)
+                self._accum(grads, bn, av.swapaxes(-1, -2) @ g)
 
         return Tensor(out, self._push(backward, "matmul"))
 
@@ -377,49 +378,17 @@ class Tape:
 
         return Tensor(out, self._push(backward, "reshape"))
 
-    def repeat_rows(self, x: Tensor, k: int) -> Tensor:
-        """Each row repeated k times consecutively: out[i] = x[i // k]."""
-        out = np.repeat(x.values, k, axis=0)
+    def transpose(self, x: Tensor, axes: tuple[int, ...]) -> Tensor:
+        """Axis permutation, as ``np.transpose``."""
+        out = x.values.transpose(axes)
         xn = x.node
-        n = x.values.shape[0]
+        inverse = tuple(np.argsort(axes))
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if xn is not None:
-                self._accum(grads, xn,
-                            g.reshape(n, k, *g.shape[1:]).sum(axis=1))
+                self._accum(grads, xn, g.transpose(inverse))
 
-        return Tensor(out, self._push(backward, "repeat_rows"))
-
-    def segment_sum_rows(self, x: Tensor, k: int) -> Tensor:
-        """Sum consecutive groups of k rows: [N*k x D] -> [N x D]."""
-        n = x.values.shape[0] // k
-        if n * k != x.values.shape[0]:
-            raise AutodiffError("segment_sum_rows: rows not divisible by k")
-        out = x.values.reshape(n, k, -1).sum(axis=1)
-        xn = x.node
-        d = x.values.shape[1]
-
-        def backward(g: Array, grads: list[Array | None]) -> None:
-            if xn is not None:
-                self._accum(grads, xn, np.repeat(g, k, axis=0).reshape(n * k, d))
-
-        return Tensor(out, self._push(backward, "segment_sum_rows"))
-
-    def row_dot(self, a: Tensor, b: Tensor) -> Tensor:
-        """Per-row dot product of two [N x D] tensors -> [N]."""
-        if a.values.shape != b.values.shape or a.values.ndim != 2:
-            raise AutodiffError("row_dot shape mismatch")
-        out = np.einsum("nd,nd->n", a.values, b.values)
-        an, bn = a.node, b.node
-        av, bv = a.values, b.values
-
-        def backward(g: Array, grads: list[Array | None]) -> None:
-            if an is not None:
-                self._accum(grads, an, g[:, None] * bv)
-            if bn is not None:
-                self._accum(grads, bn, g[:, None] * av)
-
-        return Tensor(out, self._push(backward, "row_dot"))
+        return Tensor(out, self._push(backward, "transpose"))
 
     def row_norm(self, x: Tensor) -> Tensor:
         """Euclidean norm of each row: [N x D] -> [N].
@@ -491,12 +460,7 @@ class Tape:
         return Tensor(out, self._push(backward, "softmax_rows"))
 
     def sigmoid(self, x: Tensor) -> Tensor:
-        v = x.values
-        out = np.empty_like(v)
-        pos = v >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-        ev = np.exp(v[~pos])
-        out[~pos] = ev / (1.0 + ev)
+        out = sigmoid(x.values)
         xn = x.node
 
         def backward(g: Array, grads: list[Array | None]) -> None:
@@ -582,17 +546,24 @@ class Tape:
     # composed helpers (taped through the primitives above)
 
     def cosine_sim_rows(self, a: Tensor, b: Tensor) -> Tensor:
-        """Row-wise cosine similarity, [N x D] x [N x D or 1 x D] -> [N].
+        """Cosine similarity of row i of a [N*k x D] with row i // k of
+        b [N x D] -> [N*k].
 
         Uses dot / (|a| * |b| + eps) with eps = 1e-12, so zero rows yield
         exactly 0 instead of NaN.
         """
-        if b.values.shape[0] == 1 and a.values.shape[0] != 1:
-            b = self.repeat_rows(b, a.values.shape[0])
-        dots = self.row_dot(a, b)
-        denom = self.add_const(self.mul(self.row_norm(a), self.row_norm(b)),
-                               COSINE_EPS)
-        return self.div(dots, denom)
+        n, d = b.values.shape
+        k = a.values.shape[0] // n
+        if a.values.shape != (n * k, d):
+            raise AutodiffError(
+                f"cosine_sim_rows shape mismatch {a.values.shape} vs "
+                f"{b.values.shape}")
+        dots = self.matmul(self.reshape(a, (n, k, d)),
+                           self.reshape(b, (n, d, 1)))
+        norms = self.matmul(self.reshape(self.row_norm(a), (n, k, 1)),
+                            self.reshape(self.row_norm(b), (n, 1, 1)))
+        cos = self.div(dots, self.add_const(norms, COSINE_EPS))
+        return self.reshape(cos, (n * k,))
 
     def blend_rows(self, v: Tensor, a: Tensor, b: Tensor) -> Tensor:
         """Per-row convex-style blend v*a + (1-v)*b with v a [N] vector."""

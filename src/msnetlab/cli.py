@@ -106,6 +106,8 @@ class ExperimentConfig:
             raw = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise CliError("E_CONFIG", f"config is not valid JSON: {exc}")
+        if not isinstance(raw, dict):
+            raise CliError("E_CONFIG", "config top level must be a JSON object")
         try:
             gen = GeneratorConfig.from_dict(raw.get("generator", {}))
             gen.validate()
@@ -167,16 +169,22 @@ def load_manifest(data_dir: Path) -> dict:
     path = data_dir / MANIFEST_NAME
     if not path.exists():
         raise CliError("E_NOT_FOUND", f"manifest not found: {path}")
-    manifest = json.loads(path.read_text())
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise CliError("E_FORMAT",
-                       f"unsupported manifest format {manifest.get('format')!r}")
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise CliError("E_FORMAT", f"manifest {path} is not valid JSON: {exc}")
+    fmt = manifest.get("format") if isinstance(manifest, dict) else None
+    if fmt != MANIFEST_FORMAT:
+        raise CliError("E_FORMAT", f"unsupported manifest format {fmt!r}")
     return manifest
 
 
 def verify_dataset(data_dir: Path, manifest: dict, *,
                    expected_id: str | None = None) -> None:
     for name, recorded in manifest["files"].items():
+        if not (data_dir / name).exists():
+            raise CliError("E_FORMAT",
+                           f"dataset file not found: {data_dir / name}")
         actual = file_sha256(data_dir / name)
         if actual != recorded:
             raise CliError(

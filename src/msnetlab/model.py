@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import zipfile
 from pathlib import Path
 from typing import Callable, Sequence
@@ -108,6 +109,11 @@ class ModelConfig:
             raise ModelError("epochs must be >= 0")
         if self.alpha < 0:
             raise ModelError("alpha must be >= 0")
+        # a zero learning rate is legal: it trains with parameters frozen
+        if not (0.0 <= self.learning_rate < math.inf):
+            raise ModelError("learning_rate must be finite and >= 0")
+        if not (0.0 < self.logit_clamp < math.inf):
+            raise ModelError("logit_clamp must be finite and > 0")
         if not (0.0 < self.adagrad_decay <= 1.0):
             raise ModelError("adagrad_decay must lie in (0, 1]")
         if self.aux_scope not in ("limited_only", "both"):
@@ -239,43 +245,22 @@ def forward(tape: Tape, config: ModelConfig, batch: SampleBatch) -> ForwardOutpu
     emb = embed(tape, batch)
     e_target = tape.concat_cols([emb.target_id, emb.target_side])
     e_seq = tape.concat_cols([emb.seq_id, emb.seq_side])
-    branch_scores: list[tuple[list[np.ndarray], np.ndarray]] = []
-
-    if config.architecture == ARCH_DIN:
-        att = target_attention(tape, "att.main", e_target, e_seq, e_seq,
-                               batch.seq_mask, config.n_heads, config.d_head)
-        branch_scores.append((att.raw_scores, batch.seq_mask))
-        x = tape.concat_cols([att.interest, e_target])
-        return ForwardOutput(p=_mlp_head(tape, config, x), emb=emb,
-                             masks=None, branch_scores=branch_scores)
-
-    masks = split_sequence(batch) if config.use_seq_split else None
-    interests: list[Tensor] = []
-    if config.use_seq_split:
-        main = target_attention(tape, "att.main", e_target, e_seq, e_seq,
-                                masks.multi, config.n_heads, config.d_head)
-        branch_scores.append((main.raw_scores, masks.multi))
-        interests.append(main.interest)
-        if config.use_seq_meta:
-            query, final_k, final_v = _meta_kv(tape, config, emb)
-        else:
-            query, final_k, final_v = e_target, e_seq, e_seq
-        limited = target_attention(tape, "att.limited", query, final_k,
-                                   final_v, masks.limited, config.n_heads,
-                                   config.d_head)
-        branch_scores.append((limited.raw_scores, masks.limited))
-        interests.append(limited.interest)
+    plain = (e_target, e_seq, e_seq)
+    meta = _meta_kv(tape, config, emb) if config.uses_meta else plain
+    if config.n_branches == 1:
+        masks = None
+        branches = [("att.main", *meta, batch.seq_mask)]
     else:
-        if config.use_seq_meta:
-            query, final_k, final_v = _meta_kv(tape, config, emb)
-        else:
-            query, final_k, final_v = e_target, e_seq, e_seq
-        single = target_attention(tape, "att.main", query, final_k, final_v,
-                                  batch.seq_mask, config.n_heads,
-                                  config.d_head)
-        branch_scores.append((single.raw_scores, batch.seq_mask))
-        interests.append(single.interest)
-
+        masks = split_sequence(batch)
+        branches = [("att.main", *plain, masks.multi),
+                    ("att.limited", *meta, masks.limited)]
+    interests: list[Tensor] = []
+    branch_scores: list[tuple[list[np.ndarray], np.ndarray]] = []
+    for prefix, query, keys, values, mask in branches:
+        att = target_attention(tape, prefix, query, keys, values, mask,
+                               config.n_heads, config.d_head)
+        interests.append(att.interest)
+        branch_scores.append((att.raw_scores, mask))
     x = tape.concat_cols(interests + [e_target])
     return ForwardOutput(p=_mlp_head(tape, config, x), emb=emb, masks=masks,
                          branch_scores=branch_scores)
@@ -298,15 +283,12 @@ def aux_scope_mask(config: ModelConfig, batch: SampleBatch,
     return batch.seq_mask.reshape(-1)
 
 
-def loss_aux(tape: Tape, emb: Embedded, scope_mask: np.ndarray,
-             history_len: int) -> Tensor:
+def loss_aux(tape: Tape, emb: Embedded, scope_mask: np.ndarray) -> Tensor:
     """Masked mean squared gap between the (gradient-blocked) side
     similarity and the id similarity of each in-scope sequence position
     against the target."""
-    t_side = tape.repeat_rows(emb.target_side, history_len)
-    t_id = tape.repeat_rows(emb.target_id, history_len)
-    side_sim = tape.cosine_sim_rows(t_side, emb.seq_side)
-    id_sim = tape.cosine_sim_rows(t_id, emb.seq_id)
+    side_sim = tape.cosine_sim_rows(emb.seq_side, emb.target_side)
+    id_sim = tape.cosine_sim_rows(emb.seq_id, emb.target_id)
     diff = tape.sub(tape.stop_gradient(side_sim), id_sim)
     return tape.masked_mean(tape.mul(diff, diff), scope_mask)
 
@@ -324,8 +306,7 @@ def compute_losses(tape: Tape, config: ModelConfig, batch: SampleBatch,
     aux = None
     if (config.architecture == ARCH_MSNET and config.use_aux_loss
             and config.alpha > 0.0):
-        aux = loss_aux(tape, out.emb, aux_scope_mask(config, batch, out.masks),
-                       batch.history_len)
+        aux = loss_aux(tape, out.emb, aux_scope_mask(config, batch, out.masks))
     return ce, aux, total_loss(tape, ce, aux, config.alpha)
 
 
@@ -529,7 +510,7 @@ def attention_score_table(params: ParamStore, config: ModelConfig,
 # ----------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_FORMAT = "ckpt-v1"
+CHECKPOINT_FORMAT = "ckpt-v2"
 
 
 def _array_checksum(arrays: dict[str, np.ndarray]) -> str:
@@ -594,7 +575,13 @@ def load_checkpoint(path: str | Path,
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
     if "__meta__" not in blobs:
         raise CheckpointError(f"corrupt checkpoint {path}: missing metadata")
-    meta = json.loads(str(blobs.pop("__meta__")))
+    try:
+        meta = json.loads(str(blobs.pop("__meta__")))
+    except json.JSONDecodeError:
+        meta = None
+    if not isinstance(meta, dict):
+        raise CheckpointError(
+            f"corrupt checkpoint {path}: metadata is not a JSON object")
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(
             f"unsupported checkpoint format {meta.get('format')!r} "

@@ -68,11 +68,14 @@ def physical_split(batch: SampleBatch, keep: Array) -> SampleBatch:
 def add_attention_params(params: ParamStore, prefix: str, d_in: int,
                          n_heads: int, d_head: int,
                          rng: np.random.Generator) -> None:
+    """Fused Q/K/V projections, each [d_in, n_heads*d_head] with head h in
+    columns [h*d_head, (h+1)*d_head), plus the combine matrix."""
     r = 1.0 / math.sqrt(d_in)
-    for h in range(n_heads):
-        params.add(f"{prefix}.h{h}.wq", rng.uniform(-r, r, size=(d_in, d_head)))
-        params.add(f"{prefix}.h{h}.wk", rng.uniform(-r, r, size=(d_in, d_head)))
-        params.add(f"{prefix}.h{h}.wv", rng.uniform(-r, r, size=(d_in, d_head)))
+    # drawn head by head, q then k then v, as separate per-head matrices
+    # were before the fusion, so seeded initial values are unchanged
+    blocks = rng.uniform(-r, r, size=(n_heads, 3, d_in, d_head))
+    for i, name in enumerate("qkv"):
+        params.add(f"{prefix}.w{name}", np.hstack(blocks[:, i]))
     out = n_heads * d_head
     rc = 1.0 / math.sqrt(out)
     params.add(f"{prefix}.combine", rng.uniform(-rc, rc, size=(out, out)))
@@ -93,7 +96,8 @@ def target_attention(tape: Tape, prefix: str, target: Tensor, keys: Tensor,
     per-position dots q.k scaled by 1/sqrt(d_head), masked-softmaxed over
     the sequence, and used to pool v.  Heads are concatenated and passed
     through the combine matrix.  Rows whose mask is empty produce a zero
-    interest vector.
+    interest vector.  All heads run as one batch of [B, n_heads] matrix
+    products.
     """
     mask = np.asarray(mask, dtype=bool)
     b, h_len = mask.shape
@@ -103,23 +107,23 @@ def target_attention(tape: Tape, prefix: str, target: Tensor, keys: Tensor,
             f"attention shape mismatch: target {target.values.shape}, "
             f"keys {keys.values.shape}, values {values.values.shape}, "
             f"mask {mask.shape}")
-    head_outputs = []
-    raw_scores = []
-    inv_temp = 1.0 / math.sqrt(d_head)
-    for h in range(n_heads):
-        q = tape.matmul(target, tape.param(f"{prefix}.h{h}.wq"))
-        k = tape.matmul(keys, tape.param(f"{prefix}.h{h}.wk"))
-        v = tape.matmul(values, tape.param(f"{prefix}.h{h}.wv"))
-        qe = tape.repeat_rows(q, h_len)
-        scores = tape.scale(tape.row_dot(qe, k), inv_temp)
-        score_mat = tape.reshape(scores, (b, h_len))
-        raw_scores.append(score_mat.values.copy())
-        weights = tape.softmax_rows(score_mat, mask)
-        flat_w = tape.reshape(weights, (b * h_len,))
-        pooled = tape.segment_sum_rows(tape.mul_rows(v, flat_w), h_len)
-        head_outputs.append(pooled)
-    ctx = head_outputs[0] if n_heads == 1 else tape.concat_cols(head_outputs)
-    interest = tape.matmul(ctx, tape.param(f"{prefix}.combine"))
+    n, d = n_heads, d_head
+    q = tape.reshape(tape.matmul(target, tape.param(f"{prefix}.wq")),
+                     (b, n, 1, d))
+    k = tape.transpose(tape.reshape(
+        tape.matmul(keys, tape.param(f"{prefix}.wk")), (b, h_len, n, d)),
+        (0, 2, 3, 1))
+    v = tape.transpose(tape.reshape(
+        tape.matmul(values, tape.param(f"{prefix}.wv")), (b, h_len, n, d)),
+        (0, 2, 1, 3))
+    scores = tape.reshape(tape.scale(tape.matmul(q, k), 1.0 / math.sqrt(d)),
+                          (b * n, h_len))
+    per_head = scores.values.reshape(b, n, h_len)
+    raw_scores = [per_head[:, i].copy() for i in range(n)]
+    weights = tape.softmax_rows(scores, np.repeat(mask, n, axis=0))
+    pooled = tape.matmul(tape.reshape(weights, (b, n, 1, h_len)), v)
+    interest = tape.matmul(tape.reshape(pooled, (b, n * d)),
+                           tape.param(f"{prefix}.combine"))
     return AttentionResult(interest=interest, raw_scores=raw_scores)
 
 

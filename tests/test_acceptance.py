@@ -151,7 +151,7 @@ def test_criterion_3_stop_gradient_contracts():
     tape = Tape(params)
     emb = embed(tape, batch)
     scope = (batch.seq_mask & batch.seq_limited).reshape(-1)
-    aux = loss_aux(tape, emb, scope, batch.history_len)
+    aux = loss_aux(tape, emb, scope)
     grads = tape.backward(aux)
     assert not np.any(grads["emb.category"].rows)
     assert np.any(grads["emb.item"].rows != 0.0)
@@ -278,8 +278,9 @@ def test_criterion_6_sold_item_gradient_support():
     for h in range(cfg.n_heads):
         eye = np.zeros((4, 4))
         np.fill_diagonal(eye, 50.0)
-        params.values[f"att.limited.h{h}.wq"][:] = eye
-        params.values[f"att.limited.h{h}.wk"][:] = eye
+        cols = slice(h * cfg.d_head, (h + 1) * cfg.d_head)
+        params.values["att.limited.wq"][:, cols] = eye
+        params.values["att.limited.wk"][:, cols] = eye
 
     batch = SampleBatch(
         target_item=np.array([4]), target_category=np.array([1]),

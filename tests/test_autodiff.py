@@ -202,15 +202,19 @@ class TestCosineSimRows:
         np.testing.assert_array_equal(got, [0.0])
 
     def test_broadcast_single_row(self):
+        # row i of a pairs with row i // k of b; n = 1 is the plain broadcast
         rng = np.random.default_rng(0)
-        a = rng.normal(size=(4, 3))
-        b = rng.normal(size=(1, 3))
-        tape = Tape()
-        got = tape.cosine_sim_rows(Tape.constant(a), Tape.constant(b)).values
-        want = [float(a[i] @ b[0] /
-                      (np.linalg.norm(a[i]) * np.linalg.norm(b[0]) + COSINE_EPS))
-                for i in range(4)]
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        for n, k in ((1, 4), (3, 2)):
+            a = rng.normal(size=(n * k, 3))
+            b = rng.normal(size=(n, 3))
+            tape = Tape()
+            got = tape.cosine_sim_rows(Tape.constant(a),
+                                       Tape.constant(b)).values
+            want = [float(a[i] @ b[i // k] /
+                          (np.linalg.norm(a[i]) * np.linalg.norm(b[i // k])
+                           + COSINE_EPS))
+                    for i in range(n * k)]
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_bounded(self):
         rng = np.random.default_rng(3)

@@ -2,8 +2,11 @@
 formats, ablation table shape."""
 
 import json
+import re
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from msnetlab.cli import main
@@ -334,3 +337,65 @@ class TestInitConfig:
         assert "generator" in cfg and "model" in cfg
         assert main(["init-config", "--out", str(target)]) == 2
         assert "E_EXISTS" in capsys.readouterr().err
+
+
+def _config_text(path: Path, text: str) -> list[str]:
+    path.write_text(text)
+    return ["generate", "--config", str(path), "--out", str(path.parent / "d")]
+
+
+def _data_copy(workspace, tmp_path: Path, edit) -> list[str]:
+    _, cfg, data, _ = workspace
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    edit(copy)
+    return ["train", "--config", str(cfg), "--data", str(copy),
+            "--arch", "din", "--out", str(tmp_path / "run")]
+
+
+def _checkpoint_meta(workspace, tmp_path: Path, edit) -> list[str]:
+    """Rewrites only the metadata: the checksum covers the arrays, so it
+    still matches and the edited field is what the loader must judge."""
+    _, _, data, run = workspace
+    with np.load(run / "msnet.ckpt.npz") as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    meta = edit(str(arrays.pop("__meta__")))
+    ckpt = tmp_path / "msnet.ckpt.npz"
+    with ckpt.open("wb") as fh:
+        np.savez(fh, __meta__=np.asarray(meta), **arrays)
+    return ["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+            "--out", str(tmp_path / "e")]
+
+
+def _old_format(meta: str) -> str:
+    return json.dumps({**json.loads(meta), "format": "ckpt-v1"})
+
+
+# name -> (expected code, argv builder over (workspace, tmp_path))
+MALFORMED_INPUTS = {
+    "config_top_level_list": ("E_CONFIG", lambda ws, tmp: _config_text(
+        tmp / "cfg.json", "[1, 2]")),
+    "config_negative_learning_rate": ("E_CONFIG", lambda ws, tmp: _config_text(
+        tmp / "cfg.json", json.dumps({"model": {"learning_rate": -1}}))),
+    "config_zero_logit_clamp": ("E_CONFIG", lambda ws, tmp: _config_text(
+        tmp / "cfg.json", json.dumps({"model": {"logit_clamp": 0}}))),
+    "manifest_not_json": ("E_FORMAT", lambda ws, tmp: _data_copy(
+        ws, tmp, lambda d: (d / "manifest.json").write_text("{corrupt"))),
+    "train_file_missing": ("E_FORMAT", lambda ws, tmp: _data_copy(
+        ws, tmp, lambda d: (d / "train.tsv").unlink())),
+    "train_file_missing_no_verify": ("E_FORMAT", lambda ws, tmp: _data_copy(
+        ws, tmp, lambda d: (d / "train.tsv").unlink()) + ["--no-verify"]),
+    "checkpoint_meta_not_json": ("E_INTEGRITY", lambda ws, tmp:
+                                 _checkpoint_meta(ws, tmp, lambda m: "{oops")),
+    "checkpoint_old_format": ("E_INTEGRITY", lambda ws, tmp:
+                              _checkpoint_meta(ws, tmp, _old_format)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_one_error_line(case, workspace, tmp_path, capsys):
+    code, build = MALFORMED_INPUTS[case]
+    assert main(build(workspace, tmp_path)) != 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and re.match(r"^error E_[A-Z_]+: ", lines[0])
+    assert lines[0].startswith(f"error {code}: ")

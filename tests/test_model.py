@@ -2,6 +2,7 @@
 checkpoint tests.  Derived values come from plain-numpy oracles and
 hand arithmetic written out in the tests."""
 
+import json
 import math
 
 import numpy as np
@@ -78,7 +79,14 @@ class TestConfig:
             ModelConfig(alpha=-0.1).validate()
         with pytest.raises(ModelError):
             ModelConfig(adagrad_decay=0.0).validate()
+        for bad in (-1.0, -1e-9, math.inf, math.nan):
+            with pytest.raises(ModelError, match="learning_rate"):
+                ModelConfig(learning_rate=bad).validate()
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ModelError, match="logit_clamp"):
+                ModelConfig(logit_clamp=bad).validate()
         ModelConfig().validate()
+        ModelConfig(learning_rate=0.0).validate()
 
     def test_hash_changes_with_config(self):
         a = config_hash(ModelConfig())
@@ -176,9 +184,9 @@ class TestForward:
                               cat[batch.target_category]], axis=1)
         e_s = np.concatenate([item[batch.seq_item.reshape(-1)],
                               cat[batch.seq_category.reshape(-1)]], axis=1)
-        q = e_t @ P["att.main.h0.wq"]
-        k = e_s @ P["att.main.h0.wk"]
-        v = e_s @ P["att.main.h0.wv"]
+        q = e_t @ P["att.main.wq"]
+        k = e_s @ P["att.main.wk"]
+        v = e_s @ P["att.main.wv"]
         interest = np.zeros((2, 2))
         for b in range(2):
             scores = np.array([q[b] @ k[b * 2 + t] for t in range(2)])
@@ -243,7 +251,7 @@ class TestLossAux:
         batch.target_category[:] = batch.target_item
         tape, emb = self._embedded(params, batch)
         scope = batch.seq_mask.reshape(-1)
-        got = float(loss_aux(tape, emb, scope, cfg.history_len).values)
+        got = float(loss_aux(tape, emb, scope).values)
         assert got == pytest.approx(0.0, abs=1e-24)
 
     def test_hand_mse(self):
@@ -265,7 +273,7 @@ class TestLossAux:
         tape = Tape(params)
         from msnetlab.features import embed
         emb = embed(tape, batch)
-        got = float(loss_aux(tape, emb, batch.seq_mask.reshape(-1), 2).values)
+        got = float(loss_aux(tape, emb, batch.seq_mask.reshape(-1)).values)
         assert got == pytest.approx(0.5, rel=1e-9)
 
     def test_side_tables_blocked_id_tables_not(self):
@@ -278,7 +286,7 @@ class TestLossAux:
             pytest.skip("need at least one valid position")
         tape, emb = self._embedded(params, batch)
         scope = batch.seq_mask.reshape(-1)
-        aux = loss_aux(tape, emb, scope, cfg.history_len)
+        aux = loss_aux(tape, emb, scope)
         grads = tape.backward(aux)
         cat = grads["emb.category"]
         assert isinstance(cat, SparseRows)
@@ -294,7 +302,7 @@ class TestLossAux:
         tape, emb = self._embedded(params, batch)
         scope = aux_scope_mask(cfg, batch, split_sequence(batch))
         assert not scope.any()
-        got = float(loss_aux(tape, emb, scope, cfg.history_len).values)
+        got = float(loss_aux(tape, emb, scope).values)
         assert got == 0.0
 
 
@@ -550,6 +558,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_old_format_refused_naming_both(self, tmp_path):
+        _, _, _, _, path = self._trained(tmp_path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays.pop("__meta__")))
+        meta["format"] = "ckpt-v1"  # arrays untouched: checksum still valid
+        with path.open("wb") as fh:
+            np.savez(fh, __meta__=np.asarray(json.dumps(meta)), **arrays)
+        with pytest.raises(CheckpointError, match="'ckpt-v1'.*ckpt-v2"):
+            load_checkpoint(path)
+
     def test_config_mismatch_rejected(self, tmp_path):
         _, cfg, _, _, path = self._trained(tmp_path)
         other = ModelConfig(**{**cfg.to_dict(), "mlp_hidden": cfg.mlp_hidden,
@@ -590,7 +609,7 @@ class TestGradientContracts:
         tape = Tape(params)
         emb = embed(tape, batch)
         scope = (batch.seq_mask & batch.seq_limited).reshape(-1)
-        aux = loss_aux(tape, emb, scope, MICRO_MSNET.history_len)
+        aux = loss_aux(tape, emb, scope)
         grads = tape.backward(aux)
         assert not np.any(grads["emb.category"].rows)
 

@@ -134,7 +134,7 @@ class TestTargetAttention:
         res = target_attention(tape, "att", Tape.constant(target),
                                Tape.constant(keys), Tape.constant(values),
                                np.array([[True]]), 1, 4)
-        want = (values @ params.values["att.h0.wv"]) @ params.values["att.combine"]
+        want = (values @ params.values["att.wv"]) @ params.values["att.combine"]
         np.testing.assert_allclose(res.interest.values, want, rtol=1e-12)
 
     def test_identical_keys_split_weight_evenly(self):
@@ -147,7 +147,7 @@ class TestTargetAttention:
                                np.ones((1, 2), dtype=bool), 1, 4)
         assert res.raw_scores[0][0, 0] == res.raw_scores[0][0, 1]
         avg_v = 0.5 * (values[0] + values[1])
-        want = (avg_v @ params.values["att.h0.wv"]) @ params.values["att.combine"]
+        want = (avg_v @ params.values["att.wv"]) @ params.values["att.combine"]
         np.testing.assert_allclose(res.interest.values[0], want, rtol=1e-12)
 
     def test_matches_loop_oracle(self):
@@ -156,8 +156,9 @@ class TestTargetAttention:
         params, target, keys, values = attention_fixture(
             rng, b, h, d_in, n_heads, d_head)
         mask = rng.random(size=(b, h)) < 0.6
-        heads = [(params.values[f"att.h{i}.wq"], params.values[f"att.h{i}.wk"],
-                  params.values[f"att.h{i}.wv"]) for i in range(n_heads)]
+        cols = [slice(i * d_head, (i + 1) * d_head) for i in range(n_heads)]
+        heads = [(params.values["att.wq"][:, c], params.values["att.wk"][:, c],
+                  params.values["att.wv"][:, c]) for c in cols]
         want = ref_attention(target, keys, values, mask, heads,
                              params.values["att.combine"], d_head)
         tape = Tape(params)
@@ -171,9 +172,9 @@ class TestTargetAttention:
         # B=1, H=2, D=2, one head, hand-set weights; the oracle spells out
         # every intermediate number
         params = ParamStore()
-        params.add("att.h0.wq", np.array([[1.0, 0.0], [0.0, 1.0]]))
-        params.add("att.h0.wk", np.array([[1.0, 0.0], [0.0, 1.0]]))
-        params.add("att.h0.wv", np.array([[2.0, 0.0], [0.0, 2.0]]))
+        params.add("att.wq", np.array([[1.0, 0.0], [0.0, 1.0]]))
+        params.add("att.wk", np.array([[1.0, 0.0], [0.0, 1.0]]))
+        params.add("att.wv", np.array([[2.0, 0.0], [0.0, 2.0]]))
         params.add("att.combine", np.eye(2))
         target = np.array([[1.0, 2.0]])
         keys = np.array([[1.0, 0.0], [0.0, 1.0]])
