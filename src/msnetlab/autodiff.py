@@ -2,10 +2,11 @@
 
 The engine is deliberately small: it provides exactly the operations the
 CTR models in this package need (embedding gather with sparse gradient
-accumulation, matmul over matrices or stacks of them, reshape, transpose,
-concat, masked row softmax, sigmoid, leaky rectifier, clamp, elementwise
-arithmetic, row norms and row scaling, stop-gradient, masked mean, binary
-cross-entropy) and nothing else.  No broadcasting rules, no GPU, no
+accumulation, scatter of packed rows into a zero matrix, matmul over
+matrices or stacks of them, reshape, transpose, concat, masked row
+softmax, sigmoid, leaky rectifier, clamp, elementwise arithmetic, row
+norms and row scaling, stop-gradient, masked mean, binary cross-entropy)
+and nothing else.  No broadcasting rules, no GPU, no
 higher-order derivatives.
 
 A ``Tape`` is rebuilt for every forward pass (define-by-run).  ``Tensor``
@@ -209,12 +210,14 @@ class Tape:
         return Tensor(np.asarray(values, dtype=np.float64), None)
 
     def _accum(self, grads: list[Array | None], node: int | None, g: Array) -> None:
+        # g may be shared with other nodes (or be a view of another
+        # gradient), so it is stored as is and never changed in place
         if node is None:
             return
         if grads[node] is None:
-            grads[node] = g.copy()
+            grads[node] = g
         else:
-            grads[node] += g
+            grads[node] = grads[node] + g
 
     # ------------------------------------------------------------------
     # operations
@@ -258,6 +261,33 @@ class Tape:
 
         nid = self._push(backward, "gather_rows")
         return Tensor(out, nid)
+
+    def scatter_rows(self, x: Tensor, rows: Array | Sequence[int],
+                     n: int) -> Tensor:
+        """Place row i of x [P x D] at row ``rows[i]`` of an [n x D] zero
+        matrix.  The rows must be distinct and in range; the backward is
+        ``g[rows]``.
+        """
+        idx = np.asarray(rows, dtype=np.int64).reshape(-1)
+        xv = x.values
+        if xv.ndim != 2 or idx.shape[0] != xv.shape[0]:
+            raise AutodiffError(
+                f"scatter_rows shape mismatch {xv.shape} to rows {idx.shape}")
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise AutodiffError(f"scatter_rows rows out of range [0, {n})")
+        hit = np.zeros(n, dtype=bool)
+        hit[idx] = True
+        if np.count_nonzero(hit) != idx.size:
+            raise AutodiffError("scatter_rows rows are not distinct")
+        out = np.zeros((n, xv.shape[1]), dtype=np.float64)
+        out[idx] = xv
+        xn = x.node
+
+        def backward(g: Array, grads: list[Array | None]) -> None:
+            if xn is not None:
+                self._accum(grads, xn, g[idx])
+
+        return Tensor(out, self._push(backward, "scatter_rows"))
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         """Matrix product, or a stack of them over equal leading dims."""

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .datagen import (
     GeneratorConfig,
     build_market,
     file_sha256,
+    is_number,
     read_catalog,
     read_dataset,
     simulate,
@@ -114,14 +116,28 @@ class ExperimentConfig:
             model = ModelConfig.from_dict(raw.get("model", {}))
         except (DatasetError, ModelError) as exc:
             raise CliError("E_CONFIG", str(exc))
-        ablation = tuple(raw.get("ablation", tuple(ABLATION_VARIANTS)))
-        unknown = [v for v in ablation if v not in ABLATION_VARIANTS]
+        seed = raw.get("seed", cls.seed)
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise CliError("E_CONFIG",
+                           f"seed must be an integer >= 0, got {seed!r}")
+        ablation = raw.get("ablation", list(ABLATION_VARIANTS))
+        if not isinstance(ablation, list):
+            raise CliError("E_CONFIG", "ablation must be a list of variants")
+        unknown = [v for v in ablation
+                   if not isinstance(v, str) or v not in ABLATION_VARIANTS]
         if unknown:
             raise CliError("E_CONFIG", f"unknown ablation variants: {unknown}")
-        return cls(seed=int(raw.get("seed", 0)), generator=gen, model=model,
-                   ablation=ablation,
-                   alpha_sweep=tuple(raw.get("alpha_sweep", (0.01, 0.1, 1.0))),
-                   dataset_hash=raw.get("dataset_hash"))
+        alpha_sweep = raw.get("alpha_sweep", list(cls.alpha_sweep))
+        if not isinstance(alpha_sweep, list) or not all(
+                is_number(a) and 0.0 <= a < math.inf for a in alpha_sweep):
+            raise CliError("E_CONFIG", "alpha_sweep must be a list of finite "
+                           f"numbers >= 0, got {alpha_sweep!r}")
+        dataset_hash = raw.get("dataset_hash")
+        if dataset_hash is not None and not isinstance(dataset_hash, str):
+            raise CliError("E_CONFIG", "dataset_hash must be a string")
+        return cls(seed=seed, generator=gen, model=model,
+                   ablation=tuple(ablation), alpha_sweep=tuple(alpha_sweep),
+                   dataset_hash=dataset_hash)
 
     @classmethod
     def default_json(cls) -> str:
@@ -176,6 +192,13 @@ def load_manifest(data_dir: Path) -> dict:
     fmt = manifest.get("format") if isinstance(manifest, dict) else None
     if fmt != MANIFEST_FORMAT:
         raise CliError("E_FORMAT", f"unsupported manifest format {fmt!r}")
+    files = manifest.get("files")
+    if not isinstance(files, dict) or not all(
+            isinstance(v, str) for v in files.values()):
+        raise CliError("E_FORMAT", f"manifest {path} has no 'files' map of "
+                       "file name to sha256")
+    if not isinstance(manifest.get("dataset_id"), str):
+        raise CliError("E_FORMAT", f"manifest {path} has no 'dataset_id'")
     return manifest
 
 
@@ -201,9 +224,18 @@ def verify_dataset(data_dir: Path, manifest: dict, *,
 # subcommands
 
 
+def _seed(args: argparse.Namespace, config: ExperimentConfig) -> int:
+    """``--seed`` when given, else the config's seed."""
+    if args.seed is None:
+        return config.seed
+    if args.seed < 0:
+        raise CliError("E_CONFIG", f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     config = ExperimentConfig.load(args.config)
-    seed = args.seed if args.seed is not None else config.seed
+    seed = _seed(args, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     targets = [out_dir / n for n in (TRAIN_FILE, TEST_FILE, CATALOG_FILE,
@@ -285,7 +317,7 @@ def _train_one(config: ExperimentConfig, data_dir: Path, out_dir: Path,
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = ExperimentConfig.load(args.config)
-    seed = args.seed if args.seed is not None else config.seed
+    seed = _seed(args, config)
     model_cfg = _model_config(config, args.arch, seed)
     ckpt = _train_one(config, Path(args.data), Path(args.out), args.arch,
                       model_cfg, verify=not args.no_verify)
@@ -391,8 +423,7 @@ def _ablation_rows(config: ExperimentConfig, sweep_alpha: bool) -> list[tuple[st
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     config = ExperimentConfig.load(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    config = dataclasses.replace(config, seed=_seed(args, config))
     data_dir = Path(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

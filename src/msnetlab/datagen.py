@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from pathlib import Path
 from typing import Iterable
 
@@ -37,9 +38,55 @@ CATALOG_HEADER = "#catalog-v1\t" + "\t".join(CATALOG_FIELDS)
 # definition is stamped into every report that slices by the new group.
 NEW_ITEM_MAX_AGE_DAYS = 1
 
+# Largest initial stock of a multi-stock item; keeps the draw in int64.
+MAX_STOCK = 10**9
+
 
 class DatasetError(Exception):
     """Malformed dataset file or invalid generator configuration."""
+
+
+def is_number(value: object) -> bool:
+    """True for a JSON number (int or float); a bool is not a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_type_ok(value: object, default: object) -> bool:
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return is_number(value)
+    return isinstance(value, type(default))
+
+
+def config_kwargs(cls: type, d: object, what: str,
+                  error: type[Exception]) -> dict:
+    """Constructor arguments for config dataclass ``cls`` from one parsed
+    JSON block, raising ``error`` on unknown keys or mistyped values.
+
+    Each value must have the type of its field's default: an int field
+    takes an integer, a float field any number, a bool field a boolean, a
+    string field a string, and a tuple field a list of its elements' type.
+    """
+    if not isinstance(d, dict):
+        raise error(f"{what} config must be a JSON object")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(d) - set(defaults)
+    if unknown:
+        raise error(f"unknown {what} config keys: {sorted(unknown)}")
+    out = {}
+    for name, value in d.items():
+        default = defaults[name]
+        if isinstance(default, tuple):
+            ok = isinstance(value, (list, tuple)) and all(
+                _json_type_ok(v, default[0]) for v in value)
+        else:
+            ok = _json_type_ok(value, default)
+        if not ok:
+            raise error(f"{what} config {name!r} must be of the type of "
+                        f"{default!r}, got {value!r}")
+        out[name] = tuple(value) if isinstance(default, tuple) else value
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,6 +121,8 @@ class GeneratorConfig:
             raise DatasetError("limited_fraction must lie in [0, 1]")
         if self.min_multi_stock < 2 or self.max_multi_stock < self.min_multi_stock:
             raise DatasetError("multi-stock range must satisfy 2 <= min <= max")
+        if self.max_multi_stock > MAX_STOCK:
+            raise DatasetError(f"max_multi_stock must be <= {MAX_STOCK}")
         if not (0.0 <= self.purchase_given_click <= 1.0):
             raise DatasetError("purchase_given_click must lie in [0, 1]")
         if self.days < 1:
@@ -82,17 +131,22 @@ class GeneratorConfig:
             raise DatasetError("history_max must be >= 1")
         if not (0.0 <= self.exploration_rate <= 1.0):
             raise DatasetError("exploration_rate must lie in [0, 1]")
+        if self.new_items_per_day < 0:
+            raise DatasetError("new_items_per_day must be >= 0")
+        if not (0.0 <= self.mean_impressions_per_user_day < math.inf):
+            raise DatasetError(
+                "mean_impressions_per_user_day must be finite and >= 0")
+        for name in ("affinity_temperature", "ctr_bias", "ctr_w_affinity",
+                     "ctr_w_quality"):
+            if not math.isfinite(getattr(self, name)):
+                raise DatasetError(f"{name} must be finite")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise DatasetError(f"unknown generator config keys: {sorted(unknown)}")
-        return cls(**d)
+        return cls(**config_kwargs(cls, d, "generator", DatasetError))
 
 
 @dataclasses.dataclass

@@ -178,24 +178,44 @@ def add_embedding_tables(params: ParamStore, vocabs: Vocabs, d_id: int,
 class Embedded:
     """Gathered embeddings for one batch.
 
-    Sequence tensors are flattened to [B*H, D]; the batch's mask describes
-    which flat rows are real.
+    Sequence tensors hold only the kept positions, packed in row-major
+    order of the batch's [B, H] grid; ``seq_row`` names the batch row of
+    each packed row.
     """
 
     target_id: Tensor    # [B, D_id]
     target_side: Tensor  # [B, D_side]
-    seq_id: Tensor       # [B*H, D_id]
-    seq_side: Tensor     # [B*H, D_side]
+    seq_id: Tensor       # [P, D_id]
+    seq_side: Tensor     # [P, D_side]
+    seq_row: np.ndarray  # [P] int64
 
 
-def embed(tape: Tape, batch: SampleBatch) -> Embedded:
+def embed(tape: Tape, batch: SampleBatch, keep: np.ndarray,
+          target: Embedded | None = None) -> Embedded:
+    """Target rows plus the sequence rows where ``keep`` [B, H] is True.
+
+    ``target``, an earlier result for the same batch, lends its target
+    tensors so that a pass over several branches gathers them once.
+    """
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != batch.seq_mask.shape:
+        raise ValueError(f"keep mask {keep.shape} does not match the batch's "
+                         f"sequence grid {batch.seq_mask.shape}")
     item = tape.param("emb.item")
     category = tape.param("emb.category")
+    if target is None:
+        target_id = tape.gather_rows(item, batch.target_item, "emb.item")
+        target_side = tape.gather_rows(category, batch.target_category,
+                                       "emb.category")
+    else:
+        target_id, target_side = target.target_id, target.target_side
+    flat = np.flatnonzero(keep)
     return Embedded(
-        target_id=tape.gather_rows(item, batch.target_item, "emb.item"),
-        target_side=tape.gather_rows(category, batch.target_category,
-                                     "emb.category"),
-        seq_id=tape.gather_rows(item, batch.seq_item.reshape(-1), "emb.item"),
-        seq_side=tape.gather_rows(category, batch.seq_category.reshape(-1),
+        target_id=target_id, target_side=target_side,
+        seq_id=tape.gather_rows(item, batch.seq_item.reshape(-1)[flat],
+                                "emb.item"),
+        seq_side=tape.gather_rows(category,
+                                  batch.seq_category.reshape(-1)[flat],
                                   "emb.category"),
+        seq_row=flat // batch.history_len,
     )

@@ -28,7 +28,7 @@ from .autodiff import (
     Tape,
     Tensor,
 )
-from .datagen import ImpressionRecord, ItemSpec
+from .datagen import ImpressionRecord, ItemSpec, config_kwargs
 from .features import (
     Embedded,
     SampleBatch,
@@ -107,8 +107,10 @@ class ModelConfig:
                 raise ModelError(f"{field} must be positive")
         if self.epochs < 0:
             raise ModelError("epochs must be >= 0")
-        if self.alpha < 0:
-            raise ModelError("alpha must be >= 0")
+        if self.seed < 0:
+            raise ModelError("seed must be >= 0")
+        if not (0.0 <= self.alpha < math.inf):
+            raise ModelError("alpha must be finite and >= 0")
         # a zero learning rate is legal: it trains with parameters frozen
         if not (0.0 <= self.learning_rate < math.inf):
             raise ModelError("learning_rate must be finite and >= 0")
@@ -130,14 +132,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ModelError(f"unknown model config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "mlp_hidden" in d:
-            d["mlp_hidden"] = tuple(d["mlp_hidden"])
-        cfg = cls(**d)
+        cfg = cls(**config_kwargs(cls, d, "model", ModelError))
         cfg.validate()
         return cfg
 
@@ -203,7 +198,6 @@ def build_params(config: ModelConfig, vocabs: Vocabs) -> ParamStore:
 @dataclasses.dataclass
 class ForwardOutput:
     p: Tensor                 # [B] probabilities in (0, 1)
-    emb: Embedded
     masks: SplitMasks | None  # None when no branch split happened
     # (per-head raw scores, sequence flags mask) per attention branch,
     # detached, for the score diagnostic
@@ -242,27 +236,34 @@ def _mlp_head(tape: Tape, config: ModelConfig, x: Tensor) -> Tensor:
 
 
 def forward(tape: Tape, config: ModelConfig, batch: SampleBatch) -> ForwardOutput:
-    emb = embed(tape, batch)
-    e_target = tape.concat_cols([emb.target_id, emb.target_side])
-    e_seq = tape.concat_cols([emb.seq_id, emb.seq_side])
-    plain = (e_target, e_seq, e_seq)
-    meta = _meta_kv(tape, config, emb) if config.uses_meta else plain
+    """Each branch embeds only the positions it attends to: all valid
+    positions without a split, else multi positions for the main branch
+    and limited positions for the limited branch, which is also the only
+    one the meta networks see."""
     if config.n_branches == 1:
         masks = None
-        branches = [("att.main", *meta, batch.seq_mask)]
+        branches = [("att.main", batch.seq_mask)]
     else:
         masks = split_sequence(batch)
-        branches = [("att.main", *plain, masks.multi),
-                    ("att.limited", *meta, masks.limited)]
+        branches = [("att.main", masks.multi), ("att.limited", masks.limited)]
+    emb = embed(tape, batch, branches[0][1])
+    e_target = tape.concat_cols([emb.target_id, emb.target_side])
     interests: list[Tensor] = []
     branch_scores: list[tuple[list[np.ndarray], np.ndarray]] = []
-    for prefix, query, keys, values, mask in branches:
+    for i, (prefix, mask) in enumerate(branches):
+        if i:
+            emb = embed(tape, batch, mask, emb)
+        if config.uses_meta and i == len(branches) - 1:
+            query, keys, values = _meta_kv(tape, config, emb)
+        else:
+            query = e_target
+            keys = values = tape.concat_cols([emb.seq_id, emb.seq_side])
         att = target_attention(tape, prefix, query, keys, values, mask,
                                config.n_heads, config.d_head)
         interests.append(att.interest)
         branch_scores.append((att.raw_scores, mask))
     x = tape.concat_cols(interests + [e_target])
-    return ForwardOutput(p=_mlp_head(tape, config, x), emb=emb, masks=masks,
+    return ForwardOutput(p=_mlp_head(tape, config, x), masks=masks,
                          branch_scores=branch_scores)
 
 
@@ -276,21 +277,27 @@ def loss_ce(tape: Tape, p: Tensor, labels: np.ndarray) -> Tensor:
 
 def aux_scope_mask(config: ModelConfig, batch: SampleBatch,
                    masks: SplitMasks | None) -> np.ndarray:
+    """[B, H] positions the aux loss covers."""
     if config.aux_scope == "limited_only":
         if masks is not None:
-            return masks.limited.reshape(-1)
-        return (batch.seq_mask & batch.seq_limited).reshape(-1)
-    return batch.seq_mask.reshape(-1)
+            return masks.limited
+        return batch.seq_mask & batch.seq_limited
+    return batch.seq_mask
 
 
-def loss_aux(tape: Tape, emb: Embedded, scope_mask: np.ndarray) -> Tensor:
-    """Masked mean squared gap between the (gradient-blocked) side
-    similarity and the id similarity of each in-scope sequence position
-    against the target."""
-    side_sim = tape.cosine_sim_rows(emb.seq_side, emb.target_side)
-    id_sim = tape.cosine_sim_rows(emb.seq_id, emb.target_id)
+def loss_aux(tape: Tape, emb: Embedded) -> Tensor:
+    """Mean squared gap between the (gradient-blocked) side similarity and
+    the id similarity of every sequence row of ``emb`` against its target;
+    exactly 0.0 when ``emb`` holds no sequence rows."""
+    if not emb.seq_row.size:
+        return Tape.constant(0.0)
+    side_sim = tape.cosine_sim_rows(
+        emb.seq_side, tape.gather_rows(emb.target_side, emb.seq_row))
+    id_sim = tape.cosine_sim_rows(
+        emb.seq_id, tape.gather_rows(emb.target_id, emb.seq_row))
     diff = tape.sub(tape.stop_gradient(side_sim), id_sim)
-    return tape.masked_mean(tape.mul(diff, diff), scope_mask)
+    return tape.masked_mean(tape.mul(diff, diff),
+                            np.ones(emb.seq_row.size, dtype=bool))
 
 
 def total_loss(tape: Tape, ce: Tensor, aux: Tensor | None,
@@ -306,7 +313,8 @@ def compute_losses(tape: Tape, config: ModelConfig, batch: SampleBatch,
     aux = None
     if (config.architecture == ARCH_MSNET and config.use_aux_loss
             and config.alpha > 0.0):
-        aux = loss_aux(tape, out.emb, aux_scope_mask(config, batch, out.masks))
+        scope = aux_scope_mask(config, batch, out.masks)
+        aux = loss_aux(tape, embed(tape, batch, scope))
     return ce, aux, total_loss(tape, ce, aux, config.alpha)
 
 
@@ -590,7 +598,10 @@ def load_checkpoint(path: str | Path,
     if _array_checksum(blobs) != stored_sum:
         raise CheckpointError(f"checksum mismatch in {path}: file damaged "
                               "or tampered")
-    config = ModelConfig.from_dict(meta["config"])
+    try:
+        config = ModelConfig.from_dict(meta.get("config"))
+    except ModelError as exc:
+        raise CheckpointError(f"bad config in {path}: {exc}") from exc
     if meta.get("config_hash") != config_hash(config):
         raise CheckpointError("config hash does not match stored config")
     if expected_config is not None and \
@@ -598,16 +609,37 @@ def load_checkpoint(path: str | Path,
         raise CheckpointError(
             f"checkpoint config hash {config_hash(config)} does not match "
             f"expected {config_hash(expected_config)}")
-    vocabs = Vocabs(item=Vocab(blobs.pop("vocab/items").tolist()),
-                    category=Vocab(blobs.pop("vocab/categories").tolist()))
+    try:
+        vocabs = Vocabs(item=Vocab(blobs.pop("vocab/items").tolist()),
+                        category=Vocab(blobs.pop("vocab/categories").tolist()))
+    except KeyError as exc:
+        raise CheckpointError(
+            f"corrupt checkpoint {path}: missing {exc}") from exc
+    # the parameter set must be exactly what the config and vocabularies
+    # build, block for block and shape for shape
+    skeleton = build_params(config, vocabs)
+    stored = {k.split("/", 1)[1] for k in blobs
+              if k.startswith(("param/", "opt/"))}
+    if stored != set(skeleton.names()):
+        raise CheckpointError(
+            f"checkpoint {path} parameter blocks do not match its config: "
+            f"missing {sorted(set(skeleton.names()) - stored)}, "
+            f"unexpected {sorted(stored - set(skeleton.names()))}")
     params = ParamStore()
     acc: dict[str, np.ndarray] = {}
-    emb_names = set(meta.get("embedding_params", []))
-    param_names = [k[len("param/"):] for k in blobs if k.startswith("param/")]
-    # preserve original creation order via opt arrays pairing
-    for name in param_names:
-        params.add(name, blobs[f"param/{name}"], embedding=name in emb_names)
-        acc[name] = blobs[f"opt/{name}"].copy()
-    state = AdagradState(acc=acc, step=int(meta.get("opt_step", 0)))
+    for name in skeleton.names():
+        want = skeleton.values[name].shape
+        value, opt = blobs.get(f"param/{name}"), blobs.get(f"opt/{name}")
+        if value is None or opt is None or \
+                value.shape != want or opt.shape != want:
+            raise CheckpointError(
+                f"checkpoint {path} block {name!r} is missing or not "
+                f"shaped {want}")
+        params.add(name, value, embedding=name in skeleton.embedding_names)
+        acc[name] = np.array(opt, dtype=np.float64)
+    step = meta.get("opt_step", 0)
+    if not isinstance(step, int) or isinstance(step, bool) or step < 0:
+        raise CheckpointError(f"checkpoint {path} has a bad opt_step {step!r}")
+    state = AdagradState(acc=acc, step=step)
     return Checkpoint(params=params, opt_state=state, config=config,
                       vocabs=vocabs, meta=meta)

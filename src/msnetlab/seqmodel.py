@@ -84,7 +84,8 @@ def add_attention_params(params: ParamStore, prefix: str, d_in: int,
 @dataclasses.dataclass
 class AttentionResult:
     interest: Tensor          # [B, n_heads*d_head]
-    raw_scores: list[Array]   # per head, [B, H] pre-softmax (detached)
+    # per head, [B, H] pre-softmax (detached); 0 outside the mask
+    raw_scores: list[Array]
 
 
 def target_attention(tape: Tape, prefix: str, target: Tensor, keys: Tensor,
@@ -92,30 +93,35 @@ def target_attention(tape: Tape, prefix: str, target: Tensor, keys: Tensor,
                      d_head: int) -> AttentionResult:
     """Multi-head target attention.
 
-    Per head: q = target Wq, k = keys Wk, v = values Wv; scores are the
-    per-position dots q.k scaled by 1/sqrt(d_head), masked-softmaxed over
-    the sequence, and used to pool v.  Heads are concatenated and passed
-    through the combine matrix.  Rows whose mask is empty produce a zero
-    interest vector.  All heads run as one batch of [B, n_heads] matrix
-    products.
+    ``keys`` and ``values`` hold only the positions where ``mask`` [B, H]
+    is True, packed in row-major order.  Per head: q = target Wq,
+    k = keys Wk, v = values Wv; the packed projections are scattered back
+    to the padded [B, H] grid, scores are the per-position dots q.k scaled
+    by 1/sqrt(d_head), masked-softmaxed over the sequence, and used to
+    pool v.  Heads are concatenated and passed through the combine
+    matrix.  Rows whose mask is empty produce a zero interest vector.  All
+    heads run as one batch of [B, n_heads] matrix products.
     """
     mask = np.asarray(mask, dtype=bool)
     b, h_len = mask.shape
-    if target.values.shape[0] != b or keys.values.shape[0] != b * h_len \
-            or values.values.shape[0] != b * h_len:
+    rows = np.flatnonzero(mask)
+    if target.values.shape[0] != b or keys.values.shape[0] != rows.size \
+            or values.values.shape[0] != rows.size:
         raise ValueError(
             f"attention shape mismatch: target {target.values.shape}, "
             f"keys {keys.values.shape}, values {values.values.shape}, "
-            f"mask {mask.shape}")
+            f"mask {mask.shape} with {rows.size} positions")
     n, d = n_heads, d_head
+
+    def padded(x: Tensor, w: str) -> Tensor:
+        projected = tape.matmul(x, tape.param(f"{prefix}.{w}"))
+        return tape.reshape(tape.scatter_rows(projected, rows, b * h_len),
+                            (b, h_len, n, d))
+
     q = tape.reshape(tape.matmul(target, tape.param(f"{prefix}.wq")),
                      (b, n, 1, d))
-    k = tape.transpose(tape.reshape(
-        tape.matmul(keys, tape.param(f"{prefix}.wk")), (b, h_len, n, d)),
-        (0, 2, 3, 1))
-    v = tape.transpose(tape.reshape(
-        tape.matmul(values, tape.param(f"{prefix}.wv")), (b, h_len, n, d)),
-        (0, 2, 1, 3))
+    k = tape.transpose(padded(keys, "wk"), (0, 2, 3, 1))
+    v = tape.transpose(padded(values, "wv"), (0, 2, 1, 3))
     scores = tape.reshape(tape.scale(tape.matmul(q, k), 1.0 / math.sqrt(d)),
                           (b * n, h_len))
     per_head = scores.values.reshape(b, n, h_len)

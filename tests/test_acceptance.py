@@ -135,23 +135,23 @@ def test_criterion_3_stop_gradient_contracts():
 
     # (a) scaling-net input path -> id table
     tape = Tape(params)
-    emb = embed(tape, batch)
+    emb = embed(tape, batch, batch.seq_mask)
     weights = scaling_weights(tape, emb.seq_id)
     grads = tape.backward(tape.sum_all(weights))
     assert not np.any(grads["emb.item"].rows)
 
     # (b) shifting-net input path -> side table
     tape = Tape(params)
-    emb = embed(tape, batch)
+    emb = embed(tape, batch, batch.seq_mask)
     shifted, _ = meta_shift(tape, emb.seq_side, emb.seq_id)
     grads = tape.backward(tape.sum_all(shifted))
     assert not np.any(grads["emb.category"].rows)
 
     # (c) aux-loss side-similarity path -> side table
     tape = Tape(params)
-    emb = embed(tape, batch)
-    scope = (batch.seq_mask & batch.seq_limited).reshape(-1)
-    aux = loss_aux(tape, emb, scope)
+    scope = batch.seq_mask & batch.seq_limited
+    emb = embed(tape, batch, scope)
+    aux = loss_aux(tape, emb)
     grads = tape.backward(aux)
     assert not np.any(grads["emb.category"].rows)
     assert np.any(grads["emb.item"].rows != 0.0)
@@ -341,7 +341,8 @@ def test_criterion_7_split_equivalence_100_batches():
             outs = []
             for seq_items, m in ((batch.seq_item, branch_mask),
                                  (phys.seq_item, phys.seq_mask)):
-                e_seq = Tape.constant(table[seq_items.reshape(-1)])
+                e_seq = Tape.constant(
+                    table[seq_items.reshape(-1)[m.reshape(-1)]])
                 e_t = Tape.constant(table[batch.target_item])
                 tape = Tape(params)
                 res = target_attention(tape, "att", e_t, e_seq, e_seq, m,

@@ -104,6 +104,55 @@ class TestGatherRows:
                                        upstream.sum(axis=0), atol=1e-12)
 
 
+class TestScatterRows:
+    def test_forward_places_rows_in_zero_matrix(self):
+        tape = Tape()
+        x = Tape.constant([[1.0, 2.0], [3.0, 4.0]])
+        out = tape.scatter_rows(x, [3, 0], 4)
+        np.testing.assert_array_equal(
+            out.values, [[3.0, 4.0], [0.0, 0.0], [0.0, 0.0], [1.0, 2.0]])
+
+    def test_backward_picks_rows(self):
+        # d/dx sum(w * scatter(x)) = w[rows], exactly
+        params = ParamStore()
+        params.add("x", np.ones((2, 2)))
+        w = np.arange(8.0).reshape(4, 2)
+        tape = Tape(params)
+        out = tape.scatter_rows(tape.param("x"), [3, 0], 4)
+        grads = tape.backward(tape.sum_all(tape.mul(out, Tape.constant(w))))
+        np.testing.assert_array_equal(grads["x"], w[[3, 0]])
+
+    def test_no_rows(self):
+        params = ParamStore()
+        params.add("x", np.zeros((0, 3)))
+        tape = Tape(params)
+        out = tape.scatter_rows(tape.param("x"), [], 2)
+        np.testing.assert_array_equal(out.values, np.zeros((2, 3)))
+        grads = tape.backward(tape.sum_all(out))
+        assert grads["x"].shape == (0, 3)
+
+    @pytest.mark.parametrize("rows", [[0, 0], [0, 5], [-1, 1], [0]])
+    def test_bad_rows_rejected(self, rows):
+        tape = Tape()
+        with pytest.raises(AutodiffError, match="scatter_rows"):
+            tape.scatter_rows(Tape.constant(np.ones((2, 2))), rows, 5)
+
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(13)
+        params = ParamStore()
+        params.add("x", rng.normal(size=(3, 2)))
+        w = rng.normal(size=(5, 2))
+
+        def loss_fn():
+            tape = Tape(params)
+            out = tape.scatter_rows(tape.param("x"), [4, 1, 2], 5)
+            return tape, tape.sum_all(tape.mul(tape.mul(out, out),
+                                               Tape.constant(w)))
+
+        report = check_gradients(loss_fn, params, h=1e-6, tol=1e-6)
+        assert report.ok() and not report.checks["x"].blocked
+
+
 class TestStopGradient:
     def test_forward_identity(self):
         tape = Tape()
@@ -261,6 +310,32 @@ class TestBackward:
         grads = tape.backward(tape.sum_all(tape.mul(u, u)))
         assert np.all(grads["unused"] == 0.0)
         assert grads["table"].indices.size == 0
+
+    def test_shared_gradient_array_accumulates_apart(self):
+        # add() hands one gradient array to both of its inputs; p then
+        # gets a second term from the square, whose node comes earlier on
+        # the tape.  Adding that term into the shared array would leak it
+        # into q's gradient.
+        rng = np.random.default_rng(21)
+        params = ParamStore()
+        params.add("p", rng.normal(size=3))
+        params.add("q", rng.normal(size=3))
+        c = rng.normal(size=3)
+
+        def loss_fn():
+            tape = Tape(params)
+            p, q = tape.param("p"), tape.param("q")
+            square = tape.mul(p, p)
+            total = tape.add(square, tape.add(p, q))
+            return tape, tape.sum_all(tape.mul(total, Tape.constant(c)))
+
+        tape, loss = loss_fn()
+        grads = tape.backward(loss)
+        np.testing.assert_array_equal(grads["q"], c)
+        np.testing.assert_allclose(grads["p"],
+                                   c + 2.0 * params.values["p"] * c,
+                                   rtol=1e-15)
+        assert check_gradients(loss_fn, params, h=1e-6, tol=1e-6).ok()
 
     def test_tape_consumed_after_backward(self):
         params = ParamStore()

@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from msnetlab.autodiff import ParamStore
 from msnetlab.cli import main
 from msnetlab.datagen import read_dataset
 from msnetlab.metrics import read_predictions
-from msnetlab.model import load_checkpoint
+from msnetlab.model import load_checkpoint, save_checkpoint
 
 TINY = {
     "seed": 5,
@@ -371,6 +372,34 @@ def _old_format(meta: str) -> str:
     return json.dumps({**json.loads(meta), "format": "ckpt-v1"})
 
 
+def _opt_step_text(meta: str) -> str:
+    return json.dumps({**json.loads(meta), "opt_step": "x"})
+
+
+def _checkpoint_without(workspace, tmp_path: Path, block: str) -> list[str]:
+    """Saves the checkpoint again without one parameter block, so its
+    checksum is consistent and only the parameter set is wrong."""
+    _, _, data, run = workspace
+    ckpt = load_checkpoint(run / "msnet.ckpt.npz")
+    params = ParamStore()
+    for name in ckpt.params.names():
+        if name != block:
+            params.add(name, ckpt.params.values[name],
+                       embedding=name in ckpt.params.embedding_names)
+    path = tmp_path / "msnet.ckpt.npz"
+    save_checkpoint(path, params, ckpt.opt_state, ckpt.config, ckpt.vocabs,
+                    dataset_hash=ckpt.meta["dataset_hash"])
+    return ["evaluate", "--checkpoint", str(path), "--data", str(data),
+            "--out", str(tmp_path / "e")]
+
+
+def _ablate_alpha_sweep(workspace, tmp_path: Path, sweep) -> list[str]:
+    _, _, data, _ = workspace
+    cfg = write_config(tmp_path / "cfg.json", alpha_sweep=sweep)
+    return ["ablate", "--config", str(cfg), "--data", str(data), "--out",
+            str(tmp_path / "a"), "--sweep-alpha"]
+
+
 # name -> (expected code, argv builder over (workspace, tmp_path))
 MALFORMED_INPUTS = {
     "config_top_level_list": ("E_CONFIG", lambda ws, tmp: _config_text(
@@ -389,6 +418,22 @@ MALFORMED_INPUTS = {
                                  _checkpoint_meta(ws, tmp, lambda m: "{oops")),
     "checkpoint_old_format": ("E_INTEGRITY", lambda ws, tmp:
                               _checkpoint_meta(ws, tmp, _old_format)),
+    "checkpoint_opt_step_string": ("E_INTEGRITY", lambda ws, tmp:
+                                   _checkpoint_meta(ws, tmp, _opt_step_text)),
+    "seed_flag_negative": ("E_CONFIG", lambda ws, tmp: _config_text(
+        tmp / "cfg.json", "{}") + ["--seed", "-1"]),
+    "config_seed_string": ("E_CONFIG", lambda ws, tmp: _config_text(
+        tmp / "cfg.json", json.dumps({"seed": "x"}))),
+    "config_n_users_string": ("E_CONFIG", lambda ws, tmp: _config_text(
+        tmp / "cfg.json", json.dumps({"generator": {"n_users": "5"}}))),
+    "config_alpha_sweep_string": ("E_CONFIG", lambda ws, tmp:
+                                  _ablate_alpha_sweep(ws, tmp, ["x"])),
+    "manifest_without_files": ("E_FORMAT", lambda ws, tmp: _data_copy(
+        ws, tmp, lambda d: (d / "manifest.json").write_text(
+            json.dumps({"format": "manifest-v1"})))),
+    "checkpoint_missing_block": ("E_INTEGRITY", lambda ws, tmp:
+                                 _checkpoint_without(ws, tmp,
+                                                     "att.limited.wq")),
 }
 
 

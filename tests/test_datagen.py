@@ -60,6 +60,20 @@ class TestBuildMarket:
             GeneratorConfig(n_users=0).validate()
         with pytest.raises(DatasetError):
             GeneratorConfig(min_multi_stock=1).validate()
+        for bad in ({"max_multi_stock": 10**20}, {"new_items_per_day": -1},
+                    {"mean_impressions_per_user_day": -1.0},
+                    {"mean_impressions_per_user_day": math.inf},
+                    {"ctr_bias": math.nan}):
+            with pytest.raises(DatasetError):
+                GeneratorConfig(**bad).validate()
+
+    def test_from_dict_checks_value_types(self):
+        for bad in ({"n_users": "5"}, {"n_users": 5.0}, {"n_users": True},
+                    {"limited_fraction": "0.5"}, {"days": None}, [1, 2]):
+            with pytest.raises(DatasetError):
+                GeneratorConfig.from_dict(bad)
+        cfg = GeneratorConfig.from_dict({"n_users": 5, "limited_fraction": 1})
+        assert cfg.n_users == 5 and cfg.limited_fraction == 1
 
 
 class TestTrueCtr:

@@ -152,7 +152,7 @@ class TestEmbed:
         params.values["emb.item"][:] = item_table
         params.values["emb.category"][:] = cat_table
         tape = Tape(params)
-        emb = embed(tape, batch)
+        emb = embed(tape, batch, np.ones_like(batch.seq_mask))
         np.testing.assert_array_equal(emb.target_id.values,
                                       item_table[batch.target_item])
         np.testing.assert_array_equal(emb.target_side.values,
@@ -174,7 +174,7 @@ class TestEmbed:
         add_embedding_tables(params, vocabs, 3, 3, np.random.default_rng(0))
         batch = encode_batch(records, vocabs, catalog, history_len=2)
         tape = Tape(params)
-        emb = embed(tape, batch)
+        emb = embed(tape, batch, np.ones_like(batch.seq_mask))
         np.testing.assert_array_equal(emb.seq_id.values[0],
                                       emb.seq_id.values[1])
 
@@ -185,14 +185,43 @@ class TestEmbed:
         records = [make_record(10)]
         batch = encode_batch(records, vocabs, catalog, history_len=2)
         tape = Tape(params)
-        emb = embed(tape, batch)
+        emb = embed(tape, batch, np.ones_like(batch.seq_mask))
         np.testing.assert_array_equal(emb.seq_id.values[0],
                                       params.values["emb.item"][0])
+
+    def test_keep_packs_rows_in_row_major_order(self):
+        params = ParamStore()
+        params.add("emb.item", np.arange(12.0).reshape(6, 2), embedding=True)
+        params.add("emb.category", -np.arange(8.0).reshape(4, 2),
+                   embedding=True)
+        keep = np.array([[False, True, True], [False, False, False],
+                         [True, False, True]])
+        batch = SampleBatch(
+            target_item=np.array([1, 2, 3]),
+            target_category=np.array([1, 2, 3]),
+            seq_item=np.array([[1, 2, 3], [4, 5, 1], [2, 3, 4]]),
+            seq_category=np.array([[1, 1, 2], [2, 3, 3], [3, 1, 2]]),
+            seq_mask=np.ones((3, 3), dtype=bool), seq_limited=keep,
+            labels=np.zeros(3), is_new=np.zeros(3, dtype=bool),
+            is_limited=np.zeros(3, dtype=bool))
+        tape = Tape(params)
+        emb = embed(tape, batch, keep)
+        np.testing.assert_array_equal(emb.seq_row, [0, 0, 2, 2])
+        np.testing.assert_array_equal(
+            emb.seq_id.values, params.values["emb.item"][[2, 3, 2, 4]])
+        np.testing.assert_array_equal(
+            emb.seq_side.values, params.values["emb.category"][[1, 2, 3, 2]])
+        # a second branch borrows the target rows instead of gathering
+        other = embed(tape, batch, ~keep, emb)
+        assert other.target_id is emb.target_id
+        assert other.seq_row.tolist() == [0, 1, 1, 1, 2]
+        with pytest.raises(ValueError, match="keep mask"):
+            embed(tape, batch, keep[:, :2])
 
     def test_gradient_support_is_referenced_rows(self):
         params, batch, vocabs = self._params_and_batch()
         tape = Tape(params)
-        emb = embed(tape, batch)
+        emb = embed(tape, batch, np.ones_like(batch.seq_mask))
         weights = Tape.constant(np.ones_like(emb.seq_id.values))
         masked = tape.mul_rows(emb.seq_id,
                                Tape.constant(batch.seq_mask.reshape(-1)

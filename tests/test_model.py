@@ -2,11 +2,14 @@
 checkpoint tests.  Derived values come from plain-numpy oracles and
 hand arithmetic written out in the tests."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msnetlab.autodiff import ParamStore, SparseRows, Tape, check_gradients
 from msnetlab.datagen import (
@@ -85,8 +88,29 @@ class TestConfig:
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ModelError, match="logit_clamp"):
                 ModelConfig(logit_clamp=bad).validate()
+        with pytest.raises(ModelError, match="seed"):
+            ModelConfig(seed=-1).validate()
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ModelError, match="alpha"):
+                ModelConfig(alpha=bad).validate()
         ModelConfig().validate()
         ModelConfig(learning_rate=0.0).validate()
+
+    @given(field=st.sampled_from(
+               [f.name for f in dataclasses.fields(ModelConfig)]),
+           value=st.recursive(
+               st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=3),
+               lambda inner: st.lists(inner, max_size=3)
+               | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+               max_leaves=4))
+    @settings(max_examples=300, deadline=None)
+    def test_from_dict_fails_only_with_model_error(self, field, value):
+        # any JSON value in any field either loads or is refused cleanly
+        try:
+            ModelConfig.from_dict({field: value})
+        except ModelError:
+            pass
 
     def test_hash_changes_with_config(self):
         a = config_hash(ModelConfig())
@@ -229,10 +253,10 @@ class TestLossCE:
 
 
 class TestLossAux:
-    def _embedded(self, params, batch):
+    def _embedded(self, params, batch, keep):
         from msnetlab.features import embed
         tape = Tape(params)
-        return tape, embed(tape, batch)
+        return tape, embed(tape, batch, keep)
 
     def test_identical_tables_zero_loss(self):
         # same vectors for id and side embeddings make the two similarity
@@ -249,9 +273,9 @@ class TestLossAux:
         batch = micro_batch(rng, n_items=n_cat_rows - 1, n_cats=n_cat_rows - 1)
         batch.seq_category[:] = batch.seq_item
         batch.target_category[:] = batch.target_item
-        tape, emb = self._embedded(params, batch)
-        scope = batch.seq_mask.reshape(-1)
-        got = float(loss_aux(tape, emb, scope).values)
+        scope = batch.seq_mask
+        tape, emb = self._embedded(params, batch, scope)
+        got = float(loss_aux(tape, emb).values)
         assert got == pytest.approx(0.0, abs=1e-24)
 
     def test_hand_mse(self):
@@ -272,8 +296,8 @@ class TestLossAux:
             is_limited=np.array([False]))
         tape = Tape(params)
         from msnetlab.features import embed
-        emb = embed(tape, batch)
-        got = float(loss_aux(tape, emb, batch.seq_mask.reshape(-1)).values)
+        emb = embed(tape, batch, batch.seq_mask)
+        got = float(loss_aux(tape, emb).values)
         assert got == pytest.approx(0.5, rel=1e-9)
 
     def test_side_tables_blocked_id_tables_not(self):
@@ -284,9 +308,9 @@ class TestLossAux:
         batch = micro_batch(rng)
         if not batch.seq_mask.any():
             pytest.skip("need at least one valid position")
-        tape, emb = self._embedded(params, batch)
-        scope = batch.seq_mask.reshape(-1)
-        aux = loss_aux(tape, emb, scope)
+        scope = batch.seq_mask
+        tape, emb = self._embedded(params, batch, scope)
+        aux = loss_aux(tape, emb)
         grads = tape.backward(aux)
         cat = grads["emb.category"]
         assert isinstance(cat, SparseRows)
@@ -299,10 +323,10 @@ class TestLossAux:
         params = build_params(cfg, vocabs)
         rng = np.random.default_rng(3)
         batch = micro_batch(rng, all_multi=True)
-        tape, emb = self._embedded(params, batch)
         scope = aux_scope_mask(cfg, batch, split_sequence(batch))
+        tape, emb = self._embedded(params, batch, scope)
         assert not scope.any()
-        got = float(loss_aux(tape, emb, scope).values)
+        got = float(loss_aux(tape, emb).values)
         assert got == 0.0
 
 
@@ -601,15 +625,41 @@ class TestGradientContracts:
         assert report.ok(), [
             (c.name, c.max_rel_err) for c in report.failures()]
 
+    def test_batch_without_limited_positions(self):
+        # the limited branch, its meta networks and the aux loss all get
+        # zero packed rows; the step still runs and matches finite
+        # differences
+        rng = np.random.default_rng(7)
+        params = build_params(MICRO_MSNET, micro_vocabs())
+        batch = micro_batch(rng, all_multi=True)
+        assert batch.seq_mask.any()
+
+        def loss_fn():
+            tape = Tape(params)
+            out = forward(tape, MICRO_MSNET, batch)
+            _, aux, total = compute_losses(tape, MICRO_MSNET, batch, out)
+            assert aux.node is None and float(aux.values) == 0.0
+            return tape, total
+
+        tape, total = loss_fn()
+        grads = tape.backward(total)
+        for name in ("att.limited.wk", "att.limited.wv", "meta.shift.w1"):
+            assert not np.any(grads[name]), name
+        assert np.any(grads["att.main.wk"])
+        report = check_gradients(loss_fn, params, h=1e-5, tol=1e-4,
+                                 max_entries=25, seed=2)
+        assert report.ok(), [
+            (c.name, c.max_rel_err) for c in report.failures()]
+
     def test_aux_only_gradient_never_reaches_side_table(self):
         params, batch = self._setup(seed=2)
         if not (batch.seq_mask & batch.seq_limited).any():
             pytest.skip("need limited positions")
         from msnetlab.features import embed
         tape = Tape(params)
-        emb = embed(tape, batch)
-        scope = (batch.seq_mask & batch.seq_limited).reshape(-1)
-        aux = loss_aux(tape, emb, scope)
+        scope = batch.seq_mask & batch.seq_limited
+        emb = embed(tape, batch, scope)
+        aux = loss_aux(tape, emb)
         grads = tape.backward(aux)
         assert not np.any(grads["emb.category"].rows)
 
@@ -618,7 +668,7 @@ class TestGradientContracts:
         from msnetlab.seqmodel import scaling_weights
         params, batch = self._setup(seed=3)
         tape = Tape(params)
-        emb = embed(tape, batch)
+        emb = embed(tape, batch, batch.seq_mask)
         weights = scaling_weights(tape, emb.seq_id)
         grads = tape.backward(tape.sum_all(weights))
         assert not np.any(grads["emb.item"].rows)
@@ -628,7 +678,7 @@ class TestGradientContracts:
         from msnetlab.seqmodel import meta_shift
         params, batch = self._setup(seed=4)
         tape = Tape(params)
-        emb = embed(tape, batch)
+        emb = embed(tape, batch, batch.seq_mask)
         shifted, _ = meta_shift(tape, emb.seq_side, emb.seq_id)
         loss = tape.sum_all(shifted)
         grads = tape.backward(loss)

@@ -162,8 +162,10 @@ class TestTargetAttention:
         want = ref_attention(target, keys, values, mask, heads,
                              params.values["att.combine"], d_head)
         tape = Tape(params)
+        packed = mask.reshape(-1)
         res = target_attention(tape, "att", Tape.constant(target),
-                               Tape.constant(keys), Tape.constant(values),
+                               Tape.constant(keys[packed]),
+                               Tape.constant(values[packed]),
                                mask, n_heads, d_head)
         np.testing.assert_allclose(res.interest.values, want, rtol=1e-10,
                                    atol=1e-12)
@@ -197,8 +199,10 @@ class TestTargetAttention:
         mask = np.zeros((2, 3), dtype=bool)
         mask[1, 0] = True
         tape = Tape(params)
+        packed = mask.reshape(-1)
         res = target_attention(tape, "att", Tape.constant(target),
-                               Tape.constant(keys), Tape.constant(values),
+                               Tape.constant(keys[packed]),
+                               Tape.constant(values[packed]),
                                mask, 2, 3)
         np.testing.assert_array_equal(res.interest.values[0],
                                       np.zeros_like(res.interest.values[0]))
@@ -353,7 +357,8 @@ class TestPhysicalMaskEquivalence:
             outs = []
             for seq_items, mask in ((batch.seq_item, keep),
                                     (phys.seq_item, phys.seq_mask)):
-                e_seq = Tape.constant(table[seq_items.reshape(-1)])
+                e_seq = Tape.constant(
+                    table[seq_items.reshape(-1)[mask.reshape(-1)]])
                 e_t = Tape.constant(table[batch.target_item])
                 tape = Tape(params)
                 res = target_attention(tape, "att", e_t, e_seq, e_seq, mask,
