@@ -2,12 +2,11 @@
 
 The engine is deliberately small: it provides exactly the operations the
 CTR models in this package need (embedding gather with sparse gradient
-accumulation, scatter of packed rows into a zero matrix, matmul over
-matrices or stacks of them, reshape, transpose, concat, masked row
-softmax, sigmoid, leaky rectifier, clamp, elementwise arithmetic, row
-norms and row scaling, stop-gradient, masked mean, binary cross-entropy)
-and nothing else.  No broadcasting rules, no GPU, no
-higher-order derivatives.
+accumulation, matmul over matrices or stacks of them, reshape, concat,
+softmax and sum over sorted row segments, sigmoid, leaky rectifier,
+clamp, elementwise arithmetic, row norms and row scaling, stop-gradient,
+masked mean, binary cross-entropy) and nothing else.  No broadcasting
+rules, no GPU, no higher-order derivatives.
 
 A ``Tape`` is rebuilt for every forward pass (define-by-run).  ``Tensor``
 values are immutable once created; parameters live in a ``ParamStore`` and
@@ -252,42 +251,11 @@ class Tape:
                 if idx.size:
                     parts.append((idx, g))
         else:
-            shape = table.values.shape
-
             def backward(g: Array, grads: list[Array | None]) -> None:
-                dense = np.zeros(shape, dtype=np.float64)
-                np.add.at(dense, idx, g)
-                self._accum(grads, tnode, dense)
+                self._accum(grads, tnode, sum_rows_by_index(idx, g, rows))
 
         nid = self._push(backward, "gather_rows")
         return Tensor(out, nid)
-
-    def scatter_rows(self, x: Tensor, rows: Array | Sequence[int],
-                     n: int) -> Tensor:
-        """Place row i of x [P x D] at row ``rows[i]`` of an [n x D] zero
-        matrix.  The rows must be distinct and in range; the backward is
-        ``g[rows]``.
-        """
-        idx = np.asarray(rows, dtype=np.int64).reshape(-1)
-        xv = x.values
-        if xv.ndim != 2 or idx.shape[0] != xv.shape[0]:
-            raise AutodiffError(
-                f"scatter_rows shape mismatch {xv.shape} to rows {idx.shape}")
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise AutodiffError(f"scatter_rows rows out of range [0, {n})")
-        hit = np.zeros(n, dtype=bool)
-        hit[idx] = True
-        if np.count_nonzero(hit) != idx.size:
-            raise AutodiffError("scatter_rows rows are not distinct")
-        out = np.zeros((n, xv.shape[1]), dtype=np.float64)
-        out[idx] = xv
-        xn = x.node
-
-        def backward(g: Array, grads: list[Array | None]) -> None:
-            if xn is not None:
-                self._accum(grads, xn, g[idx])
-
-        return Tensor(out, self._push(backward, "scatter_rows"))
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         """Matrix product, or a stack of them over equal leading dims."""
@@ -408,18 +376,6 @@ class Tape:
 
         return Tensor(out, self._push(backward, "reshape"))
 
-    def transpose(self, x: Tensor, axes: tuple[int, ...]) -> Tensor:
-        """Axis permutation, as ``np.transpose``."""
-        out = x.values.transpose(axes)
-        xn = x.node
-        inverse = tuple(np.argsort(axes))
-
-        def backward(g: Array, grads: list[Array | None]) -> None:
-            if xn is not None:
-                self._accum(grads, xn, g.transpose(inverse))
-
-        return Tensor(out, self._push(backward, "transpose"))
-
     def row_norm(self, x: Tensor) -> Tensor:
         """Euclidean norm of each row: [N x D] -> [N].
 
@@ -453,41 +409,54 @@ class Tape:
 
         return Tensor(out, self._push(backward, "mul_rows"))
 
-    def softmax_rows(self, x: Tensor, mask: Array | None = None) -> Tensor:
-        """Row softmax with an optional boolean keep-mask.
+    def segment_softmax(self, x: Tensor, seg: Array | Sequence[int]) -> Tensor:
+        """Softmax of each column of x [P x m] over each run of equal
+        ``seg`` [P]; ``seg`` must be nondecreasing.
 
-        Masked entries are exactly 0 in the output; rows with no unmasked
-        entry come out all zero instead of NaN.  Numerically stabilized by
-        subtracting the row max over unmasked entries.
+        Stabilized by the per-segment column max.  The backward is
+        ``y * (g - segsum(g * y)[seg])``.
         """
         v = x.values
         if v.ndim != 2:
-            raise AutodiffError("softmax_rows wants a matrix")
-        if mask is None:
-            keep = np.ones(v.shape, dtype=bool)
-        else:
-            keep = np.asarray(mask, dtype=bool)
-            if keep.shape != v.shape:
-                raise AutodiffError("softmax mask shape mismatch")
-        masked = np.where(keep, v, -np.inf)
-        any_keep = keep.any(axis=1)
-        rowmax = np.where(any_keep, np.max(masked, axis=1), 0.0)
-        # exp(-inf) underflows to exactly 0, so masked entries stay 0 of the
-        # output without ever exponentiating their raw scores.
-        e = np.exp(masked - rowmax[:, None])
-        denom = e.sum(axis=1)
-        safe_denom = np.where(denom > 0.0, denom, 1.0)
-        out = e / safe_denom[:, None]
+            raise AutodiffError("segment_softmax wants a matrix")
+        starts, run = _segment_runs(seg, v.shape[0], "segment_softmax")
+        out = np.zeros_like(v)
+        if starts.size:
+            e = np.exp(v - np.maximum.reduceat(v, starts, axis=0)[run])
+            out = e / np.add.reduceat(e, starts, axis=0)[run]
+        xn = x.node
+
+        def backward(g: Array, grads: list[Array | None]) -> None:
+            if xn is not None and starts.size:
+                inner = np.add.reduceat(g * out, starts, axis=0)
+                self._accum(grads, xn, out * (g - inner[run]))
+
+        return Tensor(out, self._push(backward, "segment_softmax"))
+
+    def segment_sum(self, x: Tensor, seg: Array | Sequence[int],
+                    n: int) -> Tensor:
+        """Row sums of x [P x D] over each run of equal ``seg`` [P] into
+        row ``seg`` of an [n x D] zero matrix; ``seg`` must be
+        nondecreasing and in [0, n).  Segments with no rows stay zero.
+        The backward is ``g[seg]``.
+        """
+        v = x.values
+        if v.ndim != 2:
+            raise AutodiffError("segment_sum wants a matrix")
+        idx = np.asarray(seg, dtype=np.int64).reshape(-1)
+        starts, _ = _segment_runs(idx, v.shape[0], "segment_sum")
+        if idx.size and (idx[0] < 0 or idx[-1] >= n):
+            raise AutodiffError(f"segment_sum segments out of range [0, {n})")
+        out = np.zeros((n, v.shape[1]), dtype=np.float64)
+        if starts.size:
+            out[idx[starts]] = np.add.reduceat(v, starts, axis=0)
         xn = x.node
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if xn is not None:
-                # dL/dx = y * (g - sum(g*y)) per row; masked entries have
-                # y == 0 so they receive exactly zero.
-                inner = np.einsum("nd,nd->n", g, out)
-                self._accum(grads, xn, out * (g - inner[:, None]))
+                self._accum(grads, xn, g[idx])
 
-        return Tensor(out, self._push(backward, "softmax_rows"))
+        return Tensor(out, self._push(backward, "segment_sum"))
 
     def sigmoid(self, x: Tensor) -> Tensor:
         out = sigmoid(x.values)
@@ -662,12 +631,44 @@ def _merge_sparse(parts: list[tuple[Array, Array]], dim: int) -> SparseRows:
     if not parts:
         return SparseRows(np.zeros(0, dtype=np.int64),
                           np.zeros((0, dim), dtype=np.float64))
-    all_idx = np.concatenate([p[0] for p in parts])
-    all_rows = np.concatenate([p[1] for p in parts], axis=0)
-    uniq, inverse = np.unique(all_idx, return_inverse=True)
-    acc = np.zeros((uniq.size, dim), dtype=np.float64)
-    np.add.at(acc, inverse, all_rows)
-    return SparseRows(uniq, acc)
+    uniq, inverse = np.unique(np.concatenate([p[0] for p in parts]),
+                              return_inverse=True)
+    rows = np.concatenate([p[1] for p in parts], axis=0)
+    return SparseRows(uniq, sum_rows_by_index(inverse, rows, uniq.size))
+
+
+def sum_rows_by_index(indices: Array, rows: Array, n: int) -> Array:
+    """[n x D] matrix whose row i is the sum of the ``rows`` [N x D] whose
+    index is i (zero when none is).
+
+    Each sum adds its rows one by one in row order, starting from zero,
+    as an unbuffered in-place add over the rows would, so results are
+    bit-identical to that loop; one flat ``np.bincount`` does it in a
+    single pass.
+    """
+    d = rows.shape[1]
+    flat = (np.asarray(indices).reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+    sums = np.bincount(flat, weights=rows.reshape(-1), minlength=n * d)
+    # with no rows to add, bincount returns integer zeros
+    return sums.astype(np.float64, copy=False).reshape(n, d)
+
+
+def _segment_runs(seg: Array | Sequence[int], p: int,
+                  op: str) -> tuple[Array, Array]:
+    """First row of each run of equal values in ``seg`` [p], and the run
+    number of every row.  ``seg`` must be nondecreasing."""
+    seg = np.asarray(seg, dtype=np.int64).reshape(-1)
+    if seg.shape[0] != p:
+        raise AutodiffError(f"{op} wants one segment per row, got "
+                            f"{seg.shape[0]} for {p} rows")
+    step = np.diff(seg)
+    if (step < 0).any():
+        raise AutodiffError(f"{op} segments must be nondecreasing")
+    new = np.flatnonzero(step) + 1
+    starts = np.concatenate([[0], new]) if p else new
+    run = np.zeros(p, dtype=np.int64)
+    run[new] = 1
+    return starts, np.cumsum(run)
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .datagen import (
     DatasetError,
@@ -542,9 +543,13 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_init_config(args: argparse.Namespace) -> int:
     path = Path(args.out)
+    if path.is_dir():
+        raise CliError("E_EXISTS", f"{path} is a directory")
     if path.exists() and not args.force:
         raise CliError("E_EXISTS", f"refusing to overwrite {path} "
                        "(use --force)")
+    if not path.parent.is_dir():
+        raise CliError("E_NOT_FOUND", f"directory not found: {path.parent}")
     path.write_text(ExperimentConfig.default_json())
     print(f"wrote default config to {path}")
     return 0
@@ -554,8 +559,16 @@ def cmd_init_config(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ``E_USAGE`` instead of printing a usage
+    block; subcommand parsers inherit this class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise CliError("E_USAGE", f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="msnetlab",
         description="Synthetic limited-stock market lab for DIN and MSNet "
                     "CTR models")
@@ -613,9 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)

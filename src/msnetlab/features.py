@@ -14,7 +14,8 @@ the category of every item including brand-new ones.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Sequence
+import itertools
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +33,9 @@ class Vocab:
 
     def __init__(self, values: Iterable[int] = ()) -> None:
         self._index: dict[int, int] = {}
+        # (sorted values, their indices), built on first array lookup and
+        # dropped whenever a value is added
+        self._sorted: tuple[np.ndarray, np.ndarray] | None = None
         for v in values:
             self.add(v)
 
@@ -40,10 +44,26 @@ class Vocab:
         if idx is None:
             idx = len(self._index) + 1
             self._index[value] = idx
+            self._sorted = None
         return idx
 
     def lookup(self, value: int) -> int:
         return self._index.get(value, OOV_INDEX)
+
+    def lookup_array(self, values: np.ndarray) -> np.ndarray:
+        """``lookup`` of every entry of an int64 array, by binary search
+        over the sorted values."""
+        if self._sorted is None:
+            keys = np.fromiter(self._index, dtype=np.int64,
+                               count=len(self._index))
+            order = np.argsort(keys)
+            self._sorted = keys[order], order + 1
+        keys, indices = self._sorted
+        values = np.asarray(values, dtype=np.int64)
+        if not keys.size:
+            return np.full(values.shape, OOV_INDEX, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(keys, values), keys.size - 1)
+        return np.where(keys[pos] == values, indices[pos], OOV_INDEX)
 
     @property
     def size(self) -> int:
@@ -67,6 +87,16 @@ class Vocabs:
     category: Vocab
 
 
+def _scan(records: Sequence[ImpressionRecord],
+          catalog: dict[int, ItemSpec]) -> Iterator[tuple]:
+    """Per record, one tuple of entries: (target item id, its catalog
+    category or None), then the record's history entries."""
+    for r in records:
+        spec = catalog.get(r.item_id)
+        yield ((r.item_id, None if spec is None else spec.category_id),
+               ) + tuple(r.history)
+
+
 def build_vocab(records: Sequence[ImpressionRecord],
                 catalog: dict[int, ItemSpec]) -> Vocabs:
     """Scan training records in order; assign indices first-seen.
@@ -79,14 +109,14 @@ def build_vocab(records: Sequence[ImpressionRecord],
         raise ValueError("cannot build vocabularies from an empty split")
     item = Vocab()
     category = Vocab()
-    for r in records:
-        item.add(r.item_id)
-        spec = catalog.get(r.item_id)
-        if spec is not None:
-            category.add(spec.category_id)
-        for hid, hcat, _ in r.history:
-            item.add(hid)
-            category.add(hcat)
+    # a value's first entry is the first entry of the first distinct
+    # entry that holds it, so scanning distinct entries in first-seen
+    # order assigns the same indices as scanning them all
+    for entry in dict.fromkeys(
+            itertools.chain.from_iterable(_scan(records, catalog))):
+        item.add(entry[0])
+        if entry[1] is not None:
+            category.add(entry[1])
     return Vocabs(item=item, category=category)
 
 
@@ -123,34 +153,37 @@ def encode_batch(records: Sequence[ImpressionRecord], vocabs: Vocabs,
     if history_len < 1:
         raise ValueError("history_len must be >= 1")
     b = len(records)
-    h = history_len
-    target_item = np.zeros(b, dtype=np.int64)
-    target_category = np.zeros(b, dtype=np.int64)
-    seq_item = np.zeros((b, h), dtype=np.int64)
-    seq_category = np.zeros((b, h), dtype=np.int64)
-    seq_mask = np.zeros((b, h), dtype=bool)
-    seq_limited = np.zeros((b, h), dtype=bool)
-    labels = np.zeros(b, dtype=np.float64)
-    is_new = np.zeros(b, dtype=bool)
-    is_limited = np.zeros(b, dtype=bool)
-    for i, r in enumerate(records):
-        target_item[i] = vocabs.item.lookup(r.item_id)
-        spec = catalog.get(r.item_id)
-        if spec is not None:
-            target_category[i] = vocabs.category.lookup(spec.category_id)
-        labels[i] = float(r.label)
-        is_new[i] = r.item_is_new
-        is_limited[i] = r.item_is_limited
-        for j, (hid, hcat, hlim) in enumerate(r.history[:h]):
-            seq_item[i, j] = vocabs.item.lookup(hid)
-            seq_category[i, j] = vocabs.category.lookup(hcat)
-            seq_mask[i, j] = True
-            seq_limited[i, j] = hlim
-    return SampleBatch(target_item=target_item,
-                       target_category=target_category,
-                       seq_item=seq_item, seq_category=seq_category,
-                       seq_mask=seq_mask, seq_limited=seq_limited,
-                       labels=labels, is_new=is_new, is_limited=is_limited)
+    chain = itertools.chain.from_iterable
+    # per record: item id, label, is_new, is_limited, whether the catalog
+    # knows the item, and its catalog category (0 when it does not)
+    specs = map(catalog.get, (r.item_id for r in records))
+    targets = np.fromiter(chain(
+        (r.item_id, r.label, r.item_is_new, r.item_is_limited,
+         spec is not None, 0 if spec is None else spec.category_id)
+        for r, spec in zip(records, specs)),
+        dtype=np.int64, count=6 * b).reshape(b, 6)
+    histories = [r.history[:history_len] for r in records]
+    lengths = np.fromiter(map(len, histories), dtype=np.int64, count=b)
+    # every kept history entry in order: item id, category, is_limited
+    hist = np.fromiter(chain(chain(histories)), dtype=np.int64,
+                       count=3 * int(lengths.sum())).reshape(-1, 3)
+    seq_mask = np.arange(history_len) < lengths[:, None]
+    seq_item = np.zeros((b, history_len), dtype=np.int64)
+    seq_category = np.zeros_like(seq_item)
+    seq_limited = np.zeros_like(seq_mask)
+    seq_item[seq_mask] = vocabs.item.lookup_array(hist[:, 0])
+    seq_category[seq_mask] = vocabs.category.lookup_array(hist[:, 1])
+    seq_limited[seq_mask] = hist[:, 2] != 0
+    return SampleBatch(
+        target_item=vocabs.item.lookup_array(targets[:, 0]),
+        target_category=np.where(
+            targets[:, 4] != 0,
+            vocabs.category.lookup_array(targets[:, 5]), OOV_INDEX),
+        seq_item=seq_item, seq_category=seq_category,
+        seq_mask=seq_mask, seq_limited=seq_limited,
+        labels=targets[:, 1].astype(np.float64),
+        is_new=targets[:, 2] != 0,
+        is_limited=targets[:, 3] != 0)
 
 
 def init_embedding(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:

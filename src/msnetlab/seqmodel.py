@@ -91,46 +91,44 @@ class AttentionResult:
 def target_attention(tape: Tape, prefix: str, target: Tensor, keys: Tensor,
                      values: Tensor, mask: Array, n_heads: int,
                      d_head: int) -> AttentionResult:
-    """Multi-head target attention.
+    """Multi-head target attention over packed positions.
 
     ``keys`` and ``values`` hold only the positions where ``mask`` [B, H]
-    is True, packed in row-major order.  Per head: q = target Wq,
-    k = keys Wk, v = values Wv; the packed projections are scattered back
-    to the padded [B, H] grid, scores are the per-position dots q.k scaled
-    by 1/sqrt(d_head), masked-softmaxed over the sequence, and used to
-    pool v.  Heads are concatenated and passed through the combine
+    is True, packed in row-major order, so the batch row of each packed
+    row (its segment) is nondecreasing.  Per head: q = target Wq,
+    k = keys Wk, v = values Wv; each packed row's score is its dot with
+    its batch row's q, scaled by 1/sqrt(d_head); a softmax over each
+    batch row's segment weights the v rows, whose segment sums are the
+    pooled heads.  Heads are concatenated and passed through the combine
     matrix.  Rows whose mask is empty produce a zero interest vector.  All
-    heads run as one batch of [B, n_heads] matrix products.
+    heads run at once: a constant [n_heads*d_head, n_heads] block of ones
+    sums each head's columns of k * q, and its transpose widens each
+    head's weight back to that head's columns.
     """
     mask = np.asarray(mask, dtype=bool)
     b, h_len = mask.shape
-    rows = np.flatnonzero(mask)
-    if target.values.shape[0] != b or keys.values.shape[0] != rows.size \
-            or values.values.shape[0] != rows.size:
+    flat = np.flatnonzero(mask)
+    if target.values.shape[0] != b or keys.values.shape[0] != flat.size \
+            or values.values.shape[0] != flat.size:
         raise ValueError(
             f"attention shape mismatch: target {target.values.shape}, "
             f"keys {keys.values.shape}, values {values.values.shape}, "
-            f"mask {mask.shape} with {rows.size} positions")
+            f"mask {mask.shape} with {flat.size} positions")
     n, d = n_heads, d_head
-
-    def padded(x: Tensor, w: str) -> Tensor:
-        projected = tape.matmul(x, tape.param(f"{prefix}.{w}"))
-        return tape.reshape(tape.scatter_rows(projected, rows, b * h_len),
-                            (b, h_len, n, d))
-
-    q = tape.reshape(tape.matmul(target, tape.param(f"{prefix}.wq")),
-                     (b, n, 1, d))
-    k = tape.transpose(padded(keys, "wk"), (0, 2, 3, 1))
-    v = tape.transpose(padded(values, "wv"), (0, 2, 1, 3))
-    scores = tape.reshape(tape.scale(tape.matmul(q, k), 1.0 / math.sqrt(d)),
-                          (b * n, h_len))
-    per_head = scores.values.reshape(b, n, h_len)
-    raw_scores = [per_head[:, i].copy() for i in range(n)]
-    weights = tape.softmax_rows(scores, np.repeat(mask, n, axis=0))
-    pooled = tape.matmul(tape.reshape(weights, (b, n, 1, h_len)), v)
-    interest = tape.matmul(tape.reshape(pooled, (b, n * d)),
-                           tape.param(f"{prefix}.combine"))
-    return AttentionResult(interest=interest, raw_scores=raw_scores)
+    seg = flat // h_len
+    heads = np.kron(np.eye(n), np.ones((d, 1)))  # [n*d, n]
+    q = tape.gather_rows(tape.matmul(target, tape.param(f"{prefix}.wq")), seg)
+    k = tape.matmul(keys, tape.param(f"{prefix}.wk"))
+    v = tape.matmul(values, tape.param(f"{prefix}.wv"))
+    scores = tape.matmul(tape.mul(k, q), Tape.constant(heads / math.sqrt(d)))
+    weights = tape.segment_softmax(scores, seg)
+    pooled = tape.segment_sum(
+        tape.mul(tape.matmul(weights, Tape.constant(heads.T)), v), seg, b)
+    interest = tape.matmul(pooled, tape.param(f"{prefix}.combine"))
+    grid = np.zeros((n, b * h_len))
+    grid[:, flat] = scores.values.T
+    return AttentionResult(interest=interest,
+                           raw_scores=list(grid.reshape(n, b, h_len)))
 
 
 # ----------------------------------------------------------------------

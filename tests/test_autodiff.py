@@ -20,6 +20,7 @@ from msnetlab.autodiff import (
     Tape,
     Tensor,
     check_gradients,
+    sum_rows_by_index,
 )
 
 
@@ -104,48 +105,80 @@ class TestGatherRows:
                                        upstream.sum(axis=0), atol=1e-12)
 
 
-class TestScatterRows:
-    def test_forward_places_rows_in_zero_matrix(self):
+class TestSumRowsByIndex:
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_add_at(self, seed):
+        # few slots, so ids repeat; magnitudes spread over 24 decades, so
+        # any change in the order of addition changes the bits
+        rng = np.random.default_rng(seed)
+        n, d, slots = (int(rng.integers(0, 60)), int(rng.integers(1, 6)),
+                       int(rng.integers(1, 8)))
+        idx = rng.integers(0, slots, size=n)
+        rows = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-12, 12,
+                                                             size=(n, d))
+        want = np.zeros((slots, d))
+        np.add.at(want, idx, rows)
+        got = sum_rows_by_index(idx, rows, slots)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_dense_gather_backward_sums_duplicates(self):
+        params = ParamStore()
+        params.add("t", np.zeros((3, 2)))
+        w = np.array([[1.0, 2.0], [1e-17, 3.0], [1.0, -1.0], [1e17, 0.5]])
+        tape = Tape(params)
+        out = tape.gather_rows(tape.param("t"), [2, 0, 2, 2])
+        grads = tape.backward(tape.sum_all(tape.mul(out, Tape.constant(w))))
+        want = np.zeros((3, 2))
+        np.add.at(want, [2, 0, 2, 2], w)
+        assert grads["t"].tobytes() == want.tobytes()
+
+
+class TestSegmentSum:
+    def test_forward_sums_rows_into_zero_matrix(self):
+        # rows of one segment add up; segments with no rows stay zero
         tape = Tape()
-        x = Tape.constant([[1.0, 2.0], [3.0, 4.0]])
-        out = tape.scatter_rows(x, [3, 0], 4)
+        x = Tape.constant([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        out = tape.segment_sum(x, [0, 3, 3], 4)
         np.testing.assert_array_equal(
-            out.values, [[3.0, 4.0], [0.0, 0.0], [0.0, 0.0], [1.0, 2.0]])
+            out.values, [[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [8.0, 10.0]])
 
     def test_backward_picks_rows(self):
-        # d/dx sum(w * scatter(x)) = w[rows], exactly
+        # d/dx sum(w * segment_sum(x)) = w[seg], exactly
         params = ParamStore()
-        params.add("x", np.ones((2, 2)))
+        params.add("x", np.ones((3, 2)))
         w = np.arange(8.0).reshape(4, 2)
         tape = Tape(params)
-        out = tape.scatter_rows(tape.param("x"), [3, 0], 4)
+        out = tape.segment_sum(tape.param("x"), [0, 3, 3], 4)
         grads = tape.backward(tape.sum_all(tape.mul(out, Tape.constant(w))))
-        np.testing.assert_array_equal(grads["x"], w[[3, 0]])
+        np.testing.assert_array_equal(grads["x"], w[[0, 3, 3]])
 
     def test_no_rows(self):
         params = ParamStore()
         params.add("x", np.zeros((0, 3)))
         tape = Tape(params)
-        out = tape.scatter_rows(tape.param("x"), [], 2)
+        out = tape.segment_sum(tape.param("x"), [], 2)
         np.testing.assert_array_equal(out.values, np.zeros((2, 3)))
         grads = tape.backward(tape.sum_all(out))
         assert grads["x"].shape == (0, 3)
 
-    @pytest.mark.parametrize("rows", [[0, 0], [0, 5], [-1, 1], [0]])
-    def test_bad_rows_rejected(self, rows):
+    @pytest.mark.parametrize("seg", [[3, 0], [0, 5], [-1, 1], [0]])
+    def test_bad_segments_rejected(self, seg):
+        # decreasing, out of range above and below, wrong length
         tape = Tape()
-        with pytest.raises(AutodiffError, match="scatter_rows"):
-            tape.scatter_rows(Tape.constant(np.ones((2, 2))), rows, 5)
+        with pytest.raises(AutodiffError, match="segment_sum"):
+            tape.segment_sum(Tape.constant(np.ones((2, 2))), seg, 5)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(13)
         params = ParamStore()
-        params.add("x", rng.normal(size=(3, 2)))
+        params.add("x", rng.normal(size=(4, 2)))
         w = rng.normal(size=(5, 2))
 
         def loss_fn():
             tape = Tape(params)
-            out = tape.scatter_rows(tape.param("x"), [4, 1, 2], 5)
+            out = tape.segment_sum(tape.param("x"), [1, 1, 2, 4], 5)
             return tape, tape.sum_all(tape.mul(tape.mul(out, out),
                                                Tape.constant(w)))
 
@@ -192,47 +225,84 @@ class TestStopGradient:
         assert np.all(grads["x"] == 0.0)
 
 
-class TestSoftmaxRows:
+def ref_segment_softmax(x, seg):
+    """Column softmax over each run of equal seg, one run at a time."""
+    out = np.zeros_like(x)
+    for s in np.unique(seg):
+        rows = seg == s
+        e = np.exp(x[rows] - x[rows].max(axis=0))
+        out[rows] = e / e.sum(axis=0)
+    return out
+
+
+class TestSegmentSoftmax:
     def test_symmetric_row(self):
         tape = Tape()
-        out = tape.softmax_rows(Tape.constant([[0.0, 0.0]]))
-        np.testing.assert_allclose(out.values, [[0.5, 0.5]], atol=1e-15)
+        out = tape.segment_softmax(Tape.constant([[0.0], [0.0]]), [0, 0])
+        np.testing.assert_allclose(out.values, [[0.5], [0.5]], atol=1e-15)
 
-    def test_mask_renormalizes(self):
+    def test_segments_normalize_apart(self):
+        # equal scores in segments of 2 and 1 rows: 1/2, 1/2 and 1
         tape = Tape()
-        out = tape.softmax_rows(Tape.constant([[1.0, 1.0, 1.0]]),
-                                np.array([[True, False, True]]))
-        np.testing.assert_allclose(out.values, [[0.5, 0.0, 0.5]], atol=1e-15)
-        assert out.values[0, 1] == 0.0
+        out = tape.segment_softmax(Tape.constant([[1.0], [1.0], [1.0]]),
+                                   [0, 0, 4])
+        np.testing.assert_allclose(out.values, [[0.5], [0.5], [1.0]],
+                                   atol=1e-15)
 
     def test_large_values_do_not_overflow(self):
-        # closed form after max subtraction: [1/(1+e), e/(1+e)]
+        # closed form after max subtraction: [1/(1+e), e/(1+e)], in each
+        # column with its own max
         expect = [1.0 / (1.0 + math.e), math.e / (1.0 + math.e)]
         tape = Tape()
-        out = tape.softmax_rows(Tape.constant([[1000.0, 1001.0]]))
-        np.testing.assert_allclose(out.values[0], expect, rtol=1e-12)
+        out = tape.segment_softmax(
+            Tape.constant([[1000.0, -1001.0], [1001.0, -1000.0]]), [7, 7])
+        np.testing.assert_allclose(out.values[:, 0], expect, rtol=1e-12)
+        np.testing.assert_allclose(out.values[:, 1], expect, rtol=1e-12)
         assert np.isfinite(out.values).all()
 
-    def test_all_masked_row_is_zero(self):
+    def test_no_rows(self):
+        params = ParamStore()
+        params.add("x", np.zeros((0, 2)))
+        tape = Tape(params)
+        out = tape.segment_softmax(tape.param("x"), [])
+        assert out.values.shape == (0, 2)
+        grads = tape.backward(tape.sum_all(out))
+        assert grads["x"].shape == (0, 2) and not grads["x"].any()
+
+    @pytest.mark.parametrize("seg", [[1, 0, 2], [0, 2, 1], [0, 1]])
+    def test_decreasing_or_short_seg_refused(self, seg):
         tape = Tape()
-        out = tape.softmax_rows(Tape.constant([[3.0, 4.0], [1.0, 2.0]]),
-                                np.array([[False, False], [True, True]]))
-        np.testing.assert_array_equal(out.values[0], [0.0, 0.0])
-        np.testing.assert_allclose(out.values[1].sum(), 1.0, atol=1e-12)
+        with pytest.raises(AutodiffError, match="segment_softmax"):
+            tape.segment_softmax(Tape.constant(np.ones((3, 2))), seg)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_rows_sum_to_one_and_masked_exact_zero(self, seed):
+    def test_segments_sum_to_one_and_match_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 7))
-        x = rng.normal(scale=5.0, size=(n, m))
-        mask = rng.random(size=(n, m)) < 0.7
+        p, m = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+        x = rng.normal(scale=5.0, size=(p, m))
+        seg = np.sort(rng.integers(0, 5, size=p))
         tape = Tape()
-        out = tape.softmax_rows(Tape.constant(x), mask).values
-        assert np.all(out[~mask] == 0.0)
-        live = mask.any(axis=1)
-        np.testing.assert_allclose(out[live].sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(out[~live] == 0.0)
+        out = tape.segment_softmax(Tape.constant(x), seg).values
+        for s in np.unique(seg):
+            np.testing.assert_allclose(out[seg == s].sum(axis=0), 1.0,
+                                       atol=1e-12)
+        np.testing.assert_allclose(out, ref_segment_softmax(x, seg),
+                                   rtol=1e-12)
+
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(19)
+        params = ParamStore()
+        params.add("x", rng.normal(size=(6, 2)))
+        w = rng.normal(size=(6, 2))
+
+        def loss_fn():
+            tape = Tape(params)
+            out = tape.segment_softmax(tape.param("x"), [0, 0, 0, 2, 3, 3])
+            return tape, tape.sum_all(tape.mul(out, Tape.constant(w)))
+
+        report = check_gradients(loss_fn, params, h=1e-6, tol=1e-6)
+        assert report.ok() and not report.checks["x"].blocked
 
 
 class TestCosineSimRows:
@@ -363,6 +433,7 @@ def _random_op_cases(seed):
     mask = rng.random(size=n * k) < 0.8
     if not mask.any():
         mask[0] = True
+    seg = np.sort(rng.integers(0, n + 1, size=n))
 
     def build():
         tape = Tape(params)
@@ -373,12 +444,17 @@ def _random_op_cases(seed):
         h = tape.mul_rows(h, tape.param("v"))
         cos = tape.cosine_sim_rows(a, b)
         blended, _ = tape.norm_ratio_blend(tape.sigmoid(a), b)
-        s = tape.softmax_rows(tape.reshape(h, (n, k)))
+        # softmax of each row of h: one segment per row of k entries
+        s = tape.segment_softmax(tape.reshape(h, (n * k, 1)),
+                                 np.repeat(np.arange(n), k))
         part1 = tape.masked_mean(tape.reshape(s, (n * k,)), mask)
         part2 = tape.sum_all(tape.mul(cos, cos))
         part3 = tape.sum_all(tape.row_norm(blended))
+        pooled = tape.segment_sum(tape.mul(a, b), seg, n + 1)
+        part4 = tape.sum_all(tape.mul(pooled, pooled))
         loss = tape.add(tape.add(part1, tape.scale(part2, 0.3)),
-                        tape.scale(part3, 0.1))
+                        tape.add(tape.scale(part3, 0.1),
+                                 tape.scale(part4, 0.05)))
         return tape, loss
 
     return build, params

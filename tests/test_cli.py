@@ -330,6 +330,16 @@ class TestReport:
         assert "attention scores" in out
 
 
+class TestUsage:
+    def test_help_prints_to_stdout_and_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: msnetlab train")
+        assert captured.err == ""
+
+
 class TestInitConfig:
     def test_writes_default_and_refuses_overwrite(self, tmp_path, capsys):
         target = tmp_path / "exp.json"
@@ -434,6 +444,18 @@ MALFORMED_INPUTS = {
     "checkpoint_missing_block": ("E_INTEGRITY", lambda ws, tmp:
                                  _checkpoint_without(ws, tmp,
                                                      "att.limited.wq")),
+    "usage_missing_arguments": ("E_USAGE", lambda ws, tmp: [
+        "train", "--config", "x.json"]),
+    "usage_unknown_command": ("E_USAGE", lambda ws, tmp: ["bogus"]),
+    "init_config_missing_directory": ("E_NOT_FOUND", lambda ws, tmp: [
+        "init-config", "--out", str(tmp / "missing" / "x.json")]),
+    "init_config_out_is_directory": ("E_EXISTS", lambda ws, tmp: [
+        "init-config", "--out", str(tmp), "--force"]),
+    "report_missing_predictions": ("E_FORMAT", lambda ws, tmp: [
+        "report", str(tmp / "none.predictions.tsv")]),
+    "report_checkpoint_without_data": ("E_CONFIG", lambda ws, tmp: [
+        "report", str(ws[3] / "din.predictions.tsv"),
+        "--checkpoint", str(ws[3] / "din.ckpt.npz")]),
 }
 
 

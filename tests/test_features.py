@@ -1,7 +1,11 @@
 """Vocabulary, encoding, and embedding-lookup tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msnetlab.autodiff import ParamStore, SparseRows, Tape
 from msnetlab.datagen import ImpressionRecord, ItemSpec
@@ -116,6 +120,95 @@ class TestEncodeBatch:
         for field in ("target_item", "seq_item", "seq_mask", "labels"):
             np.testing.assert_array_equal(getattr(a, field),
                                           getattr(b, field))
+
+
+def loop_build_vocab(records, catalog):
+    """Per-entry oracle: the first-seen scan, one ``add`` per value."""
+    item, category = Vocab(), Vocab()
+    for r in records:
+        item.add(r.item_id)
+        spec = catalog.get(r.item_id)
+        if spec is not None:
+            category.add(spec.category_id)
+        for hid, hcat, _ in r.history:
+            item.add(hid)
+            category.add(hcat)
+    return Vocabs(item=item, category=category)
+
+
+def loop_encode_batch(records, vocabs, catalog, history_len):
+    """Per-entry oracle: one ``lookup`` per history entry."""
+    b, h = len(records), history_len
+    out = SampleBatch(
+        target_item=np.zeros(b, dtype=np.int64),
+        target_category=np.zeros(b, dtype=np.int64),
+        seq_item=np.zeros((b, h), dtype=np.int64),
+        seq_category=np.zeros((b, h), dtype=np.int64),
+        seq_mask=np.zeros((b, h), dtype=bool),
+        seq_limited=np.zeros((b, h), dtype=bool),
+        labels=np.zeros(b), is_new=np.zeros(b, dtype=bool),
+        is_limited=np.zeros(b, dtype=bool))
+    for i, r in enumerate(records):
+        out.target_item[i] = vocabs.item.lookup(r.item_id)
+        spec = catalog.get(r.item_id)
+        if spec is not None:
+            out.target_category[i] = vocabs.category.lookup(spec.category_id)
+        out.labels[i] = float(r.label)
+        out.is_new[i] = r.item_is_new
+        out.is_limited[i] = r.item_is_limited
+        for j, (hid, hcat, hlim) in enumerate(r.history[:h]):
+            out.seq_item[i, j] = vocabs.item.lookup(hid)
+            out.seq_category[i, j] = vocabs.category.lookup(hcat)
+            out.seq_mask[i, j] = True
+            out.seq_limited[i, j] = hlim
+    return out
+
+
+# small pools so values repeat, plus ids at and beyond 2**40 and negatives
+IDS = st.one_of(st.integers(-3, 12), st.integers(2 ** 40 - 2, 2 ** 40 + 2),
+                st.integers(-2 ** 62, 2 ** 62))
+ENTRY = st.tuples(IDS, IDS, st.booleans())
+RECORD = st.builds(make_record, IDS, st.lists(ENTRY, max_size=8),
+                   label=st.integers(0, 1), limited=st.booleans(),
+                   new=st.booleans())
+CATALOG = st.dictionaries(IDS, IDS).map(
+    lambda d: {k: item_spec(k, cat=c) for k, c in d.items()})
+
+
+class TestArrayEncodingMatchesLoops:
+    @given(st.lists(RECORD, min_size=1, max_size=12), CATALOG)
+    @settings(max_examples=150, deadline=None)
+    def test_build_vocab(self, records, catalog):
+        got = build_vocab(records, catalog)
+        want = loop_build_vocab(records, catalog)
+        for a, b in ((got.item, want.item), (got.category, want.category)):
+            assert a == b
+            assert a.ordered_values() == b.ordered_values()
+
+    @given(st.lists(RECORD, max_size=12), st.lists(RECORD, min_size=1,
+                                                   max_size=6),
+           CATALOG, st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_encode_batch(self, records, vocab_records, catalog, history_len):
+        # vocabularies from other records, so ids of ``records`` are often
+        # out of vocabulary and targets often missing from the catalog
+        vocabs = loop_build_vocab(vocab_records, catalog)
+        got = encode_batch(records, vocabs, catalog, history_len)
+        want = loop_encode_batch(records, vocabs, catalog, history_len)
+        for field in dataclasses.fields(SampleBatch):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            np.testing.assert_array_equal(a, b, err_msg=field.name)
+
+    def test_lookup_array_cache_follows_growth(self):
+        v = Vocab([5, 2 ** 41])
+        np.testing.assert_array_equal(v.lookup_array(np.array([2 ** 41, 7])),
+                                      [2, OOV_INDEX])
+        v.add(7)
+        np.testing.assert_array_equal(v.lookup_array(np.array([2 ** 41, 7])),
+                                      [2, 3])
+        np.testing.assert_array_equal(Vocab().lookup_array(np.array([1, 2])),
+                                      [OOV_INDEX, OOV_INDEX])
 
 
 class TestInitEmbedding:

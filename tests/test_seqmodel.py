@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msnetlab.autodiff import ParamStore, Tape
+from msnetlab.autodiff import ParamStore, Tape, check_gradients
 from msnetlab.features import SampleBatch
 from msnetlab.seqmodel import (
     ScoreAccumulator,
@@ -207,6 +207,84 @@ class TestTargetAttention:
         np.testing.assert_array_equal(res.interest.values[0],
                                       np.zeros_like(res.interest.values[0]))
         assert np.any(res.interest.values[1] != 0.0)
+
+    def test_large_scores_do_not_overflow(self):
+        # scores near 1000 must pool like the max-subtracted oracle
+        rng = np.random.default_rng(5)
+        b, h, d_in = 2, 3, 4
+        params, target, keys, values = attention_fixture(rng, b, h, d_in,
+                                                         1, 2)
+        params.values["att.wq"][:] = 0.0
+        params.values["att.wk"][:] = 0.0
+        params.values["att.wq"][0, :] = 1.0
+        params.values["att.wk"][0, :] = 1.0
+        # q = [40, 40] and k = [x, x] give the score 80 x / sqrt(2), so
+        # x near 1000 / (40 sqrt(2)) puts every score near 1000
+        target[:, 0] = 40.0
+        keys[:, 0] = 1000.0 / (40.0 * math.sqrt(2.0)) + rng.normal(size=b * h)
+        mask = np.array([[True, True, True], [True, False, True]])
+        want = ref_attention(target, keys, values, mask,
+                             [(params.values["att.wq"],
+                               params.values["att.wk"],
+                               params.values["att.wv"])],
+                             params.values["att.combine"], 2)
+        tape = Tape(params)
+        packed = mask.reshape(-1)
+        res = target_attention(tape, "att", Tape.constant(target),
+                               Tape.constant(keys[packed]),
+                               Tape.constant(values[packed]), mask, 1, 2)
+        assert np.abs(res.raw_scores[0][mask]).min() > 900.0
+        assert np.isfinite(res.interest.values).all()
+        np.testing.assert_allclose(res.interest.values, want, rtol=1e-12)
+
+    def test_raw_scores_exact_zero_outside_mask(self):
+        rng = np.random.default_rng(6)
+        b, h, d_in, n_heads, d_head = 3, 4, 5, 2, 3
+        params, target, keys, values = attention_fixture(
+            rng, b, h, d_in, n_heads, d_head)
+        mask = np.array([[True, False, True, False], [False] * 4,
+                         [False, True, True, True]])
+        tape = Tape(params)
+        packed = mask.reshape(-1)
+        res = target_attention(tape, "att", Tape.constant(target),
+                               Tape.constant(keys[packed]),
+                               Tape.constant(values[packed]),
+                               mask, n_heads, d_head)
+        for i, scores in enumerate(res.raw_scores):
+            c = slice(i * d_head, (i + 1) * d_head)
+            q = target @ params.values["att.wq"][:, c]
+            k = (keys @ params.values["att.wk"][:, c]).reshape(b, h, d_head)
+            want = np.einsum("bd,bhd->bh", q, k) / math.sqrt(d_head)
+            assert np.all(scores[~mask] == 0.0)
+            np.testing.assert_allclose(scores[mask], want[mask], rtol=1e-12)
+        np.testing.assert_array_equal(res.interest.values[1],
+                                      np.zeros(n_heads * d_head))
+
+    def test_matches_finite_differences(self):
+        # through every attention parameter and the packed keys/values,
+        # with a row whose mask is empty
+        rng = np.random.default_rng(7)
+        b, h, d_in = 3, 4, 3
+        params, target, keys, values = attention_fixture(rng, b, h, d_in,
+                                                         2, 2)
+        mask = np.array([[True, True, False, True], [False] * 4,
+                         [False, True, False, False]])
+        packed = mask.reshape(-1)
+        params.add("keys", keys[packed])
+        params.add("values", values[packed])
+        w = rng.normal(size=(b, 4))
+
+        def loss_fn():
+            tape = Tape(params)
+            res = target_attention(tape, "att", Tape.constant(target),
+                                   tape.param("keys"), tape.param("values"),
+                                   mask, 2, 2)
+            return tape, tape.sum_all(tape.mul(res.interest,
+                                               Tape.constant(w)))
+
+        report = check_gradients(loss_fn, params, h=1e-6, tol=1e-6)
+        assert report.ok(), report.failures()
+        assert not any(c.blocked for c in report.checks.values())
 
     def test_shape_mismatch_raises(self):
         rng = np.random.default_rng(4)
