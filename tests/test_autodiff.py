@@ -235,12 +235,62 @@ def ref_segment_softmax(x, seg):
     return out
 
 
-class TestSegmentSoftmax:
-    def test_symmetric_row(self):
-        tape = Tape()
-        out = tape.segment_softmax(Tape.constant([[0.0], [0.0]]), [0, 0])
-        np.testing.assert_allclose(out.values, [[0.5], [0.5]], atol=1e-15)
+def softmax_rows(x, mask=None):
+    """Softmax of each row of x [n x m] over its mask, zero elsewhere.
 
+    Built the way target attention builds it: the masked entries are
+    packed in row-major order, each packed entry's segment is its row,
+    and segment_softmax normalizes each row's segment.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    mask = np.ones(x.shape, dtype=bool) if mask is None else np.asarray(mask)
+    flat = np.flatnonzero(mask)
+    tape = Tape()
+    packed = tape.segment_softmax(Tape.constant(x.reshape(-1, 1)[flat]),
+                                  flat // x.shape[1])
+    out = np.zeros(x.size)
+    out[flat] = packed.values[:, 0]
+    return out.reshape(x.shape)
+
+
+class TestSoftmaxRows:
+    def test_symmetric_row(self):
+        out = softmax_rows([[0.0, 0.0]])
+        np.testing.assert_allclose(out, [[0.5, 0.5]], atol=1e-15)
+
+    def test_mask_renormalizes(self):
+        out = softmax_rows([[1.0, 1.0, 1.0]], [[True, False, True]])
+        np.testing.assert_allclose(out, [[0.5, 0.0, 0.5]], atol=1e-15)
+        assert out[0, 1] == 0.0
+
+    def test_large_values_do_not_overflow(self):
+        # closed form after max subtraction: [1/(1+e), e/(1+e)]
+        expect = [1.0 / (1.0 + math.e), math.e / (1.0 + math.e)]
+        out = softmax_rows([[1000.0, 1001.0]])
+        np.testing.assert_allclose(out[0], expect, rtol=1e-12)
+        assert np.isfinite(out).all()
+
+    def test_all_masked_row_is_zero(self):
+        out = softmax_rows([[3.0, 4.0], [1.0, 2.0]],
+                           [[False, False], [True, True]])
+        np.testing.assert_array_equal(out[0], [0.0, 0.0])
+        np.testing.assert_allclose(out[1].sum(), 1.0, atol=1e-12)
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_sum_to_one_and_masked_exact_zero(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        x = rng.normal(scale=5.0, size=(n, m))
+        mask = rng.random(size=(n, m)) < 0.7
+        out = softmax_rows(x, mask)
+        assert np.all(out[~mask] == 0.0)
+        live = mask.any(axis=1)
+        np.testing.assert_allclose(out[live].sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(out[~live] == 0.0)
+
+
+class TestSegmentSoftmax:
     def test_segments_normalize_apart(self):
         # equal scores in segments of 2 and 1 rows: 1/2, 1/2 and 1
         tape = Tape()
