@@ -2,11 +2,11 @@
 
 The engine is deliberately small: it provides exactly the operations the
 CTR models in this package need (embedding gather with sparse gradient
-accumulation, matmul over matrices or stacks of them, reshape, concat,
-softmax and sum over sorted row segments, sigmoid, leaky rectifier,
-clamp, elementwise arithmetic, row norms and row scaling, stop-gradient,
-masked mean, binary cross-entropy) and nothing else.  No broadcasting
-rules, no GPU, no higher-order derivatives.
+accumulation, matrix product, reshape, concat, softmax and sum over
+sorted row segments, sigmoid, leaky rectifier, clamp, elementwise
+arithmetic, row norms and row scaling, stop-gradient, masked mean,
+binary cross-entropy) and nothing else.  No broadcasting rules, no GPU,
+no higher-order derivatives.
 
 A ``Tape`` is rebuilt for every forward pass (define-by-run).  ``Tensor``
 values are immutable once created; parameters live in a ``ParamStore`` and
@@ -258,19 +258,18 @@ class Tape:
         return Tensor(out, nid)
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        """Matrix product, or a stack of them over equal leading dims."""
+        """Matrix product of two 2-D operands."""
         av, bv = a.values, b.values
-        if av.ndim < 2 or av.ndim != bv.ndim or \
-                av.shape[:-2] != bv.shape[:-2] or av.shape[-1] != bv.shape[-2]:
+        if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
             raise AutodiffError(f"matmul shape mismatch {av.shape} @ {bv.shape}")
         out = av @ bv
         an, bn = a.node, b.node
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if an is not None:
-                self._accum(grads, an, g @ bv.swapaxes(-1, -2))
+                self._accum(grads, an, g @ bv.T)
             if bn is not None:
-                self._accum(grads, bn, av.swapaxes(-1, -2) @ g)
+                self._accum(grads, bn, av.T @ g)
 
         return Tensor(out, self._push(backward, "matmul"))
 
@@ -545,24 +544,21 @@ class Tape:
     # composed helpers (taped through the primitives above)
 
     def cosine_sim_rows(self, a: Tensor, b: Tensor) -> Tensor:
-        """Cosine similarity of row i of a [N*k x D] with row i // k of
-        b [N x D] -> [N*k].
+        """Cosine similarity of row i of a [N x D] with row i of b [N x D]
+        -> [N].
 
         Uses dot / (|a| * |b| + eps) with eps = 1e-12, so zero rows yield
         exactly 0 instead of NaN.
         """
-        n, d = b.values.shape
-        k = a.values.shape[0] // n
-        if a.values.shape != (n * k, d):
+        if a.values.ndim != 2 or a.values.shape != b.values.shape:
             raise AutodiffError(
                 f"cosine_sim_rows shape mismatch {a.values.shape} vs "
                 f"{b.values.shape}")
-        dots = self.matmul(self.reshape(a, (n, k, d)),
-                           self.reshape(b, (n, d, 1)))
-        norms = self.matmul(self.reshape(self.row_norm(a), (n, k, 1)),
-                            self.reshape(self.row_norm(b), (n, 1, 1)))
-        cos = self.div(dots, self.add_const(norms, COSINE_EPS))
-        return self.reshape(cos, (n * k,))
+        n, d = a.values.shape
+        dots = self.reshape(
+            self.matmul(self.mul(a, b), Tape.constant(np.ones((d, 1)))), (n,))
+        norms = self.mul(self.row_norm(a), self.row_norm(b))
+        return self.div(dots, self.add_const(norms, COSINE_EPS))
 
     def blend_rows(self, v: Tensor, a: Tensor, b: Tensor) -> Tensor:
         """Per-row convex-style blend v*a + (1-v)*b with v a [N] vector."""

@@ -529,9 +529,10 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise CliError("E_INTEGRITY", str(exc))
         test, catalog, _ = _load_data(Path(args.data), TEST_FILE,
                                       verify=False)
-        from .model import attention_score_table
-        table = attention_score_table(ckpt.params, ckpt.config, test,
-                                      ckpt.vocabs, catalog).as_dict()
+        accumulator = ScoreAccumulator()
+        predict(ckpt.params, ckpt.config, test, ckpt.vocabs, catalog,
+                score_accumulator=accumulator)
+        table = accumulator.table().as_dict()
         rendered.append(render_attention_table(table))
         machine["attention_scores"] = table
     if args.format == "machine":

@@ -41,6 +41,9 @@ NEW_ITEM_MAX_AGE_DAYS = 1
 # Largest initial stock of a multi-stock item; keeps the draw in int64.
 MAX_STOCK = 10**9
 
+# Ids read from files must fit the encoder's int64 arrays.
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+
 
 class DatasetError(Exception):
     """Malformed dataset file or invalid generator configuration."""
@@ -389,6 +392,13 @@ def _format_record(r: ImpressionRecord) -> str:
             f"{int(r.item_is_limited)}\t{int(r.item_is_new)}\t{hist}")
 
 
+def _int64_id(text: str) -> int:
+    value = int(text)
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise ValueError(f"id {value} outside int64")
+    return value
+
+
 def _parse_record(line: str, lineno: int) -> ImpressionRecord:
     parts = line.split("\t")
     if len(parts) != len(DATASET_FIELDS):
@@ -397,8 +407,8 @@ def _parse_record(line: str, lineno: int) -> ImpressionRecord:
             f"got {len(parts)}")
     try:
         day = int(parts[0])
-        user_id = int(parts[1])
-        item_id = int(parts[2])
+        user_id = _int64_id(parts[1])
+        item_id = _int64_id(parts[2])
         label = int(parts[3])
         ctr = float(parts[4])
         limited = bool(int(parts[5]))
@@ -407,7 +417,7 @@ def _parse_record(line: str, lineno: int) -> ImpressionRecord:
         if parts[7]:
             for triple in parts[7].split(","):
                 i, c, l = triple.split(":")
-                history.append((int(i), int(c), bool(int(l))))
+                history.append((_int64_id(i), _int64_id(c), bool(int(l))))
     except (ValueError, IndexError) as exc:
         raise DatasetError(f"line {lineno}: {exc}") from exc
     if label not in (0, 1):
@@ -477,8 +487,8 @@ def read_catalog(path: str | Path) -> dict[int, ItemSpec]:
                     f"line {lineno}: expected {len(CATALOG_FIELDS)} fields, "
                     f"got {len(parts)}")
             try:
-                spec = ItemSpec(item_id=int(parts[0]),
-                                category_id=int(parts[1]),
+                spec = ItemSpec(item_id=_int64_id(parts[0]),
+                                category_id=_int64_id(parts[1]),
                                 stock_count=int(parts[2]),
                                 quality=float(parts[3]),
                                 created_day=int(parts[4]))

@@ -199,9 +199,9 @@ def build_params(config: ModelConfig, vocabs: Vocabs) -> ParamStore:
 class ForwardOutput:
     p: Tensor                 # [B] probabilities in (0, 1)
     masks: SplitMasks | None  # None when no branch split happened
-    # (per-head raw scores, sequence flags mask) per attention branch,
+    # (packed [P, n_heads] scores, [B, H] mask) per attention branch,
     # detached, for the score diagnostic
-    branch_scores: list[tuple[list[np.ndarray], np.ndarray]]
+    branch_scores: list[tuple[np.ndarray, np.ndarray]]
 
 
 def _meta_kv(tape: Tape, config: ModelConfig, emb: Embedded
@@ -249,7 +249,7 @@ def forward(tape: Tape, config: ModelConfig, batch: SampleBatch) -> ForwardOutpu
     emb = embed(tape, batch, branches[0][1])
     e_target = tape.concat_cols([emb.target_id, emb.target_side])
     interests: list[Tensor] = []
-    branch_scores: list[tuple[list[np.ndarray], np.ndarray]] = []
+    branch_scores: list[tuple[np.ndarray, np.ndarray]] = []
     for i, (prefix, mask) in enumerate(branches):
         if i:
             emb = embed(tape, batch, mask, emb)
@@ -261,7 +261,7 @@ def forward(tape: Tape, config: ModelConfig, batch: SampleBatch) -> ForwardOutpu
         att = target_attention(tape, prefix, query, keys, values, mask,
                                config.n_heads, config.d_head)
         interests.append(att.interest)
-        branch_scores.append((att.raw_scores, mask))
+        branch_scores.append((att.scores, mask))
     x = tape.concat_cols(interests + [e_target])
     return ForwardOutput(p=_mlp_head(tape, config, x), masks=masks,
                          branch_scores=branch_scores)
@@ -492,8 +492,8 @@ def predict(params: ParamStore, config: ModelConfig,
         tape = Tape(params)
         fo = forward(tape, config, batch)
         if score_accumulator is not None:
-            for raw_scores, mask in fo.branch_scores:
-                score_accumulator.add_batch(raw_scores, batch.is_limited,
+            for scores, mask in fo.branch_scores:
+                score_accumulator.add_batch(scores, batch.is_limited,
                                             batch.seq_limited, mask)
         for i, r in enumerate(chunk):
             out.append(PredictionRecord(
@@ -503,16 +503,6 @@ def predict(params: ParamStore, config: ModelConfig,
                 partition_id=partition_of(r.user_id, r.item_id,
                                           partition_seed)))
     return out
-
-
-def attention_score_table(params: ParamStore, config: ModelConfig,
-                          records: Sequence[ImpressionRecord], vocabs: Vocabs,
-                          catalog: dict[int, ItemSpec]):
-    """2x2 mean pre-softmax score table over the dataset (target stock type
-    by sequence-item stock type)."""
-    acc = ScoreAccumulator()
-    predict(params, config, records, vocabs, catalog, score_accumulator=acc)
-    return acc.table()
 
 
 # ----------------------------------------------------------------------

@@ -84,8 +84,8 @@ def add_attention_params(params: ParamStore, prefix: str, d_in: int,
 @dataclasses.dataclass
 class AttentionResult:
     interest: Tensor          # [B, n_heads*d_head]
-    # per head, [B, H] pre-softmax (detached); 0 outside the mask
-    raw_scores: list[Array]
+    # [P, n_heads] pre-softmax scores of the packed rows (detached)
+    scores: Array
 
 
 def target_attention(tape: Tape, prefix: str, target: Tensor, keys: Tensor,
@@ -125,10 +125,7 @@ def target_attention(tape: Tape, prefix: str, target: Tensor, keys: Tensor,
     pooled = tape.segment_sum(
         tape.mul(tape.matmul(weights, Tape.constant(heads.T)), v), seg, b)
     interest = tape.matmul(pooled, tape.param(f"{prefix}.combine"))
-    grid = np.zeros((n, b * h_len))
-    grid[:, flat] = scores.values.T
-    return AttentionResult(interest=interest,
-                           raw_scores=list(grid.reshape(n, b, h_len)))
+    return AttentionResult(interest=interest, scores=scores.values)
 
 
 # ----------------------------------------------------------------------
@@ -224,25 +221,26 @@ class AttentionScoreTable:
 
 
 class ScoreAccumulator:
-    """Streams (scores, target flags, sequence flags, mask) per batch and
-    reduces to the 2x2 diagnostic table."""
+    """Streams (packed scores, target flags, sequence flags, mask) per
+    batch and reduces to the 2x2 diagnostic table."""
 
     def __init__(self) -> None:
         self.sums = {(t, s): 0.0 for t in STOCK_TYPES for s in STOCK_TYPES}
         self.counts = {(t, s): 0 for t in STOCK_TYPES for s in STOCK_TYPES}
 
-    def add_batch(self, raw_scores: list[Array], target_limited: Array,
+    def add_batch(self, scores: Array, target_limited: Array,
                   seq_limited: Array, mask: Array) -> None:
+        """``scores`` [P, n_heads] holds one row per True position of
+        ``mask`` [B, H], in row-major order, as ``target_attention``
+        returns them."""
         mask = np.asarray(mask, dtype=bool)
-        for scores in raw_scores:
+        flat = np.flatnonzero(mask)
+        t_flags = np.asarray(target_limited, dtype=bool)[flat // mask.shape[1]]
+        s_flags = np.asarray(seq_limited, dtype=bool).reshape(-1)[flat]
+        for head in scores.T:
             for t_flag, t_name in ((False, "multi"), (True, "limited")):
-                rows = np.asarray(target_limited, dtype=bool) == t_flag
-                if not rows.any():
-                    continue
                 for s_flag, s_name in ((False, "multi"), (True, "limited")):
-                    sel = mask[rows] & (np.asarray(seq_limited,
-                                                   dtype=bool)[rows] == s_flag)
-                    vals = scores[rows][sel]
+                    vals = head[(t_flags == t_flag) & (s_flags == s_flag)]
                     self.sums[(t_name, s_name)] += float(vals.sum())
                     self.counts[(t_name, s_name)] += int(vals.size)
 

@@ -31,7 +31,6 @@ from msnetlab.metrics import (
 )
 from msnetlab.model import (
     ModelConfig,
-    attention_score_table,
     build_params,
     compute_losses,
     fit,
@@ -41,6 +40,7 @@ from msnetlab.model import (
 )
 from msnetlab.metrics import grouped_report
 from msnetlab.seqmodel import (
+    ScoreAccumulator,
     add_attention_params,
     meta_shift,
     physical_split,
@@ -371,12 +371,12 @@ def full_scale_sweep():
         for arch in ("din", "msnet"):
             mc = ModelConfig(architecture=arch, seed=seed)
             r = fit(train, market.items, mc)
-            preds = predict(r.params, mc, test, r.vocabs, market.items)
+            acc = ScoreAccumulator() if arch == "din" else None
+            preds = predict(r.params, mc, test, r.vocabs, market.items,
+                            score_accumulator=acc)
             groups[arch] = grouped_report(preds).groups
-            if arch == "din":
-                table = attention_score_table(
-                    r.params, mc, test, r.vocabs, market.items)
-                outcome["attention"].append(table.means)
+            if acc is not None:
+                outcome["attention"].append(acc.table().means)
         lim_d = groups["din"]["limited"].auc_avg
         lim_m = groups["msnet"]["limited"].auc_avg
         outcome["wins"] += int(lim_m >= lim_d)

@@ -370,20 +370,26 @@ class TestCosineSimRows:
                                    Tape.constant([[1.0, 0.0]])).values
         np.testing.assert_array_equal(got, [0.0])
 
-    def test_broadcast_single_row(self):
-        # row i of a pairs with row i // k of b; n = 1 is the plain broadcast
+    def test_paired_rows_match_loop(self):
+        # row i of a pairs with row i of b
         rng = np.random.default_rng(0)
-        for n, k in ((1, 4), (3, 2)):
-            a = rng.normal(size=(n * k, 3))
+        for n in (1, 4, 6):
+            a = rng.normal(size=(n, 3))
             b = rng.normal(size=(n, 3))
             tape = Tape()
             got = tape.cosine_sim_rows(Tape.constant(a),
                                        Tape.constant(b)).values
-            want = [float(a[i] @ b[i // k] /
-                          (np.linalg.norm(a[i]) * np.linalg.norm(b[i // k])
+            want = [float(a[i] @ b[i] /
+                          (np.linalg.norm(a[i]) * np.linalg.norm(b[i])
                            + COSINE_EPS))
-                    for i in range(n * k)]
+                    for i in range(n)]
             np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_refuses_unpaired_rows(self):
+        tape = Tape()
+        with pytest.raises(AutodiffError, match="cosine_sim_rows"):
+            tape.cosine_sim_rows(Tape.constant(np.ones((4, 3))),
+                                 Tape.constant(np.ones((1, 3))))
 
     def test_bounded(self):
         rng = np.random.default_rng(3)
@@ -392,6 +398,16 @@ class TestCosineSimRows:
         tape = Tape()
         got = tape.cosine_sim_rows(Tape.constant(a), Tape.constant(b)).values
         assert np.all(got <= 1.0 + 1e-9) and np.all(got >= -1.0 - 1e-9)
+
+
+class TestMatmul:
+    def test_refuses_stacked_operands(self):
+        tape = Tape()
+        stack = Tape.constant(np.ones((2, 4, 1)))
+        with pytest.raises(AutodiffError, match="matmul"):
+            tape.matmul(Tape.constant(np.ones((2, 3, 4))), stack)
+        with pytest.raises(AutodiffError, match="matmul"):
+            tape.matmul(Tape.constant(np.ones((3, 4))), stack)
 
 
 class TestBackward:

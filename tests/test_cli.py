@@ -364,6 +364,15 @@ def _data_copy(workspace, tmp_path: Path, edit) -> list[str]:
             "--arch", "din", "--out", str(tmp_path / "run")]
 
 
+def _replace_field(path: Path, field: int, value: str) -> None:
+    """Rewrite one tab-separated field of the first record after the
+    header."""
+    header, first, rest = path.read_text().split("\n", 2)
+    parts = first.split("\t")
+    parts[field] = value
+    path.write_text("\n".join([header, "\t".join(parts), rest]))
+
+
 def _checkpoint_meta(workspace, tmp_path: Path, edit) -> list[str]:
     """Rewrites only the metadata: the checksum covers the arrays, so it
     still matches and the edited field is what the loader must judge."""
@@ -424,6 +433,16 @@ MALFORMED_INPUTS = {
         ws, tmp, lambda d: (d / "train.tsv").unlink())),
     "train_file_missing_no_verify": ("E_FORMAT", lambda ws, tmp: _data_copy(
         ws, tmp, lambda d: (d / "train.tsv").unlink()) + ["--no-verify"]),
+    "dataset_history_id_above_int64": ("E_FORMAT", lambda ws, tmp: _data_copy(
+        ws, tmp, lambda d: _replace_field(d / "train.tsv", 7, f"{2**64}:1:0"))
+        + ["--no-verify"]),
+    "dataset_user_id_below_int64": ("E_FORMAT", lambda ws, tmp: _data_copy(
+        ws, tmp, lambda d: _replace_field(d / "train.tsv", 1,
+                                          str(-2**63 - 1)))
+        + ["--no-verify"]),
+    "catalog_item_id_above_int64": ("E_FORMAT", lambda ws, tmp: _data_copy(
+        ws, tmp, lambda d: _replace_field(d / "items.tsv", 0, str(2**64)))
+        + ["--no-verify"]),
     "checkpoint_meta_not_json": ("E_INTEGRITY", lambda ws, tmp:
                                  _checkpoint_meta(ws, tmp, lambda m: "{oops")),
     "checkpoint_old_format": ("E_INTEGRITY", lambda ws, tmp:

@@ -145,7 +145,7 @@ class TestTargetAttention:
         res = target_attention(tape, "att", Tape.constant(target),
                                Tape.constant(keys), Tape.constant(values),
                                np.ones((1, 2), dtype=bool), 1, 4)
-        assert res.raw_scores[0][0, 0] == res.raw_scores[0][0, 1]
+        assert res.scores[0, 0] == res.scores[1, 0]
         avg_v = 0.5 * (values[0] + values[1])
         want = (avg_v @ params.values["att.wv"]) @ params.values["att.combine"]
         np.testing.assert_allclose(res.interest.values[0], want, rtol=1e-12)
@@ -190,7 +190,7 @@ class TestTargetAttention:
         res = target_attention(tape, "att", Tape.constant(target),
                                Tape.constant(keys), Tape.constant(values),
                                np.ones((1, 2), dtype=bool), 1, 2)
-        np.testing.assert_allclose(res.raw_scores[0][0], s, rtol=1e-15)
+        np.testing.assert_allclose(res.scores[:, 0], s, rtol=1e-15)
         np.testing.assert_allclose(res.interest.values[0], want, rtol=1e-12)
 
     def test_all_masked_rows_zero_interest(self):
@@ -233,7 +233,7 @@ class TestTargetAttention:
         res = target_attention(tape, "att", Tape.constant(target),
                                Tape.constant(keys[packed]),
                                Tape.constant(values[packed]), mask, 1, 2)
-        assert np.abs(res.raw_scores[0][mask]).min() > 900.0
+        assert np.abs(res.scores[:, 0]).min() > 900.0
         assert np.isfinite(res.interest.values).all()
         np.testing.assert_allclose(res.interest.values, want, rtol=1e-12)
 
@@ -250,13 +250,13 @@ class TestTargetAttention:
                                Tape.constant(keys[packed]),
                                Tape.constant(values[packed]),
                                mask, n_heads, d_head)
-        for i, scores in enumerate(res.raw_scores):
+        assert res.scores.shape == (mask.sum(), n_heads)
+        for i, scores in enumerate(res.scores.T):
             c = slice(i * d_head, (i + 1) * d_head)
             q = target @ params.values["att.wq"][:, c]
             k = (keys @ params.values["att.wk"][:, c]).reshape(b, h, d_head)
             want = np.einsum("bd,bhd->bh", q, k) / math.sqrt(d_head)
-            assert np.all(scores[~mask] == 0.0)
-            np.testing.assert_allclose(scores[mask], want[mask], rtol=1e-12)
+            np.testing.assert_allclose(scores, want[mask], rtol=1e-12)
         np.testing.assert_array_equal(res.interest.values[1],
                                       np.zeros(n_heads * d_head))
 
@@ -445,16 +445,37 @@ class TestPhysicalMaskEquivalence:
             assert outs[0] == outs[1], f"trial {trial} diverged"
 
 
+def grid_add_batch(acc, scores, target_limited, seq_limited, mask):
+    """Oracle: spread the packed [P, n_heads] scores over padded [B, H]
+    grids, one per head, and bucket each grid row by row."""
+    mask = np.asarray(mask, dtype=bool)
+    grid = np.zeros((scores.shape[1],) + mask.shape)
+    grid[:, mask] = scores.T
+    for head in grid:
+        for t_flag, t_name in ((False, "multi"), (True, "limited")):
+            rows = np.asarray(target_limited, dtype=bool) == t_flag
+            if not rows.any():
+                continue
+            for s_flag, s_name in ((False, "multi"), (True, "limited")):
+                sel = mask[rows] & (np.asarray(seq_limited,
+                                               dtype=bool)[rows] == s_flag)
+                vals = head[rows][sel]
+                acc.sums[(t_name, s_name)] += float(vals.sum())
+                acc.counts[(t_name, s_name)] += int(vals.size)
+
+
 class TestScoreAccumulator:
     def test_bucketed_means(self):
         acc = ScoreAccumulator()
-        scores = np.array([[0.3, 0.1], [0.09, 0.07]])
+        # one head; with a full mask the packed rows are the [B, H] grid
+        # in row-major order
+        scores = np.array([[0.3], [0.1], [0.09], [0.07]])
         target_limited = np.array([False, True])
         seq_limited = np.array([[False, True], [False, True]])
         mask = np.ones((2, 2), dtype=bool)
-        acc.add_batch([scores], target_limited, seq_limited, mask)
-        scores2 = np.array([[0.4, 0.24]])
-        acc.add_batch([scores2], np.array([False]),
+        acc.add_batch(scores, target_limited, seq_limited, mask)
+        scores2 = np.array([[0.4], [0.24]])
+        acc.add_batch(scores2, np.array([False]),
                       np.array([[False, True]]), np.ones((1, 2), dtype=bool))
         table = acc.table()
         assert table.means[("multi", "multi")] == pytest.approx(0.35)
@@ -464,21 +485,38 @@ class TestScoreAccumulator:
 
     def test_identical_scores_give_equal_cells(self):
         acc = ScoreAccumulator()
-        scores = np.full((4, 3), 0.42)
+        scores = np.full((12, 1), 0.42)
         tl = np.array([False, True, False, True])
         sl = np.array([[False, True, False]] * 4)
-        acc.add_batch([scores], tl, sl, np.ones((4, 3), dtype=bool))
+        acc.add_batch(scores, tl, sl, np.ones((4, 3), dtype=bool))
         table = acc.table()
         vals = [v for v in table.means.values()]
         assert all(v == pytest.approx(0.42) for v in vals)
 
     def test_single_bucket_leaves_others_absent(self):
         acc = ScoreAccumulator()
-        scores = np.array([[1.0, 2.0]])
-        acc.add_batch([scores], np.array([False]),
+        scores = np.array([[1.0], [2.0]])
+        acc.add_batch(scores, np.array([False]),
                       np.array([[False, False]]), np.ones((1, 2), dtype=bool))
         table = acc.table()
         assert table.means[("multi", "multi")] == pytest.approx(1.5)
         assert table.means[("multi", "limited")] is None
         assert table.means[("limited", "multi")] is None
         assert table.counts[("limited", "limited")] == 0
+
+    def test_matches_grid_oracle_bitwise(self):
+        rng = np.random.default_rng(23)
+        acc, oracle = ScoreAccumulator(), ScoreAccumulator()
+        for trial in range(40):
+            b, h = rng.integers(1, 41), rng.integers(1, 21)
+            mask = rng.random(size=(b, h)) < rng.random()
+            target_limited = rng.random(size=b) < rng.random()
+            seq_limited = rng.random(size=(b, h)) < 0.5
+            scores = rng.normal(scale=3.0,
+                                size=(int(mask.sum()), rng.integers(1, 4)))
+            acc.add_batch(scores, target_limited, seq_limited, mask)
+            grid_add_batch(oracle, scores, target_limited, seq_limited, mask)
+            got, want = acc.table(), oracle.table()
+            assert got.counts == want.counts, f"trial {trial}"
+            assert repr(got.means) == repr(want.means), f"trial {trial}"
+            assert repr(acc.sums) == repr(oracle.sums), f"trial {trial}"
