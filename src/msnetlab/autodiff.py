@@ -160,6 +160,20 @@ class StopGradientFreezer:
 _active_freezer: StopGradientFreezer | None = None
 
 
+def _accum(grads: list[Array | None], node: int | None, g: Array) -> None:
+    # g may be shared with other nodes (or be a view of another
+    # gradient), so it is stored as is and never changed in place.  A
+    # function, not a method: backward closures that held the tape would
+    # make each tape a reference cycle that outlives its last use until
+    # the cyclic collector runs.
+    if node is None:
+        return
+    if grads[node] is None:
+        grads[node] = g
+    else:
+        grads[node] = grads[node] + g
+
+
 class Tape:
     """Records operations for a single forward pass and replays them in
     reverse to accumulate gradients.
@@ -208,16 +222,6 @@ class Tape:
     def constant(values: Array | float | Sequence) -> Tensor:
         return Tensor(np.asarray(values, dtype=np.float64), None)
 
-    def _accum(self, grads: list[Array | None], node: int | None, g: Array) -> None:
-        # g may be shared with other nodes (or be a view of another
-        # gradient), so it is stored as is and never changed in place
-        if node is None:
-            return
-        if grads[node] is None:
-            grads[node] = g
-        else:
-            grads[node] = grads[node] + g
-
     # ------------------------------------------------------------------
     # operations
 
@@ -252,7 +256,7 @@ class Tape:
                     parts.append((idx, g))
         else:
             def backward(g: Array, grads: list[Array | None]) -> None:
-                self._accum(grads, tnode, sum_rows_by_index(idx, g, rows))
+                _accum(grads, tnode, sum_rows_by_index(idx, g, rows))
 
         nid = self._push(backward, "gather_rows")
         return Tensor(out, nid)
@@ -267,9 +271,9 @@ class Tape:
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if an is not None:
-                self._accum(grads, an, g @ bv.T)
+                _accum(grads, an, g @ bv.T)
             if bn is not None:
-                self._accum(grads, bn, av.T @ g)
+                _accum(grads, bn, av.T @ g)
 
         return Tensor(out, self._push(backward, "matmul"))
 
@@ -289,7 +293,7 @@ class Tape:
             offset = 0
             for node, w in zip(nodes, widths):
                 if node is not None:
-                    self._accum(grads, node, g[:, offset:offset + w])
+                    _accum(grads, node, g[:, offset:offset + w])
                 offset += w
 
         return Tensor(out, self._push(backward, "concat_cols"))
@@ -304,9 +308,9 @@ class Tape:
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if an is not None:
-                self._accum(grads, an, da(g))
+                _accum(grads, an, da(g))
             if bn is not None:
-                self._accum(grads, bn, db(g))
+                _accum(grads, bn, db(g))
 
         return Tensor(out, self._push(backward, name))
 
@@ -335,7 +339,7 @@ class Tape:
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if xn is not None:
-                self._accum(grads, xn, g * c)
+                _accum(grads, xn, g * c)
 
         return Tensor(x.values * c, self._push(backward, "scale"))
 
@@ -344,7 +348,7 @@ class Tape:
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if xn is not None:
-                self._accum(grads, xn, g)
+                _accum(grads, xn, g)
 
         return Tensor(x.values + c, self._push(backward, "add_const"))
 
@@ -358,9 +362,9 @@ class Tape:
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if xn is not None:
-                self._accum(grads, xn, g)
+                _accum(grads, xn, g)
             if bn is not None:
-                self._accum(grads, bn, g.sum(axis=0))
+                _accum(grads, bn, g.sum(axis=0))
 
         return Tensor(x.values + bias.values, self._push(backward, "add_bias"))
 
@@ -371,7 +375,7 @@ class Tape:
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if xn is not None:
-                self._accum(grads, xn, g.reshape(orig))
+                _accum(grads, xn, g.reshape(orig))
 
         return Tensor(out, self._push(backward, "reshape"))
 
@@ -387,7 +391,7 @@ class Tape:
         def backward(g: Array, grads: list[Array | None]) -> None:
             if xn is not None:
                 safe = np.where(norms > 0.0, norms, 1.0)
-                self._accum(grads, xn, (g / safe)[:, None] * xv *
+                _accum(grads, xn, (g / safe)[:, None] * xv *
                             (norms > 0.0)[:, None])
 
         return Tensor(norms, self._push(backward, "row_norm"))
@@ -402,9 +406,9 @@ class Tape:
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if xn is not None:
-                self._accum(grads, xn, g * vv[:, None])
+                _accum(grads, xn, g * vv[:, None])
             if vn is not None:
-                self._accum(grads, vn, np.einsum("nd,nd->n", g, xv))
+                _accum(grads, vn, np.einsum("nd,nd->n", g, xv))
 
         return Tensor(out, self._push(backward, "mul_rows"))
 
@@ -428,7 +432,7 @@ class Tape:
         def backward(g: Array, grads: list[Array | None]) -> None:
             if xn is not None and starts.size:
                 inner = np.add.reduceat(g * out, starts, axis=0)
-                self._accum(grads, xn, out * (g - inner[run]))
+                _accum(grads, xn, out * (g - inner[run]))
 
         return Tensor(out, self._push(backward, "segment_softmax"))
 
@@ -453,7 +457,7 @@ class Tape:
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if xn is not None:
-                self._accum(grads, xn, g[idx])
+                _accum(grads, xn, g[idx])
 
         return Tensor(out, self._push(backward, "segment_sum"))
 
@@ -463,7 +467,7 @@ class Tape:
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if xn is not None:
-                self._accum(grads, xn, g * out * (1.0 - out))
+                _accum(grads, xn, g * out * (1.0 - out))
 
         return Tensor(out, self._push(backward, "sigmoid"))
 
@@ -474,7 +478,7 @@ class Tape:
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if xn is not None:
-                self._accum(grads, xn, g * np.where(v > 0.0, 1.0, slope))
+                _accum(grads, xn, g * np.where(v > 0.0, 1.0, slope))
 
         return Tensor(out, self._push(backward, "leaky_relu"))
 
@@ -486,7 +490,7 @@ class Tape:
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if xn is not None:
-                self._accum(grads, xn, g * inside)
+                _accum(grads, xn, g * inside)
 
         return Tensor(out, self._push(backward, "clamp"))
 
@@ -509,7 +513,7 @@ class Tape:
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if xn is not None:
-                self._accum(grads, xn, (g / count) * keep)
+                _accum(grads, xn, (g / count) * keep)
 
         return Tensor(np.asarray(out), self._push(backward, "masked_mean"))
 
@@ -520,7 +524,7 @@ class Tape:
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if xn is not None:
-                self._accum(grads, xn, np.broadcast_to(g, shape).astype(np.float64))
+                _accum(grads, xn, np.broadcast_to(g, shape).astype(np.float64))
 
         return Tensor(out, self._push(backward, "sum_all"))
 
@@ -536,7 +540,7 @@ class Tape:
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if pn is not None:
-                self._accum(grads, pn, g * (pv - y) / (pv * (1.0 - pv)) / n)
+                _accum(grads, pn, g * (pv - y) / (pv * (1.0 - pv)) / n)
 
         return Tensor(np.asarray(out), self._push(backward, "bce"))
 

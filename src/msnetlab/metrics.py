@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import math
+import re
+import warnings
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -50,20 +53,74 @@ class PredictionRecord:
     partition_id: int
 
 
+PREDICTION_FIELDS = ("user_id", "item_id", "p", "y", "is_new", "is_limited",
+                     "partition_id")
+_COLUMN_DTYPES = (np.int64, np.int64, np.float64, np.int64, bool, bool,
+                  np.int64)
+
+
+@dataclasses.dataclass(eq=False)
+class PredictionTable:
+    """Predictions as aligned columns, one row per impression.
+
+    A slice or a boolean mask selects a table, an integer index gives one
+    ``PredictionRecord``, and iterating yields records in row order.
+    """
+    user_id: np.ndarray       # int64
+    item_id: np.ndarray       # int64
+    p: np.ndarray             # float64
+    y: np.ndarray             # int64
+    is_new: np.ndarray        # bool
+    is_limited: np.ndarray    # bool
+    partition_id: np.ndarray  # int64
+
+    @classmethod
+    def from_records(cls, records: Iterable[PredictionRecord]
+                     ) -> "PredictionTable":
+        records = list(records)
+        return cls(*(np.array([getattr(r, f) for r in records], dtype=dtype)
+                     for f, dtype in zip(PREDICTION_FIELDS, _COLUMN_DTYPES)))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, f) for f in PREDICTION_FIELDS)
+
+    def __len__(self) -> int:
+        return len(self.p)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return PredictionRecord(*(c[index].item() for c in self.columns()))
+        return PredictionTable(*(c[index] for c in self.columns()))
+
+    def __setitem__(self, index: int, record: PredictionRecord) -> None:
+        for f in PREDICTION_FIELDS:
+            getattr(self, f)[index] = getattr(record, f)
+
+    def __iter__(self):
+        for row in zip(*(c.tolist() for c in self.columns())):
+            yield PredictionRecord(*row)
+
+
+Predictions = PredictionTable | Sequence[PredictionRecord]
+
+
+def _as_table(predictions: Predictions) -> PredictionTable:
+    if isinstance(predictions, PredictionTable):
+        return predictions
+    return PredictionTable.from_records(predictions)
+
+
 # ----------------------------------------------------------------------
 # scalar metrics
 
 
-def auc(records: Sequence[PredictionRecord]) -> float | None:
+def auc(predictions: Predictions) -> float | None:
     """Probability a random positive outranks a random negative, ties 0.5.
 
     Undefined (None) when either class is missing.
     """
-    if not records:
-        return None
-    p = np.array([r.p for r in records])
-    y = np.array([r.y for r in records])
-    return auc_from_arrays(p, y)
+    table = _as_table(predictions)
+    return auc_from_arrays(table.p, table.y)
 
 
 def auc_from_arrays(p: np.ndarray, y: np.ndarray) -> float | None:
@@ -77,23 +134,43 @@ def auc_from_arrays(p: np.ndarray, y: np.ndarray) -> float | None:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def gauc(records: Sequence[PredictionRecord]) -> float | None:
+def gauc(predictions: Predictions) -> float | None:
     """Impression-weighted mean of per-user AUCs.
 
     Users with single-class impressions are excluded from the numerator
-    and the denominator.
+    and the denominator.  One sort by (user, p) ranks every user's rows at
+    once, tied rows sharing their mean rank; rank sums are half-integers,
+    so each user's AUC is exact, and the weighted sum runs in the order
+    users first appear.
     """
-    by_user: dict[int, list[PredictionRecord]] = {}
-    for r in records:
-        by_user.setdefault(r.user_id, []).append(r)
+    table = _as_table(predictions)
+    n = len(table)
+    if n == 0:
+        return None
+    order = np.lexsort((table.p, table.user_id))
+    user, p = table.user_id[order], table.p[order]
+    pos = table.y[order] == 1
+    new_user = np.r_[True, user[1:] != user[:-1]]
+    starts = np.flatnonzero(new_user)
+    runs = np.flatnonzero(new_user | np.r_[True, p[1:] != p[:-1]])
+    run_ends = np.r_[runs[1:], n]
+    user_start = np.maximum.accumulate(np.where(new_user, np.arange(n), 0))
+    # 1-based ranks runs+1 .. run_ends within the user, averaged
+    mean_rank = (runs + run_ends + 1) / 2.0 - user_start[runs]
+    ranks = np.repeat(mean_rank, run_ends - runs)
+    counts = np.diff(np.r_[starts, n])
+    n_pos = np.add.reduceat(pos.astype(np.int64), starts)
+    rank_sum = np.add.reduceat(np.where(pos, ranks, 0.0), starts)
+    n_neg = counts - n_pos
+    both = (n_pos > 0) & (n_neg > 0)
+    aucs = (rank_sum - n_pos * (n_pos + 1) / 2.0)[both] / (n_pos * n_neg)[both]
+    first_seen = np.argsort(np.minimum.reduceat(order, starts)[both])
     weighted = 0.0
     weight = 0
-    for user_records in by_user.values():
-        a = auc(user_records)
-        if a is None:
-            continue
-        weighted += len(user_records) * a
-        weight += len(user_records)
+    for w, a in zip(counts[both][first_seen].tolist(),
+                    aucs[first_seen].tolist()):
+        weighted += w * a
+        weight += w
     if weight == 0:
         return None
     return weighted / weight
@@ -107,12 +184,15 @@ def rela_impr(auc_measured: float, auc_base: float) -> float | None:
     return ((auc_measured - 0.5) / (auc_base - 0.5) - 1.0) * 100.0
 
 
-def pcoc(records: Sequence[PredictionRecord]) -> float | None:
+def pcoc(predictions: Predictions) -> float | None:
     """Predicted clicks over observed clicks; undefined with zero clicks."""
-    clicks = sum(r.y for r in records)
+    table = _as_table(predictions)
+    clicks = int(table.y.sum())
     if clicks == 0:
         return None
-    return sum(r.p for r in records) / clicks
+    # the built-in sum adds in row order; np.sum's pairwise order would
+    # move the last bits
+    return sum(table.p.tolist()) / clicks
 
 
 def calibration_error(pcoc_value: float) -> float:
@@ -124,45 +204,31 @@ def calibration_error(pcoc_value: float) -> float:
     return 1.0 / pcoc_value - 1.0
 
 
-def pcoc_by_partition(records: Sequence[PredictionRecord],
-                      n_partitions: int = N_PARTITIONS
-                      ) -> dict[int, float | None]:
-    parts: dict[int, list[PredictionRecord]] = {
-        i: [] for i in range(n_partitions)}
-    for r in records:
-        parts[r.partition_id % n_partitions].append(r)
-    return {i: pcoc(rs) for i, rs in parts.items()}
-
-
-def cal_n(records: Sequence[PredictionRecord],
+def cal_n(predictions: Predictions,
           n_partitions: int = N_PARTITIONS) -> tuple[float | None, int]:
     """Root mean square of per-partition calibration errors.
 
     Clickless partitions are excluded; the returned tuple is
     (value or None, number of partitions counted).
     """
-    per_part = pcoc_by_partition(records, n_partitions)
-    errors = [calibration_error(v) for v in per_part.values()
-              if v is not None]
+    table = _as_table(predictions)
+    part = table.partition_id % n_partitions
+    pcocs = [pcoc(table[part == i]) for i in range(n_partitions)]
+    errors = [calibration_error(v) for v in pcocs if v is not None]
     if not errors:
         return None, 0
     value = math.sqrt(sum(e * e for e in errors) / len(errors))
     return value, len(errors)
 
 
-def partition_aucs(records: Sequence[PredictionRecord],
+def partition_aucs(predictions: Predictions,
                    n_partitions: int = N_PARTITIONS) -> list[float]:
     """AUC per partition, skipping partitions without both classes."""
-    parts: dict[int, list[PredictionRecord]] = {
-        i: [] for i in range(n_partitions)}
-    for r in records:
-        parts[r.partition_id % n_partitions].append(r)
-    out = []
-    for i in range(n_partitions):
-        a = auc(parts[i])
-        if a is not None:
-            out.append(a)
-    return out
+    table = _as_table(predictions)
+    part = table.partition_id % n_partitions
+    aucs = [auc_from_arrays(table.p[part == i], table.y[part == i])
+            for i in range(n_partitions)]
+    return [a for a in aucs if a is not None]
 
 
 def paired_partition_ttest(aucs_a: Sequence[float],
@@ -229,20 +295,7 @@ class MetricReport:
         return cls.from_dict(json.loads(text))
 
 
-def group_members(records: Sequence[PredictionRecord],
-                  group: str) -> list[PredictionRecord]:
-    if group == "overall":
-        return list(records)
-    if group == "new":
-        return [r for r in records if r.is_new]
-    if group == "limited":
-        return [r for r in records if r.is_limited]
-    if group == "multi":
-        return [r for r in records if not r.is_limited]
-    raise MetricsError(f"unknown group {group!r}")
-
-
-def grouped_report(records: Sequence[PredictionRecord],
+def grouped_report(predictions: Predictions,
                    baseline: "MetricReport | None" = None,
                    metadata: dict | None = None,
                    n_partitions: int = N_PARTITIONS) -> MetricReport:
@@ -261,10 +314,15 @@ def grouped_report(records: Sequence[PredictionRecord],
     meta.setdefault("auc_tie_rule", "tied pairs credited 0.5")
     meta.setdefault("embedding_sharing",
                     "target and sequence items share one id table")
+    table = _as_table(predictions)
+    masks = {"overall": np.ones(len(table), dtype=bool),
+             "new": table.is_new,
+             "limited": table.is_limited,
+             "multi": ~table.is_limited}
     groups: dict[str, GroupMetrics] = {}
     for name in GROUPS:
-        members = group_members(records, name)
-        if not members:
+        members = table[masks[name]]
+        if len(members) == 0:
             groups[name] = GroupMetrics(n=0, n_pos=0, absent=True,
                                         note="empty group")
             continue
@@ -272,7 +330,7 @@ def grouped_report(records: Sequence[PredictionRecord],
         cal, cal_parts = cal_n(members, n_partitions)
         gm = GroupMetrics(
             n=len(members),
-            n_pos=sum(r.y for r in members),
+            n_pos=int(members.y.sum()),
             auc_avg=float(np.mean(paucs)) if paucs else None,
             auc_std=float(np.std(paucs)) if paucs else None,
             auc_partitions=len(paucs),
@@ -295,60 +353,96 @@ def grouped_report(records: Sequence[PredictionRecord],
 # ----------------------------------------------------------------------
 # prediction files
 
-PREDICTION_FIELDS = ("user_id", "item_id", "p", "y", "is_new", "is_limited",
-                     "partition_id")
 PREDICTION_HEADER = "#predictions-v1\t" + "\t".join(PREDICTION_FIELDS)
+# flags are read as integers so that a value other than 0 or 1 is seen
+_ROW_DTYPE = np.dtype([(f, np.float64 if f == "p" else np.int64)
+                       for f in PREDICTION_FIELDS])
 
 
-def write_predictions(records: Iterable[PredictionRecord], path: str | Path,
+def write_predictions(predictions: Predictions, path: str | Path,
                       meta: dict | None = None) -> None:
     path = Path(path)
+    rows = zip(*(c.tolist() for c in _as_table(predictions).columns()))
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(PREDICTION_HEADER + "\n")
         if meta:
             pairs = "\t".join(f"{k}={meta[k]}" for k in sorted(meta))
             fh.write(f"#meta\t{pairs}\n")
-        for r in records:
-            fh.write(f"{r.user_id}\t{r.item_id}\t{r.p!r}\t{r.y}\t"
-                     f"{int(r.is_new)}\t{int(r.is_limited)}\t"
-                     f"{r.partition_id}\n")
+        fh.write("".join(
+            f"{user}\t{item}\t{p!r}\t{y}\t{int(new)}\t{int(limited)}\t{part}\n"
+            for user, item, p, y, new, limited, part in rows))
 
 
-def read_predictions(path: str | Path
-                     ) -> tuple[list[PredictionRecord], dict]:
+def _parse_rows(text: str) -> np.ndarray:
+    """Rows of a prediction file body as a structured array.  Raises
+    ValueError for a row that does not parse or breaks a row rule: p
+    finite in [0, 1], y and flags 0 or 1, partition id not negative, ids
+    inside int64."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a body without rows
+        rows = np.loadtxt(io.StringIO(text), dtype=_ROW_DTYPE, comments="#",
+                          delimiter="\t", ndmin=1)
+    p = rows["p"]
+    checks = [("p", (p >= 0.0) & (p <= 1.0),
+               "is not a probability in [0, 1]")]
+    checks += [(f, (rows[f] == 0) | (rows[f] == 1), "is not 0 or 1")
+               for f in ("y", "is_new", "is_limited")]
+    checks.append(("partition_id", rows["partition_id"] >= 0, "is negative"))
+    for field, ok, why in checks:
+        if not ok.all():
+            raise ValueError(f"{field}={rows[field][np.argmin(ok)]} {why}")
+    return rows
+
+
+def _first_bad_line(body: str, exc: ValueError) -> str:
+    """Names the first line of a body that ``_parse_rows`` refused.  Found
+    by bisection: whether a line parses does not depend on the others."""
+    lines = body.split("\n")
+    lo, hi = 0, len(lines)  # lines[:lo] parse; lines[lo:hi] do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _parse_rows("\n".join(lines[lo:mid]))
+            lo = mid
+        except ValueError:
+            hi = mid
+    fields = lines[lo].partition("#")[0]
+    n_fields = fields.count("\t") + 1
+    if n_fields != len(PREDICTION_FIELDS):
+        return (f"line {lo + 2}: expected {len(PREDICTION_FIELDS)} fields, "
+                f"got {n_fields}")
+    try:
+        _parse_rows(fields)
+    except ValueError as line_exc:
+        # numpy counts rows of the one-line text: drop its "row 0"
+        why = re.sub(r" at row \d+, column", " at column", str(line_exc))
+        return f"line {lo + 2}: {why}"
+    return str(exc)
+
+
+def read_predictions(path: str | Path) -> tuple[PredictionTable, dict]:
     path = Path(path)
     if not path.exists():
         raise MetricsError(f"prediction file not found: {path}")
-    records: list[PredictionRecord] = []
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MetricsError(f"{path}: not UTF-8 text ({exc})") from exc
+    header, _, body = text.partition("\n")
+    if header != PREDICTION_HEADER:
+        raise MetricsError(f"{path}: unrecognized prediction header")
     meta: dict = {}
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != PREDICTION_HEADER:
-            raise MetricsError(f"{path}: unrecognized prediction header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#meta\t"):
-                for pair in line.split("\t")[1:]:
-                    k, _, v = pair.partition("=")
-                    meta[k] = v
-                continue
-            parts = line.split("\t")
-            if len(parts) != len(PREDICTION_FIELDS):
-                raise MetricsError(
-                    f"line {lineno}: expected {len(PREDICTION_FIELDS)} "
-                    f"fields, got {len(parts)}")
-            try:
-                records.append(PredictionRecord(
-                    user_id=int(parts[0]), item_id=int(parts[1]),
-                    p=float(parts[2]), y=int(parts[3]),
-                    is_new=bool(int(parts[4])),
-                    is_limited=bool(int(parts[5])),
-                    partition_id=int(parts[6])))
-            except ValueError as exc:
-                raise MetricsError(f"line {lineno}: {exc}") from exc
-    return records, meta
+    for line in re.findall(r"^#meta\t(.*)$", body, flags=re.MULTILINE):
+        for pair in line.split("\t"):
+            k, _, v = pair.partition("=")
+            meta[k] = v
+    try:
+        rows = _parse_rows(body)
+    except ValueError as exc:
+        raise MetricsError(_first_bad_line(body, exc)) from exc
+    return PredictionTable(
+        *(np.ascontiguousarray(rows[f], dtype=dtype)
+          for f, dtype in zip(PREDICTION_FIELDS, _COLUMN_DTYPES))), meta
 
 
 # ----------------------------------------------------------------------

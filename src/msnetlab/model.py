@@ -39,7 +39,7 @@ from .features import (
     embed,
     encode_batch,
 )
-from .metrics import PredictionRecord, partition_of
+from .metrics import PredictionTable, partition_of
 from .seqmodel import (
     ScoreAccumulator,
     SplitMasks,
@@ -483,9 +483,9 @@ def predict(params: ParamStore, config: ModelConfig,
             records: Sequence[ImpressionRecord], vocabs: Vocabs,
             catalog: dict[int, ItemSpec], *, partition_seed: int = 0,
             score_accumulator: ScoreAccumulator | None = None,
-            ) -> list[PredictionRecord]:
+            ) -> PredictionTable:
     """One prediction per impression, deterministic, in input order."""
-    out: list[PredictionRecord] = []
+    p_chunks: list[np.ndarray] = []
     for start in range(0, len(records), config.batch_size):
         chunk = list(records[start:start + config.batch_size])
         batch = encode_batch(chunk, vocabs, catalog, config.history_len)
@@ -495,14 +495,17 @@ def predict(params: ParamStore, config: ModelConfig,
             for scores, mask in fo.branch_scores:
                 score_accumulator.add_batch(scores, batch.is_limited,
                                             batch.seq_limited, mask)
-        for i, r in enumerate(chunk):
-            out.append(PredictionRecord(
-                user_id=r.user_id, item_id=r.item_id,
-                p=float(fo.p.values[i]), y=int(r.label),
-                is_new=r.item_is_new, is_limited=r.item_is_limited,
-                partition_id=partition_of(r.user_id, r.item_id,
-                                          partition_seed)))
-    return out
+        p_chunks.append(fo.p.values)
+    return PredictionTable(
+        user_id=np.array([r.user_id for r in records], dtype=np.int64),
+        item_id=np.array([r.item_id for r in records], dtype=np.int64),
+        p=np.concatenate(p_chunks) if p_chunks else np.empty(0),
+        y=np.array([r.label for r in records], dtype=np.int64),
+        is_new=np.array([r.item_is_new for r in records], dtype=bool),
+        is_limited=np.array([r.item_is_limited for r in records], dtype=bool),
+        partition_id=np.array([partition_of(r.user_id, r.item_id,
+                                            partition_seed)
+                               for r in records], dtype=np.int64))
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,9 @@ plain-numpy forward math and central finite differences, never the tape
 itself.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -482,6 +484,24 @@ class TestBackward:
         tape.backward(loss)
         with pytest.raises(AutodiffError, match="consumed"):
             tape.backward(loss)
+
+    def test_forward_only_tape_freed_without_cycle_collector(self):
+        """A tape never run backward, as in prediction, is freed when
+        dropped, not when the cyclic collector next runs."""
+        params = ParamStore()
+        params.add("w", np.ones((3, 2)))
+        params.add("emb", np.ones((4, 3)), embedding=True)
+        gc.collect()
+        gc.disable()
+        try:
+            tape = Tape(params)
+            x = tape.gather_rows(tape.param("emb"), [0, 2])
+            tape.sigmoid(tape.matmul(x, tape.param("w")))
+            dropped = weakref.ref(tape)
+            del tape, x
+            assert dropped() is None
+        finally:
+            gc.enable()
 
 
 def _random_op_cases(seed):

@@ -12,7 +12,7 @@ import pytest
 from msnetlab.autodiff import ParamStore
 from msnetlab.cli import main
 from msnetlab.datagen import read_dataset
-from msnetlab.metrics import read_predictions
+from msnetlab.metrics import PREDICTION_FIELDS, read_predictions
 from msnetlab.model import load_checkpoint, save_checkpoint
 
 TINY = {
@@ -283,6 +283,15 @@ class TestAblate:
 
 
 class TestReport:
+    def test_stored_file_reports_stored_json(self, capsys):
+        """A stored prediction file with ties, single-class users and
+        negative ids gives exactly the stored machine report."""
+        data = Path(__file__).parent / "data"
+        assert main(["report", str(data / "golden.predictions.tsv"),
+                     "--format", "machine"]) == 0
+        assert capsys.readouterr().out == \
+            (data / "golden.report.json").read_text()
+
     def test_single_file(self, workspace, capsys):
         _, _, _, run = workspace
         assert main(["report", str(run / "din.predictions.tsv")]) == 0
@@ -371,6 +380,27 @@ def _replace_field(path: Path, field: int, value: str) -> None:
     parts = first.split("\t")
     parts[field] = value
     path.write_text("\n".join([header, "\t".join(parts), rest]))
+
+
+def _bad_prediction(workspace, tmp_path: Path, field: str,
+                    value: str) -> list[str]:
+    """Reports a copy of DIN's prediction file with one field of its first
+    row replaced."""
+    _, _, _, run = workspace
+    lines = (run / "din.predictions.tsv").read_text().split("\n")
+    row = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    parts = lines[row].split("\t")
+    parts[PREDICTION_FIELDS.index(field)] = value
+    lines[row] = "\t".join(parts)
+    path = tmp_path / "bad.predictions.tsv"
+    path.write_text("\n".join(lines))
+    return ["report", str(path), "--format", "machine"]
+
+
+def _undecodable_prediction(tmp_path: Path) -> list[str]:
+    path = tmp_path / "bad.predictions.tsv"
+    path.write_bytes(b"#predictions-v1\xff\n")
+    return ["report", str(path)]
 
 
 def _checkpoint_meta(workspace, tmp_path: Path, edit) -> list[str]:
@@ -475,6 +505,25 @@ MALFORMED_INPUTS = {
     "report_checkpoint_without_data": ("E_CONFIG", lambda ws, tmp: [
         "report", str(ws[3] / "din.predictions.tsv"),
         "--checkpoint", str(ws[3] / "din.ckpt.npz")]),
+    "prediction_p_nan": ("E_FORMAT", lambda ws, tmp: _bad_prediction(
+        ws, tmp, "p", "nan")),
+    "prediction_p_inf": ("E_FORMAT", lambda ws, tmp: _bad_prediction(
+        ws, tmp, "p", "inf")),
+    "prediction_p_above_one": ("E_FORMAT", lambda ws, tmp: _bad_prediction(
+        ws, tmp, "p", "1.5")),
+    "prediction_label_two": ("E_FORMAT", lambda ws, tmp: _bad_prediction(
+        ws, tmp, "y", "2")),
+    "prediction_is_new_seven": ("E_FORMAT", lambda ws, tmp: _bad_prediction(
+        ws, tmp, "is_new", "7")),
+    "prediction_partition_negative": ("E_FORMAT", lambda ws, tmp:
+                                      _bad_prediction(ws, tmp, "partition_id",
+                                                      "-4")),
+    "prediction_user_id_above_int64": ("E_FORMAT", lambda ws, tmp:
+                                       _bad_prediction(
+                                           ws, tmp, "user_id",
+                                           "99999999999999999999999")),
+    "prediction_file_not_utf8": ("E_FORMAT", lambda ws, tmp:
+                                 _undecodable_prediction(tmp)),
 }
 
 

@@ -1,20 +1,27 @@
 """Metric tests.  The rank-sum AUC is verified against the exhaustive
 pairwise count; calibration values against hand arithmetic; RelaImpr
-against the published comparison-table arithmetic."""
+against the published comparison-table arithmetic; the column-based
+metrics and report against per-record loop oracles, bit for bit."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msnetlab.metrics import (
+    GROUPS,
+    N_PARTITIONS,
+    PREDICTION_FIELDS,
     GroupMetrics,
     MetricReport,
     MetricsError,
     PredictionRecord,
+    PredictionTable,
     auc,
+    auc_from_arrays,
     cal_n,
     calibration_error,
     gauc,
@@ -66,6 +73,171 @@ def random_records(rng, n, discretize=False):
                        limited=bool(rng.random() < 0.5),
                        part=int(rng.integers(10))))
     return out
+
+
+# ----------------------------------------------------------------------
+# per-record loop oracles: the list-based metrics the column versions
+# replaced, kept to check them bit for bit
+
+
+def loop_auc(records):
+    if not records:
+        return None
+    return auc_from_arrays(np.array([r.p for r in records]),
+                           np.array([r.y for r in records]))
+
+
+def loop_gauc(records):
+    by_user = {}
+    for r in records:
+        by_user.setdefault(r.user_id, []).append(r)
+    weighted = 0.0
+    weight = 0
+    for user_records in by_user.values():
+        a = loop_auc(user_records)
+        if a is None:
+            continue
+        weighted += len(user_records) * a
+        weight += len(user_records)
+    if weight == 0:
+        return None
+    return weighted / weight
+
+
+def loop_pcoc(records):
+    clicks = sum(r.y for r in records)
+    if clicks == 0:
+        return None
+    return sum(r.p for r in records) / clicks
+
+
+def loop_partitions(records, n_partitions):
+    parts = {i: [] for i in range(n_partitions)}
+    for r in records:
+        parts[r.partition_id % n_partitions].append(r)
+    return parts
+
+
+def loop_cal_n(records, n_partitions=N_PARTITIONS):
+    per_part = [loop_pcoc(rs)
+                for rs in loop_partitions(records, n_partitions).values()]
+    errors = [calibration_error(v) for v in per_part if v is not None]
+    if not errors:
+        return None, 0
+    return math.sqrt(sum(e * e for e in errors) / len(errors)), len(errors)
+
+
+def loop_partition_aucs(records, n_partitions=N_PARTITIONS):
+    aucs = [loop_auc(rs)
+            for rs in loop_partitions(records, n_partitions).values()]
+    return [a for a in aucs if a is not None]
+
+
+def loop_report_groups(records, baseline=None, n_partitions=N_PARTITIONS):
+    """The groups of ``grouped_report``, from list-comprehension members."""
+    members_of = {"overall": list(records),
+                  "new": [r for r in records if r.is_new],
+                  "limited": [r for r in records if r.is_limited],
+                  "multi": [r for r in records if not r.is_limited]}
+    groups = {}
+    for name in GROUPS:
+        members = members_of[name]
+        if not members:
+            groups[name] = GroupMetrics(n=0, n_pos=0, absent=True,
+                                        note="empty group")
+            continue
+        paucs = loop_partition_aucs(members, n_partitions)
+        cal, cal_parts = loop_cal_n(members, n_partitions)
+        gm = GroupMetrics(
+            n=len(members), n_pos=sum(r.y for r in members),
+            auc_avg=float(np.mean(paucs)) if paucs else None,
+            auc_std=float(np.std(paucs)) if paucs else None,
+            auc_partitions=len(paucs), gauc=loop_gauc(members),
+            pcoc=loop_pcoc(members), cal_n=cal, cal_partitions=cal_parts)
+        base_gm = baseline.groups.get(name) if baseline else None
+        if base_gm is not None and not base_gm.absent:
+            if gm.auc_avg is not None and base_gm.auc_avg is not None:
+                gm.rela_impr_auc = rela_impr(gm.auc_avg, base_gm.auc_avg)
+            if gm.gauc is not None and base_gm.gauc is not None:
+                gm.rela_impr_gauc = rela_impr(gm.gauc, base_gm.gauc)
+        groups[name] = gm
+    return groups
+
+
+INT64 = st.integers(-(2 ** 63), 2 ** 63 - 1)
+# a few values, so that ties are common, or any probability above 0: a
+# clicked partition predicted all 0 has PCOC 0 and no calibration error
+P_VALUES = st.one_of(st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+                     st.floats(0.0, 1.0, exclude_min=True))
+PREDICTION = st.builds(
+    PredictionRecord,
+    user_id=st.sampled_from([-(2 ** 63 - 1), -7, -1, 0, 3, 2 ** 40,
+                             2 ** 63 - 1]),
+    item_id=st.integers(-5, 5), p=P_VALUES, y=st.integers(0, 1),
+    is_new=st.booleans(), is_limited=st.booleans(),
+    partition_id=st.integers(0, 2 * N_PARTITIONS))
+
+
+class TestColumnsMatchLoopOracles:
+    @given(st.lists(PREDICTION, max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_metrics_bitwise(self, records):
+        table = PredictionTable.from_records(records)
+        got = (auc(table), gauc(table), pcoc(table), cal_n(table),
+               partition_aucs(table))
+        want = (loop_auc(records), loop_gauc(records), loop_pcoc(records),
+                loop_cal_n(records), loop_partition_aucs(records))
+        assert repr(got) == repr(want)
+
+    @given(st.lists(PREDICTION, max_size=80))
+    @settings(max_examples=150, deadline=None)
+    def test_report_json_identical(self, records):
+        table = PredictionTable.from_records(records)
+        flipped = [dataclasses.replace(r, p=1.0 - r.p / 2) for r in records]
+        base = grouped_report(flipped)
+        for baseline in (None, base):
+            rep = grouped_report(table, baseline=baseline)
+            want = MetricReport(metadata=rep.metadata,
+                                groups=loop_report_groups(records, baseline))
+            assert rep.to_json() == want.to_json()
+
+    def test_single_class_users_and_empty_groups(self):
+        # users -3 and 8 are single-class; user 4 has a tied pair
+        records = [rec(.5, 1, user=-3, limited=True),
+                   rec(.5, 0, user=4, limited=True),
+                   rec(.5, 1, user=-3, limited=True),
+                   rec(.5, 1, user=4, limited=True),
+                   rec(.9, 1, user=8, limited=True),
+                   rec(.7, 1, user=4, limited=True)]
+        rep = grouped_report(PredictionTable.from_records(records))
+        assert rep.groups["multi"].absent and rep.groups["new"].absent
+        assert rep.groups["limited"].gauc == loop_gauc(records) == 0.75
+        assert rep.to_json() == MetricReport(
+            metadata=rep.metadata,
+            groups=loop_report_groups(records)).to_json()
+
+
+class TestPredictionTable:
+    def test_slices_index_and_iterate_like_records(self):
+        records = random_records(np.random.default_rng(2), 30)
+        table = PredictionTable.from_records(records)
+        assert len(table) == 30
+        assert list(table) == records
+        assert list(table[-7:]) == records[-7:]
+        assert list(table[3:9]) == records[3:9]
+        assert table[-1] == records[-1] and table[4] == records[4]
+        assert [r.p for r in table[-5:]] == [r.p for r in records[-5:]]
+
+    def test_row_assignment(self):
+        table = PredictionTable.from_records(
+            random_records(np.random.default_rng(3), 5))
+        table[-1] = dataclasses.replace(table[-1], p=1.0, y=0)
+        assert table.p[-1] == 1.0 and table.y[-1] == 0
+
+    def test_empty(self):
+        table = PredictionTable.from_records([])
+        assert len(table) == 0 and list(table) == []
+        assert gauc(table) is None and pcoc(table) is None
 
 
 class TestAuc:
@@ -319,8 +491,38 @@ class TestPredictionFiles:
         path = tmp_path / "p.tsv"
         write_predictions(records, path, meta={"arch": "din"})
         loaded, meta = read_predictions(path)
-        assert loaded == records
+        assert list(loaded) == records
         assert meta == {"arch": "din"}
+
+    @given(st.lists(st.builds(
+        PredictionRecord, user_id=INT64, item_id=INT64,
+        p=st.one_of(st.sampled_from([0.0, 5e-324, 1 - 2 ** -53, 1.0]),
+                    st.floats(0.0, 1.0)),
+        y=st.integers(0, 1), is_new=st.booleans(), is_limited=st.booleans(),
+        partition_id=st.integers(0, 2 ** 63 - 1)), max_size=40))
+    @example([rec(5e-324, 1, user=2 ** 63 - 1, item=-(2 ** 63 - 1)),
+              rec(1 - 2 ** -53, 0, user=-(2 ** 63 - 1), item=2 ** 63 - 1)])
+    @settings(max_examples=100, deadline=None)
+    def test_table_round_trip_bitwise(self, tmp_path_factory, records):
+        table = PredictionTable.from_records(records)
+        path = tmp_path_factory.mktemp("rt") / "p.tsv"
+        write_predictions(table, path, meta={"arch": "msnet"})
+        loaded, meta = read_predictions(path)
+        assert meta == {"arch": "msnet"}
+        for field in PREDICTION_FIELDS:
+            a, b = getattr(loaded, field), getattr(table, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+    def test_bad_row_named_by_its_line(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        write_predictions([rec(.5, 1), rec(.25, 0)], path, meta={"a": "b"})
+        good = path.read_text()
+        path.write_text(good + "\n" + "1\t2\t1.5\t1\t0\t0\t3\n")
+        with pytest.raises(MetricsError, match=r"^line 6: p=1\.5 "):
+            read_predictions(path)
+        path.write_text(good.replace("0.25", "x"))
+        with pytest.raises(MetricsError, match="^line 4: could not convert"):
+            read_predictions(path)
 
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "p.tsv"
