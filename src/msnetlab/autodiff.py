@@ -777,14 +777,23 @@ def _fd_compare(loss_fn, params: ParamStore, grads: GradMap,
     return GradCheckReport(checks=checks, tol=tol)
 
 
-def sigmoid(x: Array | float) -> Array:
-    """Plain (non-taped) numerically stable sigmoid, shared by datagen."""
+def sigmoid(x: Array | float) -> Array | float:
+    """Plain (non-taped) numerically stable sigmoid, shared by datagen.
+
+    A scalar (or 0-d array) returns a float through the same two branches
+    with numpy's scalar ``np.exp``, which gives the array path's bits;
+    ``math.exp`` would not.
+    """
+    if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
+        s = np.float64(x)
+        if s >= 0:
+            return float(1.0 / (1.0 + np.exp(-s)))
+        es = np.exp(s)
+        return float(es / (1.0 + es))
     v = np.asarray(x, dtype=np.float64)
     out = np.empty_like(v)
     pos = v >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
     ev = np.exp(v[~pos])
     out[~pos] = ev / (1.0 + ev)
-    if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
-        return float(out)
     return out

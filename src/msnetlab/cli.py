@@ -536,7 +536,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         rendered.append(render_attention_table(table))
         machine["attention_scores"] = table
     if args.format == "machine":
-        print(json.dumps(machine, indent=2, sort_keys=True))
+        print(json.dumps(machine, indent=2, sort_keys=True, allow_nan=False))
     else:
         print("\n".join(rendered), end="")
     return 0

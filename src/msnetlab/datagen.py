@@ -211,14 +211,6 @@ class MarketState:
         self.rng = np.random.default_rng(seed)
         self.seed = seed
 
-    def serialize_catalog(self) -> str:
-        lines = [CATALOG_HEADER]
-        for item_id in sorted(self.items):
-            s = self.items[item_id]
-            lines.append(f"{s.item_id}\t{s.category_id}\t{s.stock_count}\t"
-                         f"{s.quality!r}\t{s.created_day}")
-        return "\n".join(lines) + "\n"
-
 
 def _make_item(config: GeneratorConfig, rng: np.random.Generator,
                item_id: int, created_day: int) -> ItemSpec:
@@ -267,11 +259,17 @@ def true_ctr(user: UserSpec, item: ItemSpec, config: GeneratorConfig) -> float:
     return float(sigmoid(z))
 
 
-def _category_weights(user: UserSpec, config: GeneratorConfig) -> np.ndarray:
+def _category_cdf(user: UserSpec, config: GeneratorConfig) -> np.ndarray:
+    """Cumulative preference-softmax over categories, normalized as
+    ``Generator.choice(n, p=w)`` normalizes it, so that
+    ``cdf.searchsorted(rng.random(), side="right")`` draws what
+    ``rng.choice`` draws from the same stream."""
     z = config.affinity_temperature * user.preference
     z = z - z.max()
     w = np.exp(z)
-    return w / w.sum()
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def simulate(market: MarketState, days: int) -> SimulationResult:
@@ -291,8 +289,11 @@ def simulate(market: MarketState, days: int) -> SimulationResult:
     records: list[ImpressionRecord] = []
     empty_days = 0
 
-    cat_weights = {u.user_id: _category_weights(u, config)
-                   for u in market.users}
+    cat_cdfs = {u.user_id: _category_cdf(u, config) for u in market.users}
+    # a user's history tuple changes only on that user's click, so one
+    # tuple serves every impression in between
+    hist_views = {uid: tuple(h[:config.history_max])
+                  for uid, h in market.histories.items()}
 
     for day in range(market.day + 1, market.day + days + 1):
         for _ in range(config.new_items_per_day):
@@ -313,12 +314,12 @@ def simulate(market: MarketState, days: int) -> SimulationResult:
             if day_cut_short:
                 break
             n_impr = int(round(user.activity))
-            weights = cat_weights[user.user_id]
+            cdf = cat_cdfs[user.user_id]
             for _ in range(n_impr):
                 if not market.live:
                     day_cut_short = True
                     break
-                item_id = _sample_item(market, rng, weights, by_cat,
+                item_id = _sample_item(market, rng, cdf, by_cat,
                                        live_sorted, config)
                 if item_id is None:
                     day_cut_short = True
@@ -326,18 +327,19 @@ def simulate(market: MarketState, days: int) -> SimulationResult:
                 item = market.items[item_id]
                 p = true_ctr(user, item, config)
                 label = int(rng.random() < p)
-                hist = market.histories[user.user_id]
                 record = ImpressionRecord(
                     day=day, user_id=user.user_id, item_id=item_id,
                     label=label, true_ctr=p,
                     item_is_limited=item.is_limited,
                     item_is_new=(day - item.created_day) <= NEW_ITEM_MAX_AGE_DAYS,
-                    history=tuple(hist[:config.history_max]))
+                    history=hist_views[user.user_id])
                 records.append(record)
                 if label:
+                    hist = market.histories[user.user_id]
                     hist.insert(0, (item_id, item.category_id, item.is_limited))
                     if len(hist) > 4 * config.history_max:
                         del hist[4 * config.history_max:]
+                    hist_views[user.user_id] = tuple(hist[:config.history_max])
                     if rng.random() < config.purchase_given_click:
                         market.remaining[item_id] -= 1
                         if market.remaining[item_id] <= 0:
@@ -358,7 +360,7 @@ def simulate(market: MarketState, days: int) -> SimulationResult:
 
 
 def _sample_item(market: MarketState, rng: np.random.Generator,
-                 cat_weights: np.ndarray, by_cat: list[list[int]],
+                 cat_cdf: np.ndarray, by_cat: list[list[int]],
                  live_sorted: list[int],
                  config: GeneratorConfig) -> int | None:
     if rng.random() < config.exploration_rate:
@@ -369,7 +371,7 @@ def _sample_item(market: MarketState, rng: np.random.Generator,
                 return iid
             live_sorted.remove(iid)
         return None
-    cat = int(rng.choice(len(cat_weights), p=cat_weights))
+    cat = int(cat_cdf.searchsorted(rng.random(), side="right"))
     pool = by_cat[cat]
     if not pool:
         # category exhausted: fall back to uniform over whatever is live
@@ -386,10 +388,8 @@ def _sample_item(market: MarketState, rng: np.random.Generator,
 # dataset files
 
 
-def _format_record(r: ImpressionRecord) -> str:
-    hist = ",".join(f"{i}:{c}:{int(l)}" for i, c, l in r.history)
-    return (f"{r.day}\t{r.user_id}\t{r.item_id}\t{r.label}\t{r.true_ctr!r}\t"
-            f"{int(r.item_is_limited)}\t{int(r.item_is_new)}\t{hist}")
+def _format_history(history: tuple[tuple[int, int, bool], ...]) -> str:
+    return ",".join(f"{i}:{c}:{int(l)}" for i, c, l in history)
 
 
 def _int64_id(text: str) -> int:
@@ -399,7 +399,20 @@ def _int64_id(text: str) -> int:
     return value
 
 
-def _parse_record(line: str, lineno: int) -> ImpressionRecord:
+def _parse_history(text: str) -> tuple[tuple[int, int, bool], ...]:
+    history: list[tuple[int, int, bool]] = []
+    if text:
+        for triple in text.split(","):
+            i, c, l = triple.split(":")
+            history.append((_int64_id(i), _int64_id(c), bool(int(l))))
+    return tuple(history)
+
+
+def _parse_record(line: str, lineno: int,
+                  histories: dict[str, tuple]) -> ImpressionRecord:
+    """One dataset line as a record.  ``histories`` maps each history
+    field text already parsed to its tuple; a text is checked the first
+    time it is seen and shared by every later line that repeats it."""
     parts = line.split("\t")
     if len(parts) != len(DATASET_FIELDS):
         raise DatasetError(
@@ -413,11 +426,9 @@ def _parse_record(line: str, lineno: int) -> ImpressionRecord:
         ctr = float(parts[4])
         limited = bool(int(parts[5]))
         new = bool(int(parts[6]))
-        history: list[tuple[int, int, bool]] = []
-        if parts[7]:
-            for triple in parts[7].split(","):
-                i, c, l = triple.split(":")
-                history.append((_int64_id(i), _int64_id(c), bool(int(l))))
+        history = histories.get(parts[7])
+        if history is None:
+            history = histories[parts[7]] = _parse_history(parts[7])
     except (ValueError, IndexError) as exc:
         raise DatasetError(f"line {lineno}: {exc}") from exc
     if label not in (0, 1):
@@ -427,22 +438,32 @@ def _parse_record(line: str, lineno: int) -> ImpressionRecord:
     return ImpressionRecord(day=day, user_id=user_id, item_id=item_id,
                             label=label, true_ctr=ctr,
                             item_is_limited=limited, item_is_new=new,
-                            history=tuple(history))
+                            history=history)
 
 
 def write_dataset(records: Iterable[ImpressionRecord], path: str | Path) -> None:
     path = Path(path)
+    # histories repeat until the user's next click: format each once
+    histories: dict[tuple, str] = {}
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(DATASET_HEADER + "\n")
         for r in records:
-            fh.write(_format_record(r) + "\n")
+            hist = histories.get(r.history)
+            if hist is None:
+                hist = histories[r.history] = _format_history(r.history)
+            fh.write(f"{r.day}\t{r.user_id}\t{r.item_id}\t{r.label}\t"
+                     f"{r.true_ctr!r}\t{int(r.item_is_limited)}\t"
+                     f"{int(r.item_is_new)}\t{hist}\n")
 
 
 def read_dataset(path: str | Path) -> list[ImpressionRecord]:
+    """Records of a dataset file; records whose history fields are equal
+    share one history tuple."""
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"dataset file not found: {path}")
     records = []
+    histories: dict[str, tuple] = {}
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != DATASET_HEADER:
@@ -452,7 +473,7 @@ def read_dataset(path: str | Path) -> list[ImpressionRecord]:
             line = line.rstrip("\n")
             if not line:
                 continue
-            records.append(_parse_record(line, lineno))
+            records.append(_parse_record(line, lineno, histories))
     return records
 
 

@@ -30,6 +30,10 @@ N_PARTITIONS = 10
 
 GROUPS = ("overall", "new", "limited", "multi")
 
+# the note of a group whose Cal-N is reported as null
+CAL_N_NOT_FINITE = ("cal_n null: a clicked partition has PCOC 0, or so near "
+                    "0 that the error is not finite")
+
 
 class MetricsError(Exception):
     """Malformed prediction files or incompatible report inputs."""
@@ -198,9 +202,11 @@ def pcoc(predictions: Predictions) -> float | None:
 def calibration_error(pcoc_value: float) -> float:
     """Asymmetric per-partition error: pcoc-1 at or above 1, 1/pcoc-1
     below, so over- and under-prediction by the same factor score the
-    same."""
+    same.  PCOC 0 (clicks, none predicted) is an infinite error."""
     if pcoc_value >= 1.0:
         return pcoc_value - 1.0
+    if pcoc_value == 0.0:
+        return math.inf
     return 1.0 / pcoc_value - 1.0
 
 
@@ -209,7 +215,9 @@ def cal_n(predictions: Predictions,
     """Root mean square of per-partition calibration errors.
 
     Clickless partitions are excluded; the returned tuple is
-    (value or None, number of partitions counted).
+    (value or None, number of partitions counted).  The value is None
+    also when partitions were counted but their errors give no finite
+    root mean square (a partition's PCOC is 0 or nearly so).
     """
     table = _as_table(predictions)
     part = table.partition_id % n_partitions
@@ -218,7 +226,7 @@ def cal_n(predictions: Predictions,
     if not errors:
         return None, 0
     value = math.sqrt(sum(e * e for e in errors) / len(errors))
-    return value, len(errors)
+    return (value if math.isfinite(value) else None), len(errors)
 
 
 def partition_aucs(predictions: Predictions,
@@ -288,7 +296,8 @@ class MetricReport:
                            for k, v in d["groups"].items()})
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "MetricReport":
@@ -338,6 +347,7 @@ def grouped_report(predictions: Predictions,
             pcoc=pcoc(members),
             cal_n=cal,
             cal_partitions=cal_parts,
+            note=CAL_N_NOT_FINITE if cal is None and cal_parts else "",
         )
         if baseline is not None:
             base_gm = baseline.groups.get(name)
@@ -482,6 +492,8 @@ def render_report(report: MetricReport, title: str = "") -> str:
             f"{_fmt(gm.auc_std):>8}{_fmt_pct(gm.rela_impr_auc):>9}"
             f"{_fmt(gm.gauc):>9}{_fmt_pct(gm.rela_impr_gauc):>9}"
             f"{_fmt(gm.pcoc):>9}{_fmt(gm.cal_n, 5):>10}")
+        if gm.note:
+            lines.append(f"{'':<9}{gm.note}")
     interesting = ("arch", "config_hash", "dataset_hash", "baseline")
     extras = [f"{k}={report.metadata[k]}" for k in interesting
               if k in report.metadata]

@@ -11,7 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msnetlab.autodiff import (
@@ -22,6 +22,7 @@ from msnetlab.autodiff import (
     Tape,
     Tensor,
     check_gradients,
+    sigmoid,
     sum_rows_by_index,
 )
 
@@ -400,6 +401,22 @@ class TestCosineSimRows:
         tape = Tape()
         got = tape.cosine_sim_rows(Tape.constant(a), Tape.constant(b)).values
         assert np.all(got <= 1.0 + 1e-9) and np.all(got >= -1.0 - 1e-9)
+
+
+class TestSigmoid:
+    @given(st.floats(-800.0, 800.0))
+    @example(745.0)
+    @example(-745.0)
+    @example(0.0)
+    @example(-0.0)
+    @example(-1e-300)
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_path_bitwise_equals_array_path(self, z):
+        want = sigmoid(np.array([z]))[0].tobytes()
+        for x in (z, np.float64(z), np.array(z)):
+            got = sigmoid(x)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want
 
 
 class TestMatmul:

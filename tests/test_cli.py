@@ -1,6 +1,7 @@
 """CLI wiring tests: determinism, refusal semantics, exit codes, file
 formats, ablation table shape."""
 
+import hashlib
 import json
 import re
 import shutil
@@ -65,6 +66,37 @@ class TestGenerate:
             outs.append(json.loads((out / "manifest.json").read_text()))
         assert outs[0]["files"] == outs[1]["files"]
         assert outs[0]["dataset_id"] == outs[1]["dataset_id"]
+
+    # sha256 of every file ``generate`` writes for TINY at two seeds;
+    # any change to the random stream or to a written byte moves them
+    PINNED = {
+        5: {"items.tsv": "91191d51a2d86d13ab3c89c09211303e"
+                         "5fc1dfb0f65d1d6c28e42fbede8297b9",
+            "manifest.json": "7c136656dbcf23a63bbe55368c6ffad7"
+                             "fb9208ef4f218a11294eff3fe5aa7ba1",
+            "test.tsv": "93ddd9876c42b1f247343928738c3392"
+                        "28a73301cf0659c16fe7ea71007633fc",
+            "train.tsv": "1052a213b566d6759f99b115acfd7fed"
+                         "be4ba9113926ee4fb91de6afc78fefe9"},
+        17: {"items.tsv": "c1df50a52e745d7947a1b84d31e56fc6"
+                          "1c7c74ff1d795d039a4877423c1e385e",
+             "manifest.json": "8c3e86795033d2ab4c6fff590753dc31"
+                              "79ca038b2e7b5d1ff2634a03ba7946e1",
+             "test.tsv": "d292b71d9f2d3630fd19bd0a496f398a"
+                         "e9fce52a0328a30f69139418831b86f8",
+             "train.tsv": "77303a0e7f36a13dbb93dfe2e36d87b7"
+                          "ff96fd4ce963c741407f31f4038f6568"},
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_generated_bytes_pinned(self, seed, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "data"
+        assert main(["generate", "--config", str(cfg), "--out", str(out),
+                     "--seed", str(seed)]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir())}
+        assert got == self.PINNED[seed]
 
     def test_test_file_is_last_day_only(self, workspace):
         _, _, data, _ = workspace
@@ -291,6 +323,28 @@ class TestReport:
                      "--format", "machine"]) == 0
         assert capsys.readouterr().out == \
             (data / "golden.report.json").read_text()
+
+    @pytest.mark.parametrize("p", ["0.0", "5e-324"])
+    def test_cal_n_null_when_not_finite(self, p, tmp_path, capsys):
+        """A clicked partition predicted (nearly) all 0 has no finite
+        Cal-N: the report says null and why, and stays valid JSON."""
+        path = tmp_path / "p.tsv"
+        path.write_text("#predictions-v1\t" + "\t".join(PREDICTION_FIELDS)
+                        + f"\n1\t1\t{p}\t1\t0\t0\t4\n"
+                        "2\t2\t0.5\t0\t0\t0\t5\n")
+        assert main(["report", str(path), "--format", "machine"]) == 0
+
+        def refuse(constant):
+            raise AssertionError(f"not JSON: {constant}")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        groups = out["reports"]["p.tsv"]["groups"]
+        for name in ("overall", "multi"):
+            assert groups[name]["cal_n"] is None
+            assert groups[name]["cal_partitions"] == 1
+            assert "PCOC 0" in groups[name]["note"]
+        assert main(["report", str(path)]) == 0
+        assert "PCOC 0" in capsys.readouterr().out
 
     def test_single_file(self, workspace, capsys):
         _, _, _, run = workspace

@@ -15,6 +15,8 @@ from msnetlab.datagen import (
     ImpressionRecord,
     ItemSpec,
     UserSpec,
+    _category_cdf,
+    _sample_item,
     build_market,
     read_catalog,
     read_dataset,
@@ -41,12 +43,15 @@ class TestBuildMarket:
         market = build_market(cfg, seed=0)
         assert all(s.stock_count >= 2 for s in market.items.values())
 
-    def test_deterministic_serialization(self):
-        a = build_market(SMALL, seed=123).serialize_catalog()
-        b = build_market(SMALL, seed=123).serialize_catalog()
-        assert a == b
-        c = build_market(SMALL, seed=124).serialize_catalog()
-        assert a != c
+    def test_deterministic_serialization(self, tmp_path):
+        def catalog_bytes(seed, name):
+            path = tmp_path / name
+            write_catalog(build_market(SMALL, seed=seed).items, path)
+            return path.read_bytes()
+
+        a = catalog_bytes(123, "a.tsv")
+        assert a == catalog_bytes(123, "b.tsv")
+        assert a != catalog_bytes(124, "c.tsv")
 
     def test_user_preferences_unit_norm(self):
         market = build_market(SMALL, seed=3)
@@ -107,6 +112,43 @@ class TestTrueCtr:
         ctrs = [true_ctr(user, self._item(cat=0, quality=q), cfg)
                 for q in qualities]
         assert all(b >= a for a, b in zip(ctrs, ctrs[1:]))
+
+
+def choice_weights(user, config):
+    """Preference-softmax weights as ``rng.choice(n, p=w)`` takes them:
+    the oracle for the simulator's CDF draw."""
+    z = config.affinity_temperature * user.preference
+    z = z - z.max()
+    w = np.exp(z)
+    return w / w.sum()
+
+
+class TestCategoryDraw:
+    @given(pref=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=16),
+           temperature=st.floats(0.0, 50.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_cdf_draw_matches_rng_choice(self, pref, temperature, seed):
+        # with no exploration each draw takes one random() for the
+        # exploration coin, one for the category and one integer for the
+        # item; with one item per category the item id is the category,
+        # and no draw reads the market
+        n = len(pref)
+        config = GeneratorConfig(n_categories=n, exploration_rate=0.0,
+                                 affinity_temperature=temperature)
+        user = UserSpec(user_id=0, preference=np.array(pref), activity=1.0)
+        w = choice_weights(user, config)
+        cdf = _category_cdf(user, config)
+        by_cat = [[c] for c in range(n)]
+        got_rng = np.random.default_rng(seed)
+        want_rng = np.random.default_rng(seed)
+        for _ in range(20):
+            got = _sample_item(None, got_rng, cdf, by_cat, [], config)
+            want_rng.random()
+            want = int(want_rng.choice(n, p=w))
+            want_rng.integers(1)
+            assert got == want
+        assert got_rng.random() == want_rng.random()
 
 
 class TestSimulate:
@@ -221,6 +263,30 @@ class TestDatasetFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetError, match="line 17"):
             read_dataset(path)
+
+    def test_repeated_bad_history_names_first_line(self, tmp_path):
+        # the history text is parsed once per distinct value: the check
+        # still fires where the text first appears
+        records = self._records(30)
+        path = tmp_path / "bad.tsv"
+        write_dataset(records, path)
+        lines = path.read_text().splitlines()
+        for lineno in (5, 9):
+            fields = lines[lineno - 1].split("\t")
+            fields[-1] = "3:1:0,7:2"
+            lines[lineno - 1] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match=r"^line 5: "):
+            read_dataset(path)
+
+    def test_equal_histories_share_one_tuple(self, tmp_path):
+        records = self._records(1000)
+        path = tmp_path / "data.tsv"
+        write_dataset(records, path)
+        first: dict = {}
+        for r in read_dataset(path):
+            assert first.setdefault(r.history, r.history) is r.history
+        assert len(first) < len(records) // 2, "too few repeats to test"
 
     def test_missing_file_clear_error(self, tmp_path):
         with pytest.raises(DatasetError, match="not found"):

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msnetlab.metrics import (
+    CAL_N_NOT_FINITE,
     GROUPS,
     N_PARTITIONS,
     PREDICTION_FIELDS,
@@ -124,7 +125,8 @@ def loop_cal_n(records, n_partitions=N_PARTITIONS):
     errors = [calibration_error(v) for v in per_part if v is not None]
     if not errors:
         return None, 0
-    return math.sqrt(sum(e * e for e in errors) / len(errors)), len(errors)
+    value = math.sqrt(sum(e * e for e in errors) / len(errors))
+    return (value if math.isfinite(value) else None), len(errors)
 
 
 def loop_partition_aucs(records, n_partitions=N_PARTITIONS):
@@ -153,7 +155,8 @@ def loop_report_groups(records, baseline=None, n_partitions=N_PARTITIONS):
             auc_avg=float(np.mean(paucs)) if paucs else None,
             auc_std=float(np.std(paucs)) if paucs else None,
             auc_partitions=len(paucs), gauc=loop_gauc(members),
-            pcoc=loop_pcoc(members), cal_n=cal, cal_partitions=cal_parts)
+            pcoc=loop_pcoc(members), cal_n=cal, cal_partitions=cal_parts,
+            note=CAL_N_NOT_FINITE if cal is None and cal_parts else "")
         base_gm = baseline.groups.get(name) if baseline else None
         if base_gm is not None and not base_gm.absent:
             if gm.auc_avg is not None and base_gm.auc_avg is not None:
@@ -165,10 +168,10 @@ def loop_report_groups(records, baseline=None, n_partitions=N_PARTITIONS):
 
 
 INT64 = st.integers(-(2 ** 63), 2 ** 63 - 1)
-# a few values, so that ties are common, or any probability above 0: a
-# clicked partition predicted all 0 has PCOC 0 and no calibration error
-P_VALUES = st.one_of(st.sampled_from([0.1, 0.25, 0.5, 1.0]),
-                     st.floats(0.0, 1.0, exclude_min=True))
+# a few values, so that ties are common, or any probability; 0 and
+# 5e-324 give a clicked partition a Cal-N that is not finite
+P_VALUES = st.one_of(st.sampled_from([0.0, 5e-324, 0.1, 0.25, 0.5, 1.0]),
+                     st.floats(0.0, 1.0))
 PREDICTION = st.builds(
     PredictionRecord,
     user_id=st.sampled_from([-(2 ** 63 - 1), -7, -1, 0, 3, 2 ** 40,
@@ -386,6 +389,18 @@ class TestCalN:
     def test_error_symmetric_under_reciprocal(self, p):
         assert calibration_error(p) == pytest.approx(
             calibration_error(1.0 / p), rel=1e-9)
+
+    @pytest.mark.parametrize("p", [0.0, 5e-324])
+    def test_pcoc_zero_partition_gives_none(self, p):
+        # a clicked partition predicted (nearly) all 0: the error is
+        # infinite, so Cal-N has no value though a partition counted
+        assert calibration_error(0.0) == math.inf
+        value, counted = cal_n([rec(p, 1, part=4), rec(.5, 0, part=5)])
+        assert (value, counted) == (None, 1)
+        rep = grouped_report(PredictionTable.from_records(
+            [rec(p, 1, part=4), rec(.5, 0, part=5)]))
+        assert rep.groups["overall"].note == CAL_N_NOT_FINITE
+        assert "Infinity" not in rep.to_json()
 
     def test_clickless_partition_excluded(self):
         records = self._partitioned([1.0] * 9)
