@@ -18,6 +18,7 @@ of the parameter's shape.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -68,22 +69,56 @@ class ParamStore:
     sparse gradient handling.
 
     Creation order is recorded so seeded initialization is reproducible.
+    Embedding tables are arrays of their own.  Every other (dense)
+    parameter is a view into one float64 vector, ``dense``, laid out in
+    creation order, so that an optimizer can check and update all of them
+    in one pass.  Write parameter values in place: an array bound in
+    ``values`` in place of a view is not part of ``dense``.
     """
 
     def __init__(self) -> None:
         self.values: dict[str, Array] = {}
         self.embedding_names: set[str] = set()
         self._order: list[str] = []
+        self.dense = np.zeros(0, dtype=np.float64)
+        # dense parameter name -> (offset into ``dense``, shape)
+        self._slots: dict[str, tuple[int, tuple[int, ...]]] = {}
 
     def add(self, name: str, values: Array, *, embedding: bool = False) -> Array:
+        """Register a parameter; a dense one is copied into ``dense``,
+        which moves the views of the dense parameters added before it."""
         if name in self.values:
             raise AutodiffError(f"duplicate parameter name {name!r}")
         arr = np.ascontiguousarray(values, dtype=np.float64)
-        self.values[name] = arr
+        self._order.append(name)
         if embedding:
             self.embedding_names.add(name)
-        self._order.append(name)
-        return arr
+            self.values[name] = arr
+            return arr
+        self._slots[name] = (self.dense.size, arr.shape)
+        self.dense = np.concatenate([self.dense, arr.reshape(-1)])
+        self.values.update(self.dense_views(self.dense))
+        return self.values[name]
+
+    def dense_views(self, flat: Array) -> dict[str, Array]:
+        """Each dense parameter's view into ``flat``, a vector laid out
+        like ``dense``."""
+        return {name: flat[start:start + math.prod(shape)].reshape(shape)
+                for name, (start, shape) in self._slots.items()}
+
+    def flatten(self, arrays: dict[str, "Array | SparseRows"]) -> Array:
+        """One vector laid out like ``dense`` from ``arrays``, which maps
+        each dense parameter's name to an array of its shape."""
+        parts = []
+        for name, (_, shape) in self._slots.items():
+            part = arrays[name]
+            if isinstance(part, SparseRows) or np.shape(part) != shape:
+                raise AutodiffError(
+                    f"{name!r} wants an array of shape {shape}")
+            parts.append(np.reshape(part, -1))
+        if not parts:
+            return np.zeros(0, dtype=np.float64)
+        return np.concatenate(parts).astype(np.float64, copy=False)
 
     def names(self) -> list[str]:
         return list(self._order)
@@ -230,20 +265,18 @@ class Tape:
         """Row lookup ``out[i] = table[indices[i]]`` with sparse backward.
 
         Duplicate indices are legal; their output-row gradients sum into the
-        single source row.  Out-of-range indices raise, naming the index and
-        table.
+        single source row.  Out-of-range indices raise, naming the first
+        offending index and the table.  The rows are copied by ``np.take``,
+        which gives the bytes of fancy indexing at a third of its cost.
         """
         idx = np.asarray(indices, dtype=np.int64).reshape(-1)
         rows = table.values.shape[0]
-        if idx.size:
-            bad = (idx < 0) | (idx >= rows)
-            if bad.any():
-                offender = int(idx[bad][0])
-                raise AutodiffError(
-                    f"index {offender} out of range for {table_name} "
-                    f"with {rows} rows")
-        out = table.values[idx] if idx.size else np.zeros(
-            (0, table.values.shape[1]), dtype=np.float64)
+        if idx.size and (idx.min() < 0 or idx.max() >= rows):
+            offender = int(idx[(idx < 0) | (idx >= rows)][0])
+            raise AutodiffError(
+                f"index {offender} out of range for {table_name} "
+                f"with {rows} rows")
+        out = np.take(table.values, idx, axis=0)
         tnode = table.node
         if tnode is None:
             return Tensor(out, None)
@@ -471,14 +504,23 @@ class Tape:
 
         return Tensor(out, self._push(backward, "sigmoid"))
 
-    def leaky_relu(self, x: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
+    def leaky_relu(self, x: Tensor) -> Tensor:
+        """``v`` where ``v > 0``, else ``LEAKY_SLOPE * v``.
+
+        Both directions avoid a select: the forward is
+        ``maximum(v, LEAKY_SLOPE * v)``, equal to it for a slope in [0, 1],
+        and the backward multiplies by a factor that is exactly 1.0 or
+        ``LEAKY_SLOPE``, because ``(1 - LEAKY_SLOPE) + LEAKY_SLOPE`` rounds
+        to 1.0.
+        """
         v = x.values
-        out = np.where(v > 0.0, v, slope * v)
+        out = np.maximum(v, LEAKY_SLOPE * v)
         xn = x.node
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if xn is not None:
-                _accum(grads, xn, g * np.where(v > 0.0, 1.0, slope))
+                _accum(grads, xn,
+                       g * ((v > 0.0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE))
 
         return Tensor(out, self._push(backward, "leaky_relu"))
 
@@ -628,13 +670,22 @@ class Tape:
 
 
 def _merge_sparse(parts: list[tuple[Array, Array]], dim: int) -> SparseRows:
+    """One ``SparseRows`` from the (row ids, gradient rows) parts of a
+    table's gathers, with the rows of equal ids summed in part order.
+
+    The row ids are in range (``gather_rows`` checked them), so an
+    occupancy count over them gives the sorted unique ids and each id's
+    slot without sorting.
+    """
     if not parts:
         return SparseRows(np.zeros(0, dtype=np.int64),
                           np.zeros((0, dim), dtype=np.float64))
-    uniq, inverse = np.unique(np.concatenate([p[0] for p in parts]),
-                              return_inverse=True)
+    ids = np.concatenate([p[0] for p in parts])
+    occupied = np.bincount(ids) > 0
+    slot = np.cumsum(occupied) - 1
     rows = np.concatenate([p[1] for p in parts], axis=0)
-    return SparseRows(uniq, sum_rows_by_index(inverse, rows, uniq.size))
+    uniq = np.flatnonzero(occupied)
+    return SparseRows(uniq, sum_rows_by_index(slot[ids], rows, uniq.size))
 
 
 def sum_rows_by_index(indices: Array, rows: Array, n: int) -> Array:
@@ -780,8 +831,12 @@ def _fd_compare(loss_fn, params: ParamStore, grads: GradMap,
 def sigmoid(x: Array | float) -> Array | float:
     """Plain (non-taped) numerically stable sigmoid, shared by datagen.
 
-    A scalar (or 0-d array) returns a float through the same two branches
-    with numpy's scalar ``np.exp``, which gives the array path's bits;
+    Both paths compute ``1 / (1 + exp(-v))`` for ``v >= 0`` and
+    ``exp(v) / (1 + exp(v))`` otherwise.  The array path does it without
+    a select, as ``exp(min(v, 0)) / (1 + exp(-|v|))``, which is one of the
+    two forms at every point, so the bits are those of the branches.  A
+    scalar (or 0-d array) returns a float through the branches with
+    numpy's scalar ``np.exp``, which gives the array path's bits;
     ``math.exp`` would not.
     """
     if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
@@ -791,9 +846,4 @@ def sigmoid(x: Array | float) -> Array | float:
         es = np.exp(s)
         return float(es / (1.0 + es))
     v = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    return np.exp(np.minimum(v, 0.0)) / (1.0 + np.exp(-np.abs(v)))

@@ -111,6 +111,11 @@ class ExperimentConfig:
             raise CliError("E_CONFIG", f"config is not valid JSON: {exc}")
         if not isinstance(raw, dict):
             raise CliError("E_CONFIG", "config top level must be a JSON object")
+        known = [field.name for field in dataclasses.fields(cls)]
+        extra = sorted(set(raw) - set(known))
+        if extra:
+            raise CliError("E_CONFIG", f"unknown config keys {extra}; "
+                           f"the known keys are {known}")
         try:
             gen = GeneratorConfig.from_dict(raw.get("generator", {}))
             gen.validate()
@@ -638,6 +643,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ModelError,) as exc:
         print(f"error E_MODEL: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error E_MEMORY: {exc or 'out of memory'}", file=sys.stderr)
         return 2
 
 

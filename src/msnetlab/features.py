@@ -90,11 +90,19 @@ class Vocabs:
 def _scan(records: Sequence[ImpressionRecord],
           catalog: dict[int, ItemSpec]) -> Iterator[tuple]:
     """Per record, one tuple of entries: (target item id, its catalog
-    category or None), then the record's history entries."""
+    category or None), then the record's history entries, unless an
+    earlier record holds the same history object.
+
+    Skipping a repeated history drops no first-seen entry: every entry of
+    it was seen at its first record.
+    """
+    seen: set[int] = set()
     for r in records:
         spec = catalog.get(r.item_id)
-        yield ((r.item_id, None if spec is None else spec.category_id),
-               ) + tuple(r.history)
+        yield ((r.item_id, None if spec is None else spec.category_id),)
+        if id(r.history) not in seen:
+            seen.add(id(r.history))
+            yield r.history
 
 
 def build_vocab(records: Sequence[ImpressionRecord],
@@ -162,18 +170,31 @@ def encode_batch(records: Sequence[ImpressionRecord], vocabs: Vocabs,
          spec is not None, 0 if spec is None else spec.category_id)
         for r, spec in zip(records, specs)),
         dtype=np.int64, count=6 * b).reshape(b, 6)
-    histories = [r.history[:history_len] for r in records]
-    lengths = np.fromiter(map(len, histories), dtype=np.int64, count=b)
+    # records of one user share history objects, so each distinct object
+    # is encoded once, into one row of the grids, and the rows are then
+    # gathered per record; with nothing shared, the grids are the batch's
+    keys = [id(r.history) for r in records]
+    distinct = dict(zip(keys, (r.history for r in records)))
+    histories = [h[:history_len] for h in distinct.values()]
+    u = len(histories)
+    lengths = np.fromiter(map(len, histories), dtype=np.int64, count=u)
     # every kept history entry in order: item id, category, is_limited
     hist = np.fromiter(chain(chain(histories)), dtype=np.int64,
                        count=3 * int(lengths.sum())).reshape(-1, 3)
     seq_mask = np.arange(history_len) < lengths[:, None]
-    seq_item = np.zeros((b, history_len), dtype=np.int64)
+    seq_item = np.zeros((u, history_len), dtype=np.int64)
     seq_category = np.zeros_like(seq_item)
     seq_limited = np.zeros_like(seq_mask)
     seq_item[seq_mask] = vocabs.item.lookup_array(hist[:, 0])
     seq_category[seq_mask] = vocabs.category.lookup_array(hist[:, 1])
     seq_limited[seq_mask] = hist[:, 2] != 0
+    if u < b:
+        row = dict(zip(distinct, range(u)))
+        which = np.fromiter(map(row.__getitem__, keys), dtype=np.int64,
+                            count=b)
+        seq_item, seq_category, seq_mask, seq_limited = (
+            grid[which] for grid in
+            (seq_item, seq_category, seq_mask, seq_limited))
     return SampleBatch(
         target_item=vocabs.item.lookup_array(targets[:, 0]),
         target_category=np.where(

@@ -324,13 +324,29 @@ def compute_losses(tape: Tape, config: ModelConfig, batch: SampleBatch,
 
 @dataclasses.dataclass
 class AdagradState:
+    """One accumulator per parameter, by name.  The dense parameters'
+    accumulators are views into ``dense``, laid out like
+    ``ParamStore.dense`` of the parameters they belong to."""
+
     acc: dict[str, np.ndarray]
+    dense: np.ndarray
     step: int = 0
 
     @classmethod
-    def for_params(cls, params: ParamStore) -> "AdagradState":
-        return cls(acc={n: np.zeros_like(params.values[n])
-                        for n in params.names()})
+    def for_params(cls, params: ParamStore,
+                   acc: dict[str, np.ndarray] | None = None,
+                   step: int = 0) -> "AdagradState":
+        """Zero accumulators laid out for ``params``, or copies of the
+        arrays of ``acc``."""
+        dense = np.zeros_like(params.dense)
+        views = params.dense_views(dense)
+        out = {name: views[name] if name in views
+               else np.zeros_like(params.values[name])
+               for name in params.names()}
+        if acc is not None:
+            for name, values in out.items():
+                values[...] = acc[name]
+        return cls(acc=out, dense=dense, step=step)
 
 
 ADAGRAD_EPS = 1e-8
@@ -341,34 +357,39 @@ def optimizer_step(params: ParamStore, grads: GradMap, state: AdagradState,
     """Adagrad with optional accumulator decay.
 
     acc <- decay*acc + g^2 per touched entry; theta -= lr*g/(sqrt(acc)+eps).
-    Embedding rows absent from the batch are left untouched (values and
-    accumulators both).  A non-finite gradient aborts the whole step before
-    any parameter moves.
+    The dense parameters take one pass over ``params.dense`` and
+    ``state.dense``; the arithmetic per entry is that of a step per
+    parameter, so the bits are too.  Embedding rows absent from the batch
+    are left untouched (values and accumulators both).  A non-finite
+    gradient aborts the whole step before any parameter moves, naming the
+    first such parameter in creation order.
     """
-    for name in params.names():
-        g = grads[name]
-        vals = g.rows if isinstance(g, SparseRows) else g
-        if not np.isfinite(vals).all():
-            raise ModelError(f"non-finite gradient for parameter {name!r}; "
-                             "step aborted")
-    for name in params.names():
-        g = grads[name]
-        if isinstance(g, SparseRows):
-            if not g.indices.size:
-                continue
-            acc = state.acc[name][g.indices]
-            if decay != 1.0:
-                acc *= decay
-            acc += g.rows * g.rows
-            state.acc[name][g.indices] = acc
-            params.values[name][g.indices] -= \
-                lr * g.rows / (np.sqrt(acc) + ADAGRAD_EPS)
-        else:
-            acc = state.acc[name]
-            if decay != 1.0:
-                acc *= decay
-            acc += g * g
-            params.values[name] -= lr * g / (np.sqrt(acc) + ADAGRAD_EPS)
+    g = params.flatten(grads)
+    sparse = [(name, grads[name]) for name in params.names()
+              if name in params.embedding_names]
+    if not (np.isfinite(g).all()
+            and all(np.isfinite(rows.rows).all() for _, rows in sparse)):
+        for name in params.names():
+            part = grads[name]
+            if not np.isfinite(part.rows if isinstance(part, SparseRows)
+                               else part).all():
+                raise ModelError(f"non-finite gradient for parameter "
+                                 f"{name!r}; step aborted")
+    for name, rows in sparse:
+        if not rows.indices.size:
+            continue
+        acc = state.acc[name][rows.indices]
+        if decay != 1.0:
+            acc *= decay
+        acc += rows.rows * rows.rows
+        state.acc[name][rows.indices] = acc
+        params.values[name][rows.indices] -= \
+            lr * rows.rows / (np.sqrt(acc) + ADAGRAD_EPS)
+    acc = state.dense
+    if decay != 1.0:
+        acc *= decay
+    acc += g * g
+    params.dense -= lr * g / (np.sqrt(acc) + ADAGRAD_EPS)
     state.step += 1
 
 
@@ -421,7 +442,7 @@ def fit(records: Sequence[ImpressionRecord], catalog: dict[int, ItemSpec],
     full = encode_batch(records, vocabs, catalog, config.history_len)
     shuffle_rng = np.random.default_rng([config.seed, 7])
     n = full.size
-    snapshot = (params.copy(), _copy_state(state))
+    snapshot = _snapshot(params, state)
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n)
         ce_sum = aux_sum = total_sum = 0.0
@@ -450,15 +471,16 @@ def fit(records: Sequence[ImpressionRecord], catalog: dict[int, ItemSpec],
                          mean_total=total_sum / max(n_batches, 1),
                          batches=n_batches)
         result.log.append(entry)
-        snapshot = (params.copy(), _copy_state(state))
+        snapshot = _snapshot(params, state)
         if epoch_callback is not None:
             epoch_callback(epoch, result)
     return result
 
 
-def _copy_state(state: AdagradState) -> AdagradState:
-    return AdagradState(acc={k: v.copy() for k, v in state.acc.items()},
-                        step=state.step)
+def _snapshot(params: ParamStore, state: AdagradState
+              ) -> tuple[ParamStore, AdagradState]:
+    copy = params.copy()
+    return copy, AdagradState.for_params(copy, state.acc, state.step)
 
 
 def _slice_batch(full: SampleBatch, rows: np.ndarray) -> SampleBatch:
@@ -629,10 +651,10 @@ def load_checkpoint(path: str | Path,
                 f"checkpoint {path} block {name!r} is missing or not "
                 f"shaped {want}")
         params.add(name, value, embedding=name in skeleton.embedding_names)
-        acc[name] = np.array(opt, dtype=np.float64)
+        acc[name] = opt
     step = meta.get("opt_step", 0)
     if not isinstance(step, int) or isinstance(step, bool) or step < 0:
         raise CheckpointError(f"checkpoint {path} has a bad opt_step {step!r}")
-    state = AdagradState(acc=acc, step=step)
+    state = AdagradState.for_params(params, acc, step)
     return Checkpoint(params=params, opt_state=state, config=config,
                       vocabs=vocabs, meta=meta)

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 from msnetlab.autodiff import (
     AutodiffError,
     COSINE_EPS,
+    LEAKY_SLOPE,
     ParamStore,
     SparseRows,
     Tape,
     Tensor,
+    _merge_sparse,
     check_gradients,
     sigmoid,
     sum_rows_by_index,
@@ -718,3 +720,180 @@ class TestNormRatioBlend:
             Tape.constant(rng.normal(scale=3.0, size=(n, d))),
             Tape.constant(rng.normal(scale=3.0, size=(n, d))))
         assert np.all(v.values >= 0.0) and np.all(v.values <= 1.0)
+
+
+# ----------------------------------------------------------------------
+# Bitwise oracles: the select, fancy-index and sort forms of the kernels
+# that now run without them.
+
+
+def where_sigmoid(v):
+    """Two-branch sigmoid: a boolean mask picks the form per entry."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def where_leaky_relu(v, g):
+    """``np.where`` leaky rectifier: (forward, backward of upstream g)."""
+    return (np.where(v > 0.0, v, LEAKY_SLOPE * v),
+            g * np.where(v > 0.0, 1.0, LEAKY_SLOPE))
+
+
+def fancy_gather(table, idx):
+    """Masked range check naming the first bad index, then fancy index."""
+    rows = table.shape[0]
+    bad = (idx < 0) | (idx >= rows)
+    if bad.any():
+        return int(idx[bad][0])
+    return table[idx] if idx.size else np.zeros((0, table.shape[1]))
+
+
+def unique_merge(parts, dim):
+    """Sparse merge through ``np.unique``'s sort."""
+    if not parts:
+        return np.zeros(0, dtype=np.int64), np.zeros((0, dim))
+    uniq, inverse = np.unique(np.concatenate([p[0] for p in parts]),
+                              return_inverse=True)
+    rows = np.concatenate([p[1] for p in parts], axis=0)
+    return uniq, sum_rows_by_index(inverse, rows, uniq.size)
+
+
+EDGE_FLOATS = [0.0, -0.0, 745.0, -745.0, 5e-324, -5e-324, math.inf, -math.inf]
+FLOATS = st.one_of(st.floats(-800.0, 800.0), st.sampled_from(EDGE_FLOATS),
+                   st.floats(allow_nan=False))
+VECTORS = st.lists(FLOATS, max_size=40).map(np.array)
+
+
+class TestKernelsMatchOracles:
+    @given(VECTORS)
+    @example(np.array(EDGE_FLOATS))
+    @settings(max_examples=300, deadline=None)
+    def test_sigmoid(self, v):
+        v = v.astype(np.float64)
+        want = where_sigmoid(v)
+        assert sigmoid(v).tobytes() == want.tobytes()
+        assert Tape().sigmoid(Tape.constant(v)).values.tobytes() == \
+            want.tobytes()
+
+    # huge and infinite entries overflow the loss or make it NaN; only
+    # the kernel's output and gradient count here
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(VECTORS, st.integers(0, 2 ** 31 - 1))
+    @example(np.array(EDGE_FLOATS), 0)
+    @settings(max_examples=300, deadline=None)
+    def test_leaky_relu_forward_and_backward(self, v, seed):
+        v = v.astype(np.float64)
+        g = np.random.default_rng(seed).normal(size=v.shape) * 1e3
+        params = ParamStore()
+        params.add("x", v)
+        tape = Tape(params)
+        out = tape.leaky_relu(tape.param("x"))
+        grads = tape.backward(tape.sum_all(tape.mul(out, Tape.constant(g))))
+        want_out, want_grad = where_leaky_relu(v, g)
+        assert out.values.tobytes() == want_out.tobytes()
+        assert grads["x"].tobytes() == want_grad.tobytes()
+
+    @given(st.integers(1, 9), st.integers(1, 4),
+           st.lists(st.integers(-3, 12), max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_gather_rows(self, rows, dim, indices):
+        table = np.random.default_rng(rows).normal(size=(rows, dim))
+        idx = np.array(indices, dtype=np.int64)
+        want = fancy_gather(table, idx)
+        if isinstance(want, int):
+            with pytest.raises(AutodiffError,
+                               match=f"^index {want} out of range for t "):
+                Tape().gather_rows(Tape.constant(table), idx, "t")
+            return
+        got = Tape().gather_rows(Tape.constant(table), idx, "t").values
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_merge_sparse(self, seed):
+        # few rows, so ids repeat within and across parts; magnitudes
+        # spread over 24 decades, so any change in the order of addition
+        # changes the bits
+        rng = np.random.default_rng(seed)
+        dim, rows = int(rng.integers(1, 4)), int(rng.integers(1, 10))
+        parts = []
+        for _ in range(int(rng.integers(0, 5))):
+            n = int(rng.integers(0, 8))
+            parts.append((rng.integers(0, rows, size=n),
+                          rng.normal(size=(n, dim))
+                          * 10.0 ** rng.integers(-12, 12, size=(n, dim))))
+        got = _merge_sparse(parts, dim)
+        want_idx, want_rows = unique_merge(parts, dim)
+        assert got.indices.dtype == want_idx.dtype
+        assert got.indices.tobytes() == want_idx.tobytes()
+        assert got.rows.shape == want_rows.shape
+        assert got.rows.tobytes() == want_rows.tobytes()
+
+
+class TestFlatStore:
+    def test_dense_params_are_views_of_one_vector(self):
+        params = ParamStore()
+        params.add("a", np.arange(6.0).reshape(2, 3))
+        params.add("t", np.ones((3, 2)), embedding=True)
+        params.add("b", np.array([7.0]))
+        params.add("empty", np.zeros((0, 4)))
+        np.testing.assert_array_equal(params.dense, [0, 1, 2, 3, 4, 5, 7])
+        for name in ("a", "b", "empty"):
+            assert np.shares_memory(params.values[name], params.dense) or \
+                not params.values[name].size
+        assert not np.shares_memory(params.values["t"], params.dense)
+        params.values["a"][1, 2] = -1.0
+        assert params.dense[5] == -1.0
+
+    def test_copy_is_independent(self):
+        params = ParamStore()
+        params.add("t", np.ones((3, 2)), embedding=True)
+        params.add("w", np.arange(4.0))
+        other = params.copy()
+        assert other.names() == params.names()
+        assert other.embedding_names == params.embedding_names
+        other.values["w"][0] = 9.0
+        other.values["t"][1, 1] = 9.0
+        params.dense += 1.0
+        np.testing.assert_array_equal(params.values["w"], [1, 2, 3, 4])
+        np.testing.assert_array_equal(params.values["t"], np.ones((3, 2)))
+        np.testing.assert_array_equal(other.values["w"], [9, 1, 2, 3])
+        np.testing.assert_array_equal(other.dense, [9, 1, 2, 3])
+        assert other.values["t"][1, 1] == 9.0
+
+    def test_flatten_refuses_misshapen_gradient(self):
+        params = ParamStore()
+        params.add("w", np.zeros((2, 3)))
+        with pytest.raises(AutodiffError, match="'w'.*shape"):
+            params.flatten({"w": np.zeros((3, 2))})
+
+    def test_check_gradients_perturbs_live_values(self):
+        rng = np.random.default_rng(3)
+        params = ParamStore()
+        params.add("w", rng.normal(size=(3, 2)))
+        params.add("b", rng.normal(size=2))
+        x = rng.normal(size=(4, 3))
+        start = params.dense.copy()
+        seen = []
+
+        def loss_fn():
+            seen.append(params.dense.copy())
+            tape = Tape(params)
+            h = tape.add_bias(tape.matmul(Tape.constant(x), tape.param("w")),
+                              tape.param("b"))
+            return tape, tape.sum_all(tape.mul(h, h))
+
+        report = check_gradients(loss_fn, params, h=1e-6, tol=1e-6)
+        assert report.ok() and not any(c.blocked
+                                       for c in report.checks.values())
+        # each difference pass moved exactly one entry of the flat vector
+        moved = [np.flatnonzero(s != start) for s in seen[1:]]
+        assert len(moved) == 2 * start.size
+        assert all(m.size == 1 for m in moved)
+        assert sorted({int(m[0]) for m in moved}) == list(range(start.size))
+        assert params.dense.tobytes() == start.tobytes()

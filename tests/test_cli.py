@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import msnetlab.model
 from msnetlab.autodiff import ParamStore
 from msnetlab.cli import main
 from msnetlab.datagen import read_dataset
@@ -511,6 +512,8 @@ MALFORMED_INPUTS = {
         tmp / "cfg.json", json.dumps({"model": {"learning_rate": -1}}))),
     "config_zero_logit_clamp": ("E_CONFIG", lambda ws, tmp: _config_text(
         tmp / "cfg.json", json.dumps({"model": {"logit_clamp": 0}}))),
+    "config_unknown_top_level_key": ("E_CONFIG", lambda ws, tmp: _config_text(
+        tmp / "cfg.json", json.dumps({"modle": {"epochs": 3}}))),
     "manifest_not_json": ("E_FORMAT", lambda ws, tmp: _data_copy(
         ws, tmp, lambda d: (d / "manifest.json").write_text("{corrupt"))),
     "train_file_missing": ("E_FORMAT", lambda ws, tmp: _data_copy(
@@ -588,3 +591,21 @@ def test_malformed_input_one_error_line(case, workspace, tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and re.match(r"^error E_[A-Z_]+: ", lines[0])
     assert lines[0].startswith(f"error {code}: ")
+
+
+def test_memory_error_is_one_error_line(workspace, tmp_path, capsys,
+                                        monkeypatch):
+    # an allocation the host refuses, raised where a huge history_len
+    # fails; a real one would depend on the host's overcommit policy
+    message = ("Unable to allocate 14.6 TiB for an array with shape "
+               "(100000000000, 20) and data type int64")
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(msnetlab.model, "encode_batch", exhausted)
+    _, cfg, data, _ = workspace
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--arch", "msnet", "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error E_MEMORY: {message}"]

@@ -175,8 +175,32 @@ CATALOG = st.dictionaries(IDS, IDS).map(
     lambda d: {k: item_spec(k, cat=c) for k, c in d.items()})
 
 
+@st.composite
+def shared_history_records(draw, min_size=0, max_size=12):
+    """Records whose histories come from a small pool, as in a simulated
+    or read log: some records share one history object, others hold an
+    equal but distinct tuple."""
+    pool = draw(st.lists(st.lists(ENTRY, max_size=8).map(tuple),
+                         min_size=1, max_size=3))
+    records = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        history = pool[draw(st.integers(0, len(pool) - 1))]
+        if draw(st.booleans()):
+            history = tuple(list(history))
+        records.append(make_record(draw(IDS), history,
+                                   label=draw(st.integers(0, 1)),
+                                   limited=draw(st.booleans()),
+                                   new=draw(st.booleans())))
+    return records
+
+
+def record_lists(min_size=0, max_size=12):
+    return st.one_of(st.lists(RECORD, min_size=min_size, max_size=max_size),
+                     shared_history_records(min_size, max_size))
+
+
 class TestArrayEncodingMatchesLoops:
-    @given(st.lists(RECORD, min_size=1, max_size=12), CATALOG)
+    @given(record_lists(min_size=1), CATALOG)
     @settings(max_examples=150, deadline=None)
     def test_build_vocab(self, records, catalog):
         got = build_vocab(records, catalog)
@@ -185,8 +209,7 @@ class TestArrayEncodingMatchesLoops:
             assert a == b
             assert a.ordered_values() == b.ordered_values()
 
-    @given(st.lists(RECORD, max_size=12), st.lists(RECORD, min_size=1,
-                                                   max_size=6),
+    @given(record_lists(), record_lists(min_size=1, max_size=6),
            CATALOG, st.integers(1, 6))
     @settings(max_examples=150, deadline=None)
     def test_encode_batch(self, records, vocab_records, catalog, history_len):

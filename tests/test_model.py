@@ -5,6 +5,7 @@ hand arithmetic written out in the tests."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -419,6 +420,102 @@ class TestOptimizer:
         assert state.step == 0
 
 
+def loop_optimizer_step(values, acc, grads, lr, decay):
+    """Per-parameter Adagrad over plain dicts: every gradient checked,
+    then one update per parameter in name order."""
+    for name in values:
+        g = grads[name]
+        if not np.isfinite(g.rows if isinstance(g, SparseRows) else g).all():
+            raise ModelError(f"non-finite gradient for parameter {name!r}; "
+                             "step aborted")
+    for name in values:
+        g = grads[name]
+        if isinstance(g, SparseRows):
+            if not g.indices.size:
+                continue
+            a = acc[name][g.indices]
+            if decay != 1.0:
+                a *= decay
+            a += g.rows * g.rows
+            acc[name][g.indices] = a
+            values[name][g.indices] -= lr * g.rows / (np.sqrt(a) + 1e-8)
+        else:
+            if decay != 1.0:
+                acc[name] *= decay
+            acc[name] += g * g
+            values[name] -= lr * g / (np.sqrt(acc[name]) + 1e-8)
+
+
+DENSE_SHAPES = [(), (1,), (3,), (2, 3), (0, 3), (4, 1)]
+
+
+class TestFlatAdagrad:
+    @given(st.integers(0, 2 ** 31 - 1),
+           st.sampled_from([1.0, 0.5, 0.9, 1e-3]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_parameter_loop(self, seed, decay):
+        rng = np.random.default_rng(seed)
+        params = ParamStore()
+        for i in range(int(rng.integers(1, 7))):
+            if rng.random() < 0.3:
+                params.add(f"t{i}", rng.normal(size=(int(rng.integers(1, 6)),
+                                                     int(rng.integers(1, 4)))),
+                           embedding=True)
+            else:
+                shape = DENSE_SHAPES[int(rng.integers(len(DENSE_SHAPES)))]
+                params.add(f"d{i}", rng.normal(size=shape))
+        state = AdagradState.for_params(params)
+        values = {n: params.values[n].copy() for n in params.names()}
+        acc = {n: np.zeros_like(v) for n, v in values.items()}
+        for _ in range(3):
+            grads = {}
+            for name, v in values.items():
+                if name in params.embedding_names:
+                    rows = np.flatnonzero(rng.random(v.shape[0]) < 0.5)
+                    g = rng.normal(size=(rows.size, v.shape[1]))
+                else:
+                    # zero gradients stand for parameters off the loss path
+                    g = rng.normal(size=v.shape) * (rng.random() < 0.8)
+                g = g * 10.0 ** rng.integers(-8, 8, size=g.shape)
+                g[rng.random(g.shape) < 0.1] = -0.0
+                if rng.random() < 0.05 and g.size:
+                    g.reshape(-1)[0] = rng.choice([np.nan, np.inf, -np.inf])
+                grads[name] = (SparseRows(rows, g)
+                               if name in params.embedding_names else g)
+            lr = float(rng.choice([0.0, 1e-2, 0.5]))
+            try:
+                loop_optimizer_step(values, acc, grads, lr, decay)
+            except ModelError as exc:
+                with pytest.raises(ModelError, match=re.escape(str(exc))):
+                    optimizer_step(params, grads, state, lr, decay)
+            else:
+                optimizer_step(params, grads, state, lr, decay)
+            for name in params.names():
+                assert params.values[name].tobytes() == values[name].tobytes()
+                assert state.acc[name].tobytes() == acc[name].tobytes()
+        for name in params.names():
+            assert np.shares_memory(state.acc[name], state.dense) == \
+                (name not in params.embedding_names and acc[name].size > 0)
+
+    def test_parameter_off_the_loss_path_keeps_its_bits(self):
+        params = ParamStore()
+        params.add("table", np.ones((3, 2)), embedding=True)
+        params.add("used", np.array([0.5, -1.0]))
+        params.add("unused", np.array([[-0.0, 3.0], [1e-300, -2.0]]))
+        state = AdagradState.for_params(params)
+        state.acc["unused"][:] = [[0.25, 0.0], [4.0, 1e-12]]
+        before = (params.values["unused"].tobytes(),
+                  state.acc["unused"].tobytes())
+        for _ in range(3):
+            tape = Tape(params)
+            used = tape.param("used")
+            grads = tape.backward(tape.sum_all(tape.mul(used, used)))
+            optimizer_step(params, grads, state, lr=0.1)
+        assert (params.values["unused"].tobytes(),
+                state.acc["unused"].tobytes()) == before
+        assert state.acc["used"].min() > 0.0
+
+
 def tiny_training_setup(seed=0, n=400):
     cfg = GeneratorConfig(n_users=60, n_items=400, days=4,
                           new_items_per_day=30,
@@ -562,8 +659,24 @@ class TestCheckpoint:
         assert ck.meta["dataset_hash"] == "abc123"
         a = predict(r.params, cfg, test[:64], r.vocabs, market.items)
         b = predict(ck.params, ck.config, test[:64], ck.vocabs, market.items)
-        assert [x.p for x in a] == [x.p for x in b]
+        assert a.p.tobytes() == b.p.tobytes()
         assert ck.opt_state.step == r.opt_state.step
+        assert ck.params.dense.tobytes() == r.params.dense.tobytes()
+        assert ck.opt_state.dense.tobytes() == r.opt_state.dense.tobytes()
+        # a step after loading moves parameters and accumulators as the
+        # same step on the in-memory model does
+        grads = {n: (SparseRows(np.array([0, 2]), np.full((2, v.shape[1]),
+                                                          0.5))
+                     if n in r.params.embedding_names else np.full(v.shape,
+                                                                   -0.25))
+                 for n, v in r.params.values.items()}
+        for run in (r, ck):
+            optimizer_step(run.params, grads, run.opt_state, lr=0.1)
+        for name in r.params.names():
+            assert ck.params.values[name].tobytes() == \
+                r.params.values[name].tobytes()
+            assert ck.opt_state.acc[name].tobytes() == \
+                r.opt_state.acc[name].tobytes()
 
     def test_truncated_file_integrity_error(self, tmp_path):
         _, _, _, _, path = self._trained(tmp_path)
