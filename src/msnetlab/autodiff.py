@@ -450,7 +450,9 @@ class Tape:
         ``seg`` [P]; ``seg`` must be nondecreasing.
 
         Stabilized by the per-segment column max.  The backward is
-        ``y * (g - segsum(g * y)[seg])``.
+        ``y * (g - segsum(g * y)[seg])``.  Per-segment rows are widened to
+        their runs by ``np.take``, the bytes of fancy indexing at a fraction
+        of its cost.
         """
         v = x.values
         if v.ndim != 2:
@@ -458,14 +460,15 @@ class Tape:
         starts, run = _segment_runs(seg, v.shape[0], "segment_softmax")
         out = np.zeros_like(v)
         if starts.size:
-            e = np.exp(v - np.maximum.reduceat(v, starts, axis=0)[run])
-            out = e / np.add.reduceat(e, starts, axis=0)[run]
+            e = np.exp(v - np.take(np.maximum.reduceat(v, starts, axis=0),
+                                   run, axis=0))
+            out = e / np.take(np.add.reduceat(e, starts, axis=0), run, axis=0)
         xn = x.node
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if xn is not None and starts.size:
                 inner = np.add.reduceat(g * out, starts, axis=0)
-                _accum(grads, xn, out * (g - inner[run]))
+                _accum(grads, xn, out * (g - np.take(inner, run, axis=0)))
 
         return Tensor(out, self._push(backward, "segment_softmax"))
 
@@ -490,7 +493,7 @@ class Tape:
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if xn is not None:
-                _accum(grads, xn, g[idx])
+                _accum(grads, xn, np.take(g, idx, axis=0))
 
         return Tensor(out, self._push(backward, "segment_sum"))
 

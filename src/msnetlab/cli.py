@@ -103,11 +103,13 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
-        if not path.exists():
+        if not path.is_file():
             raise CliError("E_NOT_FOUND", f"config file not found: {path}")
         try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        # ValueError covers undecodable bytes and integers past int()'s
+        # digit limit; RecursionError, nesting past the parser's depth
+        except (ValueError, RecursionError) as exc:
             raise CliError("E_CONFIG", f"config is not valid JSON: {exc}")
         if not isinstance(raw, dict):
             raise CliError("E_CONFIG", "config top level must be a JSON object")

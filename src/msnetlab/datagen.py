@@ -19,9 +19,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import math
+import operator
+import sys
+import warnings
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -58,7 +62,9 @@ def _json_type_ok(value: object, default: object) -> bool:
     if isinstance(default, bool) or isinstance(value, bool):
         return isinstance(default, bool) and isinstance(value, bool)
     if isinstance(default, float):
-        return is_number(value)
+        # an integer past the float range would raise in the arithmetic
+        return is_number(value) and not (
+            isinstance(value, int) and abs(value) > sys.float_info.max)
     return isinstance(value, type(default))
 
 
@@ -186,9 +192,142 @@ class ImpressionRecord:
     history: tuple[tuple[int, int, bool], ...]
 
 
+# the scalar columns of an ImpressionTable and their dtypes; ``history``
+# is the int64 column of store indices
+_SCALAR_FIELDS = DATASET_FIELDS[:-1]
+_SCALAR_DTYPES = (np.int64, np.int64, np.int64, np.int64, np.float64, bool,
+                  bool)
+
+
+@dataclasses.dataclass(eq=False)
+class ImpressionTable:
+    """Impressions as aligned columns, one row per impression.
+
+    ``history`` indexes a flat store of distinct histories: history ``u``
+    holds entries ``hist_offsets[u]:hist_offsets[u + 1]`` of the three
+    ``hist_*`` columns, most recent first.  A slice or a boolean mask
+    selects a table that shares the store, an integer index gives one
+    ``ImpressionRecord``, iterating yields records in row order, and
+    ``a + b`` concatenates.  Each history tuple a record carries is built
+    once per store and shared by every row that holds that history.
+    """
+    day: np.ndarray              # int64
+    user_id: np.ndarray          # int64
+    item_id: np.ndarray          # int64
+    label: np.ndarray            # int64
+    true_ctr: np.ndarray         # float64
+    item_is_limited: np.ndarray  # bool
+    item_is_new: np.ndarray      # bool
+    history: np.ndarray          # int64, index into the store
+    hist_offsets: np.ndarray     # [U + 1] int64
+    hist_item: np.ndarray        # int64
+    hist_category: np.ndarray    # int64
+    hist_limited: np.ndarray     # bool
+    # the store's history tuples, filled on first use; tables sharing the
+    # store share this list
+    _tuples: list = dataclasses.field(default_factory=list, repr=False)
+
+    @classmethod
+    def from_records(cls, records: Iterable[ImpressionRecord]
+                     ) -> "ImpressionTable":
+        """Columns of ``records``; equal histories share one store entry."""
+        records = list(records)
+        index: dict[tuple, int] = {}
+        history = [index.setdefault(r.history, len(index)) for r in records]
+        entries = [e for h in index for e in h]
+        return cls(*(np.array([getattr(r, f) for r in records], dtype=dtype)
+                     for f, dtype in zip(_SCALAR_FIELDS, _SCALAR_DTYPES)),
+                   history=np.array(history, dtype=np.int64),
+                   hist_offsets=np.cumsum([0, *map(len, index)],
+                                          dtype=np.int64),
+                   hist_item=np.array([e[0] for e in entries], dtype=np.int64),
+                   hist_category=np.array([e[1] for e in entries],
+                                          dtype=np.int64),
+                   hist_limited=np.array([e[2] for e in entries], dtype=bool))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The eight row columns, in ``DATASET_FIELDS`` order."""
+        return tuple(getattr(self, f) for f in DATASET_FIELDS)
+
+    def _store(self) -> dict:
+        return {"hist_offsets": self.hist_offsets, "hist_item": self.hist_item,
+                "hist_category": self.hist_category,
+                "hist_limited": self.hist_limited, "_tuples": self._tuples}
+
+    def history_tuples(self) -> list[tuple[tuple[int, int, bool], ...]]:
+        """One tuple per history of the store, built on first use."""
+        if not self._tuples:
+            entries = list(zip(self.hist_item.tolist(),
+                               self.hist_category.tolist(),
+                               self.hist_limited.tolist()))
+            bounds = self.hist_offsets.tolist()
+            self._tuples.extend(tuple(entries[a:b])
+                                for a, b in zip(bounds, bounds[1:]))
+        return self._tuples
+
+    def history_entries(self, histories: np.ndarray, limit: int | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """Store indices of the entries of ``histories``, concatenated in
+        order, each history cut to its first ``limit`` entries; and the
+        number kept of each."""
+        starts = self.hist_offsets[histories]
+        lengths = self.hist_offsets[histories + 1] - starts
+        if limit is not None:
+            lengths = np.minimum(lengths, limit)
+        ends = np.cumsum(lengths)
+        shift = np.repeat(starts - (ends - lengths), lengths)
+        return np.arange(shift.size) + shift, lengths
+
+    def __len__(self) -> int:
+        return len(self.day)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            row = [c[index].item() for c in self.columns()]
+            row[-1] = self.history_tuples()[row[-1]]
+            return ImpressionRecord(*row)
+        return ImpressionTable(*(c[index] for c in self.columns()),
+                               **self._store())
+
+    def __iter__(self):
+        tuples = self.history_tuples()
+        rows = zip(*(c.tolist() for c in self.columns()[:-1]),
+                   map(tuples.__getitem__, self.history.tolist()))
+        for row in rows:
+            yield ImpressionRecord(*row)
+
+    def __add__(self, other: "ImpressionTable") -> "ImpressionTable":
+        if not isinstance(other, ImpressionTable):
+            return NotImplemented
+        scalars = [np.concatenate([a, b]) for a, b in
+                   zip(self.columns()[:-1], other.columns()[:-1])]
+        if other.hist_offsets is self.hist_offsets:
+            return ImpressionTable(
+                *scalars, np.concatenate([self.history, other.history]),
+                **self._store())
+        n_self = len(self.hist_offsets) - 1
+        return ImpressionTable(
+            *scalars, np.concatenate([self.history, other.history + n_self]),
+            hist_offsets=np.concatenate(
+                [self.hist_offsets,
+                 other.hist_offsets[1:] + self.hist_offsets[-1]]),
+            **{f: np.concatenate([getattr(self, f), getattr(other, f)])
+               for f in ("hist_item", "hist_category", "hist_limited")})
+
+
+Impressions = ImpressionTable | Sequence[ImpressionRecord]
+
+
+def as_table(records: Impressions) -> ImpressionTable:
+    """``records`` as a table; a list is converted once."""
+    if isinstance(records, ImpressionTable):
+        return records
+    return ImpressionTable.from_records(records)
+
+
 @dataclasses.dataclass
 class SimulationResult:
-    records: list[ImpressionRecord]
+    records: ImpressionTable
     metadata: dict
 
 
@@ -286,14 +425,18 @@ def simulate(market: MarketState, days: int) -> SimulationResult:
         raise DatasetError("days must be >= 1")
     config = market.config
     rng = market.rng
-    records: list[ImpressionRecord] = []
+    columns: tuple[list, ...] = tuple([] for _ in DATASET_FIELDS)
+    (day_col, user_col, item_col, label_col, ctr_col, limited_col, new_col,
+     history_col) = columns
+    # the store of distinct histories: a user's history changes only on
+    # that user's click, so a new entry starts at the user's first
+    # impression after a click (or after the start)
+    entries: list[tuple[int, int, bool]] = []
+    offsets = [0]
+    current: dict[int, int | None] = dict.fromkeys(market.histories)
     empty_days = 0
 
     cat_cdfs = {u.user_id: _category_cdf(u, config) for u in market.users}
-    # a user's history tuple changes only on that user's click, so one
-    # tuple serves every impression in between
-    hist_views = {uid: tuple(h[:config.history_max])
-                  for uid, h in market.histories.items()}
 
     for day in range(market.day + 1, market.day + days + 1):
         for _ in range(config.new_items_per_day):
@@ -313,8 +456,9 @@ def simulate(market: MarketState, days: int) -> SimulationResult:
         for user in market.users:
             if day_cut_short:
                 break
+            uid = user.user_id
             n_impr = int(round(user.activity))
-            cdf = cat_cdfs[user.user_id]
+            cdf = cat_cdfs[uid]
             for _ in range(n_impr):
                 if not market.live:
                     day_cut_short = True
@@ -327,19 +471,26 @@ def simulate(market: MarketState, days: int) -> SimulationResult:
                 item = market.items[item_id]
                 p = true_ctr(user, item, config)
                 label = int(rng.random() < p)
-                record = ImpressionRecord(
-                    day=day, user_id=user.user_id, item_id=item_id,
-                    label=label, true_ctr=p,
-                    item_is_limited=item.is_limited,
-                    item_is_new=(day - item.created_day) <= NEW_ITEM_MAX_AGE_DAYS,
-                    history=hist_views[user.user_id])
-                records.append(record)
+                history = current[uid]
+                if history is None:
+                    history = current[uid] = len(offsets) - 1
+                    entries += market.histories[uid][:config.history_max]
+                    offsets.append(len(entries))
+                day_col.append(day)
+                user_col.append(uid)
+                item_col.append(item_id)
+                label_col.append(label)
+                ctr_col.append(p)
+                limited_col.append(item.is_limited)
+                new_col.append(
+                    (day - item.created_day) <= NEW_ITEM_MAX_AGE_DAYS)
+                history_col.append(history)
                 if label:
-                    hist = market.histories[user.user_id]
+                    hist = market.histories[uid]
                     hist.insert(0, (item_id, item.category_id, item.is_limited))
                     if len(hist) > 4 * config.history_max:
                         del hist[4 * config.history_max:]
-                    hist_views[user.user_id] = tuple(hist[:config.history_max])
+                    current[uid] = None
                     if rng.random() < config.purchase_given_click:
                         market.remaining[item_id] -= 1
                         if market.remaining[item_id] <= 0:
@@ -349,6 +500,13 @@ def simulate(market: MarketState, days: int) -> SimulationResult:
             empty_days += 1
         market.day = day
 
+    hist_item, hist_category, hist_limited = \
+        np.array(entries, dtype=np.int64).reshape(-1, 3).T.copy()
+    records = ImpressionTable(
+        *(np.array(c, dtype=dtype) for c, dtype in
+          zip(columns, _SCALAR_DTYPES + (np.int64,))),
+        hist_offsets=np.array(offsets, dtype=np.int64), hist_item=hist_item,
+        hist_category=hist_category, hist_limited=hist_limited != 0)
     meta = {
         "days_simulated": days,
         "records": len(records),
@@ -387,15 +545,18 @@ def _sample_item(market: MarketState, rng: np.random.Generator,
 # ----------------------------------------------------------------------
 # dataset files
 
+# the bulk parse reads the flags as integers, as the per-line parser's
+# bool(int(text)) does
+_SCALAR_ROW = np.dtype([(f, np.float64 if f == "true_ctr" else np.int64)
+                        for f in _SCALAR_FIELDS])
+# blanks that numpy's number parser skips and int() and float() refuse
+_NUMPY_ONLY_BLANKS = "\x1c\x1d\x1e\x1f"
 
-def _format_history(history: tuple[tuple[int, int, bool], ...]) -> str:
-    return ",".join(f"{i}:{c}:{int(l)}" for i, c, l in history)
 
-
-def _int64_id(text: str) -> int:
+def _int64_id(text: str, what: str = "id") -> int:
     value = int(text)
     if not INT64_MIN <= value <= INT64_MAX:
-        raise ValueError(f"id {value} outside int64")
+        raise ValueError(f"{what} {value} outside int64")
     return value
 
 
@@ -419,7 +580,7 @@ def _parse_record(line: str, lineno: int,
             f"line {lineno}: expected {len(DATASET_FIELDS)} fields, "
             f"got {len(parts)}")
     try:
-        day = int(parts[0])
+        day = _int64_id(parts[0], "day")
         user_id = _int64_id(parts[1])
         item_id = _int64_id(parts[2])
         label = int(parts[3])
@@ -441,40 +602,111 @@ def _parse_record(line: str, lineno: int,
                             history=history)
 
 
-def write_dataset(records: Iterable[ImpressionRecord], path: str | Path) -> None:
+def _parse_lines(body: str) -> ImpressionTable:
+    """A dataset body, one ``_parse_record`` per line: raises the
+    DatasetError of the first bad line."""
+    histories: dict[str, tuple] = {}
+    return ImpressionTable.from_records(
+        _parse_record(line, lineno, histories)
+        for lineno, line in enumerate(body.split("\n"), start=2) if line)
+
+
+def _count_entries(history: str) -> int:
+    return history.count(",") + 1 if history else 0
+
+
+def _parse_columns(body: str) -> ImpressionTable:
+    """A dataset body in bulk: one ``np.loadtxt`` for the scalar fields,
+    one for the entries of the distinct history texts.  Raises ValueError
+    for any body it cannot read exactly as ``_parse_lines`` does; it
+    accepts a subset of what that accepts, with the same values."""
+    if not body.isascii() or any(c in body for c in _NUMPY_ONLY_BLANKS):
+        raise ValueError("characters numpy and Python read differently")
+    lines = list(filter(None, body.split("\n")))
+    tabs = len(DATASET_FIELDS) - 1
+    if set(map(str.count, lines, itertools.repeat("\t"))) - {tabs}:
+        raise ValueError("a line without eight fields")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a body without rows
+        rows = np.loadtxt(lines, dtype=_SCALAR_ROW, delimiter="\t",
+                          comments=None, usecols=range(tabs), ndmin=1)
+    ctr = rows["true_ctr"]
+    if not (((rows["label"] == 0) | (rows["label"] == 1)).all()
+            and ((ctr > 0.0) & (ctr < 1.0)).all()):
+        raise ValueError("a label or true_ctr out of range")
+    texts = list(map(operator.itemgetter(2),
+                     map(str.rpartition, lines, itertools.repeat("\t"))))
+    index = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    flat = ",".join(filter(None, index))
+    entries = flat.split(",") if flat else []
+    store = np.loadtxt(entries, dtype=np.int64, delimiter=":", comments=None,
+                       ndmin=2) if entries else np.empty((0, 3), np.int64)
+    # loadtxt skips empty entries, so a row count short of theirs is one
+    if store.shape != (len(entries), 3):
+        raise ValueError("a history entry without three fields")
+    return ImpressionTable(
+        *(np.ascontiguousarray(rows[f], dtype=dtype)
+          for f, dtype in zip(_SCALAR_FIELDS, _SCALAR_DTYPES)),
+        history=np.fromiter(map(index.__getitem__, texts), np.int64,
+                            len(texts)),
+        hist_offsets=np.cumsum([0, *map(_count_entries, index)],
+                               dtype=np.int64),
+        hist_item=store[:, 0].copy(), hist_category=store[:, 1].copy(),
+        hist_limited=store[:, 2] != 0)
+
+
+def _history_texts(table: ImpressionTable) -> dict[int, str]:
+    """The dataset text of each history some row of ``table`` holds, by
+    store index."""
+    used = np.unique(table.history)
+    idx, lengths = table.history_entries(used)
+    entries = [f"{i}:{c}:{l}" for i, c, l in zip(
+        table.hist_item[idx].tolist(), table.hist_category[idx].tolist(),
+        table.hist_limited[idx].astype(np.int64).tolist())]
+    ends = np.cumsum(lengths).tolist()
+    return dict(zip(used.tolist(), (",".join(entries[a:b]) for a, b in
+                                    zip([0, *ends], ends))))
+
+
+def write_dataset(records: Impressions, path: str | Path) -> None:
+    table = as_table(records)
     path = Path(path)
     # histories repeat until the user's next click: format each once
-    histories: dict[tuple, str] = {}
+    texts = _history_texts(table)
+    rows = zip(table.day.tolist(), table.user_id.tolist(),
+               table.item_id.tolist(), table.label.tolist(),
+               table.true_ctr.tolist(),
+               table.item_is_limited.astype(np.int64).tolist(),
+               table.item_is_new.astype(np.int64).tolist(),
+               map(texts.__getitem__, table.history.tolist()))
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(DATASET_HEADER + "\n")
-        for r in records:
-            hist = histories.get(r.history)
-            if hist is None:
-                hist = histories[r.history] = _format_history(r.history)
-            fh.write(f"{r.day}\t{r.user_id}\t{r.item_id}\t{r.label}\t"
-                     f"{r.true_ctr!r}\t{int(r.item_is_limited)}\t"
-                     f"{int(r.item_is_new)}\t{hist}\n")
+        fh.write("".join(
+            f"{day}\t{user}\t{item}\t{label}\t{ctr!r}\t{limited}\t{new}\t"
+            f"{history}\n"
+            for day, user, item, label, ctr, limited, new, history in rows))
 
 
-def read_dataset(path: str | Path) -> list[ImpressionRecord]:
-    """Records of a dataset file; records whose history fields are equal
-    share one history tuple."""
+def read_dataset(path: str | Path) -> ImpressionTable:
+    """The impressions of a dataset file.  Equal history fields share one
+    store entry, so records of the table share one history tuple."""
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"dataset file not found: {path}")
-    records = []
-    histories: dict[str, tuple] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != DATASET_HEADER:
-            raise DatasetError(
-                f"{path}: unrecognized header (expected {DATASET_HEADER!r})")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            records.append(_parse_record(line, lineno, histories))
-    return records
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc})") from exc
+    header, _, body = text.partition("\n")
+    if header != DATASET_HEADER:
+        raise DatasetError(
+            f"{path}: unrecognized header (expected {DATASET_HEADER!r})")
+    try:
+        return _parse_columns(body)
+    except ValueError:
+        # the per-line parser names the first bad line, or reads what
+        # only it accepts
+        return _parse_lines(body)
 
 
 def write_catalog(items: dict[int, ItemSpec] | Iterable[ItemSpec],
@@ -493,29 +725,31 @@ def read_catalog(path: str | Path) -> dict[int, ItemSpec]:
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"catalog file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc})") from exc
+    header, _, body = text.partition("\n")
+    if header != CATALOG_HEADER:
+        raise DatasetError(f"{path}: unrecognized catalog header")
     items: dict[int, ItemSpec] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != CATALOG_HEADER:
-            raise DatasetError(f"{path}: unrecognized catalog header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != len(CATALOG_FIELDS):
-                raise DatasetError(
-                    f"line {lineno}: expected {len(CATALOG_FIELDS)} fields, "
-                    f"got {len(parts)}")
-            try:
-                spec = ItemSpec(item_id=_int64_id(parts[0]),
-                                category_id=_int64_id(parts[1]),
-                                stock_count=int(parts[2]),
-                                quality=float(parts[3]),
-                                created_day=int(parts[4]))
-            except ValueError as exc:
-                raise DatasetError(f"line {lineno}: {exc}") from exc
-            items[spec.item_id] = spec
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != len(CATALOG_FIELDS):
+            raise DatasetError(
+                f"line {lineno}: expected {len(CATALOG_FIELDS)} fields, "
+                f"got {len(parts)}")
+        try:
+            spec = ItemSpec(item_id=_int64_id(parts[0]),
+                            category_id=_int64_id(parts[1]),
+                            stock_count=int(parts[2]),
+                            quality=float(parts[3]),
+                            created_day=int(parts[4]))
+        except ValueError as exc:
+            raise DatasetError(f"line {lineno}: {exc}") from exc
+        items[spec.item_id] = spec
     return items
 
 
@@ -527,10 +761,8 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def split_train_test(records: list[ImpressionRecord],
-                     test_day: int) -> tuple[list[ImpressionRecord],
-                                             list[ImpressionRecord]]:
+def split_train_test(records: Impressions, test_day: int
+                     ) -> tuple[ImpressionTable, ImpressionTable]:
     """Days before test_day train, test_day itself tests."""
-    train = [r for r in records if r.day < test_day]
-    test = [r for r in records if r.day == test_day]
-    return train, test
+    table = as_table(records)
+    return table[table.day < test_day], table[table.day == test_day]

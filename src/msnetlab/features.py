@@ -14,13 +14,12 @@ the category of every item including brand-new ones.
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .autodiff import ParamStore, Tape, Tensor
-from .datagen import ImpressionRecord, ItemSpec
+from .datagen import ImpressionTable, Impressions, ItemSpec, as_table
 
 OOV_INDEX = 0
 
@@ -87,45 +86,52 @@ class Vocabs:
     category: Vocab
 
 
-def _scan(records: Sequence[ImpressionRecord],
-          catalog: dict[int, ItemSpec]) -> Iterator[tuple]:
-    """Per record, one tuple of entries: (target item id, its catalog
-    category or None), then the record's history entries, unless an
-    earlier record holds the same history object.
-
-    Skipping a repeated history drops no first-seen entry: every entry of
-    it was seen at its first record.
-    """
-    seen: set[int] = set()
-    for r in records:
-        spec = catalog.get(r.item_id)
-        yield ((r.item_id, None if spec is None else spec.category_id),)
-        if id(r.history) not in seen:
-            seen.add(id(r.history))
-            yield r.history
+def _target_categories(table: ImpressionTable, catalog: dict[int, ItemSpec]
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: whether the catalog knows the target item, and its
+    category (0 where it does not)."""
+    specs = [catalog.get(i) for i in table.item_id.tolist()]
+    known = np.array([s is not None for s in specs], dtype=bool)
+    category = np.array([0 if s is None else s.category_id for s in specs],
+                        dtype=np.int64)
+    return known, category
 
 
-def build_vocab(records: Sequence[ImpressionRecord],
-                catalog: dict[int, ItemSpec]) -> Vocabs:
+def _first_seen(values: np.ndarray) -> list[int]:
+    """The distinct entries of ``values`` in order of first appearance."""
+    _, first = np.unique(values, return_index=True)
+    return values[np.sort(first)].tolist()
+
+
+def build_vocab(records: Impressions, catalog: dict[int, ItemSpec]) -> Vocabs:
     """Scan training records in order; assign indices first-seen.
 
     Target item ids and the target's catalog category come first for each
     record, then the history entries, so the assignment is a pure function
-    of the record sequence.
+    of the record sequence.  A history is scanned at the first row that
+    holds it: every later row holding it adds no first-seen value.
     """
-    if not records:
+    table = as_table(records)
+    n = len(table)
+    if not n:
         raise ValueError("cannot build vocabularies from an empty split")
-    item = Vocab()
-    category = Vocab()
-    # a value's first entry is the first entry of the first distinct
-    # entry that holds it, so scanning distinct entries in first-seen
-    # order assigns the same indices as scanning them all
-    for entry in dict.fromkeys(
-            itertools.chain.from_iterable(_scan(records, catalog))):
-        item.add(entry[0])
-        if entry[1] is not None:
-            category.add(entry[1])
-    return Vocabs(item=item, category=category)
+    known, category = _target_categories(table, catalog)
+    histories, first_row = np.unique(table.history, return_index=True)
+    idx, lengths = table.history_entries(histories)
+    # scan position of every value: (row, slot), the target in slot 0
+    # and the history's entries in slots 1, 2, ...
+    ends = np.cumsum(lengths)
+    slot = np.concatenate([np.zeros(n, dtype=np.int64),
+                           np.arange(idx.size) - np.repeat(ends - lengths,
+                                                           lengths) + 1])
+    row = np.concatenate([np.arange(n), np.repeat(first_row, lengths)])
+    order = np.lexsort((slot, row))
+    items = np.concatenate([table.item_id, table.hist_item[idx]])[order]
+    categories = np.concatenate([category, table.hist_category[idx]])
+    has_category = np.concatenate([known, np.ones(idx.size, dtype=bool)])
+    return Vocabs(item=Vocab(_first_seen(items)),
+                  category=Vocab(_first_seen(
+                      categories[order][has_category[order]])))
 
 
 @dataclasses.dataclass
@@ -156,55 +162,33 @@ class SampleBatch:
         return int(self.seq_item.shape[1])
 
 
-def encode_batch(records: Sequence[ImpressionRecord], vocabs: Vocabs,
+def encode_batch(records: Impressions, vocabs: Vocabs,
                  catalog: dict[int, ItemSpec], history_len: int) -> SampleBatch:
     if history_len < 1:
         raise ValueError("history_len must be >= 1")
-    b = len(records)
-    chain = itertools.chain.from_iterable
-    # per record: item id, label, is_new, is_limited, whether the catalog
-    # knows the item, and its catalog category (0 when it does not)
-    specs = map(catalog.get, (r.item_id for r in records))
-    targets = np.fromiter(chain(
-        (r.item_id, r.label, r.item_is_new, r.item_is_limited,
-         spec is not None, 0 if spec is None else spec.category_id)
-        for r, spec in zip(records, specs)),
-        dtype=np.int64, count=6 * b).reshape(b, 6)
-    # records of one user share history objects, so each distinct object
-    # is encoded once, into one row of the grids, and the rows are then
-    # gathered per record; with nothing shared, the grids are the batch's
-    keys = [id(r.history) for r in records]
-    distinct = dict(zip(keys, (r.history for r in records)))
-    histories = [h[:history_len] for h in distinct.values()]
-    u = len(histories)
-    lengths = np.fromiter(map(len, histories), dtype=np.int64, count=u)
-    # every kept history entry in order: item id, category, is_limited
-    hist = np.fromiter(chain(chain(histories)), dtype=np.int64,
-                       count=3 * int(lengths.sum())).reshape(-1, 3)
+    table = as_table(records)
+    known, category = _target_categories(table, catalog)
+    # each distinct history the rows hold is encoded once, into one row
+    # of the [U, H] grids, and the grid rows are gathered per row
+    histories, which = np.unique(table.history, return_inverse=True)
+    idx, lengths = table.history_entries(histories, history_len)
     seq_mask = np.arange(history_len) < lengths[:, None]
-    seq_item = np.zeros((u, history_len), dtype=np.int64)
+    seq_item = np.zeros(seq_mask.shape, dtype=np.int64)
     seq_category = np.zeros_like(seq_item)
     seq_limited = np.zeros_like(seq_mask)
-    seq_item[seq_mask] = vocabs.item.lookup_array(hist[:, 0])
-    seq_category[seq_mask] = vocabs.category.lookup_array(hist[:, 1])
-    seq_limited[seq_mask] = hist[:, 2] != 0
-    if u < b:
-        row = dict(zip(distinct, range(u)))
-        which = np.fromiter(map(row.__getitem__, keys), dtype=np.int64,
-                            count=b)
-        seq_item, seq_category, seq_mask, seq_limited = (
-            grid[which] for grid in
-            (seq_item, seq_category, seq_mask, seq_limited))
+    seq_item[seq_mask] = vocabs.item.lookup_array(table.hist_item[idx])
+    seq_category[seq_mask] = vocabs.category.lookup_array(
+        table.hist_category[idx])
+    seq_limited[seq_mask] = table.hist_limited[idx]
     return SampleBatch(
-        target_item=vocabs.item.lookup_array(targets[:, 0]),
+        target_item=vocabs.item.lookup_array(table.item_id),
         target_category=np.where(
-            targets[:, 4] != 0,
-            vocabs.category.lookup_array(targets[:, 5]), OOV_INDEX),
-        seq_item=seq_item, seq_category=seq_category,
-        seq_mask=seq_mask, seq_limited=seq_limited,
-        labels=targets[:, 1].astype(np.float64),
-        is_new=targets[:, 2] != 0,
-        is_limited=targets[:, 3] != 0)
+            known, vocabs.category.lookup_array(category), OOV_INDEX),
+        seq_item=seq_item[which], seq_category=seq_category[which],
+        seq_mask=seq_mask[which], seq_limited=seq_limited[which],
+        labels=table.label.astype(np.float64),
+        is_new=table.item_is_new.copy(),
+        is_limited=table.item_is_limited.copy())
 
 
 def init_embedding(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:

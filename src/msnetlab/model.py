@@ -17,7 +17,7 @@ import json
 import math
 import zipfile
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .autodiff import (
     Tape,
     Tensor,
 )
-from .datagen import ImpressionRecord, ItemSpec, config_kwargs
+from .datagen import Impressions, ItemSpec, as_table, config_kwargs
 from .features import (
     Embedded,
     SampleBatch,
@@ -418,7 +418,7 @@ class TrainResult:
     diverged: bool = False
 
 
-def fit(records: Sequence[ImpressionRecord], catalog: dict[int, ItemSpec],
+def fit(records: Impressions, catalog: dict[int, ItemSpec],
         config: ModelConfig, *,
         vocabs: Vocabs | None = None,
         epoch_callback: Callable[[int, "TrainResult"], None] | None = None,
@@ -430,16 +430,17 @@ def fit(records: Sequence[ImpressionRecord], catalog: dict[int, ItemSpec],
     non-finite the run aborts, keeping the parameters from the end of the
     last completed epoch.
     """
-    if not records:
+    table = as_table(records)
+    if not len(table):
         raise ModelError("training set is empty")
     config.validate()
     if vocabs is None:
-        vocabs = build_vocab(records, catalog)
+        vocabs = build_vocab(table, catalog)
     params = build_params(config, vocabs)
     state = AdagradState.for_params(params)
     result = TrainResult(params=params, opt_state=state, vocabs=vocabs,
                          log=[])
-    full = encode_batch(records, vocabs, catalog, config.history_len)
+    full = encode_batch(table, vocabs, catalog, config.history_len)
     shuffle_rng = np.random.default_rng([config.seed, 7])
     n = full.size
     snapshot = _snapshot(params, state)
@@ -502,15 +503,16 @@ def _slice_batch(full: SampleBatch, rows: np.ndarray) -> SampleBatch:
 
 
 def predict(params: ParamStore, config: ModelConfig,
-            records: Sequence[ImpressionRecord], vocabs: Vocabs,
+            records: Impressions, vocabs: Vocabs,
             catalog: dict[int, ItemSpec], *, partition_seed: int = 0,
             score_accumulator: ScoreAccumulator | None = None,
             ) -> PredictionTable:
     """One prediction per impression, deterministic, in input order."""
+    table = as_table(records)
     p_chunks: list[np.ndarray] = []
-    for start in range(0, len(records), config.batch_size):
-        chunk = list(records[start:start + config.batch_size])
-        batch = encode_batch(chunk, vocabs, catalog, config.history_len)
+    for start in range(0, len(table), config.batch_size):
+        batch = encode_batch(table[start:start + config.batch_size], vocabs,
+                             catalog, config.history_len)
         tape = Tape(params)
         fo = forward(tape, config, batch)
         if score_accumulator is not None:
@@ -519,15 +521,14 @@ def predict(params: ParamStore, config: ModelConfig,
                                             batch.seq_limited, mask)
         p_chunks.append(fo.p.values)
     return PredictionTable(
-        user_id=np.array([r.user_id for r in records], dtype=np.int64),
-        item_id=np.array([r.item_id for r in records], dtype=np.int64),
+        user_id=table.user_id.copy(), item_id=table.item_id.copy(),
         p=np.concatenate(p_chunks) if p_chunks else np.empty(0),
-        y=np.array([r.label for r in records], dtype=np.int64),
-        is_new=np.array([r.item_is_new for r in records], dtype=bool),
-        is_limited=np.array([r.item_is_limited for r in records], dtype=bool),
-        partition_id=np.array([partition_of(r.user_id, r.item_id,
-                                            partition_seed)
-                               for r in records], dtype=np.int64))
+        y=table.label.copy(), is_new=table.item_is_new.copy(),
+        is_limited=table.item_is_limited.copy(),
+        partition_id=np.array([partition_of(user, item, partition_seed)
+                               for user, item in zip(table.user_id.tolist(),
+                                                     table.item_id.tolist())],
+                              dtype=np.int64))
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ embeddings lean harder on the synthetic one.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -88,6 +89,15 @@ class AttentionResult:
     scores: Array
 
 
+@functools.lru_cache(maxsize=None)
+def head_blocks(n_heads: int, d_head: int) -> Array:
+    """The read-only [n_heads*d_head, n_heads] 0/1 matrix whose column h
+    is 1 on head h's rows: ``np.kron(np.eye(n), np.ones((d, 1)))``."""
+    heads = np.kron(np.eye(n_heads), np.ones((d_head, 1)))
+    heads.flags.writeable = False
+    return heads
+
+
 def target_attention(tape: Tape, prefix: str, target: Tensor, keys: Tensor,
                      values: Tensor, mask: Array, n_heads: int,
                      d_head: int) -> AttentionResult:
@@ -116,7 +126,7 @@ def target_attention(tape: Tape, prefix: str, target: Tensor, keys: Tensor,
             f"mask {mask.shape} with {flat.size} positions")
     n, d = n_heads, d_head
     seg = flat // h_len
-    heads = np.kron(np.eye(n), np.ones((d, 1)))  # [n*d, n]
+    heads = head_blocks(n, d)
     q = tape.gather_rows(tape.matmul(target, tape.param(f"{prefix}.wq")), seg)
     k = tape.matmul(keys, tape.param(f"{prefix}.wk"))
     v = tape.matmul(values, tape.param(f"{prefix}.wv"))

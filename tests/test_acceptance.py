@@ -388,6 +388,7 @@ def full_scale_sweep():
     return outcome
 
 
+@pytest.mark.slow
 def test_criterion_8_directional_check(full_scale_sweep):
     sw = full_scale_sweep
     detail = ", ".join(f"s{seed}: {d:.4f}->{m:.4f}"
@@ -400,6 +401,7 @@ def test_criterion_8_directional_check(full_scale_sweep):
           f"delta {mean_delta:+.4f}; {sw['elapsed']:.0f}s ({detail})")
 
 
+@pytest.mark.slow
 def test_criterion_9_attention_asymmetry(full_scale_sweep):
     asym = []
     for means in full_scale_sweep["attention"]:

@@ -27,6 +27,7 @@ from msnetlab.autodiff import (
     sigmoid,
     sum_rows_by_index,
 )
+from msnetlab.seqmodel import head_blocks
 
 
 def fd_grad(loss_of_theta, theta, h=1e-5):
@@ -762,6 +763,17 @@ def unique_merge(parts, dim):
     return uniq, sum_rows_by_index(inverse, rows, uniq.size)
 
 
+def fancy_segment_softmax(v, seg, g):
+    """Segment softmax whose per-segment rows are widened to their runs by
+    fancy indexing: (forward, backward of upstream g)."""
+    starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+    run = np.cumsum(np.r_[True, seg[1:] != seg[:-1]]) - 1
+    e = np.exp(v - np.maximum.reduceat(v, starts, axis=0)[run])
+    out = e / np.add.reduceat(e, starts, axis=0)[run]
+    inner = np.add.reduceat(g * out, starts, axis=0)
+    return out, out * (g - inner[run])
+
+
 EDGE_FLOATS = [0.0, -0.0, 745.0, -745.0, 5e-324, -5e-324, math.inf, -math.inf]
 FLOATS = st.one_of(st.floats(-800.0, 800.0), st.sampled_from(EDGE_FLOATS),
                    st.floats(allow_nan=False))
@@ -833,6 +845,42 @@ class TestKernelsMatchOracles:
         assert got.indices.tobytes() == want_idx.tobytes()
         assert got.rows.shape == want_rows.shape
         assert got.rows.tobytes() == want_rows.tobytes()
+
+
+    @given(st.integers(1, 8), st.integers(1, 30), st.integers(1, 3),
+           st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_segment_softmax_and_segment_sum(self, n, p, m, seed):
+        # rows fall in n segments, some of them empty; magnitudes spread
+        # over many decades so that any change in the values gathered per
+        # run shows in the bits
+        rng = np.random.default_rng(seed)
+        seg = np.sort(rng.integers(0, n, size=p))
+        v = rng.normal(size=(p, m)) * 10.0 ** rng.integers(-8, 3, size=(p, m))
+        g = rng.normal(size=(p, m))
+        params = ParamStore()
+        params.add("x", v)
+        tape = Tape(params)
+        out = tape.segment_softmax(tape.param("x"), seg)
+        pooled = tape.segment_sum(out, seg, n)
+        g_pooled = rng.normal(size=(n, m))
+        grads = tape.backward(tape.add(
+            tape.sum_all(tape.mul(out, Tape.constant(g))),
+            tape.sum_all(tape.mul(pooled, Tape.constant(g_pooled)))))
+        upstream = g + g_pooled[seg]  # segment_sum's backward, fancy form
+        want_out, want_grad = fancy_segment_softmax(v, seg, upstream)
+        assert out.values.tobytes() == want_out.tobytes()
+        assert grads["x"].tobytes() == want_grad.tobytes()
+
+    @given(st.integers(1, 6), st.integers(1, 12))
+    @settings(max_examples=50, deadline=None)
+    def test_head_blocks(self, n, d):
+        heads = head_blocks(n, d)
+        want = np.kron(np.eye(n), np.ones((d, 1)))
+        assert heads.dtype == want.dtype and heads.tobytes() == want.tobytes()
+        assert head_blocks(n, d) is heads
+        with pytest.raises(ValueError, match="read-only"):
+            heads[0, 0] = 2.0
 
 
 class TestFlatStore:

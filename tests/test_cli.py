@@ -1,7 +1,10 @@
 """CLI wiring tests: determinism, refusal semantics, exit codes, file
 formats, ablation table shape."""
 
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
 import re
 import shutil
@@ -9,13 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import msnetlab.model
 from msnetlab.autodiff import ParamStore
-from msnetlab.cli import main
-from msnetlab.datagen import read_dataset
+from msnetlab.cli import ABLATION_VARIANTS, CliError, ExperimentConfig, main
+from msnetlab.datagen import GeneratorConfig, read_dataset
 from msnetlab.metrics import PREDICTION_FIELDS, read_predictions
-from msnetlab.model import load_checkpoint, save_checkpoint
+from msnetlab.model import ModelConfig, load_checkpoint, save_checkpoint
 
 TINY = {
     "seed": 5,
@@ -437,6 +442,11 @@ def _replace_field(path: Path, field: int, value: str) -> None:
     path.write_text("\n".join([header, "\t".join(parts), rest]))
 
 
+def _append_bytes(path: Path, data: bytes) -> None:
+    with path.open("ab") as fh:
+        fh.write(data)
+
+
 def _bad_prediction(workspace, tmp_path: Path, field: str,
                     value: str) -> list[str]:
     """Reports a copy of DIN's prediction file with one field of its first
@@ -512,6 +522,8 @@ MALFORMED_INPUTS = {
         tmp / "cfg.json", json.dumps({"model": {"learning_rate": -1}}))),
     "config_zero_logit_clamp": ("E_CONFIG", lambda ws, tmp: _config_text(
         tmp / "cfg.json", json.dumps({"model": {"logit_clamp": 0}}))),
+    "config_is_directory": ("E_NOT_FOUND", lambda ws, tmp: [
+        "generate", "--config", str(tmp), "--out", str(tmp / "d")]),
     "config_unknown_top_level_key": ("E_CONFIG", lambda ws, tmp: _config_text(
         tmp / "cfg.json", json.dumps({"modle": {"epochs": 3}}))),
     "manifest_not_json": ("E_FORMAT", lambda ws, tmp: _data_copy(
@@ -526,6 +538,12 @@ MALFORMED_INPUTS = {
     "dataset_user_id_below_int64": ("E_FORMAT", lambda ws, tmp: _data_copy(
         ws, tmp, lambda d: _replace_field(d / "train.tsv", 1,
                                           str(-2**63 - 1)))
+        + ["--no-verify"]),
+    "dataset_not_utf8": ("E_FORMAT", lambda ws, tmp: _data_copy(
+        ws, tmp, lambda d: _append_bytes(d / "train.tsv", b"\xff\xfe"))
+        + ["--no-verify"]),
+    "catalog_not_utf8": ("E_FORMAT", lambda ws, tmp: _data_copy(
+        ws, tmp, lambda d: _append_bytes(d / "items.tsv", b"\xff\xfe"))
         + ["--no-verify"]),
     "catalog_item_id_above_int64": ("E_FORMAT", lambda ws, tmp: _data_copy(
         ws, tmp, lambda d: _replace_field(d / "items.tsv", 0, str(2**64)))
@@ -609,3 +627,89 @@ def test_memory_error_is_one_error_line(workspace, tmp_path, capsys,
                  "--arch", "msnet", "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error E_MEMORY: {message}"]
+
+
+# ----------------------------------------------------------------------
+# whole-config fuzzing: every experiment.json either loads or is refused
+# with exactly one ``error E_CONFIG:`` line
+
+
+def _keys(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 300), st.integers(),
+    st.sampled_from([2 ** 63, -2 ** 63 - 1, 10 ** 308, 10 ** 309, 10 ** 400,
+                     -10 ** 400, 1e308, -1e308, 5e-324, 0.0, -0.0]),
+    st.floats(), st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner,
+                                            max_size=3)),
+    max_leaves=8)
+
+
+def config_block(cls):
+    """A block of ``cls``'s keys, sometimes misspelled, with values near
+    the defaults or arbitrary JSON."""
+    keys = _keys(cls)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    near = st.sampled_from(keys).flatmap(lambda k: st.one_of(
+        st.just(defaults[k]),
+        st.just(list(defaults[k]) if isinstance(defaults[k], tuple)
+                else defaults[k])))
+    return st.dictionaries(st.one_of(st.sampled_from(keys),
+                                     st.text(max_size=6)),
+                           st.one_of(near, JSON_VALUES), max_size=6)
+
+
+CONFIG_FILES = st.dictionaries(
+    st.one_of(st.sampled_from(_keys(ExperimentConfig)), st.text(max_size=6)),
+    st.one_of(config_block(GeneratorConfig), config_block(ModelConfig),
+              st.lists(st.one_of(st.sampled_from(list(ABLATION_VARIANTS)),
+                                 JSON_SCALARS), max_size=4),
+              JSON_VALUES),
+    max_size=5).map(lambda d: json.dumps(d))
+# texts no dumped object gives: broken JSON, digits past int()'s limit,
+# deep nesting and bytes that are not UTF-8
+RAW_CONFIGS = st.one_of(
+    st.sampled_from([
+        "", "{", "[1, 2]", "null", '{"seed": 1e999}', '{"seed": NaN}',
+        '{"seed": ' + "9" * 5000 + "}",
+        '{"model": {"alpha": ' + "9" * 400 + "}}",
+        '{"generator": {"ctr_bias": ' + "9" * 400 + "}}",
+        '{"alpha_sweep": [' + "9" * 400 + "]}",
+        "[" * 100_000 + "]" * 100_000,
+        '{"model": ' * 5000 + "{}" + "}" * 5000]),
+    st.binary(max_size=20).map(lambda b: b"\xff" + b))
+
+
+@given(st.one_of(CONFIG_FILES, RAW_CONFIGS))
+@settings(max_examples=400, deadline=None)
+def test_whole_config_loads_or_one_config_error(tmp_path_factory, text):
+    root = tmp_path_factory.mktemp("fuzz")
+    path = root / "experiment.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    try:
+        ExperimentConfig.load(path)
+        loaded = True
+    except CliError as exc:
+        assert exc.code == "E_CONFIG"
+        loaded = False
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["train", "--config", str(path), "--data",
+                     str(root / "no-data"), "--arch", "din", "--out",
+                     str(root / "run")])
+    lines = err.getvalue().splitlines()
+    assert code == 2 and len(lines) == 1, lines
+    # a config that loads gets as far as the missing dataset
+    want = "error E_NOT_FOUND: manifest not found" if loaded \
+        else "error E_CONFIG: "
+    assert lines[0].startswith(want), lines[0]

@@ -2,6 +2,7 @@
 statistics, and the dataset file round trip."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msnetlab.datagen import (
+    DATASET_FIELDS,
     DATASET_HEADER,
+    INT64_MAX,
+    INT64_MIN,
     DatasetError,
     GeneratorConfig,
     ImpressionRecord,
+    ImpressionTable,
     ItemSpec,
     UserSpec,
     _category_cdf,
@@ -226,7 +231,7 @@ class TestSimulate:
         for _ in range(2):
             market = build_market(SMALL, seed=77)
             runs.append(simulate(market, SMALL.days).records)
-        assert runs[0] == runs[1]
+        assert list(runs[0]) == list(runs[1])
 
     def test_split_by_day(self):
         market = build_market(SMALL, seed=2)
@@ -246,13 +251,13 @@ class TestDatasetFiles:
         records = self._records(1000)
         path = tmp_path / "data.tsv"
         write_dataset(records, path)
-        assert read_dataset(path) == records
+        assert list(read_dataset(path)) == list(records)
 
     def test_empty_dataset_is_header_only(self, tmp_path):
         path = tmp_path / "empty.tsv"
         write_dataset([], path)
         assert path.read_text() == DATASET_HEADER + "\n"
-        assert read_dataset(path) == []
+        assert list(read_dataset(path)) == []
 
     def test_wrong_field_count_names_line(self, tmp_path):
         records = self._records(30)
@@ -331,4 +336,239 @@ class TestDatasetFiles:
         records = data.draw(st.lists(record, max_size=20))
         path = tmp_path_factory.mktemp("rt") / "data.tsv"
         write_dataset(records, path)
-        assert read_dataset(path) == records
+        assert list(read_dataset(path)) == records
+
+
+# ----------------------------------------------------------------------
+# Oracles: the per-record writer and the per-line reader of the list-based
+# data path, which the columnar ones must match byte for byte and message
+# for message.
+
+
+def loop_write_dataset(records, path):
+    """One formatted line per record."""
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(DATASET_HEADER + "\n")
+        for r in records:
+            hist = ",".join(f"{i}:{c}:{int(l)}" for i, c, l in r.history)
+            fh.write(f"{r.day}\t{r.user_id}\t{r.item_id}\t{r.label}\t"
+                     f"{r.true_ctr!r}\t{int(r.item_is_limited)}\t"
+                     f"{int(r.item_is_new)}\t{hist}\n")
+
+
+def _loop_int64_id(text):
+    value = int(text)
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise ValueError(f"id {value} outside int64")
+    return value
+
+
+def _loop_parse_history(text):
+    history = []
+    if text:
+        for triple in text.split(","):
+            i, c, l = triple.split(":")
+            history.append((_loop_int64_id(i), _loop_int64_id(c),
+                            bool(int(l))))
+    return tuple(history)
+
+
+def loop_read_dataset(path):
+    """One parsed record per line, checked field by field; equal history
+    texts share one tuple."""
+    path = Path(path)
+    if not path.exists():
+        raise DatasetError(f"dataset file not found: {path}")
+    records = []
+    histories = {}
+    with path.open("r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        if header != DATASET_HEADER:
+            raise DatasetError(
+                f"{path}: unrecognized header (expected {DATASET_HEADER!r})")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != len(DATASET_FIELDS):
+                raise DatasetError(
+                    f"line {lineno}: expected {len(DATASET_FIELDS)} fields, "
+                    f"got {len(parts)}")
+            try:
+                day = int(parts[0])
+                user_id = _loop_int64_id(parts[1])
+                item_id = _loop_int64_id(parts[2])
+                label = int(parts[3])
+                ctr = float(parts[4])
+                limited = bool(int(parts[5]))
+                new = bool(int(parts[6]))
+                history = histories.get(parts[7])
+                if history is None:
+                    history = histories[parts[7]] = \
+                        _loop_parse_history(parts[7])
+            except (ValueError, IndexError) as exc:
+                raise DatasetError(f"line {lineno}: {exc}") from exc
+            if label not in (0, 1):
+                raise DatasetError(f"line {lineno}: label must be 0 or 1")
+            if not (0.0 < ctr < 1.0):
+                raise DatasetError(f"line {lineno}: true_ctr out of (0, 1)")
+            records.append(ImpressionRecord(
+                day=day, user_id=user_id, item_id=item_id, label=label,
+                true_ctr=ctr, item_is_limited=limited, item_is_new=new,
+                history=history))
+    return records
+
+
+EDGE_IDS = st.sampled_from([0, 1, -1, INT64_MAX, INT64_MIN + 1, INT64_MIN,
+                            2 ** 40])
+IDS64 = st.one_of(st.integers(0, 30), EDGE_IDS,
+                  st.integers(INT64_MIN, INT64_MAX))
+CTRS = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 0.5, 1.0 - 2 ** -53, 0.9999999999999999,
+                     math.nextafter(0.0, 1.0)]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+              exclude_max=True))
+ENTRY = st.tuples(IDS64, IDS64, st.booleans())
+HISTORIES = st.lists(ENTRY, max_size=6).map(tuple)
+
+
+@st.composite
+def record_lists(draw, max_size=12):
+    """Records whose histories come from a small pool (some empty), as in a
+    simulated log."""
+    pool = draw(st.lists(HISTORIES, min_size=1, max_size=4))
+    return [ImpressionRecord(
+        day=draw(st.integers(INT64_MIN, INT64_MAX)), user_id=draw(IDS64),
+        item_id=draw(IDS64), label=draw(st.integers(0, 1)),
+        true_ctr=draw(CTRS), item_is_limited=draw(st.booleans()),
+        item_is_new=draw(st.booleans()),
+        history=draw(st.sampled_from(pool)))
+        for _ in range(draw(st.integers(0, max_size)))]
+
+
+# replacement texts for one field of a line: malformed numbers, out of
+# range values, broken histories, and forms only int() and float() read
+EDGE_FIELDS = [
+    "", " ", "x", "1.0", "1e3", "nan", "inf", "-1", "2", "0", "1", "0.25",
+    "1.5", "-0.0", "0x1f", "1_0", " 7 ", "+3", "\u0663", "\x1c5", "5\x1f",
+    "\u0660.5", str(2 ** 63), str(-2 ** 63 - 1), str(2 ** 64),
+    str(INT64_MAX), "1:2", "1::3", "1:2:3:4", "1:2:3,", ",1:2:3",
+    "1:2:3,,4:5:6", "a:b:c", f"{2 ** 63}:1:0", f"1:{-2 ** 63 - 1}:0",
+    "1:2:7", "1:2: 1", "1:2:3\t4", "\u0661:2:0", "1:\x1d2:0", "1:2:3,4:5"]
+BAD_FIELDS = st.one_of(
+    st.sampled_from(EDGE_FIELDS),
+    st.text(alphabet="0123456789:,-+. _e\t\x1c\u0663", max_size=12))
+
+
+def assert_reads_as_loop(path):
+    """``read_dataset`` gives the loop reader's rows or its exact error."""
+    try:
+        want = loop_read_dataset(path)
+    except DatasetError as exc:
+        with pytest.raises(DatasetError) as got:
+            read_dataset(path)
+        assert str(got.value) == str(exc)
+        return
+    if any(not INT64_MIN <= r.day <= INT64_MAX for r in want):
+        # the one refusal the loop reader lacks: a day column is int64
+        with pytest.raises(DatasetError,
+                           match=r"^line \d+: day -?\d+ outside int64$"):
+            read_dataset(path)
+        return
+    assert list(read_dataset(path)) == want
+
+
+class TestColumnarDataPath:
+    @given(record_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_write_read_matches_loops(self, tmp_path_factory, records):
+        root = tmp_path_factory.mktemp("rt")
+        table = ImpressionTable.from_records(records)
+        write_dataset(table, root / "table.tsv")
+        write_dataset(records, root / "list.tsv")
+        loop_write_dataset(records, root / "loop.tsv")
+        want = (root / "loop.tsv").read_bytes()
+        assert (root / "table.tsv").read_bytes() == want
+        assert (root / "list.tsv").read_bytes() == want
+        got = read_dataset(root / "table.tsv")
+        assert isinstance(got, ImpressionTable)
+        assert list(got) == loop_read_dataset(root / "table.tsv") == records
+
+    @given(record_lists(max_size=8).filter(bool), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_corrupted_line_gives_the_loop_message(self, tmp_path_factory,
+                                                   records, data):
+        path = tmp_path_factory.mktemp("bad") / "data.tsv"
+        loop_write_dataset(records, path)
+        lines = path.read_text().split("\n")
+        row = data.draw(st.integers(1, len(records)))
+        fields = lines[row].split("\t")
+        how = data.draw(st.sampled_from(["replace", "drop", "add"]))
+        if how == "replace":
+            fields[data.draw(st.integers(0, 7))] = data.draw(BAD_FIELDS)
+        elif how == "drop":
+            del fields[data.draw(st.integers(0, 7))]
+        else:
+            fields.insert(data.draw(st.integers(0, 8)), data.draw(BAD_FIELDS))
+        lines[row] = "\t".join(fields)
+        path.write_text("\n".join(lines))
+        assert_reads_as_loop(path)
+
+    def test_every_edge_value_in_every_field(self, tmp_path):
+        # each edge text in each field of the third of four lines, two of
+        # which share its history text
+        h = ((4, 1, True), (2, 0, False))
+        records = [ImpressionRecord(1, u, 9, u % 2, 0.5, False, True, hist)
+                   for u, hist in enumerate([(), h, h, h])]
+        path = tmp_path / "data.tsv"
+        loop_write_dataset(records, path)
+        lines = path.read_text().split("\n")
+        for field in range(len(DATASET_FIELDS)):
+            for value in EDGE_FIELDS:
+                edited = list(lines)
+                parts = edited[3].split("\t")
+                parts[field] = value
+                edited[3] = "\t".join(parts)
+                path.write_text("\n".join(edited))
+                assert_reads_as_loop(path)
+
+    def test_simulated_table_and_slices_write_loop_bytes(self, tmp_path):
+        table = simulate(build_market(SMALL, seed=8), SMALL.days).records
+        mask = np.arange(len(table)) % 3 == 1
+        for i, part in enumerate((table, table[mask], table[5:40],
+                                  table[:0])):
+            got, want = tmp_path / f"got{i}.tsv", tmp_path / f"want{i}.tsv"
+            write_dataset(part, got)
+            loop_write_dataset(list(part), want)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_table_indexing_and_concatenation(self):
+        records = simulate(build_market(SMALL, seed=6), SMALL.days).records
+        rows = list(records)
+        assert records[3] == rows[3] and records[-1] == rows[-1]
+        head, tail = records[:100], records[100:]
+        assert head.hist_offsets is records.hist_offsets
+        assert list(head + tail) == rows
+        # tables with their own stores: the second store's indices shift
+        other = ImpressionTable.from_records(rows[100:])
+        joined = head + other
+        assert list(joined) == rows
+        assert len(joined.hist_offsets) == \
+            len(head.hist_offsets) + len(other.hist_offsets) - 1
+        picked = records[records.label == 1]
+        assert list(picked) == [r for r in rows if r.label]
+        assert records[np.int64(7)] == rows[7]
+
+    def test_from_records_stores_equal_histories_once(self):
+        h = ((5, 1, True), (6, 2, False))
+        records = [ImpressionRecord(1, u, 9, 0, 0.5, False, True, hist)
+                   for u, hist in enumerate([h, (), tuple(list(h)), (), h])]
+        table = ImpressionTable.from_records(records)
+        assert table.history.tolist() == [0, 1, 0, 1, 0]
+        assert table.hist_offsets.tolist() == [0, 2, 2]
+        assert table.hist_item.tolist() == [5, 6]
+        assert table.hist_limited.tolist() == [True, False]
+        assert list(table) == records
+        shared = [r.history for r in table]
+        assert shared[0] is shared[2] is shared[4]

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msnetlab.autodiff import ParamStore, SparseRows, Tape
-from msnetlab.datagen import ImpressionRecord, ItemSpec
+from msnetlab.datagen import (
+    ImpressionRecord,
+    ImpressionTable,
+    ItemSpec,
+    read_dataset,
+    write_dataset,
+)
 from msnetlab.features import (
     OOV_INDEX,
     SampleBatch,
@@ -199,29 +205,51 @@ def record_lists(min_size=0, max_size=12):
                      shared_history_records(min_size, max_size))
 
 
+def input_forms(records, root, rows):
+    """The forms an encoder input takes: the record list, its table, the
+    table read back from disk, and a table sliced by a mask (``rows``) out
+    of a longer one, so that it holds only part of its history store."""
+    table = ImpressionTable.from_records(records)
+    write_dataset(table, root / "data.tsv")
+    longer = ImpressionTable.from_records(rows[:1] + records + rows[1:])
+    keep = np.ones(len(longer), dtype=bool)
+    keep[:min(1, len(rows))] = False
+    keep[len(records) + min(1, len(rows)):] = False
+    return {"list": records, "table": table,
+            "read": read_dataset(root / "data.tsv"), "slice": longer[keep]}
+
+
 class TestArrayEncodingMatchesLoops:
-    @given(record_lists(min_size=1), CATALOG)
+    @given(record_lists(min_size=1), record_lists(), CATALOG)
     @settings(max_examples=150, deadline=None)
-    def test_build_vocab(self, records, catalog):
-        got = build_vocab(records, catalog)
+    def test_build_vocab(self, tmp_path_factory, records, others, catalog):
         want = loop_build_vocab(records, catalog)
-        for a, b in ((got.item, want.item), (got.category, want.category)):
-            assert a == b
-            assert a.ordered_values() == b.ordered_values()
+        forms = input_forms(records, tmp_path_factory.mktemp("v"), others)
+        for form, given_records in forms.items():
+            got = build_vocab(given_records, catalog)
+            for a, b in ((got.item, want.item),
+                         (got.category, want.category)):
+                assert a == b, form
+                assert a.ordered_values() == b.ordered_values(), form
 
     @given(record_lists(), record_lists(min_size=1, max_size=6),
-           CATALOG, st.integers(1, 6))
+           record_lists(), CATALOG, st.integers(1, 6))
     @settings(max_examples=150, deadline=None)
-    def test_encode_batch(self, records, vocab_records, catalog, history_len):
+    def test_encode_batch(self, tmp_path_factory, records, vocab_records,
+                          others, catalog, history_len):
         # vocabularies from other records, so ids of ``records`` are often
         # out of vocabulary and targets often missing from the catalog
         vocabs = loop_build_vocab(vocab_records, catalog)
-        got = encode_batch(records, vocabs, catalog, history_len)
         want = loop_encode_batch(records, vocabs, catalog, history_len)
-        for field in dataclasses.fields(SampleBatch):
-            a, b = getattr(got, field.name), getattr(want, field.name)
-            assert a.dtype == b.dtype and a.shape == b.shape, field.name
-            np.testing.assert_array_equal(a, b, err_msg=field.name)
+        forms = input_forms(records, tmp_path_factory.mktemp("e"), others)
+        for form, given_records in forms.items():
+            got = encode_batch(given_records, vocabs, catalog, history_len)
+            for field in dataclasses.fields(SampleBatch):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert a.dtype == b.dtype and a.shape == b.shape, \
+                    (form, field.name)
+                np.testing.assert_array_equal(
+                    a, b, err_msg=f"{form}: {field.name}")
 
     def test_lookup_array_cache_follows_growth(self):
         v = Vocab([5, 2 ** 41])

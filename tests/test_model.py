@@ -22,6 +22,7 @@ from msnetlab.datagen import (
     split_train_test,
 )
 from msnetlab.features import SampleBatch, Vocab, Vocabs
+from msnetlab.metrics import partition_of
 from msnetlab.model import (
     AdagradState,
     ModelConfig,
@@ -628,6 +629,24 @@ class TestPredict:
         preds = predict(r.params, cfg, test[:400], r.vocabs, market.items)
         mean_p = np.mean([p.p for p in preds])
         assert 0.2 < mean_p < 0.8
+
+    def test_columns_come_from_the_impressions(self):
+        market, train, test = tiny_training_setup(n=300)
+        cfg = ModelConfig(architecture="msnet", epochs=0, seed=1,
+                          history_len=6, batch_size=32)
+        r = fit(train, market.items, cfg)
+        rows = test[3:200]
+        preds = predict(r.params, cfg, rows, r.vocabs, market.items,
+                        partition_seed=2)
+        want = [(x.user_id, x.item_id, x.label, x.item_is_new,
+                 x.item_is_limited, partition_of(x.user_id, x.item_id, 2))
+                for x in rows]
+        assert [(x.user_id, x.item_id, x.y, x.is_new, x.is_limited,
+                 x.partition_id) for x in preds] == want
+        # a record list reads as its table does
+        again = predict(r.params, cfg, list(rows), r.vocabs, market.items,
+                        partition_seed=2)
+        assert again.p.tobytes() == preds.p.tobytes()
 
     def test_partition_ids_deterministic(self):
         market, train, test = tiny_training_setup(n=300)
