@@ -17,6 +17,7 @@ needs for target items.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import hashlib
 import itertools
@@ -65,6 +66,9 @@ def _json_type_ok(value: object, default: object) -> bool:
         # an integer past the float range would raise in the arithmetic
         return is_number(value) and not (
             isinstance(value, int) and abs(value) > sys.float_info.max)
+    if isinstance(default, int):
+        # sizes and counts end up in numpy's int64 arithmetic
+        return isinstance(value, int) and INT64_MIN <= value <= INT64_MAX
     return isinstance(value, type(default))
 
 
@@ -74,8 +78,9 @@ def config_kwargs(cls: type, d: object, what: str,
     JSON block, raising ``error`` on unknown keys or mistyped values.
 
     Each value must have the type of its field's default: an int field
-    takes an integer, a float field any number, a bool field a boolean, a
-    string field a string, and a tuple field a list of its elements' type.
+    takes an integer within int64, a float field any number, a bool field
+    a boolean, a string field a string, and a tuple field a list of its
+    elements' type.
     """
     if not isinstance(d, dict):
         raise error(f"{what} config must be a JSON object")
@@ -92,8 +97,10 @@ def config_kwargs(cls: type, d: object, what: str,
         else:
             ok = _json_type_ok(value, default)
         if not ok:
+            sample = default[0] if isinstance(default, tuple) else default
+            bound = " within int64" if type(sample) is int else ""
             raise error(f"{what} config {name!r} must be of the type of "
-                        f"{default!r}, got {value!r}")
+                        f"{default!r}{bound}, got {value!r}")
         out[name] = tuple(value) if isinstance(default, tuple) else value
     return out
 
@@ -343,15 +350,16 @@ class MarketState:
         self.remaining: dict[int, int] = {i: s.stock_count
                                           for i, s in items.items()}
         self.live: set[int] = set(items)
-        self.histories: dict[int, list[tuple[int, int, bool]]] = {
-            u.user_id: [] for u in users}
+        # per user, the clicked (item_id, category_id, is_limited) triples,
+        # most recent first, flattened into one list of ints
+        self.histories: dict[int, list[int]] = {u.user_id: [] for u in users}
         self.day = 0
         self.next_item_id = max(items) + 1 if items else 0
         self.rng = np.random.default_rng(seed)
         self.seed = seed
 
 
-def _make_item(config: GeneratorConfig, rng: np.random.Generator,
+def _make_item(config: GeneratorConfig, rng: np.random.Generator | _Draws,
                item_id: int, created_day: int) -> ItemSpec:
     limited = rng.random() < config.limited_fraction
     if limited:
@@ -398,17 +406,109 @@ def true_ctr(user: UserSpec, item: ItemSpec, config: GeneratorConfig) -> float:
     return float(sigmoid(z))
 
 
-def _category_cdf(user: UserSpec, config: GeneratorConfig) -> np.ndarray:
+def _category_cdf(user: UserSpec, config: GeneratorConfig) -> list[float]:
     """Cumulative preference-softmax over categories, normalized as
     ``Generator.choice(n, p=w)`` normalizes it, so that
-    ``cdf.searchsorted(rng.random(), side="right")`` draws what
-    ``rng.choice`` draws from the same stream."""
+    ``bisect_right(cdf, rng.random())`` draws what ``rng.choice`` draws
+    from the same stream."""
     z = config.affinity_temperature * user.preference
     z = z - z.max()
     w = np.exp(z)
     cdf = (w / w.sum()).cumsum()
     cdf /= cdf[-1]
-    return cdf
+    return cdf.tolist()
+
+
+# raw words read from the bit generator at a time
+_WORD_BLOCK = 1 << 14
+_UINT32_MAX = 0xFFFFFFFF
+_DOUBLE_UNIT = 2.0 ** -53
+
+
+class _Draws:
+    """The draws ``simulate`` makes, as ``random()``, ``integers()`` and
+    ``uniform()`` of the ``Generator`` ``rng`` would make them, replayed
+    from raw 64-bit words of a copy of its PCG64 read in blocks.
+
+    Each value is decoded as numpy 2.x decodes it: a double is the top 53
+    bits of a word; a bounded integer is Lemire's multiply-and-reject over
+    32-bit draws, each the low half of a new word or, if one is stored,
+    the high half of the word before (a double leaves that half stored).
+    ``close()`` sets ``rng`` to the state the same calls on it would have
+    left.  ``tests/test_datagen.py`` checks values and state against the
+    ``Generator`` itself.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._start = rng.bit_generator.state
+        self._source = np.random.PCG64()
+        self._source.state = self._start  # refuses another bit generator
+        self._has_half = self._start["has_uint32"]
+        self._half = self._start["uinteger"]
+        self._blocks = 0
+        self._doubles = iter(())
+        self._next = self._doubles.__next__
+
+    def _refill(self) -> tuple[float, int, int]:
+        """The first word of a new block, decoded as (double, low half,
+        high half), as ``self._next()`` gives each word."""
+        words = self._source.random_raw(_WORD_BLOCK)
+        self._doubles = iter(((words >> 11) * _DOUBLE_UNIT).tolist())
+        self._next = zip(self._doubles, (words & _UINT32_MAX).tolist(),
+                         (words >> 32).tolist()).__next__
+        self._blocks += 1
+        return self._next()
+
+    def _uint32(self) -> int:
+        if self._has_half:
+            self._has_half = 0
+            return self._half
+        try:
+            _, low, self._half = self._next()
+        except StopIteration:
+            _, low, self._half = self._refill()
+        self._has_half = 1
+        return low
+
+    def random(self) -> float:
+        try:
+            return self._next()[0]
+        except StopIteration:
+            return self._refill()[0]
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """An integer in ``[low, high)``, or in ``[0, low)`` without
+        ``high``."""
+        if high is None:
+            low, high = 0, low
+        n = high - low
+        if n == 1:
+            return low
+        if not 1 < n <= _UINT32_MAX:
+            raise ValueError(f"integers({low}, {high}): the range must hold "
+                             f"1 to 2**32 - 1 values")
+        m = self._uint32() * n
+        if m & _UINT32_MAX < n:
+            threshold = (1 << 32) % n
+            while m & _UINT32_MAX < threshold:
+                m = self._uint32() * n
+        return low + (m >> 32)
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * self.random()
+
+    def close(self) -> None:
+        """Set ``rng`` past the words used, with the stored half."""
+        # the zip takes from the doubles first, so the words the block has
+        # left are the doubles it has left
+        used = (self._blocks * _WORD_BLOCK
+                - operator.length_hint(self._doubles))
+        self._source.state = self._start
+        self._source.advance(used)
+        state = self._source.state
+        state["has_uint32"], state["uinteger"] = self._has_half, self._half
+        self._rng.bit_generator.state = state
 
 
 def simulate(market: MarketState, days: int) -> SimulationResult:
@@ -419,48 +519,75 @@ def simulate(market: MarketState, days: int) -> SimulationResult:
     Bernoulli(true_ctr); a clicked item is purchased with probability
     purchase_given_click, which decrements stock and retires the item when
     stock reaches zero.  New items are injected at the start of each day.
-    Deterministic in the market's seed.
+    Deterministic in the market's seed: every draw comes from
+    ``market.rng``'s stream, replayed by ``_Draws``.
     """
     if days < 1:
         raise DatasetError("days must be >= 1")
+    rng = _Draws(market.rng)
+    try:
+        return _simulate(market, days, rng)
+    finally:
+        rng.close()
+
+
+def _simulate(market: MarketState, days: int, rng: _Draws
+              ) -> SimulationResult:
     config = market.config
-    rng = market.rng
     columns: tuple[list, ...] = tuple([] for _ in DATASET_FIELDS)
     (day_col, user_col, item_col, label_col, ctr_col, limited_col, new_col,
      history_col) = columns
-    # the store of distinct histories: a user's history changes only on
-    # that user's click, so a new entry starts at the user's first
-    # impression after a click (or after the start)
-    entries: list[tuple[int, int, bool]] = []
+    # the store of distinct histories, as flat (item, category, limited)
+    # ints: a user's history changes only on that user's click, so a new
+    # entry starts at the user's first impression after a click (or after
+    # the start)
+    entries: list[int] = []
     offsets = [0]
     current: dict[int, int | None] = dict.fromkeys(market.histories)
+    kept = 3 * config.history_max  # ints of the entries a history keeps
     empty_days = 0
 
     cat_cdfs = {u.user_id: _category_cdf(u, config) for u in market.users}
+    # true_ctr's logit, split into a term per (user, category) and one per
+    # item and added in its order: (bias + w_aff * affinity) + w_q * quality
+    user_terms = {u.user_id: [config.ctr_bias + config.ctr_w_affinity * a
+                              for a in u.preference.tolist()]
+                  for u in market.users}
+
+    def describe(s: ItemSpec) -> tuple[int, bool, int, float]:
+        """Category, limited, created day and quality term of an item."""
+        return (s.category_id, s.is_limited, s.created_day,
+                config.ctr_w_quality * s.quality)
+
+    info = {i: describe(s) for i, s in market.items.items()}
+    live, remaining, exp = market.live, market.remaining, np.exp
 
     for day in range(market.day + 1, market.day + days + 1):
         for _ in range(config.new_items_per_day):
             item = _make_item(config, rng, market.next_item_id, day)
             market.items[item.item_id] = item
-            market.remaining[item.item_id] = item.stock_count
-            market.live.add(item.item_id)
+            remaining[item.item_id] = item.stock_count
+            live.add(item.item_id)
+            info[item.item_id] = describe(item)
             market.next_item_id += 1
 
-        # stable per-day index of live items by category
+        # stable per-day index of live items by category, each pool in id
+        # order
         by_cat: list[list[int]] = [[] for _ in range(config.n_categories)]
-        live_sorted = sorted(market.live)
+        live_sorted = sorted(live)
         for iid in live_sorted:
-            by_cat[market.items[iid].category_id].append(iid)
+            by_cat[info[iid][0]].append(iid)
 
         day_cut_short = False
         for user in market.users:
             if day_cut_short:
                 break
             uid = user.user_id
-            n_impr = int(round(user.activity))
-            cdf = cat_cdfs[uid]
-            for _ in range(n_impr):
-                if not market.live:
+            cdf, terms = cat_cdfs[uid], user_terms[uid]
+            clicks = market.histories[uid]
+            history = current[uid]
+            for _ in range(int(round(user.activity))):
+                if not live:
                     day_cut_short = True
                     break
                 item_id = _sample_item(market, rng, cdf, by_cat,
@@ -468,42 +595,46 @@ def simulate(market: MarketState, days: int) -> SimulationResult:
                 if item_id is None:
                     day_cut_short = True
                     break
-                item = market.items[item_id]
-                p = true_ctr(user, item, config)
+                category, limited, created, quality_term = info[item_id]
+                # sigmoid's scalar branches, with numpy's exp for its bits
+                z = terms[category] + quality_term
+                if z >= 0:
+                    p = 1.0 / (1.0 + float(exp(-z)))
+                else:
+                    e = float(exp(z))
+                    p = e / (1.0 + e)
                 label = int(rng.random() < p)
-                history = current[uid]
                 if history is None:
-                    history = current[uid] = len(offsets) - 1
-                    entries += market.histories[uid][:config.history_max]
-                    offsets.append(len(entries))
+                    history = len(offsets) - 1
+                    entries += clicks[:kept]
+                    offsets.append(len(entries) // 3)
                 day_col.append(day)
                 user_col.append(uid)
                 item_col.append(item_id)
                 label_col.append(label)
                 ctr_col.append(p)
-                limited_col.append(item.is_limited)
-                new_col.append(
-                    (day - item.created_day) <= NEW_ITEM_MAX_AGE_DAYS)
+                limited_col.append(limited)
+                new_col.append((day - created) <= NEW_ITEM_MAX_AGE_DAYS)
                 history_col.append(history)
                 if label:
-                    hist = market.histories[uid]
-                    hist.insert(0, (item_id, item.category_id, item.is_limited))
-                    if len(hist) > 4 * config.history_max:
-                        del hist[4 * config.history_max:]
-                    current[uid] = None
+                    clicks[0:0] = (item_id, category, limited)
+                    del clicks[4 * kept:]
+                    history = None
                     if rng.random() < config.purchase_given_click:
-                        market.remaining[item_id] -= 1
-                        if market.remaining[item_id] <= 0:
-                            market.live.discard(item_id)
-                            by_cat[item.category_id].remove(item_id)
+                        remaining[item_id] -= 1
+                        if remaining[item_id] <= 0:
+                            live.discard(item_id)
+                            pool = by_cat[category]
+                            del pool[bisect.bisect_left(pool, item_id)]
+            current[uid] = history
         if day_cut_short:
             empty_days += 1
         market.day = day
 
-    hist_item, hist_category, hist_limited = \
-        np.array(entries, dtype=np.int64).reshape(-1, 3).T.copy()
+    hist_item, hist_category, hist_limited = np.fromiter(
+        entries, np.int64, len(entries)).reshape(-1, 3).T.copy()
     records = ImpressionTable(
-        *(np.array(c, dtype=dtype) for c, dtype in
+        *(np.fromiter(c, dtype, len(c)) for c, dtype in
           zip(columns, _SCALAR_DTYPES + (np.int64,))),
         hist_offsets=np.array(offsets, dtype=np.int64), hist_item=hist_item,
         hist_category=hist_category, hist_limited=hist_limited != 0)
@@ -517,29 +648,23 @@ def simulate(market: MarketState, days: int) -> SimulationResult:
     return SimulationResult(records=records, metadata=meta)
 
 
-def _sample_item(market: MarketState, rng: np.random.Generator,
-                 cat_cdf: np.ndarray, by_cat: list[list[int]],
+def _sample_item(market: MarketState, rng: np.random.Generator | _Draws,
+                 cat_cdf: Sequence[float], by_cat: list[list[int]],
                  live_sorted: list[int],
                  config: GeneratorConfig) -> int | None:
-    if rng.random() < config.exploration_rate:
-        # uniform exploration over live items
-        while live_sorted:
-            iid = live_sorted[int(rng.integers(len(live_sorted)))]
-            if iid in market.live:
-                return iid
-            live_sorted.remove(iid)
-        return None
-    cat = int(cat_cdf.searchsorted(rng.random(), side="right"))
-    pool = by_cat[cat]
-    if not pool:
+    if rng.random() >= config.exploration_rate:
+        pool = by_cat[bisect.bisect_right(cat_cdf, rng.random())]
+        if pool:
+            return pool[rng.integers(len(pool))]
         # category exhausted: fall back to uniform over whatever is live
-        while live_sorted:
-            iid = live_sorted[int(rng.integers(len(live_sorted)))]
-            if iid in market.live:
-                return iid
-            live_sorted.remove(iid)
-        return None
-    return pool[int(rng.integers(len(pool)))]
+    # uniform over live items; a sold one drawn leaves the list
+    while live_sorted:
+        index = rng.integers(len(live_sorted))
+        iid = live_sorted[index]
+        if iid in market.live:
+            return iid
+        del live_sorted[index]
+    return None
 
 
 # ----------------------------------------------------------------------

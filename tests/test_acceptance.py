@@ -6,6 +6,7 @@ training impressions per seed, five seeds, two architectures) and dominate
 the runtime; everything else is seconds.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -357,15 +358,25 @@ def test_criterion_7_split_equivalence_100_batches():
 # 8 and 9: full-scale directional checks (shared sweep)
 
 
+def table_digest(table) -> str:
+    """sha256 over an impression table's row columns and history store."""
+    digest = hashlib.sha256()
+    for column in (*table.columns(), table.hist_offsets, table.hist_item,
+                   table.hist_category, table.hist_limited):
+        digest.update(np.ascontiguousarray(column).tobytes())
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def full_scale_sweep():
     t0 = time.time()
     outcome = {"wins": 0, "overall_deltas": [], "per_seed": [],
-               "attention": []}
+               "attention": [], "digests": []}
     for seed in range(5):
         gen = GeneratorConfig()
         market = build_market(gen, seed=seed)
         res = simulate(market, gen.days)
+        outcome["digests"].append(table_digest(res.records))
         train, test = split_train_test(res.records, gen.days)
         groups = {}
         for arch in ("din", "msnet"):
@@ -418,6 +429,23 @@ def test_criterion_9_attention_asymmetry(full_scale_sweep):
     ok(9, f"trained DIN favors multi-stock sequence items: pooled "
           f"multi->multi {pooled_mm:.4f} > multi->limited {pooled_ml:.4f} "
           f"({sum(holds)}/5 seeds individually)")
+
+
+# the desk-default impression tables of seeds 0-4, as taken when every
+# simulator draw was a Generator call; a change to the random stream or to
+# the table layout moves them
+DESK_DIGESTS = [
+    "f9260e052d72c0aab3012ec25289ac556a62dc5d41aebc7e52d2ccefc16da483",
+    "36c70400149df7e17d4f1d6d7eb74d814dac10bc93ea4b7be00d0832a5311bc6",
+    "c3ecf95fcec21e3a45d51889a7ccacb83d7aada07eb10f3ff284510c4fd8a029",
+    "564264297202a80abf78459b78e58c443dc381f116a9d5c042ebe4a1044f1865",
+    "4aa550535802e7ae724d0faf9c0b6f45f8505aaddf476594ed7c10dfa808b7d8",
+]
+
+
+@pytest.mark.slow
+def test_desk_simulations_pinned(full_scale_sweep):
+    assert full_scale_sweep["digests"] == DESK_DIGESTS
 
 
 # ----------------------------------------------------------------------

@@ -104,6 +104,39 @@ class TestGenerate:
                for p in sorted(out.iterdir())}
         assert got == self.PINNED[seed]
 
+    # a market that sells out: every item limited and bought on its first
+    # click, a few new items a day; each day runs out of live items, which
+    # covers the uniform fallback and the cut-short days.  sha256 of each
+    # file as taken when every simulator draw was a Generator call.
+    SELL_OUT = {"seed": 5, "generator": {
+        "n_users": 40, "n_items": 60, "days": 4, "new_items_per_day": 3,
+        "limited_fraction": 1, "purchase_given_click": 1, "ctr_bias": 0}}
+    SELL_OUT_PINNED = {
+        "items.tsv": "c2808d37916d49651884c8726651e3df"
+                     "8e458728c55411a5266d5d07cc17ff07",
+        "manifest.json": "4e3b736f43c7e5e8bfb858b5a5db8162"
+                         "e1cb6b3d5ef1381123e667e1f411c9b3",
+        "test.tsv": "fcfa9fd3912929da2ece26a249f5f8ec"
+                    "1ff4534ee3479e01329b7c0432401b8b",
+        "train.tsv": "9518b5c99305eb4a98c302110202142a"
+                     "0dd5a5941d55fcff9667ec707b9390a1"}
+
+    def test_sell_out_bytes_pinned(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.SELL_OUT))
+        out = tmp_path / "data"
+        assert main(["generate", "--config", str(cfg), "--out",
+                     str(out)]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir())}
+        assert got == self.SELL_OUT_PINNED
+        # all 72 items sold, and every day ran out of them
+        simulation = json.loads((out / "manifest.json").read_text())[
+            "simulation"]
+        assert simulation["days_cut_short"] == 4
+        assert simulation["live_items_at_end"] == 0
+        assert len((out / "items.tsv").read_text().splitlines()) == 1 + 72
+
     def test_test_file_is_last_day_only(self, workspace):
         _, _, data, _ = workspace
         days = TINY["generator"]["days"]
@@ -507,6 +540,13 @@ def _checkpoint_without(workspace, tmp_path: Path, block: str) -> list[str]:
             "--out", str(tmp_path / "e")]
 
 
+def _train_with_model(workspace, tmp_path: Path, **model) -> list[str]:
+    _, _, data, _ = workspace
+    cfg = write_config(tmp_path / "cfg.json", model=model)
+    return ["train", "--config", str(cfg), "--data", str(data), "--arch",
+            "msnet", "--out", str(tmp_path / "run")]
+
+
 def _ablate_alpha_sweep(workspace, tmp_path: Path, sweep) -> list[str]:
     _, _, data, _ = workspace
     cfg = write_config(tmp_path / "cfg.json", alpha_sweep=sweep)
@@ -562,6 +602,16 @@ MALFORMED_INPUTS = {
         tmp / "cfg.json", json.dumps({"generator": {"n_users": "5"}}))),
     "config_alpha_sweep_string": ("E_CONFIG", lambda ws, tmp:
                                   _ablate_alpha_sweep(ws, tmp, ["x"])),
+    "config_history_len_past_int64": ("E_CONFIG", lambda ws, tmp:
+                                      _train_with_model(ws, tmp,
+                                                        history_len=10**30)),
+    "config_d_id_past_int64": ("E_CONFIG", lambda ws, tmp: _train_with_model(
+        ws, tmp, d_id=10**30)),
+    "config_n_categories_past_int64": ("E_CONFIG", lambda ws, tmp:
+                                       _config_text(tmp / "cfg.json",
+                                                    json.dumps({"generator": {
+                                                        "n_categories":
+                                                        10**30}}))),
     "manifest_without_files": ("E_FORMAT", lambda ws, tmp: _data_copy(
         ws, tmp, lambda d: (d / "manifest.json").write_text(
             json.dumps({"format": "manifest-v1"})))),

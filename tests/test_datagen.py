@@ -3,12 +3,14 @@ statistics, and the dataset file round trip."""
 
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msnetlab import datagen
 from msnetlab.datagen import (
     DATASET_FIELDS,
     DATASET_HEADER,
@@ -21,6 +23,7 @@ from msnetlab.datagen import (
     ItemSpec,
     UserSpec,
     _category_cdf,
+    _Draws,
     _sample_item,
     build_market,
     read_catalog,
@@ -156,6 +159,98 @@ class TestCategoryDraw:
         assert got_rng.random() == want_rng.random()
 
 
+# PCG64 as numpy steps it: each word is the XSL-RR output of the state
+# after one step ``state * PCG_MULT + inc`` (mod 2**128)
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_state_before(word: int, inc: int, high: int) -> dict:
+    """A PCG64 state whose next raw word is ``word``: the stepped state
+    has high half ``high``, whose top six bits give the rotation, and a
+    low half that makes the output ``word``."""
+    mask = 2 ** 64 - 1
+    rot = high >> 58
+    low = high ^ (((word << rot) | (word >> (64 - rot))) & mask)
+    stepped = (high << 64) | low
+    state = (stepped - inc) * pow(PCG_MULT, -1, 2 ** 128) % 2 ** 128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+# ranges numpy decodes through 32-bit draws: small ones, and large ones
+# where Lemire's method rejects often
+RANGES = [1, 2, 3, 7, 100, 1234, 2 ** 31 - 1, 2 ** 31 + 5, 3 * 10 ** 9,
+          2 ** 32 - 1]
+DRAW_CALLS = st.one_of(
+    st.just(("random",)),
+    st.just(("uniform", -1.0, 1.0)),
+    st.tuples(st.just("integers"),
+              st.one_of(st.sampled_from(RANGES), st.integers(1, 2 ** 32 - 1))),
+    st.tuples(st.just("integers"), st.integers(-2 ** 40, 2 ** 40),
+              st.sampled_from(RANGES)).map(
+        lambda c: (c[0], c[1], c[1] + c[2])))
+
+
+class TestDraws:
+    """``_Draws`` against numpy's own ``Generator`` as the oracle: equal
+    values call for call, and equal bit-generator state after close."""
+
+    @given(seed=st.integers(0, 2 ** 64 - 1), stored_half=st.booleans(),
+           block=st.sampled_from([1, 2, 3, 1 << 14]),
+           calls=st.lists(DRAW_CALLS, max_size=200))
+    @settings(max_examples=300, deadline=None)
+    def test_draws_and_state_match_generator(self, seed, stored_half, block,
+                                             calls):
+        want = np.random.default_rng(seed)
+        got_rng = np.random.default_rng(seed)
+        if stored_half:  # one 32-bit draw leaves a half stored
+            want.integers(5)
+            got_rng.integers(5)
+            assert want.bit_generator.state["has_uint32"] == 1
+        with mock.patch.object(datagen, "_WORD_BLOCK", block):
+            draws = _Draws(got_rng)
+            for name, *args in calls:
+                got = getattr(draws, name)(*args)
+                assert got == getattr(want, name)(*args), (name, args)
+            draws.close()
+        assert got_rng.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("n", RANGES[1:])
+    def test_rejection_boundary(self, n):
+        # a first 32-bit draw whose low product bits sit at the rejection
+        # threshold and one below it: one is kept, the other redrawn
+        threshold = 2 ** 32 % n
+        twos = (n & -n).bit_length() - 1
+        # a product of n has ``twos`` low zero bits
+        leftovers = [v for v in sorted({threshold, max(threshold - 1, 0)})
+                     if v % 2 ** twos == 0]
+        assert leftovers
+        for leftover in leftovers:
+            odd = n >> twos
+            u = (leftover >> twos) * pow(odd, -1, 2 ** (32 - twos)) \
+                % 2 ** (32 - twos)
+            assert u * n % 2 ** 32 == leftover
+            # the word's high half, the state's and inc are arbitrary
+            state = pcg64_state_before((0x9E3779B9 << 32) | u,
+                                       inc=2 * 12345 + 1,
+                                       high=0xC2B2AE3D27D4EB4F ^ n)
+            want = np.random.Generator(np.random.PCG64())
+            want.bit_generator.state = state
+            got_rng = np.random.Generator(np.random.PCG64())
+            got_rng.bit_generator.state = state
+            draws = _Draws(got_rng)
+            assert draws.integers(n) == want.integers(n)
+            assert draws.random() == want.random()
+            draws.close()
+            assert got_rng.bit_generator.state == want.bit_generator.state
+
+    def test_ranges_past_32_bits_refused(self):
+        draws = _Draws(np.random.default_rng(0))
+        for args in ((2 ** 32,), (0,), (5, 3), (-1, 2 ** 32 - 1)):
+            with pytest.raises(ValueError, match="range"):
+                draws.integers(*args)
+
+
 class TestSimulate:
     def test_sold_items_never_reappear(self):
         # advance one day at a time; anything sold out by the end of a day
@@ -171,6 +266,50 @@ class TestSimulate:
                          if r.item_id in dead_before]
             assert not offenders, f"sold items reappeared: {offenders[:5]}"
         assert saw_sellout, "fixture never sold anything out; test is vacuous"
+
+    def test_ctr_is_the_oracle_bit_for_bit(self):
+        # simulate computes the logit from per-user and per-item terms;
+        # true_ctr computes it whole, through autodiff.sigmoid
+        cfg = GeneratorConfig(n_users=30, n_items=200, n_categories=5,
+                              days=2, new_items_per_day=10, ctr_bias=-0.3,
+                              mean_impressions_per_user_day=10.0)
+        market = build_market(cfg, seed=4)
+        records = simulate(market, cfg.days).records
+        users = {u.user_id: u for u in market.users}
+        want = [true_ctr(users[u], market.items[i], cfg) for u, i in
+                zip(records.user_id.tolist(), records.item_id.tolist())]
+        assert records.true_ctr.tolist() == want
+        # both sigmoid branches ran
+        assert (records.true_ctr < 0.5).any()
+        assert (records.true_ctr > 0.5).any()
+
+    def test_day_by_day_continues_the_stream(self):
+        # close() hands the stream on: one day at a time gives the rows and
+        # the final generator state of one run over all the days
+        whole = build_market(SMALL, seed=9)
+        rows = list(simulate(whole, SMALL.days).records)
+        daily = build_market(SMALL, seed=9)
+        parts = [list(simulate(daily, 1).records) for _ in range(SMALL.days)]
+        assert sum(parts, []) == rows
+        assert daily.rng.bit_generator.state == whole.rng.bit_generator.state
+
+    # the generator state simulate leaves, as taken when every draw was a
+    # Generator call: (state, inc, has_uint32, uinteger)
+    PINNED_STATES = {
+        5: (316369249174298282799150698133310367919,
+            233193750087604940414945475171846202189, 0, 3342694038),
+        9: (17209782595391185713204732807631463814,
+            47650611409575876553999889140290214363, 1, 312072295),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_STATES))
+    def test_generator_state_after_simulate_pinned(self, seed):
+        market = build_market(SMALL, seed=seed)
+        simulate(market, SMALL.days)
+        state = market.rng.bit_generator.state
+        assert (state["state"]["state"], state["state"]["inc"],
+                state["has_uint32"], state["uinteger"]) == \
+            self.PINNED_STATES[seed]
 
     def test_purchase_zero_catalog_never_shrinks(self):
         cfg = GeneratorConfig(n_users=30, n_items=150, days=3,
