@@ -213,7 +213,7 @@ def load_manifest(data_dir: Path) -> dict:
 def verify_dataset(data_dir: Path, manifest: dict, *,
                    expected_id: str | None = None) -> None:
     for name, recorded in manifest["files"].items():
-        if not (data_dir / name).exists():
+        if not (data_dir / name).is_file():
             raise CliError("E_FORMAT",
                            f"dataset file not found: {data_dir / name}")
         actual = file_sha256(data_dir / name)

@@ -20,17 +20,21 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import hashlib
+import io
 import itertools
 import math
 import operator
+import re
 import sys
 import warnings
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from .autodiff import sigmoid
+
+T = TypeVar("T")
 
 DATASET_FIELDS = ("day", "user_id", "item_id", "label", "true_ctr",
                   "item_is_limited", "item_is_new", "history")
@@ -46,7 +50,7 @@ NEW_ITEM_MAX_AGE_DAYS = 1
 # Largest initial stock of a multi-stock item; keeps the draw in int64.
 MAX_STOCK = 10**9
 
-# Ids read from files must fit the encoder's int64 arrays.
+# Config integers must fit numpy's int64 arithmetic.
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 
 
@@ -668,107 +672,135 @@ def _sample_item(market: MarketState, rng: np.random.Generator | _Draws,
 
 
 # ----------------------------------------------------------------------
-# dataset files
+# reading the lab's TSV files: dataset, catalog and prediction files share
+# one preamble, one number grammar and one way to name the first bad line
 
-# the bulk parse reads the flags as integers, as the per-line parser's
-# bool(int(text)) does
+# ASCII characters that numpy skips as blanks around a number, and that
+# int() and float() refuse
+_NOT_NUMBER_TEXT = "\x1c\x1d\x1e\x1f"
+
+
+def read_body(path: str | Path, header: str, what: str,
+              error: type[Exception]) -> str:
+    """The text after the header line of the ``what`` file at ``path``.
+    Raises ``error`` if ``path`` is not a file, is not UTF-8 or does not
+    start with ``header``."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"{what} file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from exc
+    first, _, body = text.partition("\n")
+    if first != header:
+        raise error(f"{path}: unrecognized {what} header "
+                    f"(expected {header!r})")
+    return body
+
+
+def load_numbers(text: str, dtype: np.dtype | type,
+                 lines: list[str] | None = None, **kwargs) -> np.ndarray:
+    """The rows of ``text`` from one ``np.loadtxt``, tab-delimited and
+    without comments unless ``kwargs`` say otherwise.  This is the files'
+    one number grammar: ASCII text without the separators 0x1c-0x1f, and
+    numbers as numpy reads them, so an underscore or a non-ASCII digit is
+    refused.  ``lines``, when given, is ``text`` split into its rows, which
+    numpy reads faster than the text.  Raises ValueError."""
+    if not text.isascii() or any(c in text for c in _NOT_NUMBER_TEXT):
+        bad = next(c for c in text
+                   if not c.isascii() or c in _NOT_NUMBER_TEXT)
+        raise ValueError(f"character {bad!r} is not in the ASCII number "
+                         f"grammar")
+    kwargs = {"delimiter": "\t", "comments": None, "ndmin": 1, **kwargs}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a text without rows
+        return np.loadtxt(io.StringIO(text) if lines is None else lines,
+                          dtype=dtype, **kwargs)
+
+
+def check_field_counts(lines: Iterable[str], n_fields: int) -> None:
+    """Raises ValueError for the first non-empty line that does not hold
+    ``n_fields`` tab-separated fields."""
+    tabs = list(map(str.count, filter(None, lines), itertools.repeat("\t")))
+    if set(tabs) - {n_fields - 1}:
+        got = next(n for n in tabs if n != n_fields - 1) + 1
+        raise ValueError(f"expected {n_fields} fields, got {got}")
+
+
+def parse_or_name_line(parse: Callable[[str], T], body: str,
+                       error: type[Exception]) -> T:
+    """``parse(body)``.  If ``parse`` raises ValueError, raises ``error``
+    with ``line N: <why>`` for the first line N (the header is line 1) that
+    ``parse`` refuses alone, ``<why>`` being what it says about that line.
+    Found by bisection: whether a line parses does not depend on the
+    others."""
+    try:
+        return parse(body)
+    except ValueError as exc:
+        lines = body.split("\n")
+        lo, hi = 0, len(lines)  # lines[:lo] parse; lines[lo:hi] do not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                parse("\n".join(lines[lo:mid]))
+                lo = mid
+            except ValueError:
+                hi = mid
+        try:
+            parse(lines[lo])
+        except ValueError as line_exc:
+            # numpy counts rows of the one-line text: drop its "row 0"
+            why = re.sub(r" at row \d+, column", " at column", str(line_exc))
+            raise error(f"line {lo + 2}: {why}") from exc
+        raise error(str(exc)) from exc
+
+
+def _is_flag(values: np.ndarray) -> np.ndarray:
+    return (values == 0) | (values == 1)
+
+
+# flags are read as integers so that one other than 0 or 1 is seen
 _SCALAR_ROW = np.dtype([(f, np.float64 if f == "true_ctr" else np.int64)
                         for f in _SCALAR_FIELDS])
-# blanks that numpy's number parser skips and int() and float() refuse
-_NUMPY_ONLY_BLANKS = "\x1c\x1d\x1e\x1f"
-
-
-def _int64_id(text: str, what: str = "id") -> int:
-    value = int(text)
-    if not INT64_MIN <= value <= INT64_MAX:
-        raise ValueError(f"{what} {value} outside int64")
-    return value
-
-
-def _parse_history(text: str) -> tuple[tuple[int, int, bool], ...]:
-    history: list[tuple[int, int, bool]] = []
-    if text:
-        for triple in text.split(","):
-            i, c, l = triple.split(":")
-            history.append((_int64_id(i), _int64_id(c), bool(int(l))))
-    return tuple(history)
-
-
-def _parse_record(line: str, lineno: int,
-                  histories: dict[str, tuple]) -> ImpressionRecord:
-    """One dataset line as a record.  ``histories`` maps each history
-    field text already parsed to its tuple; a text is checked the first
-    time it is seen and shared by every later line that repeats it."""
-    parts = line.split("\t")
-    if len(parts) != len(DATASET_FIELDS):
-        raise DatasetError(
-            f"line {lineno}: expected {len(DATASET_FIELDS)} fields, "
-            f"got {len(parts)}")
-    try:
-        day = _int64_id(parts[0], "day")
-        user_id = _int64_id(parts[1])
-        item_id = _int64_id(parts[2])
-        label = int(parts[3])
-        ctr = float(parts[4])
-        limited = bool(int(parts[5]))
-        new = bool(int(parts[6]))
-        history = histories.get(parts[7])
-        if history is None:
-            history = histories[parts[7]] = _parse_history(parts[7])
-    except (ValueError, IndexError) as exc:
-        raise DatasetError(f"line {lineno}: {exc}") from exc
-    if label not in (0, 1):
-        raise DatasetError(f"line {lineno}: label must be 0 or 1")
-    if not (0.0 < ctr < 1.0):
-        raise DatasetError(f"line {lineno}: true_ctr out of (0, 1)")
-    return ImpressionRecord(day=day, user_id=user_id, item_id=item_id,
-                            label=label, true_ctr=ctr,
-                            item_is_limited=limited, item_is_new=new,
-                            history=history)
-
-
-def _parse_lines(body: str) -> ImpressionTable:
-    """A dataset body, one ``_parse_record`` per line: raises the
-    DatasetError of the first bad line."""
-    histories: dict[str, tuple] = {}
-    return ImpressionTable.from_records(
-        _parse_record(line, lineno, histories)
-        for lineno, line in enumerate(body.split("\n"), start=2) if line)
+_BAD_HISTORY = ("history is not comma-separated item:category:limited "
+                "entries of int64 ids and a flag of 0 or 1")
 
 
 def _count_entries(history: str) -> int:
     return history.count(",") + 1 if history else 0
 
 
-def _parse_columns(body: str) -> ImpressionTable:
+def _parse_dataset(body: str) -> ImpressionTable:
     """A dataset body in bulk: one ``np.loadtxt`` for the scalar fields,
     one for the entries of the distinct history texts.  Raises ValueError
-    for any body it cannot read exactly as ``_parse_lines`` does; it
-    accepts a subset of what that accepts, with the same values."""
-    if not body.isascii() or any(c in body for c in _NUMPY_ONLY_BLANKS):
-        raise ValueError("characters numpy and Python read differently")
+    for a body with a bad line."""
     lines = list(filter(None, body.split("\n")))
-    tabs = len(DATASET_FIELDS) - 1
-    if set(map(str.count, lines, itertools.repeat("\t"))) - {tabs}:
-        raise ValueError("a line without eight fields")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a body without rows
-        rows = np.loadtxt(lines, dtype=_SCALAR_ROW, delimiter="\t",
-                          comments=None, usecols=range(tabs), ndmin=1)
-    ctr = rows["true_ctr"]
-    if not (((rows["label"] == 0) | (rows["label"] == 1)).all()
-            and ((ctr > 0.0) & (ctr < 1.0)).all()):
-        raise ValueError("a label or true_ctr out of range")
+    check_field_counts(lines, len(DATASET_FIELDS))
+    rows = load_numbers(body, _SCALAR_ROW, lines,
+                        usecols=range(len(_SCALAR_FIELDS)))
     texts = list(map(operator.itemgetter(2),
                      map(str.rpartition, lines, itertools.repeat("\t"))))
     index = {text: i for i, text in enumerate(dict.fromkeys(texts))}
     flat = ",".join(filter(None, index))
     entries = flat.split(",") if flat else []
-    store = np.loadtxt(entries, dtype=np.int64, delimiter=":", comments=None,
-                       ndmin=2) if entries else np.empty((0, 3), np.int64)
+    store = np.empty((0, 3), np.int64)
+    if entries:
+        try:
+            store = load_numbers(flat, np.int64, entries, delimiter=":",
+                                 ndmin=2)
+        except ValueError:
+            raise ValueError(_BAD_HISTORY) from None
     # loadtxt skips empty entries, so a row count short of theirs is one
-    if store.shape != (len(entries), 3):
-        raise ValueError("a history entry without three fields")
+    if store.shape != (len(entries), 3) or not _is_flag(store[:, 2]).all():
+        raise ValueError(_BAD_HISTORY)
+    ctr = rows["true_ctr"]
+    for ok, why in ((_is_flag(rows["label"]), "label must be 0 or 1"),
+                    ((ctr > 0.0) & (ctr < 1.0), "true_ctr out of (0, 1)"),
+                    *((_is_flag(rows[f]), f"{f} must be 0 or 1")
+                      for f in ("item_is_limited", "item_is_new"))):
+        if not ok.all():
+            raise ValueError(why)
     return ImpressionTable(
         *(np.ascontiguousarray(rows[f], dtype=dtype)
           for f, dtype in zip(_SCALAR_FIELDS, _SCALAR_DTYPES)),
@@ -815,67 +847,37 @@ def write_dataset(records: Impressions, path: str | Path) -> None:
 def read_dataset(path: str | Path) -> ImpressionTable:
     """The impressions of a dataset file.  Equal history fields share one
     store entry, so records of the table share one history tuple."""
-    path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"dataset file not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"{path}: not UTF-8 text ({exc})") from exc
-    header, _, body = text.partition("\n")
-    if header != DATASET_HEADER:
-        raise DatasetError(
-            f"{path}: unrecognized header (expected {DATASET_HEADER!r})")
-    try:
-        return _parse_columns(body)
-    except ValueError:
-        # the per-line parser names the first bad line, or reads what
-        # only it accepts
-        return _parse_lines(body)
+    body = read_body(path, DATASET_HEADER, "dataset", DatasetError)
+    return parse_or_name_line(_parse_dataset, body, DatasetError)
 
 
-def write_catalog(items: dict[int, ItemSpec] | Iterable[ItemSpec],
-                  path: str | Path) -> None:
-    if isinstance(items, dict):
-        items = [items[k] for k in sorted(items)]
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+def write_catalog(items: dict[int, ItemSpec], path: str | Path) -> None:
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(CATALOG_HEADER + "\n")
-        for s in items:
+        for s in (items[k] for k in sorted(items)):
             fh.write(f"{s.item_id}\t{s.category_id}\t{s.stock_count}\t"
                      f"{s.quality!r}\t{s.created_day}\n")
 
 
-def read_catalog(path: str | Path) -> dict[int, ItemSpec]:
-    path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"catalog file not found: {path}")
+_CATALOG_ROW = np.dtype([(f, np.float64 if f == "quality" else np.int64)
+                         for f in CATALOG_FIELDS])
+
+
+def _parse_catalog(body: str) -> np.ndarray:
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"{path}: not UTF-8 text ({exc})") from exc
-    header, _, body = text.partition("\n")
-    if header != CATALOG_HEADER:
-        raise DatasetError(f"{path}: unrecognized catalog header")
-    items: dict[int, ItemSpec] = {}
-    for lineno, line in enumerate(body.split("\n"), start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != len(CATALOG_FIELDS):
-            raise DatasetError(
-                f"line {lineno}: expected {len(CATALOG_FIELDS)} fields, "
-                f"got {len(parts)}")
-        try:
-            spec = ItemSpec(item_id=_int64_id(parts[0]),
-                            category_id=_int64_id(parts[1]),
-                            stock_count=int(parts[2]),
-                            quality=float(parts[3]),
-                            created_day=int(parts[4]))
-        except ValueError as exc:
-            raise DatasetError(f"line {lineno}: {exc}") from exc
-        items[spec.item_id] = spec
-    return items
+        return load_numbers(body, _CATALOG_ROW)
+    except ValueError:
+        check_field_counts(body.split("\n"), len(CATALOG_FIELDS))
+        raise
+
+
+def read_catalog(path: str | Path) -> dict[int, ItemSpec]:
+    """The items of a catalog file by id, as Python ints and floats; a
+    repeated id keeps its first place and its last line's values."""
+    body = read_body(path, CATALOG_HEADER, "catalog", DatasetError)
+    rows = parse_or_name_line(_parse_catalog, body, DatasetError)
+    return {row[0]: ItemSpec(*row)
+            for row in zip(*(rows[f].tolist() for f in CATALOG_FIELDS))}
 
 
 def file_sha256(path: str | Path) -> str:

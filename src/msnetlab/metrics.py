@@ -15,16 +15,21 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import re
-import warnings
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import stats
+
+from .datagen import (
+    check_field_counts,
+    load_numbers,
+    parse_or_name_line,
+    read_body,
+)
 
 N_PARTITIONS = 10
 
@@ -388,10 +393,13 @@ def _parse_rows(text: str) -> np.ndarray:
     ValueError for a row that does not parse or breaks a row rule: p
     finite in [0, 1], y and flags 0 or 1, partition id not negative, ids
     inside int64."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a body without rows
-        rows = np.loadtxt(io.StringIO(text), dtype=_ROW_DTYPE, comments="#",
-                          delimiter="\t", ndmin=1)
+    try:
+        rows = load_numbers(text, _ROW_DTYPE, comments="#")
+    except ValueError:
+        check_field_counts((line.partition("#")[0]
+                            for line in text.split("\n")),
+                           len(PREDICTION_FIELDS))
+        raise
     p = rows["p"]
     checks = [("p", (p >= 0.0) & (p <= 1.0),
                "is not a probability in [0, 1]")]
@@ -404,52 +412,14 @@ def _parse_rows(text: str) -> np.ndarray:
     return rows
 
 
-def _first_bad_line(body: str, exc: ValueError) -> str:
-    """Names the first line of a body that ``_parse_rows`` refused.  Found
-    by bisection: whether a line parses does not depend on the others."""
-    lines = body.split("\n")
-    lo, hi = 0, len(lines)  # lines[:lo] parse; lines[lo:hi] do not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            _parse_rows("\n".join(lines[lo:mid]))
-            lo = mid
-        except ValueError:
-            hi = mid
-    fields = lines[lo].partition("#")[0]
-    n_fields = fields.count("\t") + 1
-    if n_fields != len(PREDICTION_FIELDS):
-        return (f"line {lo + 2}: expected {len(PREDICTION_FIELDS)} fields, "
-                f"got {n_fields}")
-    try:
-        _parse_rows(fields)
-    except ValueError as line_exc:
-        # numpy counts rows of the one-line text: drop its "row 0"
-        why = re.sub(r" at row \d+, column", " at column", str(line_exc))
-        return f"line {lo + 2}: {why}"
-    return str(exc)
-
-
 def read_predictions(path: str | Path) -> tuple[PredictionTable, dict]:
-    path = Path(path)
-    if not path.exists():
-        raise MetricsError(f"prediction file not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise MetricsError(f"{path}: not UTF-8 text ({exc})") from exc
-    header, _, body = text.partition("\n")
-    if header != PREDICTION_HEADER:
-        raise MetricsError(f"{path}: unrecognized prediction header")
+    body = read_body(path, PREDICTION_HEADER, "prediction", MetricsError)
     meta: dict = {}
     for line in re.findall(r"^#meta\t(.*)$", body, flags=re.MULTILINE):
         for pair in line.split("\t"):
             k, _, v = pair.partition("=")
             meta[k] = v
-    try:
-        rows = _parse_rows(body)
-    except ValueError as exc:
-        raise MetricsError(_first_bad_line(body, exc)) from exc
+    rows = parse_or_name_line(_parse_rows, body, MetricsError)
     return PredictionTable(
         *(np.ascontiguousarray(rows[f], dtype=dtype)
           for f, dtype in zip(PREDICTION_FIELDS, _COLUMN_DTYPES))), meta

@@ -475,6 +475,11 @@ def _replace_field(path: Path, field: int, value: str) -> None:
     path.write_text("\n".join([header, "\t".join(parts), rest]))
 
 
+def _train_file_as_directory(data: Path) -> None:
+    (data / "train.tsv").unlink()
+    (data / "train.tsv").mkdir()
+
+
 def _append_bytes(path: Path, data: bytes) -> None:
     with path.open("ab") as fh:
         fh.write(data)
@@ -572,12 +577,25 @@ MALFORMED_INPUTS = {
         ws, tmp, lambda d: (d / "train.tsv").unlink())),
     "train_file_missing_no_verify": ("E_FORMAT", lambda ws, tmp: _data_copy(
         ws, tmp, lambda d: (d / "train.tsv").unlink()) + ["--no-verify"]),
+    "train_file_is_directory": ("E_FORMAT", lambda ws, tmp: _data_copy(
+        ws, tmp, _train_file_as_directory)),
+    "train_file_is_directory_no_verify": ("E_FORMAT", lambda ws, tmp:
+                                          _data_copy(
+                                              ws, tmp,
+                                              _train_file_as_directory)
+                                          + ["--no-verify"]),
     "dataset_history_id_above_int64": ("E_FORMAT", lambda ws, tmp: _data_copy(
         ws, tmp, lambda d: _replace_field(d / "train.tsv", 7, f"{2**64}:1:0"))
         + ["--no-verify"]),
     "dataset_user_id_below_int64": ("E_FORMAT", lambda ws, tmp: _data_copy(
         ws, tmp, lambda d: _replace_field(d / "train.tsv", 1,
                                           str(-2**63 - 1)))
+        + ["--no-verify"]),
+    "dataset_flag_seven": ("E_FORMAT", lambda ws, tmp: _data_copy(
+        ws, tmp, lambda d: _replace_field(d / "train.tsv", 5, "7"))
+        + ["--no-verify"]),
+    "dataset_history_flag_seven": ("E_FORMAT", lambda ws, tmp: _data_copy(
+        ws, tmp, lambda d: _replace_field(d / "train.tsv", 7, "3:1:7"))
         + ["--no-verify"]),
     "dataset_not_utf8": ("E_FORMAT", lambda ws, tmp: _data_copy(
         ws, tmp, lambda d: _append_bytes(d / "train.tsv", b"\xff\xfe"))
@@ -649,6 +667,8 @@ MALFORMED_INPUTS = {
                                            "99999999999999999999999")),
     "prediction_file_not_utf8": ("E_FORMAT", lambda ws, tmp:
                                  _undecodable_prediction(tmp)),
+    "prediction_file_is_directory": ("E_FORMAT", lambda ws, tmp: [
+        "report", str(tmp)]),
 }
 
 

@@ -1,7 +1,10 @@
 """Market simulator tests: boundaries, determinism, ground-truth click
 statistics, and the dataset file round trip."""
 
+import dataclasses
+import functools
 import math
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -33,6 +36,13 @@ from msnetlab.datagen import (
     true_ctr,
     write_catalog,
     write_dataset,
+)
+from msnetlab.metrics import (
+    PREDICTION_HEADER,
+    MetricsError,
+    PredictionRecord,
+    read_predictions,
+    write_predictions,
 )
 
 SMALL = GeneratorConfig(n_users=40, n_items=250, n_categories=4, days=4,
@@ -495,10 +505,18 @@ def loop_write_dataset(records, path):
                      f"{int(r.item_is_new)}\t{hist}\n")
 
 
-def _loop_int64_id(text):
-    value = int(text)
-    if not INT64_MIN <= value <= INT64_MAX:
-        raise ValueError(f"id {value} outside int64")
+# besides non-ASCII text, what the files' number grammar refuses in a field
+_LOOP_NOT_NUMBER_TEXT = "_\x1c\x1d\x1e\x1f"
+
+
+def _loop_number(text, kind=int):
+    """``kind(text)`` under the strict grammar: ASCII text, no underscore
+    or separator 0x1c-0x1f, and an integer inside int64."""
+    if not text.isascii() or any(c in text for c in _LOOP_NOT_NUMBER_TEXT):
+        raise ValueError(f"{text!r} is not ASCII number text")
+    value = kind(text)
+    if kind is int and not INT64_MIN <= value <= INT64_MAX:
+        raise ValueError(f"{value} outside int64")
     return value
 
 
@@ -507,8 +525,10 @@ def _loop_parse_history(text):
     if text:
         for triple in text.split(","):
             i, c, l = triple.split(":")
-            history.append((_loop_int64_id(i), _loop_int64_id(c),
-                            bool(int(l))))
+            flag = _loop_number(l)
+            if flag not in (0, 1):
+                raise ValueError(f"history flag {flag} is not 0 or 1")
+            history.append((_loop_number(i), _loop_number(c), bool(flag)))
     return tuple(history)
 
 
@@ -523,8 +543,8 @@ def loop_read_dataset(path):
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != DATASET_HEADER:
-            raise DatasetError(
-                f"{path}: unrecognized header (expected {DATASET_HEADER!r})")
+            raise DatasetError(f"{path}: unrecognized dataset header "
+                               f"(expected {DATASET_HEADER!r})")
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -535,13 +555,9 @@ def loop_read_dataset(path):
                     f"line {lineno}: expected {len(DATASET_FIELDS)} fields, "
                     f"got {len(parts)}")
             try:
-                day = int(parts[0])
-                user_id = _loop_int64_id(parts[1])
-                item_id = _loop_int64_id(parts[2])
-                label = int(parts[3])
-                ctr = float(parts[4])
-                limited = bool(int(parts[5]))
-                new = bool(int(parts[6]))
+                day, user_id, item_id, label = map(_loop_number, parts[:4])
+                ctr = _loop_number(parts[4], float)
+                limited, new = map(_loop_number, parts[5:7])
                 history = histories.get(parts[7])
                 if history is None:
                     history = histories[parts[7]] = \
@@ -552,10 +568,14 @@ def loop_read_dataset(path):
                 raise DatasetError(f"line {lineno}: label must be 0 or 1")
             if not (0.0 < ctr < 1.0):
                 raise DatasetError(f"line {lineno}: true_ctr out of (0, 1)")
+            for name, flag in (("item_is_limited", limited),
+                               ("item_is_new", new)):
+                if flag not in (0, 1):
+                    raise DatasetError(f"line {lineno}: {name} must be 0 or 1")
             records.append(ImpressionRecord(
                 day=day, user_id=user_id, item_id=item_id, label=label,
-                true_ctr=ctr, item_is_limited=limited, item_is_new=new,
-                history=history))
+                true_ctr=ctr, item_is_limited=bool(limited),
+                item_is_new=bool(new), history=history))
     return records
 
 
@@ -600,20 +620,29 @@ BAD_FIELDS = st.one_of(
     st.text(alphabet="0123456789:,-+. _e\t\x1c\u0663", max_size=12))
 
 
+# refusals both readers word alike; any other names only its line alike
+EXACT_REFUSAL = re.compile(
+    r"^line \d+: (expected \d+ fields, got \d+|label must be 0 or 1"
+    r"|true_ctr out of \(0, 1\)|item_is_(limited|new) must be 0 or 1)$")
+
+
 def assert_reads_as_loop(path):
-    """``read_dataset`` gives the loop reader's rows or its exact error."""
+    """``read_dataset`` gives the loop reader's rows, or refuses the line
+    it refuses: word for word for a field count, label, true_ctr or flag,
+    and for a whole-file refusal."""
     try:
         want = loop_read_dataset(path)
     except DatasetError as exc:
         with pytest.raises(DatasetError) as got:
             read_dataset(path)
-        assert str(got.value) == str(exc)
-        return
-    if any(not INT64_MIN <= r.day <= INT64_MAX for r in want):
-        # the one refusal the loop reader lacks: a day column is int64
-        with pytest.raises(DatasetError,
-                           match=r"^line \d+: day -?\d+ outside int64$"):
-            read_dataset(path)
+        got, want = str(got.value), str(exc)
+        if (EXACT_REFUSAL.match(got) or EXACT_REFUSAL.match(want)
+                or not want.startswith("line ")):
+            assert got == want
+        else:
+            assert got.partition(": ")[0] == want.partition(": ")[0]
+            # no numpy row count, such as one within the history entries
+            assert not re.search(r"\brow \d", got)
         return
     assert list(read_dataset(path)) == want
 
@@ -711,3 +740,225 @@ class TestColumnarDataPath:
         assert list(table) == records
         shared = [r.history for r in table]
         assert shared[0] is shared[2] is shared[4]
+
+
+# ----------------------------------------------------------------------
+# One reader for dataset, catalog and prediction files: one preamble, one
+# ASCII number grammar, one bisection that names the first refused line.
+
+
+def loop_read_catalog(path):
+    """The catalog per line with int() and float(), as a dict in file
+    order; the oracle for the values and types ``read_catalog`` gives."""
+    items = {}
+    lines = Path(path).read_text(encoding="utf-8").split("\n")[1:]
+    for line in filter(None, lines):
+        i, c, s, q, d = line.split("\t")
+        items[int(i)] = ItemSpec(int(i), int(c), int(s), float(q), int(d))
+    return items
+
+
+def _edit_line(path, lineno, field, value):
+    lines = path.read_text(encoding="utf-8").split("\n")
+    parts = lines[lineno - 1].split("\t")
+    parts[field] = value
+    lines[lineno - 1] = "\t".join(parts)
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+def _prediction_records(n):
+    return [PredictionRecord(user_id=u, item_id=100 + u, p=(u + 1) / (n + 2),
+                             y=u % 2, is_new=u % 3 == 0,
+                             is_limited=u % 2 == 1, partition_id=u % 10)
+            for u in range(n)]
+
+
+# texts outside the grammar: underscores, non-ASCII digits and blanks, and
+# the separators numpy skips
+OFF_GRAMMAR = ["1_0", "\u0663", "1\u0663", "\x1c1", "1\x1f", "\u00a01"]
+
+
+class TestOneReader:
+    def _dataset(self, tmp_path, n=6):
+        path = tmp_path / "data.tsv"
+        write_dataset(simulate(build_market(SMALL, seed=4),
+                               SMALL.days).records[:n], path)
+        return path
+
+    @pytest.mark.parametrize("text", OFF_GRAMMAR)
+    def test_number_grammar_is_one_for_every_format(self, tmp_path, text):
+        path = self._dataset(tmp_path)
+        _edit_line(path, 4, 2, text)
+        with pytest.raises(DatasetError, match=r"^line 4: "):
+            read_dataset(path)
+        catalog = tmp_path / "items.tsv"
+        write_catalog(build_market(SMALL, seed=4).items, catalog)
+        _edit_line(catalog, 5, 2, text)
+        with pytest.raises(DatasetError, match=r"^line 5: "):
+            read_catalog(catalog)
+        predictions = tmp_path / "p.tsv"
+        write_predictions(_prediction_records(5), predictions,
+                          meta={"arch": "din"})
+        _edit_line(predictions, 4, 6, text)
+        with pytest.raises(MetricsError, match=r"^line 4: "):
+            read_predictions(predictions)
+
+    def test_refusals_name_the_line_and_say_why(self, tmp_path):
+        path = self._dataset(tmp_path)
+        good = path.read_text()
+        for field, value, why in [
+                (5, "7", "item_is_limited must be 0 or 1"),
+                (6, "2", "item_is_new must be 0 or 1"),
+                (3, "2", "label must be 0 or 1"),
+                (4, "1.0", "true_ctr out of (0, 1)"),
+                (7, "3:1:7", datagen._BAD_HISTORY),
+                (7, "3:1:0,x:2:0", datagen._BAD_HISTORY),
+                (7, f"3:{2 ** 63}:0", datagen._BAD_HISTORY),
+                (1, "\x1c5", r"character '\x1c' is not in the ASCII number "
+                             r"grammar"),
+                (2, str(2 ** 63), f"could not convert string '{2 ** 63}' "
+                                  f"to int64 at column 3."),
+                (0, "1_0", "could not convert string '1_0' to int64 at "
+                           "column 1.")]:
+            path.write_text(good)
+            _edit_line(path, 3, field, value)
+            with pytest.raises(DatasetError) as got:
+                read_dataset(path)
+            assert str(got.value) == f"line 3: {why}"
+
+    def test_catalog_values_and_types_as_per_line(self, tmp_path):
+        market = build_market(SMALL, seed=4)
+        simulate(market, 2)
+        path = tmp_path / "items.tsv"
+        write_catalog(market.items, path)
+        # a repeated id keeps its first place and takes its last values
+        with path.open("a") as fh:
+            fh.write("3\t1\t5\t0.25\t-2\n")
+        got, want = read_catalog(path), loop_read_catalog(path)
+        assert list(got) == list(want) and got == want
+        assert got[3] == ItemSpec(3, 1, 5, 0.25, -2)
+        assert all(type(getattr(s, f.name)) is type(getattr(w, f.name))
+                   for s, w in zip(got.values(), want.values())
+                   for f in dataclasses.fields(ItemSpec))
+
+    @pytest.mark.parametrize("field", [2, 4])
+    def test_catalog_stock_and_created_day_inside_int64(self, tmp_path,
+                                                        field):
+        path = tmp_path / "items.tsv"
+        write_catalog(build_market(SMALL, seed=4).items, path)
+        _edit_line(path, 3, field, str(-2 ** 63 - 1))
+        with pytest.raises(DatasetError, match=r"^line 3: could not convert "
+                           rf"string '-{2 ** 63 + 1}' to int64 at column "
+                           rf"{field + 1}\.$"):
+            read_catalog(path)
+
+    def test_catalog_field_count(self, tmp_path):
+        path = tmp_path / "items.tsv"
+        write_catalog(build_market(SMALL, seed=4).items, path)
+        _edit_line(path, 7, 4, "1\t2")
+        with pytest.raises(DatasetError) as got:
+            read_catalog(path)
+        assert str(got.value) == "line 7: expected 5 fields, got 6"
+
+    def test_one_preamble(self, tmp_path):
+        for read, header, what, error in [
+                (read_dataset, DATASET_HEADER, "dataset", DatasetError),
+                (read_catalog, datagen.CATALOG_HEADER, "catalog",
+                 DatasetError),
+                (read_predictions, PREDICTION_HEADER, "prediction",
+                 MetricsError)]:
+            path = tmp_path / f"{what}.tsv"
+            with pytest.raises(error) as got:
+                read(path)
+            assert str(got.value) == f"{what} file not found: {path}"
+            path.write_bytes(header.encode() + b"\n\xff\n")
+            with pytest.raises(error, match=r": not UTF-8 text \("):
+                read(path)
+            path.write_text("#v0\n")
+            with pytest.raises(error) as got:
+                read(path)
+            assert str(got.value) == (f"{path}: unrecognized {what} header "
+                                      f"(expected {header!r})")
+
+
+# one edit of a byte mutation: the bytes it inserts or writes over
+EDIT_TOKENS = [bytes([b]) for b in b"0123456789\t\n:,-+._#\x1c\xff"] \
+    + ["\u0663".encode()]
+
+
+@st.composite
+def byte_mutations(draw, data: bytes) -> bytes:
+    """``data`` after 1-3 edits, each a replace, insert or delete of one
+    byte (U+0663 is the two bytes of its UTF-8 form).  Half the examples
+    edit only past the header line."""
+    start = data.index(b"\n") + 1 if draw(st.booleans()) else 0
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if len(data) == start and how != "insert":
+            continue
+        at = draw(st.sampled_from(range(start,
+                                        len(data) + (how == "insert"))))
+        token = draw(st.sampled_from(EDIT_TOKENS))
+        if how == "insert":
+            data = data[:at] + token + data[at:]
+        else:
+            data = data[:at] + (token if how == "replace" else b"") \
+                + data[at + 1:]
+    return data
+
+
+@functools.cache
+def _small_log():
+    market = build_market(SMALL, seed=4)
+    return market, simulate(market, SMALL.days).records
+
+
+def _valid_files(root):
+    """A small valid file of each format, with its reader and error."""
+    market, records = _small_log()
+    # a few rows with histories, one without
+    rows = records[np.flatnonzero(np.diff(records.hist_offsets)
+                                  [records.history] > 0)[:5]] + records[:1]
+    write_dataset(rows, root / "data.tsv")
+    write_catalog({k: market.items[k] for k in range(6)}, root / "items.tsv")
+    write_predictions(_prediction_records(6), root / "p.tsv",
+                      meta={"arch": "din", "dataset_hash": "ab12"})
+    return [(root / "data.tsv", read_dataset, DatasetError),
+            (root / "items.tsv", read_catalog, DatasetError),
+            (root / "p.tsv", read_predictions, MetricsError)]
+
+
+class TestReaderFuzz:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_file_reads_or_names_a_line(self, tmp_path_factory,
+                                                data):
+        """A mutated file reads, or raises only its format's error.  A
+        refused body always names a line: the bisection never ends on a
+        line that parses alone but not in its body (that case would raise
+        the body's own message).  The named line exists, and every line
+        before it reads alone."""
+        root = tmp_path_factory.mktemp("fuzz")
+        path, read, error = data.draw(st.sampled_from(_valid_files(root)))
+        path.write_bytes(data.draw(byte_mutations(path.read_bytes())))
+        try:
+            read(path)
+            return
+        except error as exc:
+            why = str(exc)
+        if why.startswith(f"{path}: "):
+            return  # not UTF-8 or not the header: the preamble's refusal
+        named = re.match(r"^line (\d+): ", why)
+        assert named, why
+        lines = path.read_text(encoding="utf-8").split("\n")
+        n = int(named[1])
+        assert 2 <= n <= len(lines)
+        alone = path.with_name("alone" + path.suffix)
+        for lineno in range(2, n + 1):
+            alone.write_text(f"{lines[0]}\n{lines[lineno - 1]}\n",
+                             encoding="utf-8")
+            if lineno < n:
+                read(alone)
+        with pytest.raises(error) as again:
+            read(alone)
+        assert str(again.value) == "line 2: " + why.partition(": ")[2]

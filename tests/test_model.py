@@ -332,6 +332,43 @@ class TestLossAux:
         assert got == 0.0
 
 
+class TestAuxScopeBoth:
+    """``aux_scope="both"`` puts every valid history position, limited or
+    multi-stock, under the aux loss."""
+
+    def test_mask_is_every_valid_position(self):
+        cfg = dataclasses.replace(MICRO_MSNET, aux_scope="both")
+        batch = micro_batch(np.random.default_rng(5), b=6)
+        for masks in (None, split_sequence(batch)):
+            assert np.array_equal(aux_scope_mask(cfg, batch, masks),
+                                  batch.seq_mask)
+
+    def test_multi_positions_change_the_aux_loss(self):
+        from msnetlab.features import embed
+        params = build_params(MICRO_MSNET, micro_vocabs())
+        batch = micro_batch(np.random.default_rng(6), b=6)
+        assert (batch.seq_mask & ~batch.seq_limited).any()
+        aux = {}
+        for scope in ("limited_only", "both"):
+            cfg = dataclasses.replace(MICRO_MSNET, aux_scope=scope)
+            tape = Tape(params)
+            aux[scope] = float(compute_losses(
+                tape, cfg, batch, forward(tape, cfg, batch))[1].values)
+        assert aux["both"] != aux["limited_only"]
+        tape = Tape(params)
+        assert aux["both"] == float(
+            loss_aux(tape, embed(tape, batch, batch.seq_mask)).values)
+
+    def test_fit_ends_with_a_finite_loss(self):
+        market, train, _ = tiny_training_setup(n=500)
+        cfg = ModelConfig(architecture="msnet", epochs=1, seed=2,
+                          history_len=6, batch_size=64, aux_scope="both")
+        result = fit(train, market.items, cfg)
+        assert not result.diverged
+        assert math.isfinite(result.log[-1].mean_total)
+        assert result.log[-1].mean_aux > 0.0
+
+
 class TestTotalLoss:
     def test_alpha_zero_is_ce(self):
         tape = Tape()
