@@ -215,9 +215,15 @@ class Tape:
 
     The tape is consumable: ``backward`` may be called once, after which
     the node list is dropped.
+
+    A tape made with ``record=False`` is forward-only, as inference needs:
+    it registers no leaves, ``param`` gives each parameter's values as a
+    constant, so every result is a constant, and no node is stored; its
+    ``backward`` raises.  The forward values are those of a recording tape.
     """
 
-    def __init__(self, params: ParamStore | None = None) -> None:
+    def __init__(self, params: ParamStore | None = None, *,
+                 record: bool = True) -> None:
         self._nodes: list[_Node] = []
         self._leaf_node: dict[str, int] = {}
         self._leaf_name: dict[int, str] = {}
@@ -225,8 +231,9 @@ class Tape:
         # per embedding leaf node: list of (indices, grad rows) to merge later
         self._sparse_parts: dict[int, list[tuple[Array, Array]]] = {}
         self.params = params
+        self._record = record
         self._consumed = False
-        if params is not None:
+        if params is not None and record:
             for name in params.names():
                 self._register_leaf(name, params.values[name],
                                     embedding=name in params.embedding_names)
@@ -243,15 +250,19 @@ class Tape:
             self._sparse_parts[nid] = []
 
     def _push(self, backward: Callable[[Array, list[Array | None]], None],
-              name: str) -> int:
+              name: str) -> int | None:
+        """The new node's id; None, a constant, on a forward-only tape."""
+        if not self._record:
+            return None
         self._nodes.append(_Node(backward, name))
         return len(self._nodes) - 1
 
     def param(self, name: str) -> Tensor:
-        """Tensor view of a registered parameter."""
+        """Tensor view of a registered parameter (a constant on a
+        forward-only tape)."""
         if self.params is None or name not in self.params:
             raise AutodiffError(f"unknown parameter {name!r}")
-        return Tensor(self.params.values[name], self._leaf_node[name])
+        return Tensor(self.params.values[name], self._leaf_node.get(name))
 
     @staticmethod
     def constant(values: Array | float | Sequence) -> Tensor:
@@ -445,7 +456,8 @@ class Tape:
 
         return Tensor(out, self._push(backward, "mul_rows"))
 
-    def segment_softmax(self, x: Tensor, seg: Array | Sequence[int]) -> Tensor:
+    def segment_softmax(self, x: Tensor,
+                        seg: SegmentRuns | Array | Sequence[int]) -> Tensor:
         """Softmax of each column of x [P x m] over each run of equal
         ``seg`` [P]; ``seg`` must be nondecreasing.
 
@@ -457,7 +469,8 @@ class Tape:
         v = x.values
         if v.ndim != 2:
             raise AutodiffError("segment_softmax wants a matrix")
-        starts, run = _segment_runs(seg, v.shape[0], "segment_softmax")
+        runs = _segment_runs(seg, v.shape[0], "segment_softmax")
+        starts, run = runs.starts, runs.run
         out = np.zeros_like(v)
         if starts.size:
             e = np.exp(v - np.take(np.maximum.reduceat(v, starts, axis=0),
@@ -472,7 +485,7 @@ class Tape:
 
         return Tensor(out, self._push(backward, "segment_softmax"))
 
-    def segment_sum(self, x: Tensor, seg: Array | Sequence[int],
+    def segment_sum(self, x: Tensor, seg: SegmentRuns | Array | Sequence[int],
                     n: int) -> Tensor:
         """Row sums of x [P x D] over each run of equal ``seg`` [P] into
         row ``seg`` of an [n x D] zero matrix; ``seg`` must be
@@ -482,8 +495,8 @@ class Tape:
         v = x.values
         if v.ndim != 2:
             raise AutodiffError("segment_sum wants a matrix")
-        idx = np.asarray(seg, dtype=np.int64).reshape(-1)
-        starts, _ = _segment_runs(idx, v.shape[0], "segment_sum")
+        runs = _segment_runs(seg, v.shape[0], "segment_sum")
+        idx, starts = runs.ids, runs.starts
         if idx.size and (idx[0] < 0 or idx[-1] >= n):
             raise AutodiffError(f"segment_sum segments out of range [0, {n})")
         out = np.zeros((n, v.shape[1]), dtype=np.float64)
@@ -634,8 +647,11 @@ class Tape:
         """Propagate from a scalar loss; returns gradients for every
         registered parameter (zero for parameters off the path).
 
-        The tape is consumed: a second call raises.
+        The tape is consumed: a second call raises, as does a call on a
+        forward-only tape.
         """
+        if not self._record:
+            raise AutodiffError("backward() on a forward-only tape")
         if self._consumed:
             raise AutodiffError("tape already consumed by backward()")
         if loss.node is None:
@@ -707,22 +723,48 @@ def sum_rows_by_index(indices: Array, rows: Array, n: int) -> Array:
     return sums.astype(np.float64, copy=False).reshape(n, d)
 
 
-def _segment_runs(seg: Array | Sequence[int], p: int,
-                  op: str) -> tuple[Array, Array]:
-    """First row of each run of equal values in ``seg`` [p], and the run
-    number of every row.  ``seg`` must be nondecreasing."""
-    seg = np.asarray(seg, dtype=np.int64).reshape(-1)
-    if seg.shape[0] != p:
+@dataclasses.dataclass(frozen=True)
+class SegmentRuns:
+    """Rows grouped by a nondecreasing segment id: ``ids`` [P] the segment
+    of each row, ``starts`` the first row of each run of equal ids, and
+    ``run`` the run number of each row.
+
+    ``segment_softmax`` and ``segment_sum`` take one in place of a raw
+    ``seg``, so that ops over the same segments derive the runs once.
+    """
+
+    ids: Array
+    starts: Array
+    run: Array
+
+    @classmethod
+    def from_lengths(cls, lengths: Array) -> "SegmentRuns":
+        """Segment i holds ``lengths[i]`` consecutive rows, none when 0."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        used = np.flatnonzero(lengths)
+        return cls(ids=np.repeat(np.arange(lengths.size), lengths),
+                   starts=(np.cumsum(lengths) - lengths)[used],
+                   run=np.repeat(np.arange(used.size), lengths[used]))
+
+
+def _segment_runs(seg: "SegmentRuns | Array | Sequence[int]", p: int,
+                  op: str) -> SegmentRuns:
+    """The runs of ``seg`` [p]; a raw ``seg`` must be nondecreasing."""
+    given = isinstance(seg, SegmentRuns)
+    ids = seg.ids if given else np.asarray(seg, dtype=np.int64).reshape(-1)
+    if ids.shape[0] != p:
         raise AutodiffError(f"{op} wants one segment per row, got "
-                            f"{seg.shape[0]} for {p} rows")
-    step = np.diff(seg)
+                            f"{ids.shape[0]} for {p} rows")
+    if given:
+        return seg
+    step = np.diff(ids)
     if (step < 0).any():
         raise AutodiffError(f"{op} segments must be nondecreasing")
     new = np.flatnonzero(step) + 1
-    starts = np.concatenate([[0], new]) if p else new
     run = np.zeros(p, dtype=np.int64)
     run[new] = 1
-    return starts, np.cumsum(run)
+    return SegmentRuns(ids=ids, starts=np.concatenate([[0], new]) if p else new,
+                       run=np.cumsum(run))
 
 
 # ----------------------------------------------------------------------

@@ -360,7 +360,12 @@ def _evaluate_checkpoint(ckpt_path: Path, data_dir: Path, out_dir: Path, *,
     baseline_note = None
     if baseline_path is not None:
         if baseline_path.exists():
-            baseline = MetricReport.from_json(baseline_path.read_text())
+            try:
+                baseline = MetricReport.from_json(
+                    baseline_path.read_text(encoding="utf-8"))
+            except (OSError, ValueError, MetricsError) as exc:
+                raise CliError("E_FORMAT", f"baseline report {baseline_path} "
+                               f"is unreadable: {exc}")
         else:
             baseline_note = f"baseline report missing: {baseline_path}"
     accumulator = ScoreAccumulator()

@@ -44,11 +44,28 @@ class MetricsError(Exception):
     """Malformed prediction files or incompatible report inputs."""
 
 
+def partition_ids(user_ids: Sequence[int] | np.ndarray,
+                  item_ids: Sequence[int] | np.ndarray, seed: int = 0,
+                  n_partitions: int = N_PARTITIONS) -> np.ndarray:
+    """Stable partition assignment of each (user, item) pair, as int64:
+    the first 8 bytes, big-endian, of the sha256 of
+    ``f"{seed}|{user}|{item}"``, modulo ``n_partitions``."""
+    users = np.asarray(user_ids, dtype=np.int64).tolist()
+    items = np.asarray(item_ids, dtype=np.int64).tolist()
+    if len(users) != len(items):
+        raise ValueError(f"{len(users)} user ids for {len(items)} item ids")
+    prefix = f"{seed}|".encode()
+    sha256, from_bytes = hashlib.sha256, int.from_bytes
+    return np.fromiter(
+        (from_bytes(sha256(prefix + b"%d|%d" % pair).digest()[:8], "big")
+         % n_partitions for pair in zip(users, items)),
+        dtype=np.int64, count=len(users))
+
+
 def partition_of(user_id: int, item_id: int, seed: int = 0,
                  n_partitions: int = N_PARTITIONS) -> int:
-    """Stable partition assignment by seeded hash of (user, item)."""
-    digest = hashlib.sha256(f"{seed}|{user_id}|{item_id}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") % n_partitions
+    """``partition_ids`` of one (user, item) pair."""
+    return int(partition_ids([user_id], [item_id], seed, n_partitions)[0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -294,11 +311,16 @@ class MetricReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricReport":
+        if not isinstance(d, dict):
+            raise MetricsError("a report must be a JSON object")
         if d.get("format") != "report-v1":
             raise MetricsError(f"unsupported report format {d.get('format')!r}")
-        return cls(metadata=d["metadata"],
-                   groups={k: GroupMetrics.from_dict(v)
-                           for k, v in d["groups"].items()})
+        try:
+            return cls(metadata=d["metadata"],
+                       groups={k: GroupMetrics.from_dict(v)
+                               for k, v in d["groups"].items()})
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise MetricsError(f"malformed report-v1 object: {exc!r}") from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2,

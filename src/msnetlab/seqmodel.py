@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .autodiff import ParamStore, Tape, Tensor
+from .autodiff import ParamStore, SegmentRuns, Tape, Tensor
 from .features import SampleBatch
 
 Array = np.ndarray
@@ -116,18 +116,20 @@ def target_attention(tape: Tape, prefix: str, target: Tensor, keys: Tensor,
     head's weight back to that head's columns.
     """
     mask = np.asarray(mask, dtype=bool)
-    b, h_len = mask.shape
-    flat = np.flatnonzero(mask)
-    if target.values.shape[0] != b or keys.values.shape[0] != flat.size \
-            or values.values.shape[0] != flat.size:
+    b = mask.shape[0]
+    # one segment per batch row, as long as the row's True positions
+    seg = SegmentRuns.from_lengths(mask.sum(axis=1))
+    p = seg.ids.size
+    if target.values.shape[0] != b or keys.values.shape[0] != p \
+            or values.values.shape[0] != p:
         raise ValueError(
             f"attention shape mismatch: target {target.values.shape}, "
             f"keys {keys.values.shape}, values {values.values.shape}, "
-            f"mask {mask.shape} with {flat.size} positions")
+            f"mask {mask.shape} with {p} positions")
     n, d = n_heads, d_head
-    seg = flat // h_len
     heads = head_blocks(n, d)
-    q = tape.gather_rows(tape.matmul(target, tape.param(f"{prefix}.wq")), seg)
+    q = tape.gather_rows(tape.matmul(target, tape.param(f"{prefix}.wq")),
+                         seg.ids)
     k = tape.matmul(keys, tape.param(f"{prefix}.wk"))
     v = tape.matmul(values, tape.param(f"{prefix}.wv"))
     scores = tape.matmul(tape.mul(k, q), Tape.constant(heads / math.sqrt(d)))

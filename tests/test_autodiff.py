@@ -19,10 +19,12 @@ from msnetlab.autodiff import (
     COSINE_EPS,
     LEAKY_SLOPE,
     ParamStore,
+    SegmentRuns,
     SparseRows,
     Tape,
     Tensor,
     _merge_sparse,
+    _segment_runs,
     check_gradients,
     sigmoid,
     sum_rows_by_index,
@@ -190,6 +192,44 @@ class TestSegmentSum:
 
         report = check_gradients(loss_fn, params, h=1e-6, tol=1e-6)
         assert report.ok() and not report.checks["x"].blocked
+
+
+class TestSegmentRuns:
+    @pytest.mark.parametrize("lengths", [[], [0, 0], [3], [0, 2, 0, 0, 1, 4],
+                                         [1, 0, 5, 2, 0]])
+    def test_from_lengths_matches_runs_of_raw_segments(self, lengths):
+        runs = SegmentRuns.from_lengths(lengths)
+        ids = np.repeat(np.arange(len(lengths)), lengths)
+        raw = _segment_runs(ids, ids.size, "test")
+        for name in ("ids", "starts", "run"):
+            got, want = getattr(runs, name), getattr(raw, name)
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    def test_ops_give_the_bits_of_a_raw_segment(self):
+        rng = np.random.default_rng(5)
+        lengths = [2, 0, 3, 1, 0]
+        ids = np.repeat(np.arange(5), lengths)
+        params = ParamStore()
+        params.add("x", rng.normal(size=(6, 3)))
+        w = Tape.constant(rng.normal(size=(5, 3)))
+        results = []
+        for seg in (ids, SegmentRuns.from_lengths(lengths)):
+            tape = Tape(params)
+            s = tape.segment_softmax(tape.param("x"), seg)
+            out = tape.segment_sum(tape.mul(s, s), seg, 5)
+            loss = tape.sum_all(tape.mul(out, w))
+            results.append((out.values.tobytes(),
+                            tape.backward(loss)["x"].tobytes()))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("op", ["segment_softmax", "segment_sum"])
+    def test_row_count_checked(self, op):
+        runs = SegmentRuns.from_lengths([1, 2])
+        x = Tape.constant(np.ones((2, 2)))
+        args = (runs, 2) if op == "segment_sum" else (runs,)
+        with pytest.raises(AutodiffError, match=f"{op} wants one segment"):
+            getattr(Tape(), op)(x, *args)
 
 
 class TestStopGradient:
@@ -506,22 +546,59 @@ class TestBackward:
             tape.backward(loss)
 
     def test_forward_only_tape_freed_without_cycle_collector(self):
-        """A tape never run backward, as in prediction, is freed when
-        dropped, not when the cyclic collector next runs."""
+        """A tape never run backward, recording or forward-only as in
+        prediction, is freed when dropped, not when the cyclic collector
+        next runs."""
         params = ParamStore()
         params.add("w", np.ones((3, 2)))
         params.add("emb", np.ones((4, 3)), embedding=True)
         gc.collect()
         gc.disable()
         try:
-            tape = Tape(params)
-            x = tape.gather_rows(tape.param("emb"), [0, 2])
-            tape.sigmoid(tape.matmul(x, tape.param("w")))
-            dropped = weakref.ref(tape)
-            del tape, x
-            assert dropped() is None
+            for record in (True, False):
+                tape = Tape(params, record=record)
+                x = tape.gather_rows(tape.param("emb"), [0, 2])
+                tape.sigmoid(tape.matmul(x, tape.param("w")))
+                dropped = weakref.ref(tape)
+                del tape, x
+                assert dropped() is None
         finally:
             gc.enable()
+
+
+class TestForwardOnlyTape:
+    def _params(self):
+        params = ParamStore()
+        params.add("w", np.arange(6.0).reshape(3, 2) / 7.0)
+        params.add("emb", np.arange(12.0).reshape(4, 3) / 5.0,
+                   embedding=True)
+        return params
+
+    def _graph(self, tape):
+        x = tape.gather_rows(tape.param("emb"), [3, 0, 3])
+        h = tape.leaky_relu(tape.matmul(x, tape.param("w")))
+        pooled = tape.segment_sum(tape.segment_softmax(h, [0, 0, 2]),
+                                  [0, 0, 2], 3)
+        return tape.sum_all(tape.mul(pooled, pooled))
+
+    def test_same_values_as_a_recording_tape_and_no_nodes(self):
+        params = self._params()
+        recording, forward_only = Tape(params), Tape(params, record=False)
+        a, b = self._graph(recording), self._graph(forward_only)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.node is not None and b.node is None
+        assert len(recording._nodes) > 0 and forward_only._nodes == []
+        assert forward_only.param("w").node is None
+
+    def test_backward_raises(self):
+        tape = Tape(self._params(), record=False)
+        loss = self._graph(tape)
+        with pytest.raises(AutodiffError, match="forward-only"):
+            tape.backward(loss)
+
+    def test_unknown_parameter_still_refused(self):
+        with pytest.raises(AutodiffError, match="unknown parameter"):
+            Tape(self._params(), record=False).param("nope")
 
 
 def _random_op_cases(seed):

@@ -252,6 +252,13 @@ class TestEvaluate:
         assert report["groups"]["overall"]["rela_impr_auc"] is None
         assert "baseline_note" in report["metadata"]
 
+    def test_unreadable_baseline_named(self, workspace, tmp_path, capsys):
+        argv = _evaluate_with_baseline(workspace, tmp_path,
+                                       lambda p: p.write_text("{corrupt"))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"baseline report {tmp_path / 'baseline.json'} " in err
+
     def test_re_evaluation_byte_identical(self, workspace, tmp_path):
         root, _, data, run = workspace
         outs = []
@@ -506,6 +513,17 @@ def _undecodable_prediction(tmp_path: Path) -> list[str]:
     return ["report", str(path)]
 
 
+def _evaluate_with_baseline(workspace, tmp_path: Path, make) -> list[str]:
+    """Evaluates the MSNet checkpoint against the baseline path that
+    ``make`` fills in (as a file or a directory)."""
+    _, _, data, run = workspace
+    baseline = tmp_path / "baseline.json"
+    make(baseline)
+    return ["evaluate", "--checkpoint", str(run / "msnet.ckpt.npz"),
+            "--data", str(data), "--out", str(tmp_path / "eval"),
+            "--baseline", str(baseline)]
+
+
 def _checkpoint_meta(workspace, tmp_path: Path, edit) -> list[str]:
     """Rewrites only the metadata: the checksum covers the arrays, so it
     still matches and the edited field is what the loader must judge."""
@@ -669,6 +687,21 @@ MALFORMED_INPUTS = {
                                  _undecodable_prediction(tmp)),
     "prediction_file_is_directory": ("E_FORMAT", lambda ws, tmp: [
         "report", str(tmp)]),
+    "baseline_is_directory": ("E_FORMAT", lambda ws, tmp:
+                              _evaluate_with_baseline(
+                                  ws, tmp, lambda p: p.mkdir())),
+    "baseline_not_json": ("E_FORMAT", lambda ws, tmp: _evaluate_with_baseline(
+        ws, tmp, lambda p: p.write_text("{corrupt"))),
+    "baseline_not_utf8": ("E_FORMAT", lambda ws, tmp: _evaluate_with_baseline(
+        ws, tmp, lambda p: p.write_bytes(b'{"format": "report-v1"\xff}'))),
+    "baseline_not_an_object": ("E_FORMAT", lambda ws, tmp:
+                               _evaluate_with_baseline(
+                                   ws, tmp, lambda p: p.write_text("[1, 2]"))),
+    "baseline_without_groups": ("E_FORMAT", lambda ws, tmp:
+                                _evaluate_with_baseline(
+                                    ws, tmp, lambda p: p.write_text(
+                                        json.dumps({"format": "report-v1",
+                                                    "metadata": {}})))),
 }
 
 

@@ -4,6 +4,7 @@ against the published comparison-table arithmetic; the column-based
 metrics and report against per-record loop oracles, bit for bit."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from msnetlab.metrics import (
     grouped_report,
     paired_partition_ttest,
     partition_aucs,
+    partition_ids,
     partition_of,
     pcoc,
     read_predictions,
@@ -427,6 +429,38 @@ class TestPartitions:
             assert all(0 <= x < 10 for x in a)
         assert [partition_of(u, 1, 0) for u in range(50)] != \
             [partition_of(u, 1, 1) for u in range(50)]
+
+    @staticmethod
+    def loop_partition(user, item, seed, n=N_PARTITIONS):
+        """The partition rule written out per pair."""
+        digest = hashlib.sha256(f"{seed}|{user}|{item}".encode()).digest()
+        return int.from_bytes(digest[:8], "big") % n
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**40])
+    def test_columns_match_per_pair_loop(self, seed):
+        lo, hi = -2**63, 2**63 - 1
+        rng = np.random.default_rng(seed % 97)
+        users = np.concatenate([[lo, hi, 0, -1, lo, hi, -7],
+                                rng.integers(lo, hi, size=200,
+                                             endpoint=True)])
+        items = np.concatenate([[hi, lo, 0, -1, lo, hi, 12],
+                                rng.integers(-50, 50, size=200)])
+        got = partition_ids(users, items, seed)
+        assert got.dtype == np.int64
+        want = [self.loop_partition(u, i, seed)
+                for u, i in zip(users.tolist(), items.tolist())]
+        assert got.tolist() == want
+        assert [partition_of(u, i, seed) for u, i in
+                zip(users.tolist()[:20], items.tolist()[:20])] == want[:20]
+        assert partition_ids(users, items, seed, 7).tolist() == \
+            [self.loop_partition(u, i, seed, 7)
+             for u, i in zip(users.tolist(), items.tolist())]
+
+    def test_empty_and_mismatched_columns(self):
+        got = partition_ids(np.zeros(0, np.int64), np.zeros(0, np.int64), 1)
+        assert got.dtype == np.int64 and got.size == 0
+        with pytest.raises(ValueError, match="2 user ids for 1 item ids"):
+            partition_ids([1, 2], [3], 0)
 
     def test_partition_aucs_skip_single_class(self):
         records = [rec(.9, 1, part=0), rec(.1, 0, part=0),

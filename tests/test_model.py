@@ -17,11 +17,12 @@ from msnetlab.datagen import (
     GeneratorConfig,
     ImpressionRecord,
     ItemSpec,
+    as_table,
     build_market,
     simulate,
     split_train_test,
 )
-from msnetlab.features import SampleBatch, Vocab, Vocabs
+from msnetlab.features import SampleBatch, Vocab, Vocabs, encode_batch
 from msnetlab.metrics import partition_of
 from msnetlab.model import (
     AdagradState,
@@ -42,7 +43,7 @@ from msnetlab.model import (
     save_checkpoint,
     total_loss,
 )
-from msnetlab.seqmodel import split_sequence
+from msnetlab.seqmodel import ScoreAccumulator, split_sequence
 
 
 def micro_vocabs(n_items=6, n_cats=3):
@@ -696,6 +697,82 @@ class TestPredict:
                     partition_seed=4)
         assert [x.partition_id for x in a] == [x.partition_id for x in b]
         assert all(0 <= x.partition_id < 10 for x in a)
+
+
+def reference_predict(params, config, records, vocabs, catalog,
+                      accumulator):
+    """``predict``'s probabilities from a per-chunk loop: each
+    ``batch_size`` chunk encoded on its own and run on a recording tape."""
+    table = as_table(records)
+    chunks = [np.empty(0)]
+    for start in range(0, len(table), config.batch_size):
+        batch = encode_batch(table[start:start + config.batch_size], vocabs,
+                             catalog, config.history_len)
+        out = forward(Tape(params), config, batch)
+        for scores, mask in out.branch_scores:
+            accumulator.add_batch(scores, batch.is_limited, batch.seq_limited,
+                                  mask)
+        chunks.append(out.p.values)
+    return np.concatenate(chunks)
+
+
+PREDICT_VARIANTS = {
+    "din": dict(architecture="din"),
+    "msnet": dict(architecture="msnet"),
+    "msnet_identity_meta": dict(architecture="msnet", meta_mode="identity"),
+    "msnet_no_split": dict(architecture="msnet", use_seq_split=False),
+}
+
+
+class TestForwardOnlyPredict:
+    @pytest.fixture(scope="class")
+    def setup(self):
+        return tiny_training_setup(n=600)
+
+    @pytest.mark.parametrize("variant", sorted(PREDICT_VARIANTS))
+    @pytest.mark.parametrize("rows", [150, 0])
+    def test_matches_per_chunk_recording_loop(self, setup, variant, rows):
+        market, train, test = setup
+        cfg = ModelConfig(epochs=1, seed=4, history_len=6, batch_size=64,
+                          **PREDICT_VARIANTS[variant])
+        r = fit(train, market.items, cfg)
+        got_acc, want_acc = ScoreAccumulator(), ScoreAccumulator()
+        preds = predict(r.params, cfg, test[:rows], r.vocabs, market.items,
+                        score_accumulator=got_acc)
+        want = reference_predict(r.params, cfg, test[:rows], r.vocabs,
+                                 market.items, want_acc)
+        assert len(preds) == rows
+        assert preds.p.tobytes() == want.tobytes()
+        assert got_acc.sums == want_acc.sums
+        assert got_acc.counts == want_acc.counts
+
+    def test_encodes_once_per_call(self, setup, monkeypatch):
+        import msnetlab.model as model_mod
+        market, train, test = setup
+        cfg = ModelConfig(epochs=0, seed=4, history_len=6, batch_size=32)
+        r = fit(train, market.items, cfg)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return encode_batch(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "encode_batch", counted)
+        for rows in (100, 0):
+            calls.clear()
+            predict(r.params, cfg, test[:rows], r.vocabs, market.items)
+            assert calls == [rows]
+
+    def test_forward_records_no_node(self, setup):
+        market, train, test = setup
+        cfg = ModelConfig(epochs=0, seed=4, history_len=6)
+        r = fit(train, market.items, cfg)
+        batch = encode_batch(test[:80], r.vocabs, market.items, 6)
+        tape = Tape(r.params, record=False)
+        out = forward(tape, cfg, batch)
+        assert tape._nodes == [] and out.p.node is None
+        assert out.p.values.tobytes() == \
+            forward(Tape(r.params), cfg, batch).p.values.tobytes()
 
 
 class TestCheckpoint:
