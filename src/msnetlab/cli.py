@@ -38,6 +38,8 @@ from .datagen import (
 from .metrics import (
     MetricReport,
     MetricsError,
+    fmt_num,
+    fmt_pct,
     grouped_report,
     read_predictions,
     render_attention_table,
@@ -317,9 +319,8 @@ def _train_one(config: ExperimentConfig, data_dir: Path, out_dir: Path,
                         model_cfg, result.vocabs,
                         dataset_hash=manifest["dataset_id"])
     if result.diverged:
-        raise CliError("E_DIVERGED",
-                       f"loss went non-finite; last good checkpoint kept at "
-                       f"{ckpt_path}")
+        raise CliError("E_DIVERGED", f"{result.diverged}; last good "
+                       f"checkpoint kept at {ckpt_path}")
     return ckpt_path
 
 
@@ -375,18 +376,12 @@ def _evaluate_checkpoint(ckpt_path: Path, data_dir: Path, out_dir: Path, *,
     stem = ckpt_path.name.replace(".ckpt.npz", "")
     out_dir.mkdir(parents=True, exist_ok=True)
     pred_path = out_dir / f"{stem}.predictions.tsv"
-    write_predictions(preds, pred_path, meta={
-        "arch": ckpt.config.architecture,
-        "config_hash": config_hash(ckpt.config),
-        "dataset_hash": manifest["dataset_id"],
-        "partition_seed": ckpt.config.seed,
-    })
-    metadata = {
-        "arch": ckpt.config.architecture,
-        "config_hash": config_hash(ckpt.config),
-        "dataset_hash": manifest["dataset_id"],
-        "predictions_file": pred_path.name,
-    }
+    source = {"arch": ckpt.config.architecture,
+              "config_hash": config_hash(ckpt.config),
+              "dataset_hash": manifest["dataset_id"]}
+    write_predictions(preds, pred_path,
+                      meta={**source, "partition_seed": ckpt.config.seed})
+    metadata = {**source, "predictions_file": pred_path.name}
     if baseline is not None:
         metadata["baseline"] = baseline.metadata.get("arch", "supplied")
     if baseline_note:
@@ -489,16 +484,10 @@ def _render_ablation(results: dict[str, dict], order: list[str]) -> str:
         if row.get("failed"):
             lines.append(f"{row['label']:<22}FAILED: {row['error']}")
             continue
-
-        def pct(x):
-            return "-" if x is None else f"{x:+.2f}%"
-
-        def num(x):
-            return "-" if x is None else f"{x:.4f}"
-
-        lines.append(f"{row['label']:<22}{num(row['auc']):>9}"
-                     f"{pct(row['rela_impr_auc']):>11}{num(row['gauc']):>9}"
-                     f"{pct(row['rela_impr_gauc']):>11}")
+        lines.append(f"{row['label']:<22}{fmt_num(row['auc']):>9}"
+                     f"{fmt_pct(row['rela_impr_auc']):>11}"
+                     f"{fmt_num(row['gauc']):>9}"
+                     f"{fmt_pct(row['rela_impr_gauc']):>11}")
     return "\n".join(lines) + "\n"
 
 
@@ -651,7 +640,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ModelError,) as exc:
         print(f"error E_MODEL: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses a shape past its byte limit with a ValueError
+        if (isinstance(exc, ValueError)
+                and not str(exc).startswith("array is too big")):
+            raise
         print(f"error E_MEMORY: {exc or 'out of memory'}", file=sys.stderr)
         return 2
 

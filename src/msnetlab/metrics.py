@@ -1,11 +1,12 @@
 """Evaluation metrics: AUC, GAUC, RelaImpr, PCOC, Cal-N, and the grouped
-report with overall / new / limited / multi slices.
+report with overall / new / limited / multi slices, on numpy alone.
 
-AUC uses the rank-sum estimator with ties credited 0.5, computed in
-O(n log n); the test suite verifies it against the exhaustive pairwise
-count.  GAUC weights per-user AUCs by impression count, skipping users
-whose impressions are single-class.  Cal-N aggregates per-partition PCOC
-errors, with the error asymmetric around 1 (pcoc-1 above, 1/pcoc-1 below).
+AUC is the rank-sum estimator with ties credited 0.5.  AUC, partition
+AUCs and GAUC share one ``(group, p)`` sort; the test suite checks each
+against the exhaustive pairwise count, bit for bit.  GAUC weights
+per-user AUCs by impression count, skipping users whose impressions are
+single-class.  Cal-N aggregates per-partition PCOC errors, with the error
+asymmetric around 1 (pcoc-1 above, 1/pcoc-1 below).
 
 Partition ids come from a seeded hash of (user_id, item_id) so every
 number in a report can be reproduced from the stored prediction file.
@@ -22,7 +23,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .datagen import (
     check_field_counts,
@@ -149,47 +149,51 @@ def auc(predictions: Predictions) -> float | None:
     return auc_from_arrays(table.p, table.y)
 
 
+def _rank_sum_aucs(group: np.ndarray, p: np.ndarray, y: np.ndarray):
+    """The rank-sum AUC of each group of rows, from one sort by (group, p).
+
+    Tied rows share their mean rank within the group; the ranks are
+    half-integers, so their sums and every AUC are exact.  Returns the
+    sort order, each group's first sorted row and row count in ascending
+    key order, the mask of groups with both classes, and their AUCs.
+    """
+    n = p.size
+    if not n:  # reduceat refuses empty input
+        return (np.empty(0, np.int64),) * 3 + (np.empty(0, bool), np.empty(0))
+    order = np.lexsort((p, group))
+    key, p, pos = group[order], p[order], y[order] == 1
+    new_group = np.r_[True, key[1:] != key[:-1]]
+    starts = np.flatnonzero(new_group)
+    runs = np.flatnonzero(new_group | np.r_[True, p[1:] != p[:-1]])
+    run_ends = np.r_[runs[1:], n]
+    # 1-based ranks runs+1 .. run_ends within the group, averaged
+    mean_rank = ((runs + run_ends + 1) / 2.0
+                 - starts[np.cumsum(new_group)[runs] - 1])
+    rank_sum = np.add.reduceat(
+        np.where(pos, np.repeat(mean_rank, run_ends - runs), 0.0), starts)
+    counts = np.diff(np.r_[starts, n])
+    n_pos = np.add.reduceat(pos.astype(np.int64), starts)
+    n_neg = counts - n_pos
+    both = (n_pos > 0) & (n_neg > 0)
+    aucs = (rank_sum - n_pos * (n_pos + 1) / 2.0)[both] / (n_pos * n_neg)[both]
+    return order, starts, counts, both, aucs
+
+
 def auc_from_arrays(p: np.ndarray, y: np.ndarray) -> float | None:
-    pos = y == 1
-    n_pos = int(pos.sum())
-    n_neg = int(p.size - n_pos)
-    if n_pos == 0 or n_neg == 0:
-        return None
-    ranks = stats.rankdata(p, method="average")
-    rank_sum = float(ranks[pos].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    aucs = _rank_sum_aucs(np.zeros(p.size, dtype=np.int64), p, y)[4]
+    return float(aucs[0]) if aucs.size else None
 
 
 def gauc(predictions: Predictions) -> float | None:
     """Impression-weighted mean of per-user AUCs.
 
     Users with single-class impressions are excluded from the numerator
-    and the denominator.  One sort by (user, p) ranks every user's rows at
-    once, tied rows sharing their mean rank; rank sums are half-integers,
-    so each user's AUC is exact, and the weighted sum runs in the order
-    users first appear.
+    and the denominator.  The weighted sum runs in the order users first
+    appear.
     """
     table = _as_table(predictions)
-    n = len(table)
-    if n == 0:
-        return None
-    order = np.lexsort((table.p, table.user_id))
-    user, p = table.user_id[order], table.p[order]
-    pos = table.y[order] == 1
-    new_user = np.r_[True, user[1:] != user[:-1]]
-    starts = np.flatnonzero(new_user)
-    runs = np.flatnonzero(new_user | np.r_[True, p[1:] != p[:-1]])
-    run_ends = np.r_[runs[1:], n]
-    user_start = np.maximum.accumulate(np.where(new_user, np.arange(n), 0))
-    # 1-based ranks runs+1 .. run_ends within the user, averaged
-    mean_rank = (runs + run_ends + 1) / 2.0 - user_start[runs]
-    ranks = np.repeat(mean_rank, run_ends - runs)
-    counts = np.diff(np.r_[starts, n])
-    n_pos = np.add.reduceat(pos.astype(np.int64), starts)
-    rank_sum = np.add.reduceat(np.where(pos, ranks, 0.0), starts)
-    n_neg = counts - n_pos
-    both = (n_pos > 0) & (n_neg > 0)
-    aucs = (rank_sum - n_pos * (n_pos + 1) / 2.0)[both] / (n_pos * n_neg)[both]
+    order, starts, counts, both, aucs = _rank_sum_aucs(
+        table.user_id, table.p, table.y)
     first_seen = np.argsort(np.minimum.reduceat(order, starts)[both])
     weighted = 0.0
     weight = 0
@@ -253,22 +257,10 @@ def cal_n(predictions: Predictions,
 
 def partition_aucs(predictions: Predictions,
                    n_partitions: int = N_PARTITIONS) -> list[float]:
-    """AUC per partition, skipping partitions without both classes."""
+    """AUC per partition in partition order, skipping single-class ones."""
     table = _as_table(predictions)
-    part = table.partition_id % n_partitions
-    aucs = [auc_from_arrays(table.p[part == i], table.y[part == i])
-            for i in range(n_partitions)]
-    return [a for a in aucs if a is not None]
-
-
-def paired_partition_ttest(aucs_a: Sequence[float],
-                           aucs_b: Sequence[float]) -> float | None:
-    """Two-sided paired t-test p-value over matched partition AUCs."""
-    if len(aucs_a) != len(aucs_b) or len(aucs_a) < 2:
-        return None
-    if np.allclose(aucs_a, aucs_b):
-        return 1.0
-    return float(stats.ttest_rel(aucs_a, aucs_b).pvalue)
+    return _rank_sum_aucs(table.partition_id % n_partitions, table.p,
+                          table.y)[4].tolist()
 
 
 # ----------------------------------------------------------------------
@@ -451,13 +443,13 @@ def read_predictions(path: str | Path) -> tuple[PredictionTable, dict]:
 # rendering
 
 
-def _fmt(x: float | None, digits: int = 4) -> str:
+def fmt_num(x: float | None, digits: int = 4) -> str:
     if x is None:
         return "-"
     return f"{x:.{digits}f}"
 
 
-def _fmt_pct(x: float | None) -> str:
+def fmt_pct(x: float | None) -> str:
     if x is None:
         return "-"
     return f"{x:+.2f}%"
@@ -480,10 +472,10 @@ def render_report(report: MetricReport, title: str = "") -> str:
             lines.append(f"{name:<9}{'absent: ' + gm.note}")
             continue
         lines.append(
-            f"{name:<9}{gm.n:>8}{gm.n_pos:>7}{_fmt(gm.auc_avg):>9}"
-            f"{_fmt(gm.auc_std):>8}{_fmt_pct(gm.rela_impr_auc):>9}"
-            f"{_fmt(gm.gauc):>9}{_fmt_pct(gm.rela_impr_gauc):>9}"
-            f"{_fmt(gm.pcoc):>9}{_fmt(gm.cal_n, 5):>10}")
+            f"{name:<9}{gm.n:>8}{gm.n_pos:>7}{fmt_num(gm.auc_avg):>9}"
+            f"{fmt_num(gm.auc_std):>8}{fmt_pct(gm.rela_impr_auc):>9}"
+            f"{fmt_num(gm.gauc):>9}{fmt_pct(gm.rela_impr_gauc):>9}"
+            f"{fmt_num(gm.pcoc):>9}{fmt_num(gm.cal_n, 5):>10}")
         if gm.note:
             lines.append(f"{'':<9}{gm.note}")
     interesting = ("arch", "config_hash", "dataset_hash", "baseline")

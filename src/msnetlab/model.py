@@ -24,7 +24,6 @@ import numpy as np
 from .autodiff import (
     GradMap,
     ParamStore,
-    SparseRows,
     Tape,
     Tensor,
 )
@@ -354,6 +353,24 @@ class AdagradState:
 ADAGRAD_EPS = 1e-8
 
 
+class NonFiniteStep(ModelError):
+    """An optimizer step refused for a non-finite gradient or accumulator."""
+
+
+def _refuse_non_finite(params: ParamStore, flat: np.ndarray,
+                       sparse: dict[str, np.ndarray], what: str) -> None:
+    """Raise ``NonFiniteStep`` naming the first parameter whose ``what``,
+    dense in ``flat`` (laid out like ``params.dense``) or in ``sparse``,
+    is not finite."""
+    if np.isfinite(flat).all() and all(np.isfinite(v).all()
+                                       for v in sparse.values()):
+        return
+    parts = {**params.dense_views(flat), **sparse}
+    name = next(n for n in params.names() if not np.isfinite(parts[n]).all())
+    raise NonFiniteStep(f"non-finite {what} for parameter {name!r}; step "
+                        f"aborted")
+
+
 def optimizer_step(params: ParamStore, grads: GradMap, state: AdagradState,
                    lr: float, decay: float = 1.0) -> None:
     """Adagrad with optional accumulator decay.
@@ -363,34 +380,25 @@ def optimizer_step(params: ParamStore, grads: GradMap, state: AdagradState,
     ``state.dense``; the arithmetic per entry is that of a step per
     parameter, so the bits are too.  Embedding rows absent from the batch
     are left untouched (values and accumulators both).  A non-finite
-    gradient aborts the whole step before any parameter moves, naming the
-    first such parameter in creation order.
+    gradient, or an accumulator the step would make non-finite (g^2
+    overflows), aborts the whole step before any value or accumulator
+    moves, naming the first such parameter in creation order.
     """
     g = params.flatten(grads)
-    sparse = [(name, grads[name]) for name in params.names()
-              if name in params.embedding_names]
-    if not (np.isfinite(g).all()
-            and all(np.isfinite(rows.rows).all() for _, rows in sparse)):
-        for name in params.names():
-            part = grads[name]
-            if not np.isfinite(part.rows if isinstance(part, SparseRows)
-                               else part).all():
-                raise ModelError(f"non-finite gradient for parameter "
-                                 f"{name!r}; step aborted")
-    for name, rows in sparse:
-        if not rows.indices.size:
-            continue
-        acc = state.acc[name][rows.indices]
-        if decay != 1.0:
-            acc *= decay
-        acc += rows.rows * rows.rows
-        state.acc[name][rows.indices] = acc
+    sparse = {name: grads[name] for name in params.names()
+              if name in params.embedding_names}
+    _refuse_non_finite(params, g, {n: r.rows for n, r in sparse.items()},
+                       "gradient")
+    # x * 1.0 is x, bit for bit
+    sparse_acc = {name: state.acc[name][rows.indices] * decay
+                  + rows.rows * rows.rows for name, rows in sparse.items()}
+    acc = state.dense * decay + g * g
+    _refuse_non_finite(params, acc, sparse_acc, "Adagrad accumulator")
+    for name, rows in sparse.items():
+        state.acc[name][rows.indices] = sparse_acc[name]
         params.values[name][rows.indices] -= \
-            lr * rows.rows / (np.sqrt(acc) + ADAGRAD_EPS)
-    acc = state.dense
-    if decay != 1.0:
-        acc *= decay
-    acc += g * g
+            lr * rows.rows / (np.sqrt(sparse_acc[name]) + ADAGRAD_EPS)
+    state.dense[...] = acc
     params.dense -= lr * g / (np.sqrt(acc) + ADAGRAD_EPS)
     state.step += 1
 
@@ -417,7 +425,8 @@ class TrainResult:
     opt_state: AdagradState
     vocabs: Vocabs
     log: list[EpochLog]
-    diverged: bool = False
+    # why the run stopped early, or "" when every epoch completed
+    diverged: str = ""
 
 
 def fit(records: Impressions, catalog: dict[int, ItemSpec],
@@ -429,8 +438,9 @@ def fit(records: Impressions, catalog: dict[int, ItemSpec],
 
     Vocabularies come from the training records unless supplied.  Batches
     are a seeded shuffle, re-drawn per epoch.  If the total loss goes
-    non-finite the run aborts, keeping the parameters from the end of the
-    last completed epoch.
+    non-finite or ``optimizer_step`` refuses a step, the run aborts,
+    keeping the parameters from the end of the last completed epoch; the
+    checks, not numpy warnings, report overflow in a step.
     """
     table = as_table(records)
     if not len(table):
@@ -454,16 +464,19 @@ def fit(records: Impressions, catalog: dict[int, ItemSpec],
             rows = order[start:start + config.batch_size]
             batch = _slice_batch(full, rows)
             tape = Tape(params)
-            out = forward(tape, config, batch)
-            ce, aux, total = compute_losses(tape, config, batch, out)
-            total_val = float(total.values)
-            if not np.isfinite(total_val):
-                result.params, result.opt_state = snapshot
-                result.diverged = True
-                return result
-            grads = tape.backward(total)
-            optimizer_step(params, grads, state, config.learning_rate,
-                           config.adagrad_decay)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = forward(tape, config, batch)
+                ce, aux, total = compute_losses(tape, config, batch, out)
+                total_val = float(total.values)
+                try:
+                    if not np.isfinite(total_val):
+                        raise NonFiniteStep("loss went non-finite")
+                    optimizer_step(params, tape.backward(total), state,
+                                   config.learning_rate, config.adagrad_decay)
+                except NonFiniteStep as exc:
+                    result.params, result.opt_state = snapshot
+                    result.diverged = str(exc)
+                    return result
             ce_sum += float(ce.values)
             aux_sum += float(aux.values) if aux is not None else 0.0
             total_sum += total_val

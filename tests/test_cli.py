@@ -8,6 +8,9 @@ import io
 import json
 import re
 import shutil
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msnetlab
 import msnetlab.model
 from msnetlab.autodiff import ParamStore
 from msnetlab.cli import ABLATION_VARIANTS, CliError, ExperimentConfig, main
@@ -730,6 +734,47 @@ def test_memory_error_is_one_error_line(workspace, tmp_path, capsys,
                  "--arch", "msnet", "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error E_MEMORY: {message}"]
+
+
+# a size numpy refuses before allocating, and steps that overflow: each
+# gives exactly one error line, with no numpy warning on the way
+OVERSIZED_OR_OVERFLOWING = {
+    "history_len": (9 * 10 ** 18, "E_MEMORY"),
+    "meta_hidden": (9 * 10 ** 18, "E_MEMORY"),
+    "learning_rate": (1e308, "E_DIVERGED"),
+    "alpha": (1e308, "E_DIVERGED"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(OVERSIZED_OR_OVERFLOWING))
+def test_oversized_or_overflowing_config_one_error_line(key, workspace,
+                                                        tmp_path, capsys):
+    value, code = OVERSIZED_OR_OVERFLOWING[key]
+    _, _, data, _ = workspace
+    cfg = write_config(tmp_path / "cfg.json",
+                       model={**TINY["model"], key: value})
+    run = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--arch", "msnet", "--out", str(run)]) == 2
+    assert [str(w.message) for w in caught] == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error {code}: ")
+    if code == "E_DIVERGED":  # the initial parameters, the last good ones
+        assert load_checkpoint(run / "msnet.ckpt.npz")
+
+
+def test_cli_import_loads_no_scipy():
+    # every command pays at start-up for what the package imports
+    src = str(Path(msnetlab.__file__).parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "import msnetlab.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 # ----------------------------------------------------------------------

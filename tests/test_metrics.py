@@ -1,5 +1,6 @@
-"""Metric tests.  The rank-sum AUC is verified against the exhaustive
-pairwise count; calibration values against hand arithmetic; RelaImpr
+"""Metric tests.  The rank-sum AUC of every metric that ranks (AUC,
+partition AUCs, GAUC) is verified against the exhaustive pairwise count,
+bit for bit; calibration values against hand arithmetic; RelaImpr
 against the published comparison-table arithmetic; the column-based
 metrics and report against per-record loop oracles, bit for bit."""
 
@@ -28,7 +29,6 @@ from msnetlab.metrics import (
     calibration_error,
     gauc,
     grouped_report,
-    paired_partition_ttest,
     partition_aucs,
     partition_ids,
     partition_of,
@@ -48,7 +48,8 @@ def rec(p, y, user=0, item=0, new=False, limited=False, part=0):
 
 
 def brute_force_auc(records):
-    """Exhaustive pairwise oracle: 1 per win, 0.5 per tie."""
+    """Exhaustive pairwise oracle: 1 per win, 0.5 per tie.  The count is
+    a half-integer added exactly, so it gives the rank-sum AUC's bits."""
     pos = [r.p for r in records if r.y == 1]
     neg = [r.p for r in records if r.y == 0]
     if not pos or not neg:
@@ -83,13 +84,6 @@ def random_records(rng, n, discretize=False):
 # replaced, kept to check them bit for bit
 
 
-def loop_auc(records):
-    if not records:
-        return None
-    return auc_from_arrays(np.array([r.p for r in records]),
-                           np.array([r.y for r in records]))
-
-
 def loop_gauc(records):
     by_user = {}
     for r in records:
@@ -97,7 +91,7 @@ def loop_gauc(records):
     weighted = 0.0
     weight = 0
     for user_records in by_user.values():
-        a = loop_auc(user_records)
+        a = brute_force_auc(user_records)
         if a is None:
             continue
         weighted += len(user_records) * a
@@ -132,7 +126,7 @@ def loop_cal_n(records, n_partitions=N_PARTITIONS):
 
 
 def loop_partition_aucs(records, n_partitions=N_PARTITIONS):
-    aucs = [loop_auc(rs)
+    aucs = [brute_force_auc(rs)
             for rs in loop_partitions(records, n_partitions).values()]
     return [a for a in aucs if a is not None]
 
@@ -190,8 +184,9 @@ class TestColumnsMatchLoopOracles:
         table = PredictionTable.from_records(records)
         got = (auc(table), gauc(table), pcoc(table), cal_n(table),
                partition_aucs(table))
-        want = (loop_auc(records), loop_gauc(records), loop_pcoc(records),
-                loop_cal_n(records), loop_partition_aucs(records))
+        want = (brute_force_auc(records), loop_gauc(records),
+                loop_pcoc(records), loop_cal_n(records),
+                loop_partition_aucs(records))
         assert repr(got) == repr(want)
 
     @given(st.lists(PREDICTION, max_size=80))
@@ -260,14 +255,18 @@ class TestAuc:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("discretize", [False, True])
     def test_rank_sum_equals_brute_force(self, seed, discretize):
+        # half-integer rank sums make the AUC exact, so the oracle's bits
+        # are the bar, for the whole table, every partition and one user
         rng = np.random.default_rng(seed)
         records = random_records(rng, 200, discretize=discretize)
         want = brute_force_auc(records)
-        got = auc(records)
-        if want is None:
-            assert got is None
-        else:
-            assert got == pytest.approx(want, abs=1e-12)
+        assert want is not None and auc(records) == want
+        one_user = [dataclasses.replace(r, user_id=9) for r in records]
+        # GAUC's weighted mean over one user: weight * AUC / weight
+        assert gauc(one_user) == len(records) * want / len(records)
+        wants = [brute_force_auc(rs) for rs in
+                 loop_partitions(records, N_PARTITIONS).values()]
+        assert None not in wants and partition_aucs(records) == wants
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -467,22 +466,9 @@ class TestPartitions:
                    rec(.8, 1, part=1)]  # partition 1 has no negative
         assert partition_aucs(records) == [1.0]
 
-
-class TestTTest:
-    def test_identical_partitions_p_one(self):
-        aucs = [0.7, 0.71, 0.72, 0.69]
-        assert paired_partition_ttest(aucs, list(aucs)) == 1.0
-
-    def test_clear_difference_small_p(self):
-        a = [0.70, 0.71, 0.72, 0.73, 0.71, 0.70, 0.72, 0.71, 0.73, 0.72]
-        deltas = [0.019, 0.021, 0.020, 0.022, 0.018,
-                  0.021, 0.019, 0.020, 0.022, 0.018]
-        b = [x - d for x, d in zip(a, deltas)]
-        p = paired_partition_ttest(a, b)
-        assert p < 0.001
-
-    def test_mismatched_lengths_none(self):
-        assert paired_partition_ttest([0.7], [0.7, 0.8]) is None
+    def test_partition_aucs_of_empty_table(self):
+        assert partition_aucs(PredictionTable.from_records([])) == []
+        assert partition_aucs([]) == []
 
 
 class TestGroupedReport:

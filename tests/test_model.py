@@ -458,6 +458,35 @@ class TestOptimizer:
         np.testing.assert_array_equal(params.values["a"], [1.0])
         assert state.step == 0
 
+    @pytest.mark.parametrize("overflowing", ["e", "b"])
+    def test_non_finite_accumulator_aborts_whole_step(self, overflowing):
+        # finite gradients whose square overflows: no value and no
+        # accumulator moves, and the first such parameter is named
+        params = ParamStore()
+        params.add("a", np.array([1.0]))
+        params.add("e", np.ones((3, 2)), embedding=True)
+        params.add("b", np.array([1.0, 2.0]))
+        state = AdagradState.for_params(params)
+        state.acc["b"][...] = 1e308
+        grads = {"a": np.array([1.0]), "b": np.array([0.0, 1.0]),
+                 "e": SparseRows(indices=np.array([2]),
+                                 rows=np.array([[1.0, 1.0]]))}
+        if overflowing == "e":
+            grads["e"].rows[0, 1] = 1e200
+        else:
+            grads["b"][1] = 1e160  # 1e308 + 1e320 overflows
+        before = params.copy()
+        acc_before = {k: v.copy() for k, v in state.acc.items()}
+        with pytest.raises(ModelError, match=f"non-finite Adagrad "
+                           f"accumulator for parameter '{overflowing}'"), \
+                np.errstate(over="ignore"):
+            optimizer_step(params, grads, state, lr=0.1)
+        for name in params.names():
+            assert params.values[name].tobytes() == \
+                before.values[name].tobytes()
+            assert state.acc[name].tobytes() == acc_before[name].tobytes()
+        assert state.step == 0
+
 
 def loop_optimizer_step(values, acc, grads, lr, decay):
     """Per-parameter Adagrad over plain dicts: every gradient checked,
