@@ -54,12 +54,6 @@ class SparseRows:
             out[self.indices] = self.rows
         return out
 
-    def total(self) -> Array:
-        """Sum of all row gradients (used by conservation checks)."""
-        if not self.indices.size:
-            return np.zeros(0, dtype=np.float64)
-        return self.rows.sum(axis=0)
-
 
 GradMap = dict[str, "Array | SparseRows"]
 
@@ -226,7 +220,6 @@ class Tape:
                  record: bool = True) -> None:
         self._nodes: list[_Node] = []
         self._leaf_node: dict[str, int] = {}
-        self._leaf_name: dict[int, str] = {}
         self._embedding_nodes: set[int] = set()
         # per embedding leaf node: list of (indices, grad rows) to merge later
         self._sparse_parts: dict[int, list[tuple[Array, Array]]] = {}
@@ -244,7 +237,6 @@ class Tape:
     def _register_leaf(self, name: str, values: Array, *, embedding: bool) -> None:
         nid = self._push(lambda g, grads: None, f"leaf:{name}")
         self._leaf_node[name] = nid
-        self._leaf_name[nid] = name
         if embedding:
             self._embedding_nodes.add(nid)
             self._sparse_parts[nid] = []

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .datagen import (
+    Catalog,
     DatasetError,
     GeneratorConfig,
     build_market,
@@ -260,7 +261,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     train, test = split_train_test(result.records, gen.days)
     write_dataset(train, out_dir / TRAIN_FILE)
     write_dataset(test, out_dir / TEST_FILE)
-    write_catalog(market.items, out_dir / CATALOG_FILE)
+    write_catalog(Catalog.from_items(market.items), out_dir / CATALOG_FILE)
     manifest = write_manifest(out_dir, config, seed,
                               {"train": len(train), "test": len(test)},
                               result.metadata)
@@ -388,9 +389,7 @@ def _evaluate_checkpoint(ckpt_path: Path, data_dir: Path, out_dir: Path, *,
         metadata["baseline_note"] = baseline_note
     report = grouped_report(preds, baseline=baseline, metadata=metadata)
     attention = accumulator.table().as_dict()
-    report_dict = report.to_dict()
-    report_dict["attention_scores"] = attention
-    report_json = json.dumps(report_dict, indent=2, sort_keys=True) + "\n"
+    report_json = report.to_json(attention_scores=attention)
     (out_dir / f"{stem}.report.json").write_text(report_json)
     human = render_report(report, title=f"evaluation: {stem}") + "\n" + \
         render_attention_table(attention)

@@ -212,15 +212,15 @@ _SCALAR_DTYPES = (np.int64, np.int64, np.int64, np.int64, np.float64, bool,
 
 @dataclasses.dataclass(eq=False)
 class ImpressionTable:
-    """Impressions as aligned columns, one row per impression.
+    """The impression log as aligned columns, one row per impression.
 
     ``history`` indexes a flat store of distinct histories: history ``u``
     holds entries ``hist_offsets[u]:hist_offsets[u + 1]`` of the three
-    ``hist_*`` columns, most recent first.  A slice or a boolean mask
-    selects a table that shares the store, an integer index gives one
-    ``ImpressionRecord``, iterating yields records in row order, and
-    ``a + b`` concatenates.  Each history tuple a record carries is built
-    once per store and shared by every row that holds that history.
+    ``hist_*`` columns, most recent first.  A slice, a boolean mask or an
+    array of row indices selects a table that shares the store, and
+    ``a + b`` concatenates.  Iterating yields ``ImpressionRecord``s in row
+    order; each history tuple a record carries is built once per store and
+    shared by every row that holds that history.
     """
     day: np.ndarray              # int64
     user_id: np.ndarray          # int64
@@ -237,24 +237,6 @@ class ImpressionTable:
     # the store's history tuples, filled on first use; tables sharing the
     # store share this list
     _tuples: list = dataclasses.field(default_factory=list, repr=False)
-
-    @classmethod
-    def from_records(cls, records: Iterable[ImpressionRecord]
-                     ) -> "ImpressionTable":
-        """Columns of ``records``; equal histories share one store entry."""
-        records = list(records)
-        index: dict[tuple, int] = {}
-        history = [index.setdefault(r.history, len(index)) for r in records]
-        entries = [e for h in index for e in h]
-        return cls(*(np.array([getattr(r, f) for r in records], dtype=dtype)
-                     for f, dtype in zip(_SCALAR_FIELDS, _SCALAR_DTYPES)),
-                   history=np.array(history, dtype=np.int64),
-                   hist_offsets=np.cumsum([0, *map(len, index)],
-                                          dtype=np.int64),
-                   hist_item=np.array([e[0] for e in entries], dtype=np.int64),
-                   hist_category=np.array([e[1] for e in entries],
-                                          dtype=np.int64),
-                   hist_limited=np.array([e[2] for e in entries], dtype=bool))
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """The eight row columns, in ``DATASET_FIELDS`` order."""
@@ -292,11 +274,9 @@ class ImpressionTable:
     def __len__(self) -> int:
         return len(self.day)
 
-    def __getitem__(self, index):
+    def __getitem__(self, index) -> "ImpressionTable":
         if isinstance(index, (int, np.integer)):
-            row = [c[index].item() for c in self.columns()]
-            row[-1] = self.history_tuples()[row[-1]]
-            return ImpressionRecord(*row)
+            raise TypeError("select rows with a slice, a mask or an array")
         return ImpressionTable(*(c[index] for c in self.columns()),
                                **self._store())
 
@@ -324,16 +304,6 @@ class ImpressionTable:
                  other.hist_offsets[1:] + self.hist_offsets[-1]]),
             **{f: np.concatenate([getattr(self, f), getattr(other, f)])
                for f in ("hist_item", "hist_category", "hist_limited")})
-
-
-Impressions = ImpressionTable | Sequence[ImpressionRecord]
-
-
-def as_table(records: Impressions) -> ImpressionTable:
-    """``records`` as a table; a list is converted once."""
-    if isinstance(records, ImpressionTable):
-        return records
-    return ImpressionTable.from_records(records)
 
 
 @dataclasses.dataclass
@@ -825,8 +795,7 @@ def _history_texts(table: ImpressionTable) -> dict[int, str]:
                                     zip([0, *ends], ends))))
 
 
-def write_dataset(records: Impressions, path: str | Path) -> None:
-    table = as_table(records)
+def write_dataset(table: ImpressionTable, path: str | Path) -> None:
     path = Path(path)
     # histories repeat until the user's next click: format each once
     texts = _history_texts(table)
@@ -851,16 +820,53 @@ def read_dataset(path: str | Path) -> ImpressionTable:
     return parse_or_name_line(_parse_dataset, body, DatasetError)
 
 
-def write_catalog(items: dict[int, ItemSpec], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CATALOG_HEADER + "\n")
-        for s in (items[k] for k in sorted(items)):
-            fh.write(f"{s.item_id}\t{s.category_id}\t{s.stock_count}\t"
-                     f"{s.quality!r}\t{s.created_day}\n")
+def find_sorted(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The position in ``keys``, a sorted int64 array without repeats, of
+    each entry of ``values``; -1 where ``keys`` does not hold it."""
+    values = np.asarray(values, dtype=np.int64)
+    if not keys.size:
+        return np.full(values.shape, -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(keys, values), keys.size - 1)
+    return np.where(keys[pos] == values, pos, -1)
 
 
 _CATALOG_ROW = np.dtype([(f, np.float64 if f == "quality" else np.int64)
                          for f in CATALOG_FIELDS])
+
+
+@dataclasses.dataclass(eq=False)
+class Catalog:
+    """The item catalog as aligned columns, one row per item, sorted by
+    ``item_id`` with no id repeated."""
+    item_id: np.ndarray      # int64
+    category_id: np.ndarray  # int64
+    stock_count: np.ndarray  # int64, initial stock; 1 means limited-stock
+    quality: np.ndarray      # float64
+    created_day: np.ndarray  # int64
+
+    @classmethod
+    def from_items(cls, items: dict[int, ItemSpec]) -> "Catalog":
+        """The columns of a market's items, which are keyed by their ids."""
+        specs = [items[k] for k in sorted(items)]
+        return cls(*(np.array([getattr(s, f) for s in specs],
+                              dtype=_CATALOG_ROW[f])
+                     for f in CATALOG_FIELDS))
+
+    def categories(self, item_ids: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """Per entry of ``item_ids``: whether the catalog holds the item,
+        and its category (0 where it does not)."""
+        pos = find_sorted(self.item_id, item_ids)
+        return pos >= 0, np.append(self.category_id, 0)[pos]
+
+
+def write_catalog(catalog: Catalog, path: str | Path) -> None:
+    rows = zip(*(getattr(catalog, f).tolist() for f in CATALOG_FIELDS))
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(CATALOG_HEADER + "\n")
+        fh.write("".join(f"{item}\t{category}\t{stock}\t{quality!r}\t"
+                         f"{created}\n"
+                         for item, category, stock, quality, created in rows))
 
 
 def _parse_catalog(body: str) -> np.ndarray:
@@ -871,13 +877,15 @@ def _parse_catalog(body: str) -> np.ndarray:
         raise
 
 
-def read_catalog(path: str | Path) -> dict[int, ItemSpec]:
-    """The items of a catalog file by id, as Python ints and floats; a
-    repeated id keeps its first place and its last line's values."""
+def read_catalog(path: str | Path) -> Catalog:
+    """The items of a catalog file, sorted by id; a repeated id takes its
+    last line's values."""
     body = read_body(path, CATALOG_HEADER, "catalog", DatasetError)
     rows = parse_or_name_line(_parse_catalog, body, DatasetError)
-    return {row[0]: ItemSpec(*row)
-            for row in zip(*(rows[f].tolist() for f in CATALOG_FIELDS))}
+    # each id's last line is its first in the reversed rows
+    _, first = np.unique(rows["item_id"][::-1], return_index=True)
+    rows = rows[len(rows) - 1 - first]
+    return Catalog(*(np.ascontiguousarray(rows[f]) for f in CATALOG_FIELDS))
 
 
 def file_sha256(path: str | Path) -> str:
@@ -888,8 +896,7 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def split_train_test(records: Impressions, test_day: int
+def split_train_test(table: ImpressionTable, test_day: int
                      ) -> tuple[ImpressionTable, ImpressionTable]:
     """Days before test_day train, test_day itself tests."""
-    table = as_table(records)
     return table[table.day < test_day], table[table.day == test_day]

@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .autodiff import ParamStore, Tape, Tensor
-from .datagen import ImpressionTable, Impressions, ItemSpec, as_table
+from .datagen import Catalog, ImpressionTable, find_sorted
 
 OOV_INDEX = 0
 
@@ -32,8 +32,8 @@ class Vocab:
 
     def __init__(self, values: Iterable[int] = ()) -> None:
         self._index: dict[int, int] = {}
-        # (sorted values, their indices), built on first array lookup and
-        # dropped whenever a value is added
+        # (sorted values, their indices and then OOV_INDEX), built on first
+        # array lookup and dropped whenever a value is added
         self._sorted: tuple[np.ndarray, np.ndarray] | None = None
         for v in values:
             self.add(v)
@@ -56,13 +56,10 @@ class Vocab:
             keys = np.fromiter(self._index, dtype=np.int64,
                                count=len(self._index))
             order = np.argsort(keys)
-            self._sorted = keys[order], order + 1
+            self._sorted = keys[order], np.append(order + 1, OOV_INDEX)
         keys, indices = self._sorted
-        values = np.asarray(values, dtype=np.int64)
-        if not keys.size:
-            return np.full(values.shape, OOV_INDEX, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(keys, values), keys.size - 1)
-        return np.where(keys[pos] == values, indices[pos], OOV_INDEX)
+        # a value not found is at position -1: the OOV index
+        return indices[find_sorted(keys, values)]
 
     @property
     def size(self) -> int:
@@ -86,36 +83,24 @@ class Vocabs:
     category: Vocab
 
 
-def _target_categories(table: ImpressionTable, catalog: dict[int, ItemSpec]
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: whether the catalog knows the target item, and its
-    category (0 where it does not)."""
-    specs = [catalog.get(i) for i in table.item_id.tolist()]
-    known = np.array([s is not None for s in specs], dtype=bool)
-    category = np.array([0 if s is None else s.category_id for s in specs],
-                        dtype=np.int64)
-    return known, category
-
-
 def _first_seen(values: np.ndarray) -> list[int]:
     """The distinct entries of ``values`` in order of first appearance."""
     _, first = np.unique(values, return_index=True)
     return values[np.sort(first)].tolist()
 
 
-def build_vocab(records: Impressions, catalog: dict[int, ItemSpec]) -> Vocabs:
-    """Scan training records in order; assign indices first-seen.
+def build_vocab(table: ImpressionTable, catalog: Catalog) -> Vocabs:
+    """Scan training rows in order; assign indices first-seen.
 
     Target item ids and the target's catalog category come first for each
-    record, then the history entries, so the assignment is a pure function
-    of the record sequence.  A history is scanned at the first row that
+    row, then the history entries, so the assignment is a pure function
+    of the row sequence.  A history is scanned at the first row that
     holds it: every later row holding it adds no first-seen value.
     """
-    table = as_table(records)
     n = len(table)
     if not n:
         raise ValueError("cannot build vocabularies from an empty split")
-    known, category = _target_categories(table, catalog)
+    known, category = catalog.categories(table.item_id)
     histories, first_row = np.unique(table.history, return_index=True)
     idx, lengths = table.history_entries(histories)
     # scan position of every value: (row, slot), the target in slot 0
@@ -162,12 +147,11 @@ class SampleBatch:
         return int(self.seq_item.shape[1])
 
 
-def encode_batch(records: Impressions, vocabs: Vocabs,
-                 catalog: dict[int, ItemSpec], history_len: int) -> SampleBatch:
+def encode_batch(table: ImpressionTable, vocabs: Vocabs, catalog: Catalog,
+                 history_len: int) -> SampleBatch:
     if history_len < 1:
         raise ValueError("history_len must be >= 1")
-    table = as_table(records)
-    known, category = _target_categories(table, catalog)
+    known, category = catalog.categories(table.item_id)
     # each distinct history the rows hold is encoded once, into one row
     # of the [U, H] grids, and the grid rows are gathered per row
     histories, which = np.unique(table.history, return_inverse=True)

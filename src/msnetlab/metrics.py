@@ -314,9 +314,13 @@ class MetricReport:
         except (KeyError, TypeError, AttributeError) as exc:
             raise MetricsError(f"malformed report-v1 object: {exc!r}") from exc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
+    def to_json(self, attention_scores: dict | None = None) -> str:
+        """The report as JSON, with the attention-score table under
+        ``attention_scores`` when one is given."""
+        d = self.to_dict()
+        if attention_scores is not None:
+            d["attention_scores"] = attention_scores
+        return json.dumps(d, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "MetricReport":

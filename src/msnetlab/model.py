@@ -27,7 +27,7 @@ from .autodiff import (
     Tape,
     Tensor,
 )
-from .datagen import Impressions, ItemSpec, as_table, config_kwargs
+from .datagen import Catalog, ImpressionTable, config_kwargs
 from .features import (
     Embedded,
     SampleBatch,
@@ -429,20 +429,19 @@ class TrainResult:
     diverged: str = ""
 
 
-def fit(records: Impressions, catalog: dict[int, ItemSpec],
-        config: ModelConfig, *,
+def fit(table: ImpressionTable, catalog: Catalog, config: ModelConfig, *,
         vocabs: Vocabs | None = None,
         epoch_callback: Callable[[int, "TrainResult"], None] | None = None,
         ) -> TrainResult:
-    """Train on the given records, deterministically in config.seed.
+    """Train on the given impressions, deterministically in config.seed.
 
-    Vocabularies come from the training records unless supplied.  Batches
+    Vocabularies come from the training impressions unless supplied.  Batches
     are a seeded shuffle, re-drawn per epoch.  If the total loss goes
     non-finite or ``optimizer_step`` refuses a step, the run aborts,
     keeping the parameters from the end of the last completed epoch; the
-    checks, not numpy warnings, report overflow in a step.
+    checks, not numpy warnings, report a step that overflows or takes the
+    log of 0.
     """
-    table = as_table(records)
     if not len(table):
         raise ModelError("training set is empty")
     config.validate()
@@ -464,7 +463,7 @@ def fit(records: Impressions, catalog: dict[int, ItemSpec],
             rows = order[start:start + config.batch_size]
             batch = _slice_batch(full, rows)
             tape = Tape(params)
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(all="ignore"):
                 out = forward(tape, config, batch)
                 ce, aux, total = compute_losses(tape, config, batch, out)
                 total_val = float(total.values)
@@ -517,30 +516,36 @@ def _slice_batch(full: SampleBatch, rows: np.ndarray | slice) -> SampleBatch:
 # prediction and diagnostics
 
 
-def predict(params: ParamStore, config: ModelConfig,
-            records: Impressions, vocabs: Vocabs,
-            catalog: dict[int, ItemSpec], *, partition_seed: int = 0,
+def predict(params: ParamStore, config: ModelConfig, table: ImpressionTable,
+            vocabs: Vocabs, catalog: Catalog, *, partition_seed: int = 0,
             score_accumulator: ScoreAccumulator | None = None,
             ) -> PredictionTable:
     """One prediction per impression, deterministic, in input order.
 
     The table is encoded once, as ``fit`` does, and scored in batches of
-    ``config.batch_size`` rows on forward-only tapes.
+    ``config.batch_size`` rows on forward-only tapes.  Parameters whose
+    forward pass is not finite raise ``ModelError``; the check, not numpy
+    warnings, reports the overflow.
     """
-    table = as_table(records)
     full = encode_batch(table, vocabs, catalog, config.history_len)
-    p_chunks: list[np.ndarray] = []
-    for start in range(0, len(table), config.batch_size):
-        batch = _slice_batch(full, slice(start, start + config.batch_size))
-        fo = forward(Tape(params, record=False), config, batch)
-        if score_accumulator is not None:
-            for scores, mask in fo.branch_scores:
-                score_accumulator.add_batch(scores, batch.is_limited,
-                                            batch.seq_limited, mask)
-        p_chunks.append(fo.p.values)
+    p_chunks: list[np.ndarray] = [np.empty(0)]
+    with np.errstate(all="ignore"):
+        for start in range(0, len(table), config.batch_size):
+            batch = _slice_batch(full,
+                                 slice(start, start + config.batch_size))
+            fo = forward(Tape(params, record=False), config, batch)
+            if score_accumulator is not None:
+                for scores, mask in fo.branch_scores:
+                    score_accumulator.add_batch(scores, batch.is_limited,
+                                                batch.seq_limited, mask)
+            p_chunks.append(fo.p.values)
+    p = np.concatenate(p_chunks)
+    bad = np.count_nonzero(~np.isfinite(p))
+    if bad:
+        raise ModelError(f"{bad} of {p.size} predictions are not finite: "
+                         f"the parameters give no finite forward pass")
     return PredictionTable(
-        user_id=table.user_id.copy(), item_id=table.item_id.copy(),
-        p=np.concatenate(p_chunks) if p_chunks else np.empty(0),
+        user_id=table.user_id.copy(), item_id=table.item_id.copy(), p=p,
         y=table.label.copy(), is_new=table.item_is_new.copy(),
         is_limited=table.item_is_limited.copy(),
         partition_id=partition_ids(table.user_id, table.item_id,
@@ -563,8 +568,7 @@ def _array_checksum(arrays: dict[str, np.ndarray]) -> str:
 
 def save_checkpoint(path: str | Path, params: ParamStore,
                     opt_state: AdagradState, config: ModelConfig,
-                    vocabs: Vocabs, *, dataset_hash: str = "",
-                    extra_meta: dict | None = None) -> None:
+                    vocabs: Vocabs, *, dataset_hash: str = "") -> None:
     path = Path(path)
     arrays: dict[str, np.ndarray] = {}
     for name in params.names():
@@ -583,8 +587,6 @@ def save_checkpoint(path: str | Path, params: ParamStore,
         "embedding_params": sorted(params.embedding_names),
         "checksum": _array_checksum(arrays),
     }
-    if extra_meta:
-        meta.update(extra_meta)
     tmp = path.with_suffix(path.suffix + ".tmp")
     # write through a handle so savez cannot append its own extension,
     # then swap into place atomically

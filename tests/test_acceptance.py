@@ -17,6 +17,7 @@ import pytest
 from msnetlab.autodiff import ParamStore, Tape, check_gradients
 from msnetlab.cli import main as cli_main
 from msnetlab.datagen import (
+    Catalog,
     GeneratorConfig,
     build_market,
     simulate,
@@ -378,12 +379,13 @@ def full_scale_sweep():
         res = simulate(market, gen.days)
         outcome["digests"].append(table_digest(res.records))
         train, test = split_train_test(res.records, gen.days)
+        catalog = Catalog.from_items(market.items)
         groups = {}
         for arch in ("din", "msnet"):
             mc = ModelConfig(architecture=arch, seed=seed)
-            r = fit(train, market.items, mc)
+            r = fit(train, catalog, mc)
             acc = ScoreAccumulator() if arch == "din" else None
-            preds = predict(r.params, mc, test, r.vocabs, market.items,
+            preds = predict(r.params, mc, test, r.vocabs, catalog,
                             score_accumulator=acc)
             groups[arch] = grouped_report(preds).groups
             if acc is not None:

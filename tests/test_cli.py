@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import msnetlab
@@ -194,7 +195,7 @@ class TestTrain:
         # append one syntactically valid record: parses fine, hash differs
         train_records = read_dataset(tampered / "train.tsv")
         with (tampered / "train.tsv").open("a") as fh:
-            r = train_records[0]
+            r = next(iter(train_records))
             fh.write(f"{r.day}\t{r.user_id}\t{r.item_id}\t{r.label}\t"
                      f"{r.true_ctr!r}\t{int(r.item_is_limited)}\t"
                      f"{int(r.item_is_new)}\t\n")
@@ -765,6 +766,47 @@ def test_oversized_or_overflowing_config_one_error_line(key, workspace,
         assert load_checkpoint(run / "msnet.ckpt.npz")
 
 
+def _poisoned_checkpoint(workspace, tmp_path: Path, values: dict) -> Path:
+    """The MSNet checkpoint with each named block filled with one value,
+    saved again so that its checksum holds."""
+    _, _, _, run = workspace
+    ckpt = load_checkpoint(run / "msnet.ckpt.npz")
+    for name, value in values.items():
+        ckpt.params.values[name][...] = value
+    path = tmp_path / "msnet.ckpt.npz"
+    save_checkpoint(path, ckpt.params, ckpt.opt_state, ckpt.config,
+                    ckpt.vocabs, dataset_hash=ckpt.meta["dataset_hash"])
+    return path
+
+
+# parameters that load and check out but give no finite forward pass
+NON_FINITE_FORWARD = {
+    "nan_output_bias": {"mlp.out.b": math.nan},
+    "overflowing_attention": {"att.main.wq": 1e200, "att.main.wk": 1e200},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_FORWARD))
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+def test_non_finite_predictions_one_model_error(case, command, workspace,
+                                                tmp_path, capsys):
+    _, _, data, run = workspace
+    ckpt = _poisoned_checkpoint(workspace, tmp_path, NON_FINITE_FORWARD[case])
+    out = tmp_path / "eval"
+    argv = {"evaluate": ["evaluate", "--checkpoint", str(ckpt), "--data",
+                         str(data), "--out", str(out)],
+            "report": ["report", str(run / "msnet.predictions.tsv"),
+                       "--checkpoint", str(ckpt), "--data", str(data)]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv[command]) == 2
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error E_MODEL: "), lines
+    assert captured.out == "" and not out.exists()
+
+
 def test_cli_import_loads_no_scipy():
     # every command pays at start-up for what the package imports
     src = str(Path(msnetlab.__file__).parents[1])
@@ -861,3 +903,68 @@ def test_whole_config_loads_or_one_config_error(tmp_path_factory, text):
     want = "error E_NOT_FOUND: manifest not found" if loaded \
         else "error E_CONFIG: "
     assert lines[0].startswith(want), lines[0]
+
+
+# ----------------------------------------------------------------------
+# model-config fuzzing through ``train``: every well-typed model block
+# trains, or is refused with exactly one error line and no warning
+
+FUZZ_DATA = {"n_users": 30, "n_items": 80, "days": 3,
+             "new_items_per_day": 5, "mean_impressions_per_user_day": 5.0}
+# a size is small or past what numpy allocates, so that no example asks
+# the host for gigabytes
+SIZES = st.sampled_from([1, 2, 3, 4, 0, 9 * 10 ** 18])
+RATES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-3, 0.1, 0.5, 1.0, 15.0,
+                                   1e308]),
+                  st.floats(0.0, 2.0), st.floats())
+MODEL_BLOCKS = st.fixed_dictionaries({}, optional={
+    "d_id": SIZES, "d_side": SIZES, "history_len": SIZES,
+    "n_heads": SIZES, "d_head": SIZES, "meta_hidden": SIZES,
+    "mlp_hidden": st.lists(SIZES, max_size=3),
+    "batch_size": st.one_of(st.integers(16, 64), st.just(9 * 10 ** 18)),
+    "epochs": st.integers(0, 2),
+    "seed": st.one_of(st.integers(0, 3), st.just(2 ** 63 - 1)),
+    "alpha": RATES, "learning_rate": RATES, "adagrad_decay": RATES,
+    "logit_clamp": RATES,
+    "aux_scope": st.sampled_from(["limited_only", "both"]),
+    "meta_mode": st.sampled_from(["net", "identity"]),
+    "use_seq_split": st.booleans(), "use_seq_meta": st.booleans(),
+    "use_aux_loss": st.booleans(),
+})
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz-data")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "generator": FUZZ_DATA}))
+    assert main(["generate", "--config", str(cfg), "--out",
+                 str(root / "data")]) == 0
+    return root / "data"
+
+
+@given(MODEL_BLOCKS, st.sampled_from(["din", "msnet"]))
+# outputs that saturate to p = 0: log(0) in the loss warned before the
+# E_DIVERGED line
+@example({"learning_rate": 0.5, "logit_clamp": 746.0}, "din")
+@settings(max_examples=400, deadline=None)
+def test_fuzzed_model_config_trains_or_one_error_line(fuzz_data,
+                                                      tmp_path_factory,
+                                                      model, arch):
+    root = tmp_path_factory.mktemp("train")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({"model": model}))
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(["train", "--config", str(cfg), "--data", str(fuzz_data),
+                     "--arch", arch, "--out", str(root / "run")])
+    assert [str(w.message) for w in caught] == []
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 2 and len(lines) == 1, lines
+        assert re.match(r"^error E_[A-Z_]+: ", lines[0]), lines[0]

@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 
 from msnetlab import datagen
 from msnetlab.datagen import (
+    CATALOG_FIELDS,
     DATASET_FIELDS,
     DATASET_HEADER,
     INT64_MAX,
     INT64_MIN,
+    Catalog,
     DatasetError,
     GeneratorConfig,
     ImpressionRecord,
@@ -44,6 +46,7 @@ from msnetlab.metrics import (
     read_predictions,
     write_predictions,
 )
+from table_rows import table_of
 
 SMALL = GeneratorConfig(n_users=40, n_items=250, n_categories=4, days=4,
                         new_items_per_day=20,
@@ -64,7 +67,8 @@ class TestBuildMarket:
     def test_deterministic_serialization(self, tmp_path):
         def catalog_bytes(seed, name):
             path = tmp_path / name
-            write_catalog(build_market(SMALL, seed=seed).items, path)
+            write_catalog(
+                Catalog.from_items(build_market(SMALL, seed=seed).items), path)
             return path.read_bytes()
 
         a = catalog_bytes(123, "a.tsv")
@@ -404,7 +408,7 @@ class TestDatasetFiles:
 
     def test_empty_dataset_is_header_only(self, tmp_path):
         path = tmp_path / "empty.tsv"
-        write_dataset([], path)
+        write_dataset(self._records()[:0], path)
         assert path.read_text() == DATASET_HEADER + "\n"
         assert list(read_dataset(path)) == []
 
@@ -460,9 +464,10 @@ class TestDatasetFiles:
         market = build_market(SMALL, seed=4)
         simulate(market, 2)
         path = tmp_path / "items.tsv"
-        write_catalog(market.items, path)
+        write_catalog(Catalog.from_items(market.items), path)
         loaded = read_catalog(path)
-        assert loaded == market.items
+        assert catalog_rows(loaded) == [
+            dataclasses.astuple(market.items[k]) for k in sorted(market.items)]
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -484,7 +489,7 @@ class TestDatasetFiles:
             history=st.lists(triple, max_size=25).map(tuple))
         records = data.draw(st.lists(record, max_size=20))
         path = tmp_path_factory.mktemp("rt") / "data.tsv"
-        write_dataset(records, path)
+        write_dataset(table_of(records), path)
         assert list(read_dataset(path)) == records
 
 
@@ -652,13 +657,10 @@ class TestColumnarDataPath:
     @settings(max_examples=150, deadline=None)
     def test_write_read_matches_loops(self, tmp_path_factory, records):
         root = tmp_path_factory.mktemp("rt")
-        table = ImpressionTable.from_records(records)
-        write_dataset(table, root / "table.tsv")
-        write_dataset(records, root / "list.tsv")
+        write_dataset(table_of(records), root / "table.tsv")
         loop_write_dataset(records, root / "loop.tsv")
-        want = (root / "loop.tsv").read_bytes()
-        assert (root / "table.tsv").read_bytes() == want
-        assert (root / "list.tsv").read_bytes() == want
+        assert (root / "table.tsv").read_bytes() == \
+            (root / "loop.tsv").read_bytes()
         got = read_dataset(root / "table.tsv")
         assert isinstance(got, ImpressionTable)
         assert list(got) == loop_read_dataset(root / "table.tsv") == records
@@ -714,25 +716,28 @@ class TestColumnarDataPath:
     def test_table_indexing_and_concatenation(self):
         records = simulate(build_market(SMALL, seed=6), SMALL.days).records
         rows = list(records)
-        assert records[3] == rows[3] and records[-1] == rows[-1]
+        assert list(records[3:4]) == rows[3:4]
+        assert list(records[-1:]) == rows[-1:]
         head, tail = records[:100], records[100:]
         assert head.hist_offsets is records.hist_offsets
         assert list(head + tail) == rows
         # tables with their own stores: the second store's indices shift
-        other = ImpressionTable.from_records(rows[100:])
+        other = table_of(rows[100:])
         joined = head + other
         assert list(joined) == rows
         assert len(joined.hist_offsets) == \
             len(head.hist_offsets) + len(other.hist_offsets) - 1
         picked = records[records.label == 1]
         assert list(picked) == [r for r in rows if r.label]
-        assert records[np.int64(7)] == rows[7]
+        assert list(records[np.array([7, 2])]) == [rows[7], rows[2]]
+        with pytest.raises(TypeError, match="slice, a mask or an array"):
+            records[np.int64(7)]
 
-    def test_from_records_stores_equal_histories_once(self):
+    def test_row_builder_stores_equal_histories_once(self):
         h = ((5, 1, True), (6, 2, False))
         records = [ImpressionRecord(1, u, 9, 0, 0.5, False, True, hist)
                    for u, hist in enumerate([h, (), tuple(list(h)), (), h])]
-        table = ImpressionTable.from_records(records)
+        table = table_of(records)
         assert table.history.tolist() == [0, 1, 0, 1, 0]
         assert table.hist_offsets.tolist() == [0, 2, 2]
         assert table.hist_item.tolist() == [5, 6]
@@ -756,6 +761,11 @@ def loop_read_catalog(path):
         i, c, s, q, d = line.split("\t")
         items[int(i)] = ItemSpec(int(i), int(c), int(s), float(q), int(d))
     return items
+
+
+def catalog_rows(catalog):
+    """The rows of ``catalog``, as tuples of Python ints and floats."""
+    return list(zip(*(getattr(catalog, f).tolist() for f in CATALOG_FIELDS)))
 
 
 def _edit_line(path, lineno, field, value):
@@ -792,7 +802,8 @@ class TestOneReader:
         with pytest.raises(DatasetError, match=r"^line 4: "):
             read_dataset(path)
         catalog = tmp_path / "items.tsv"
-        write_catalog(build_market(SMALL, seed=4).items, catalog)
+        write_catalog(Catalog.from_items(build_market(SMALL, seed=4).items),
+                      catalog)
         _edit_line(catalog, 5, 2, text)
         with pytest.raises(DatasetError, match=r"^line 5: "):
             read_catalog(catalog)
@@ -830,22 +841,23 @@ class TestOneReader:
         market = build_market(SMALL, seed=4)
         simulate(market, 2)
         path = tmp_path / "items.tsv"
-        write_catalog(market.items, path)
-        # a repeated id keeps its first place and takes its last values
+        write_catalog(Catalog.from_items(market.items), path)
+        # a repeated id, out of id order, takes its last line's values
         with path.open("a") as fh:
             fh.write("3\t1\t5\t0.25\t-2\n")
         got, want = read_catalog(path), loop_read_catalog(path)
-        assert list(got) == list(want) and got == want
-        assert got[3] == ItemSpec(3, 1, 5, 0.25, -2)
-        assert all(type(getattr(s, f.name)) is type(getattr(w, f.name))
-                   for s, w in zip(got.values(), want.values())
-                   for f in dataclasses.fields(ItemSpec))
+        rows = catalog_rows(got)
+        assert rows == [dataclasses.astuple(want[k]) for k in sorted(want)]
+        assert rows[got.item_id.tolist().index(3)] == (3, 1, 5, 0.25, -2)
+        assert all(type(v) is type(w) for row, k in zip(rows, sorted(want))
+                   for v, w in zip(row, dataclasses.astuple(want[k])))
 
     @pytest.mark.parametrize("field", [2, 4])
     def test_catalog_stock_and_created_day_inside_int64(self, tmp_path,
                                                         field):
         path = tmp_path / "items.tsv"
-        write_catalog(build_market(SMALL, seed=4).items, path)
+        write_catalog(Catalog.from_items(build_market(SMALL, seed=4).items),
+                      path)
         _edit_line(path, 3, field, str(-2 ** 63 - 1))
         with pytest.raises(DatasetError, match=r"^line 3: could not convert "
                            rf"string '-{2 ** 63 + 1}' to int64 at column "
@@ -854,7 +866,8 @@ class TestOneReader:
 
     def test_catalog_field_count(self, tmp_path):
         path = tmp_path / "items.tsv"
-        write_catalog(build_market(SMALL, seed=4).items, path)
+        write_catalog(Catalog.from_items(build_market(SMALL, seed=4).items),
+                      path)
         _edit_line(path, 7, 4, "1\t2")
         with pytest.raises(DatasetError) as got:
             read_catalog(path)
@@ -920,7 +933,8 @@ def _valid_files(root):
     rows = records[np.flatnonzero(np.diff(records.hist_offsets)
                                   [records.history] > 0)[:5]] + records[:1]
     write_dataset(rows, root / "data.tsv")
-    write_catalog({k: market.items[k] for k in range(6)}, root / "items.tsv")
+    write_catalog(Catalog.from_items({k: market.items[k] for k in range(6)}),
+                  root / "items.tsv")
     write_predictions(_prediction_records(6), root / "p.tsv",
                       meta={"arch": "din", "dataset_hash": "ab12"})
     return [(root / "data.tsv", read_dataset, DatasetError),

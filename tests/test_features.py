@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from msnetlab.autodiff import ParamStore, SparseRows, Tape
 from msnetlab.datagen import (
+    Catalog,
     ImpressionRecord,
-    ImpressionTable,
     ItemSpec,
     read_dataset,
     write_dataset,
@@ -26,6 +26,7 @@ from msnetlab.features import (
     encode_batch,
     init_embedding,
 )
+from table_rows import table_of
 
 
 def make_record(item_id, history=(), label=1, day=1, user_id=0,
@@ -37,7 +38,7 @@ def make_record(item_id, history=(), label=1, day=1, user_id=0,
 
 
 def make_catalog(*specs):
-    return {s.item_id: s for s in specs}
+    return Catalog.from_items({s.item_id: s for s in specs})
 
 
 def item_spec(item_id, cat=0, stock=1):
@@ -65,17 +66,18 @@ class TestVocab:
         # ids appearing only in the test split map to row 0
         catalog = make_catalog(item_spec(1, cat=3), item_spec(2, cat=5),
                                item_spec(99, cat=3))
-        train = [make_record(1), make_record(2, history=[(1, 3, False)])]
+        train = table_of([make_record(1),
+                          make_record(2, history=[(1, 3, False)])])
         vocabs = build_vocab(train, catalog)
-        test_only = make_record(99)
-        batch = encode_batch([test_only], vocabs, catalog, history_len=4)
+        test_only = table_of([make_record(99)])
+        batch = encode_batch(test_only, vocabs, catalog, history_len=4)
         assert batch.target_item[0] == OOV_INDEX
         # but its category is known from the catalog
         assert batch.target_category[0] == vocabs.category.lookup(3)
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            build_vocab([], {})
+            build_vocab(table_of([]), make_catalog())
 
 
 class TestEncodeBatch:
@@ -83,7 +85,7 @@ class TestEncodeBatch:
         catalog = make_catalog(item_spec(10, cat=1), item_spec(11, cat=2),
                                item_spec(12, cat=1), item_spec(13, cat=2))
         hist = [(11, 2, True), (12, 1, False), (13, 2, True)]
-        records = [make_record(10, history=hist)]
+        records = table_of([make_record(10, history=hist)])
         vocabs = build_vocab(records, catalog)
         return catalog, records, vocabs
 
@@ -99,7 +101,7 @@ class TestEncodeBatch:
         catalog = make_catalog(item_spec(0, cat=0),
                                *[item_spec(i, cat=0) for i in range(1, 9)])
         hist = [(i, 0, False) for i in range(1, 9)]  # most recent first
-        records = [make_record(0, history=hist)]
+        records = table_of([make_record(0, history=hist)])
         vocabs = build_vocab(records, catalog)
         batch = encode_batch(records, vocabs, catalog, history_len=5)
         kept = [vocabs.item.lookup(i) for i in range(1, 6)]
@@ -108,7 +110,7 @@ class TestEncodeBatch:
 
     def test_empty_history(self):
         catalog = make_catalog(item_spec(10, cat=1))
-        records = [make_record(10)]
+        records = table_of([make_record(10)])
         vocabs = build_vocab(records, catalog)
         batch = encode_batch(records, vocabs, catalog, history_len=3)
         assert np.all(batch.seq_item[0] == 0)
@@ -206,17 +208,17 @@ def record_lists(min_size=0, max_size=12):
 
 
 def input_forms(records, root, rows):
-    """The forms an encoder input takes: the record list, its table, the
+    """The forms an encoder input takes: the table of ``records``, that
     table read back from disk, and a table sliced by a mask (``rows``) out
     of a longer one, so that it holds only part of its history store."""
-    table = ImpressionTable.from_records(records)
+    table = table_of(records)
     write_dataset(table, root / "data.tsv")
-    longer = ImpressionTable.from_records(rows[:1] + records + rows[1:])
+    longer = table_of(rows[:1] + records + rows[1:])
     keep = np.ones(len(longer), dtype=bool)
     keep[:min(1, len(rows))] = False
     keep[len(records) + min(1, len(rows)):] = False
-    return {"list": records, "table": table,
-            "read": read_dataset(root / "data.tsv"), "slice": longer[keep]}
+    return {"table": table, "read": read_dataset(root / "data.tsv"),
+            "slice": longer[keep]}
 
 
 class TestArrayEncodingMatchesLoops:
@@ -226,7 +228,7 @@ class TestArrayEncodingMatchesLoops:
         want = loop_build_vocab(records, catalog)
         forms = input_forms(records, tmp_path_factory.mktemp("v"), others)
         for form, given_records in forms.items():
-            got = build_vocab(given_records, catalog)
+            got = build_vocab(given_records, Catalog.from_items(catalog))
             for a, b in ((got.item, want.item),
                          (got.category, want.category)):
                 assert a == b, form
@@ -243,7 +245,8 @@ class TestArrayEncodingMatchesLoops:
         want = loop_encode_batch(records, vocabs, catalog, history_len)
         forms = input_forms(records, tmp_path_factory.mktemp("e"), others)
         for form, given_records in forms.items():
-            got = encode_batch(given_records, vocabs, catalog, history_len)
+            got = encode_batch(given_records, vocabs,
+                               Catalog.from_items(catalog), history_len)
             for field in dataclasses.fields(SampleBatch):
                 a, b = getattr(got, field.name), getattr(want, field.name)
                 assert a.dtype == b.dtype and a.shape == b.shape, \
@@ -279,7 +282,8 @@ class TestInitEmbedding:
 class TestEmbed:
     def _params_and_batch(self):
         catalog = make_catalog(item_spec(10, cat=1), item_spec(11, cat=2))
-        records = [make_record(10, history=[(11, 2, True), (10, 1, False)])]
+        records = table_of([make_record(10, history=[(11, 2, True),
+                                                     (10, 1, False)])])
         vocabs = build_vocab(records, catalog)
         params = ParamStore()
         rng = np.random.default_rng(5)
@@ -312,7 +316,8 @@ class TestEmbed:
 
     def test_identical_items_identical_rows(self):
         catalog = make_catalog(item_spec(10, cat=1))
-        records = [make_record(10, history=[(10, 1, False), (10, 1, False)])]
+        records = table_of([make_record(10, history=[(10, 1, False),
+                                                     (10, 1, False)])])
         vocabs = build_vocab(records, catalog)
         params = ParamStore()
         add_embedding_tables(params, vocabs, 3, 3, np.random.default_rng(0))
@@ -326,7 +331,7 @@ class TestEmbed:
         params, batch, vocabs = self._params_and_batch()
         # force an empty history
         catalog = make_catalog(item_spec(10, cat=1))
-        records = [make_record(10)]
+        records = table_of([make_record(10)])
         batch = encode_batch(records, vocabs, catalog, history_len=2)
         tape = Tape(params)
         emb = embed(tape, batch, np.ones_like(batch.seq_mask))

@@ -14,10 +14,8 @@ from hypothesis import strategies as st
 
 from msnetlab.autodiff import ParamStore, SparseRows, Tape, check_gradients
 from msnetlab.datagen import (
+    Catalog,
     GeneratorConfig,
-    ImpressionRecord,
-    ItemSpec,
-    as_table,
     build_market,
     simulate,
     split_train_test,
@@ -361,10 +359,10 @@ class TestAuxScopeBoth:
             loss_aux(tape, embed(tape, batch, batch.seq_mask)).values)
 
     def test_fit_ends_with_a_finite_loss(self):
-        market, train, _ = tiny_training_setup(n=500)
+        catalog, train, _ = tiny_training_setup(n=500)
         cfg = ModelConfig(architecture="msnet", epochs=1, seed=2,
                           history_len=6, batch_size=64, aux_scope="both")
-        result = fit(train, market.items, cfg)
+        result = fit(train, catalog, cfg)
         assert not result.diverged
         assert math.isfinite(result.log[-1].mean_total)
         assert result.log[-1].mean_aux > 0.0
@@ -591,57 +589,57 @@ def tiny_training_setup(seed=0, n=400):
     market = build_market(cfg, seed=seed)
     res = simulate(market, cfg.days)
     train, test = split_train_test(res.records, cfg.days)
-    return market, train[:max(n, 1)], test
+    return Catalog.from_items(market.items), train[:max(n, 1)], test
 
 
 class TestFit:
     def test_loss_decreases(self):
-        market, train, _ = tiny_training_setup(n=10_000)
+        catalog, train, _ = tiny_training_setup(n=10_000)
         cfg = ModelConfig(architecture="msnet", epochs=3, seed=1,
                           history_len=8, batch_size=64)
-        result = fit(train, market.items, cfg)
+        result = fit(train, catalog, cfg)
         assert len(result.log) == 3
         assert result.log[-1].mean_ce < result.log[0].mean_ce
         assert not result.diverged
 
     def test_lr_zero_leaves_parameters_bitwise(self):
-        market, train, _ = tiny_training_setup(n=500)
+        catalog, train, _ = tiny_training_setup(n=500)
         cfg = ModelConfig(architecture="msnet", epochs=1, seed=2,
                           learning_rate=0.0, history_len=6, batch_size=64)
-        result = fit(train, market.items, cfg)
+        result = fit(train, catalog, cfg)
         fresh = build_params(cfg, result.vocabs)
         for name in fresh.names():
             assert fresh.values[name].tobytes() == \
                 result.params.values[name].tobytes()
 
     def test_seeded_runs_identical_logs(self):
-        market, train, _ = tiny_training_setup(n=800)
+        catalog, train, _ = tiny_training_setup(n=800)
         cfg = ModelConfig(architecture="msnet", epochs=2, seed=5,
                           history_len=6, batch_size=64)
-        a = fit(train, market.items, cfg)
-        b = fit(train, market.items, cfg)
+        a = fit(train, catalog, cfg)
+        b = fit(train, catalog, cfg)
         assert [e.to_dict() for e in a.log] == [e.to_dict() for e in b.log]
         for name in a.params.names():
             assert a.params.values[name].tobytes() == \
                 b.params.values[name].tobytes()
 
     def test_aux_switch_off_matches_alpha_zero_bitwise(self):
-        market, train, _ = tiny_training_setup(n=600)
+        catalog, train, _ = tiny_training_setup(n=600)
         base = dict(architecture="msnet", epochs=1, seed=7, history_len=6,
                     batch_size=64)
         off = ModelConfig(**base, use_aux_loss=False, alpha=0.3)
         zero = ModelConfig(**base, use_aux_loss=True, alpha=0.0)
-        a = fit(train, market.items, off)
-        b = fit(train, market.items, zero)
+        a = fit(train, catalog, off)
+        b = fit(train, catalog, zero)
         for name in a.params.names():
             assert a.params.values[name].tobytes() == \
                 b.params.values[name].tobytes()
 
     def test_epochs_zero_keeps_initial_params(self):
-        market, train, _ = tiny_training_setup(n=200)
+        catalog, train, _ = tiny_training_setup(n=200)
         cfg = ModelConfig(architecture="din", epochs=0, seed=3,
                           history_len=6)
-        result = fit(train, market.items, cfg)
+        result = fit(train, catalog, cfg)
         assert result.log == []
         fresh = build_params(cfg, result.vocabs)
         for name in fresh.names():
@@ -653,7 +651,7 @@ class TestFit:
         # non-finite, fit must flag divergence and hand back the snapshot
         # from before the failing epoch (here: the initial parameters)
         import msnetlab.model as model_mod
-        market, train, _ = tiny_training_setup(n=600)
+        catalog, train, _ = tiny_training_setup(n=600)
         cfg = ModelConfig(architecture="msnet", epochs=2, seed=11,
                           history_len=6, batch_size=64)
         real_build = model_mod.build_params
@@ -664,75 +662,69 @@ class TestFit:
             return params
 
         monkeypatch.setattr(model_mod, "build_params", poisoned)
-        result = fit(train, market.items, cfg)
+        result = fit(train, catalog, cfg)
         assert result.diverged
         assert result.log == []  # no epoch completed
         assert result.opt_state.step == 0  # snapshot predates any update
 
     def test_healthy_run_not_flagged(self):
-        market, train, _ = tiny_training_setup(n=600)
+        catalog, train, _ = tiny_training_setup(n=600)
         cfg = ModelConfig(architecture="msnet", epochs=1, seed=11,
                           history_len=6, batch_size=64)
-        assert not fit(train, market.items, cfg).diverged
+        assert not fit(train, catalog, cfg).diverged
 
 
 class TestPredict:
     def test_duplicates_and_count(self):
-        market, train, test = tiny_training_setup(n=300)
+        catalog, train, test = tiny_training_setup(n=300)
         cfg = ModelConfig(architecture="din", epochs=1, seed=1,
                           history_len=6, batch_size=32)
-        r = fit(train, market.items, cfg)
-        doubled = list(test[:50]) + list(test[:50])
-        preds = predict(r.params, cfg, doubled, r.vocabs, market.items)
+        r = fit(train, catalog, cfg)
+        doubled = test[:50] + test[:50]
+        preds = predict(r.params, cfg, doubled, r.vocabs, catalog)
         assert len(preds) == 100
         for i in range(50):
             assert preds[i].p == preds[i + 50].p
 
     def test_untrained_model_mean_near_half(self):
-        market, train, test = tiny_training_setup(n=300)
+        catalog, train, test = tiny_training_setup(n=300)
         cfg = ModelConfig(architecture="msnet", epochs=0, seed=1,
                           history_len=6)
-        r = fit(train, market.items, cfg)
-        preds = predict(r.params, cfg, test[:400], r.vocabs, market.items)
+        r = fit(train, catalog, cfg)
+        preds = predict(r.params, cfg, test[:400], r.vocabs, catalog)
         mean_p = np.mean([p.p for p in preds])
         assert 0.2 < mean_p < 0.8
 
     def test_columns_come_from_the_impressions(self):
-        market, train, test = tiny_training_setup(n=300)
+        catalog, train, test = tiny_training_setup(n=300)
         cfg = ModelConfig(architecture="msnet", epochs=0, seed=1,
                           history_len=6, batch_size=32)
-        r = fit(train, market.items, cfg)
+        r = fit(train, catalog, cfg)
         rows = test[3:200]
-        preds = predict(r.params, cfg, rows, r.vocabs, market.items,
+        preds = predict(r.params, cfg, rows, r.vocabs, catalog,
                         partition_seed=2)
         want = [(x.user_id, x.item_id, x.label, x.item_is_new,
                  x.item_is_limited, partition_of(x.user_id, x.item_id, 2))
                 for x in rows]
         assert [(x.user_id, x.item_id, x.y, x.is_new, x.is_limited,
                  x.partition_id) for x in preds] == want
-        # a record list reads as its table does
-        again = predict(r.params, cfg, list(rows), r.vocabs, market.items,
-                        partition_seed=2)
-        assert again.p.tobytes() == preds.p.tobytes()
 
     def test_partition_ids_deterministic(self):
-        market, train, test = tiny_training_setup(n=300)
+        catalog, train, test = tiny_training_setup(n=300)
         cfg = ModelConfig(architecture="din", epochs=0, seed=1,
                           history_len=6)
-        r = fit(train, market.items, cfg)
-        a = predict(r.params, cfg, test[:100], r.vocabs, market.items,
+        r = fit(train, catalog, cfg)
+        a = predict(r.params, cfg, test[:100], r.vocabs, catalog,
                     partition_seed=4)
-        b = predict(r.params, cfg, test[:100], r.vocabs, market.items,
+        b = predict(r.params, cfg, test[:100], r.vocabs, catalog,
                     partition_seed=4)
         assert [x.partition_id for x in a] == [x.partition_id for x in b]
         assert all(0 <= x.partition_id < 10 for x in a)
 
 
-def reference_predict(params, config, records, vocabs, catalog,
-                      accumulator):
+def reference_predict(params, config, table, vocabs, catalog, accumulator):
     """``predict``'s probabilities from a per-chunk loop: each
     ``batch_size`` chunk encoded on its own and run on a recording tape."""
-    table = as_table(records)
     chunks = [np.empty(0)]
     for start in range(0, len(table), config.batch_size):
         batch = encode_batch(table[start:start + config.batch_size], vocabs,
@@ -761,15 +753,15 @@ class TestForwardOnlyPredict:
     @pytest.mark.parametrize("variant", sorted(PREDICT_VARIANTS))
     @pytest.mark.parametrize("rows", [150, 0])
     def test_matches_per_chunk_recording_loop(self, setup, variant, rows):
-        market, train, test = setup
+        catalog, train, test = setup
         cfg = ModelConfig(epochs=1, seed=4, history_len=6, batch_size=64,
                           **PREDICT_VARIANTS[variant])
-        r = fit(train, market.items, cfg)
+        r = fit(train, catalog, cfg)
         got_acc, want_acc = ScoreAccumulator(), ScoreAccumulator()
-        preds = predict(r.params, cfg, test[:rows], r.vocabs, market.items,
+        preds = predict(r.params, cfg, test[:rows], r.vocabs, catalog,
                         score_accumulator=got_acc)
         want = reference_predict(r.params, cfg, test[:rows], r.vocabs,
-                                 market.items, want_acc)
+                                 catalog, want_acc)
         assert len(preds) == rows
         assert preds.p.tobytes() == want.tobytes()
         assert got_acc.sums == want_acc.sums
@@ -777,9 +769,9 @@ class TestForwardOnlyPredict:
 
     def test_encodes_once_per_call(self, setup, monkeypatch):
         import msnetlab.model as model_mod
-        market, train, test = setup
+        catalog, train, test = setup
         cfg = ModelConfig(epochs=0, seed=4, history_len=6, batch_size=32)
-        r = fit(train, market.items, cfg)
+        r = fit(train, catalog, cfg)
         calls = []
 
         def counted(*args, **kwargs):
@@ -789,14 +781,14 @@ class TestForwardOnlyPredict:
         monkeypatch.setattr(model_mod, "encode_batch", counted)
         for rows in (100, 0):
             calls.clear()
-            predict(r.params, cfg, test[:rows], r.vocabs, market.items)
+            predict(r.params, cfg, test[:rows], r.vocabs, catalog)
             assert calls == [rows]
 
     def test_forward_records_no_node(self, setup):
-        market, train, test = setup
+        catalog, train, test = setup
         cfg = ModelConfig(epochs=0, seed=4, history_len=6)
-        r = fit(train, market.items, cfg)
-        batch = encode_batch(test[:80], r.vocabs, market.items, 6)
+        r = fit(train, catalog, cfg)
+        batch = encode_batch(test[:80], r.vocabs, catalog, 6)
         tape = Tape(r.params, record=False)
         out = forward(tape, cfg, batch)
         assert tape._nodes == [] and out.p.node is None
@@ -806,21 +798,21 @@ class TestForwardOnlyPredict:
 
 class TestCheckpoint:
     def _trained(self, tmp_path):
-        market, train, test = tiny_training_setup(n=300)
+        catalog, train, test = tiny_training_setup(n=300)
         cfg = ModelConfig(architecture="msnet", epochs=1, seed=9,
                           history_len=6, batch_size=64)
-        r = fit(train, market.items, cfg)
+        r = fit(train, catalog, cfg)
         path = tmp_path / "model.ckpt.npz"
         save_checkpoint(path, r.params, r.opt_state, cfg, r.vocabs,
                         dataset_hash="abc123")
-        return market, cfg, r, test, path
+        return catalog, cfg, r, test, path
 
     def test_round_trip_identical_predictions(self, tmp_path):
-        market, cfg, r, test, path = self._trained(tmp_path)
+        catalog, cfg, r, test, path = self._trained(tmp_path)
         ck = load_checkpoint(path)
         assert ck.meta["dataset_hash"] == "abc123"
-        a = predict(r.params, cfg, test[:64], r.vocabs, market.items)
-        b = predict(ck.params, ck.config, test[:64], ck.vocabs, market.items)
+        a = predict(r.params, cfg, test[:64], r.vocabs, catalog)
+        b = predict(ck.params, ck.config, test[:64], ck.vocabs, catalog)
         assert a.p.tobytes() == b.p.tobytes()
         assert ck.opt_state.step == r.opt_state.step
         assert ck.params.dense.tobytes() == r.params.dense.tobytes()
@@ -848,7 +840,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_tampered_array_detected(self, tmp_path):
-        market, cfg, r, test, path = self._trained(tmp_path)
+        catalog, cfg, r, test, path = self._trained(tmp_path)
         # re-save with a flipped value but stale checksum by editing bytes:
         # simplest robust tamper is truncate-and-extend
         blob = bytearray(path.read_bytes())
