@@ -2,11 +2,11 @@
 
 The engine is deliberately small: it provides exactly the operations the
 CTR models in this package need (embedding gather with sparse gradient
-accumulation, matrix product, reshape, concat, softmax and sum over
-sorted row segments, sigmoid, leaky rectifier, clamp, elementwise
-arithmetic, row norms and row scaling, stop-gradient, masked mean,
-binary cross-entropy) and nothing else.  No broadcasting rules, no GPU,
-no higher-order derivatives.
+accumulation, matrix product, dense layer ``x @ w + b`` with an optional
+leaky rectifier, reshape, concat, softmax and sum over sorted row
+segments, sigmoid, clamp, elementwise arithmetic, row norms and row
+scaling, stop-gradient, mean, binary cross-entropy) and nothing else.
+No broadcasting rules, no GPU, no higher-order derivatives.
 
 A ``Tape`` is rebuilt for every forward pass (define-by-run).  ``Tensor``
 values are immutable once created; parameters live in a ``ParamStore`` and
@@ -166,11 +166,7 @@ class StopGradientFreezer:
 
     def __init__(self) -> None:
         self.storage: list[Array] = []
-        self.mode = "record"
-        self.cursor = 0
-
-    def start_replay(self) -> None:
-        self.mode = "replay"
+        self.mode = "record"  # or "replay"
         self.cursor = 0
 
     def on_stop_gradient(self, values: Array) -> Array:
@@ -184,9 +180,6 @@ class StopGradientFreezer:
         out = self.storage[self.cursor]
         self.cursor += 1
         return out
-
-
-_active_freezer: StopGradientFreezer | None = None
 
 
 def _accum(grads: list[Array | None], node: int | None, g: Array) -> None:
@@ -226,6 +219,8 @@ class Tape:
         self.params = params
         self._record = record
         self._consumed = False
+        # stop_gradient's outputs come from it when set (check_gradients)
+        self.freezer: StopGradientFreezer | None = None
         if params is not None and record:
             for name in params.names():
                 self._register_leaf(name, params.values[name],
@@ -388,21 +383,30 @@ class Tape:
 
         return Tensor(x.values + c, self._push(backward, "add_const"))
 
-    def add_bias(self, x: Tensor, bias: Tensor) -> Tensor:
-        """[N x D] + [D] row-broadcast add."""
-        if x.values.ndim != 2 or bias.values.ndim != 1 or \
-                x.values.shape[1] != bias.values.shape[0]:
+    def dense(self, x: Tensor, w: Tensor, b: Tensor, leaky: bool) -> Tensor:
+        """``x @ w + b`` [N x K], through ``leaky_relu`` when ``leaky``.  Both
+        ways it computes what a matrix product, a bias add and the rectifier
+        did as three nodes, in the same order, so the bits are the same."""
+        xv, wv, bv = x.values, w.values, b.values
+        if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or \
+                bv.shape != wv.shape[1:]:
             raise AutodiffError(
-                f"add_bias shape mismatch {x.values.shape} + {bias.values.shape}")
-        xn, bn = x.node, bias.node
+                f"dense shape mismatch {xv.shape} @ {wv.shape} + {bv.shape}")
+        pre = xv @ wv + bv
+        xn, wn, bn = x.node, w.node, b.node
 
         def backward(g: Array, grads: list[Array | None]) -> None:
-            if xn is not None:
-                _accum(grads, xn, g)
+            if leaky:
+                g = leaky_relu(pre, g)
             if bn is not None:
                 _accum(grads, bn, g.sum(axis=0))
+            if xn is not None:
+                _accum(grads, xn, g @ wv.T)
+            if wn is not None:
+                _accum(grads, wn, xv.T @ g)
 
-        return Tensor(x.values + bias.values, self._push(backward, "add_bias"))
+        return Tensor(leaky_relu(pre) if leaky else pre,
+                      self._push(backward, "dense"))
 
     def reshape(self, x: Tensor, shape: tuple[int, ...]) -> Tensor:
         out = x.values.reshape(shape)
@@ -512,26 +516,6 @@ class Tape:
 
         return Tensor(out, self._push(backward, "sigmoid"))
 
-    def leaky_relu(self, x: Tensor) -> Tensor:
-        """``v`` where ``v > 0``, else ``LEAKY_SLOPE * v``.
-
-        Both directions avoid a select: the forward is
-        ``maximum(v, LEAKY_SLOPE * v)``, equal to it for a slope in [0, 1],
-        and the backward multiplies by a factor that is exactly 1.0 or
-        ``LEAKY_SLOPE``, because ``(1 - LEAKY_SLOPE) + LEAKY_SLOPE`` rounds
-        to 1.0.
-        """
-        v = x.values
-        out = np.maximum(v, LEAKY_SLOPE * v)
-        xn = x.node
-
-        def backward(g: Array, grads: list[Array | None]) -> None:
-            if xn is not None:
-                _accum(grads, xn,
-                       g * ((v > 0.0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE))
-
-        return Tensor(out, self._push(backward, "leaky_relu"))
-
     def clamp(self, x: Tensor, lo: float, hi: float) -> Tensor:
         v = x.values
         out = np.clip(v, lo, hi)
@@ -546,26 +530,24 @@ class Tape:
 
     def stop_gradient(self, x: Tensor) -> Tensor:
         """Identity forward; exactly zero gradient flows to x."""
-        if _active_freezer is not None:
-            return Tensor(_active_freezer.on_stop_gradient(x.values), None)
+        if self.freezer is not None:
+            return Tensor(self.freezer.on_stop_gradient(x.values), None)
         return Tensor(x.values.copy(), None)
 
-    def masked_mean(self, x: Tensor, mask: Array) -> Tensor:
-        """Mean of x over True mask positions; 0.0 when the mask is empty."""
-        keep = np.asarray(mask, dtype=bool).reshape(-1)
-        if x.values.ndim != 1 or keep.shape != x.values.shape:
-            raise AutodiffError("masked_mean wants matching vectors")
-        count = int(keep.sum())
-        if count == 0:
-            return Tensor(np.asarray(0.0), None)
-        out = float(x.values[keep].sum() / count)
+    def mean(self, x: Tensor) -> Tensor:
+        """Mean of a nonempty vector."""
+        shape = x.values.shape
+        if len(shape) != 1 or not shape[0]:
+            raise AutodiffError(f"mean wants a nonempty vector, got {shape}")
+        count = shape[0]
+        out = float(x.values.sum() / count)
         xn = x.node
 
         def backward(g: Array, grads: list[Array | None]) -> None:
             if xn is not None:
-                _accum(grads, xn, (g / count) * keep)
+                _accum(grads, xn, np.full(shape, g / count))
 
-        return Tensor(np.asarray(out), self._push(backward, "masked_mean"))
+        return Tensor(np.asarray(out), self._push(backward, "mean"))
 
     def sum_all(self, x: Tensor) -> Tensor:
         out = np.asarray(x.values.sum())
@@ -647,7 +629,7 @@ class Tape:
         if self._consumed:
             raise AutodiffError("tape already consumed by backward()")
         if loss.node is None:
-            # constant loss (e.g. empty masked_mean): every gradient is zero
+            # constant loss (e.g. aux loss of no rows): every gradient is zero
             return self._collect([None] * len(self._nodes))
         if loss.values.size != 1:
             raise AutodiffError(
@@ -789,14 +771,15 @@ class GradCheckReport:
         return max(vals) if vals else 0.0
 
 
-def check_gradients(loss_fn: Callable[[], tuple[Tape, Tensor]],
+def check_gradients(loss_fn: Callable[[Tape], Tensor],
                     params: ParamStore, *, h: float = 1e-5,
                     tol: float = 1e-4, max_entries: int = 50,
                     seed: int = 0) -> GradCheckReport:
     """Compare tape gradients against central finite differences.
 
-    ``loss_fn`` must rebuild the forward pass from the current contents of
-    ``params`` and return (tape, scalar loss).  For each parameter, up to
+    ``loss_fn(tape)`` must build the forward pass on ``tape``, a fresh
+    ``Tape(params)`` per pass, from the current contents of ``params`` and
+    return the scalar loss.  For each parameter, up to
     ``max_entries`` entries are sampled (all entries when the parameter is
     small) and checked at step ``h``.  A parameter whose tape gradient is
     identically zero is flagged ``blocked`` rather than failed: that is the
@@ -809,26 +792,20 @@ def check_gradients(loss_fn: Callable[[], tuple[Tape, Tensor]],
     denominator, so finite-difference noise on negligible gradients cannot
     trip the check.
     """
-    global _active_freezer
     rng = np.random.default_rng(seed)
     freezer = StopGradientFreezer()
-    _active_freezer = freezer
-    try:
-        tape, loss = loss_fn()
-        if not np.isfinite(loss.values).all():
-            raise AutodiffError("non-finite loss in gradient check")
-        grads = tape.backward(loss)
-        freezer.start_replay()
-        return _fd_compare(loss_fn, params, grads, freezer, rng,
-                           h=h, tol=tol, max_entries=max_entries)
-    finally:
-        _active_freezer = None
 
+    def one_pass() -> tuple[Tape, Tensor]:
+        freezer.cursor = 0
+        tape = Tape(params)
+        tape.freezer = freezer
+        return tape, loss_fn(tape)
 
-def _fd_compare(loss_fn, params: ParamStore, grads: GradMap,
-                freezer: StopGradientFreezer, rng, *, h: float, tol: float,
-                max_entries: int) -> GradCheckReport:
-
+    tape, loss = one_pass()
+    if not np.isfinite(loss.values).all():
+        raise AutodiffError("non-finite loss in gradient check")
+    grads = tape.backward(loss)
+    freezer.mode = "replay"
     checks: dict[str, ParamCheck] = {}
     for name in params.names():
         theta = params.values[name]
@@ -846,13 +823,11 @@ def _fd_compare(loss_fn, params: ParamStore, grads: GradMap,
         for fid in flat_ids:
             old = flat[fid]
             flat[fid] = old + h
-            freezer.cursor = 0
-            _, lp = loss_fn()
+            lp = float(one_pass()[1].values)
             flat[fid] = old - h
-            freezer.cursor = 0
-            _, lm = loss_fn()
+            lm = float(one_pass()[1].values)
             flat[fid] = old
-            fd = (float(lp.values) - float(lm.values)) / (2.0 * h)
+            fd = (lp - lm) / (2.0 * h)
             tape_g = dense.reshape(-1)[fid]
             denom = max(abs(tape_g), abs(fd), 1e-6)
             rel = abs(tape_g - fd) / denom
@@ -865,22 +840,28 @@ def _fd_compare(loss_fn, params: ParamStore, grads: GradMap,
     return GradCheckReport(checks=checks, tol=tol)
 
 
-def sigmoid(x: Array | float) -> Array | float:
+def sigmoid(x: Array | float) -> Array:
     """Plain (non-taped) numerically stable sigmoid, shared by datagen.
 
-    Both paths compute ``1 / (1 + exp(-v))`` for ``v >= 0`` and
-    ``exp(v) / (1 + exp(v))`` otherwise.  The array path does it without
-    a select, as ``exp(min(v, 0)) / (1 + exp(-|v|))``, which is one of the
-    two forms at every point, so the bits are those of the branches.  A
-    scalar (or 0-d array) returns a float through the branches with
-    numpy's scalar ``np.exp``, which gives the array path's bits;
-    ``math.exp`` would not.
+    It computes ``1 / (1 + exp(-v))`` for ``v >= 0`` and
+    ``exp(v) / (1 + exp(v))`` otherwise, without a select, as
+    ``exp(min(v, 0)) / (1 + exp(-|v|))``, which is one of the two forms at
+    every point, so the bits are those of the branches.
     """
-    if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
-        s = np.float64(x)
-        if s >= 0:
-            return float(1.0 / (1.0 + np.exp(-s)))
-        es = np.exp(s)
-        return float(es / (1.0 + es))
     v = np.asarray(x, dtype=np.float64)
     return np.exp(np.minimum(v, 0.0)) / (1.0 + np.exp(-np.abs(v)))
+
+
+def leaky_relu(v: Array, g: Array | None = None) -> Array:
+    """``v`` where ``v > 0``, else ``LEAKY_SLOPE * v``; given the upstream
+    gradient ``g`` of that output, the gradient of ``v`` instead.
+
+    Both directions avoid a select: the forward is
+    ``maximum(v, LEAKY_SLOPE * v)``, equal to it for a slope in [0, 1],
+    and the backward multiplies ``g`` by a factor that is exactly 1.0 or
+    ``LEAKY_SLOPE``, because ``(1 - LEAKY_SLOPE) + LEAKY_SLOPE`` rounds
+    to 1.0.
+    """
+    if g is None:
+        return np.maximum(v, LEAKY_SLOPE * v)
+    return g * ((v > 0.0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE)

@@ -93,6 +93,17 @@ class CliError(Exception):
         self.code = code
 
 
+def read_json(path: Path, code: str, what: str):
+    """The JSON value in the UTF-8 file at ``path``; a file that cannot be
+    read or parsed raises ``CliError(code, "<what>: <reason>")``."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    # OSError: a directory or unreadable file; ValueError: bad bytes, bad
+    # JSON, digits past int()'s limit; RecursionError: nesting too deep
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CliError(code, f"{what}: {exc}")
+
+
 @dataclasses.dataclass
 class ExperimentConfig:
     seed: int = 0
@@ -108,12 +119,7 @@ class ExperimentConfig:
         path = Path(path)
         if not path.is_file():
             raise CliError("E_NOT_FOUND", f"config file not found: {path}")
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        # ValueError covers undecodable bytes and integers past int()'s
-        # digit limit; RecursionError, nesting past the parser's depth
-        except (ValueError, RecursionError) as exc:
-            raise CliError("E_CONFIG", f"config is not valid JSON: {exc}")
+        raw = read_json(path, "E_CONFIG", "config is not valid JSON")
         if not isinstance(raw, dict):
             raise CliError("E_CONFIG", "config top level must be a JSON object")
         known = [field.name for field in dataclasses.fields(cls)]
@@ -196,10 +202,8 @@ def load_manifest(data_dir: Path) -> dict:
     path = data_dir / MANIFEST_NAME
     if not path.exists():
         raise CliError("E_NOT_FOUND", f"manifest not found: {path}")
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CliError("E_FORMAT", f"manifest {path} is not valid JSON: {exc}")
+    manifest = read_json(path, "E_FORMAT",
+                         f"manifest {path} is not valid JSON")
     fmt = manifest.get("format") if isinstance(manifest, dict) else None
     if fmt != MANIFEST_FORMAT:
         raise CliError("E_FORMAT", f"unsupported manifest format {fmt!r}")
@@ -362,12 +366,12 @@ def _evaluate_checkpoint(ckpt_path: Path, data_dir: Path, out_dir: Path, *,
     baseline_note = None
     if baseline_path is not None:
         if baseline_path.exists():
+            what = f"baseline report {baseline_path} is unreadable"
             try:
-                baseline = MetricReport.from_json(
-                    baseline_path.read_text(encoding="utf-8"))
-            except (OSError, ValueError, MetricsError) as exc:
-                raise CliError("E_FORMAT", f"baseline report {baseline_path} "
-                               f"is unreadable: {exc}")
+                baseline = MetricReport.from_dict(
+                    read_json(baseline_path, "E_FORMAT", what))
+            except MetricsError as exc:
+                raise CliError("E_FORMAT", f"{what}: {exc}")
         else:
             baseline_note = f"baseline report missing: {baseline_path}"
     accumulator = ScoreAccumulator()

@@ -570,7 +570,7 @@ def _simulate(market: MarketState, days: int, rng: _Draws
                     day_cut_short = True
                     break
                 category, limited, created, quality_term = info[item_id]
-                # sigmoid's scalar branches, with numpy's exp for its bits
+                # the two forms of sigmoid, with numpy's exp for their bits
                 z = terms[category] + quality_term
                 if z >= 0:
                     p = 1.0 / (1.0 + float(exp(-z)))

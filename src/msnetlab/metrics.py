@@ -322,10 +322,6 @@ class MetricReport:
             d["attention_scores"] = attention_scores
         return json.dumps(d, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricReport":
-        return cls.from_dict(json.loads(text))
-
 
 def grouped_report(predictions: Predictions,
                    baseline: "MetricReport | None" = None,

@@ -46,11 +46,13 @@ from .seqmodel import (
     SplitMasks,
     add_attention_params,
     add_meta_params,
+    add_mlp_params,
     compose_kv,
     identity_scaled,
     identity_shifted,
     meta_scale,
     meta_shift,
+    mlp,
     scaling_weights,
     split_sequence,
     target_attention,
@@ -165,6 +167,13 @@ def config_hash(config: ModelConfig) -> str:
 # parameters
 
 
+def _head_layers(config: ModelConfig) -> list[tuple[str, str]]:
+    """The CTR head's (weight, bias) names: its hidden layers, then the
+    one-logit output layer."""
+    names = [f"mlp.l{i}" for i in range(len(config.mlp_hidden))] + ["mlp.out"]
+    return [(f"{name}.w", f"{name}.b") for name in names]
+
+
 def build_params(config: ModelConfig, vocabs: Vocabs) -> ParamStore:
     """Seeded parameter construction; creation order is fixed so the same
     (config, vocabs) always produces bit-identical initial values."""
@@ -181,14 +190,8 @@ def build_params(config: ModelConfig, vocabs: Vocabs) -> ParamStore:
         add_meta_params(params, config.d_id, config.d_side,
                         config.meta_hidden, rng)
     d_in = config.n_branches * config.attention_out + config.item_dim
-    for i, width in enumerate(config.mlp_hidden):
-        r = 1.0 / np.sqrt(d_in)
-        params.add(f"mlp.l{i}.w", rng.uniform(-r, r, size=(d_in, width)))
-        params.add(f"mlp.l{i}.b", np.zeros(width))
-        d_in = width
-    r = 1.0 / np.sqrt(d_in)
-    params.add("mlp.out.w", rng.uniform(-r, r, size=(d_in, 1)))
-    params.add("mlp.out.b", np.zeros(1))
+    add_mlp_params(params, _head_layers(config),
+                   (d_in, *config.mlp_hidden, 1), rng)
     return params
 
 
@@ -225,13 +228,8 @@ def _meta_kv(tape: Tape, config: ModelConfig, emb: Embedded
 
 
 def _mlp_head(tape: Tape, config: ModelConfig, x: Tensor) -> Tensor:
-    for i in range(len(config.mlp_hidden)):
-        x = tape.leaky_relu(tape.add_bias(
-            tape.matmul(x, tape.param(f"mlp.l{i}.w")),
-            tape.param(f"mlp.l{i}.b")))
-    logits = tape.add_bias(tape.matmul(x, tape.param("mlp.out.w")),
-                           tape.param("mlp.out.b"))
-    logits = tape.reshape(logits, (x.values.shape[0],))
+    logits = tape.reshape(mlp(tape, _head_layers(config), x),
+                          (x.values.shape[0],))
     return tape.sigmoid(tape.clamp(logits, -config.logit_clamp,
                                    config.logit_clamp))
 
@@ -297,8 +295,7 @@ def loss_aux(tape: Tape, emb: Embedded) -> Tensor:
     id_sim = tape.cosine_sim_rows(
         emb.seq_id, tape.gather_rows(emb.target_id, emb.seq_row))
     diff = tape.sub(tape.stop_gradient(side_sim), id_sim)
-    return tape.masked_mean(tape.mul(diff, diff),
-                            np.ones(emb.seq_row.size, dtype=bool))
+    return tape.mean(tape.mul(diff, diff))
 
 
 def total_loss(tape: Tape, ce: Tensor, aux: Tensor | None,

@@ -1,6 +1,6 @@
 """Sequence modeling blocks: stock-based sequence split, multi-head target
-attention, the meta scaling / shifting networks, and the final key/value
-composition for the limited-stock branch.
+attention, MLP layers, the meta scaling / shifting networks, and the final
+key/value composition for the limited-stock branch.
 
 The meta networks take gradient-blocked inputs: the scaling net reads the
 id embedding (blocked) and reweights the side embedding field-wise; the
@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -141,28 +142,44 @@ def target_attention(tape: Tape, prefix: str, target: Tensor, keys: Tensor,
 
 
 # ----------------------------------------------------------------------
+# dense layers
+
+
+def add_mlp_params(params: ParamStore, layers: Sequence[tuple[str, str]],
+                   widths: Sequence[int], rng: np.random.Generator) -> None:
+    """Layer i, named by its (weight, bias) pair ``layers[i]``, maps
+    ``widths[i]`` to ``widths[i + 1]`` features: its weights are drawn
+    uniform in +-1/sqrt(widths[i]), layer by layer, its bias is zero."""
+    for (w, b), d_in, d_out in zip(layers, widths, widths[1:]):
+        r = 1.0 / math.sqrt(d_in)
+        params.add(w, rng.uniform(-r, r, size=(d_in, d_out)))
+        params.add(b, np.zeros(d_out))
+
+
+def mlp(tape: Tape, layers: Sequence[tuple[str, str]], x: Tensor) -> Tensor:
+    """The dense layers named by (weight, bias) pairs ``layers``, in order,
+    with the leaky rectifier after every layer but the last."""
+    for i, (w, b) in enumerate(layers):
+        x = tape.dense(x, tape.param(w), tape.param(b),
+                       leaky=i < len(layers) - 1)
+    return x
+
+
+# ----------------------------------------------------------------------
 # meta networks
+
+META_SCALE = (("meta.scale.w1", "meta.scale.b1"),
+              ("meta.scale.w2", "meta.scale.b2"))
+META_SHIFT = (("meta.shift.w1", "meta.shift.b1"),
+              ("meta.shift.w2", "meta.shift.b2"))
 
 
 def add_meta_params(params: ParamStore, d_id: int, d_side: int, hidden: int,
                     rng: np.random.Generator) -> None:
     """Two 2-layer MLPs: scaling (d_id -> d_side, output 2*sigmoid) and
     shifting (d_side -> d_id, linear output)."""
-    for name, d_in, d_out in (("meta.scale", d_id, d_side),
-                              ("meta.shift", d_side, d_id)):
-        r1 = 1.0 / math.sqrt(d_in)
-        params.add(f"{name}.w1", rng.uniform(-r1, r1, size=(d_in, hidden)))
-        params.add(f"{name}.b1", np.zeros(hidden))
-        r2 = 1.0 / math.sqrt(hidden)
-        params.add(f"{name}.w2", rng.uniform(-r2, r2, size=(hidden, d_out)))
-        params.add(f"{name}.b2", np.zeros(d_out))
-
-
-def _meta_mlp(tape: Tape, name: str, x: Tensor) -> Tensor:
-    h = tape.leaky_relu(tape.add_bias(tape.matmul(x, tape.param(f"{name}.w1")),
-                                      tape.param(f"{name}.b1")))
-    return tape.add_bias(tape.matmul(h, tape.param(f"{name}.w2")),
-                         tape.param(f"{name}.b2"))
+    add_mlp_params(params, META_SCALE, (d_id, hidden, d_side), rng)
+    add_mlp_params(params, META_SHIFT, (d_side, hidden, d_id), rng)
 
 
 def scaling_weights(tape: Tape, id_emb: Tensor) -> Tensor:
@@ -170,7 +187,7 @@ def scaling_weights(tape: Tape, id_emb: Tensor) -> Tensor:
 
     2*sigmoid centers an untrained net near multiplying by one.
     """
-    z = _meta_mlp(tape, "meta.scale", tape.stop_gradient(id_emb))
+    z = mlp(tape, META_SCALE, tape.stop_gradient(id_emb))
     return tape.scale(tape.sigmoid(z), 2.0)
 
 
@@ -184,7 +201,7 @@ def meta_shift(tape: Tape, side_emb: Tensor, id_emb: Tensor) -> tuple[Tensor, Te
     """Synthetic-id blend: a meta id generated from the gradient-blocked
     side embedding is mixed with the raw id embedding by the norm ratio
     v = |meta| / (|meta| + |id| + eps).  Returns (blended id, v)."""
-    meta_id = _meta_mlp(tape, "meta.shift", tape.stop_gradient(side_emb))
+    meta_id = mlp(tape, META_SHIFT, tape.stop_gradient(side_emb))
     return tape.norm_ratio_blend(meta_id, id_emb)
 
 
@@ -207,7 +224,7 @@ def identity_shifted(tape: Tape, side_emb: Tensor,
                      id_emb: Tensor) -> tuple[Tensor, Tensor]:
     """Shift blend forced to the original id: v = 0 exactly, so the blend
     returns the raw id bit for bit (meta id contributes 0 * meta)."""
-    meta_id = _meta_mlp(tape, "meta.shift", tape.stop_gradient(side_emb))
+    meta_id = mlp(tape, META_SHIFT, tape.stop_gradient(side_emb))
     v = Tape.constant(np.zeros(id_emb.values.shape[0]))
     return tape.blend_rows(v, meta_id, id_emb), v
 

@@ -109,11 +109,9 @@ def test_criterion_2_gradient_fidelity():
     params = build_params(ACC_MSNET, acceptance_vocabs())
     batch = acceptance_batch()
 
-    def loss_fn():
-        tape = Tape(params)
+    def loss_fn(tape):
         out = forward(tape, ACC_MSNET, batch)
-        _, _, total = compute_losses(tape, ACC_MSNET, batch, out)
-        return tape, total
+        return compute_losses(tape, ACC_MSNET, batch, out)[2]
 
     report = check_gradients(loss_fn, params, h=1e-5, tol=1e-4,
                              max_entries=50, seed=7)

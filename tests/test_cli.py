@@ -487,9 +487,13 @@ def _replace_field(path: Path, field: int, value: str) -> None:
     path.write_text("\n".join([header, "\t".join(parts), rest]))
 
 
-def _train_file_as_directory(data: Path) -> None:
-    (data / "train.tsv").unlink()
-    (data / "train.tsv").mkdir()
+def _as_directory(path: Path) -> None:
+    path.unlink()
+    path.mkdir()
+
+
+# JSON nested past the parser's depth
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
 
 
 def _append_bytes(path: Path, data: bytes) -> None:
@@ -600,12 +604,20 @@ MALFORMED_INPUTS = {
         ws, tmp, lambda d: (d / "train.tsv").unlink())),
     "train_file_missing_no_verify": ("E_FORMAT", lambda ws, tmp: _data_copy(
         ws, tmp, lambda d: (d / "train.tsv").unlink()) + ["--no-verify"]),
+    "manifest_is_directory": ("E_FORMAT", lambda ws, tmp: _data_copy(
+        ws, tmp, lambda d: _as_directory(d / "manifest.json"))),
+    "manifest_not_utf8": ("E_FORMAT", lambda ws, tmp: _data_copy(
+        ws, tmp, lambda d: (d / "manifest.json").write_bytes(
+            b'{"format": "manifest-v1"\xff}'))),
+    "manifest_nested_too_deep": ("E_FORMAT", lambda ws, tmp: _data_copy(
+        ws, tmp, lambda d: (d / "manifest.json").write_text(TOO_DEEP))),
     "train_file_is_directory": ("E_FORMAT", lambda ws, tmp: _data_copy(
-        ws, tmp, _train_file_as_directory)),
+        ws, tmp, lambda d: _as_directory(d / "train.tsv"))),
     "train_file_is_directory_no_verify": ("E_FORMAT", lambda ws, tmp:
                                           _data_copy(
                                               ws, tmp,
-                                              _train_file_as_directory)
+                                              lambda d: _as_directory(
+                                                  d / "train.tsv"))
                                           + ["--no-verify"]),
     "dataset_history_id_above_int64": ("E_FORMAT", lambda ws, tmp: _data_copy(
         ws, tmp, lambda d: _replace_field(d / "train.tsv", 7, f"{2**64}:1:0"))
@@ -699,6 +711,10 @@ MALFORMED_INPUTS = {
         ws, tmp, lambda p: p.write_text("{corrupt"))),
     "baseline_not_utf8": ("E_FORMAT", lambda ws, tmp: _evaluate_with_baseline(
         ws, tmp, lambda p: p.write_bytes(b'{"format": "report-v1"\xff}'))),
+    "baseline_nested_too_deep": ("E_FORMAT", lambda ws, tmp:
+                                 _evaluate_with_baseline(
+                                     ws, tmp, lambda p: p.write_text(
+                                         TOO_DEEP))),
     "baseline_not_an_object": ("E_FORMAT", lambda ws, tmp:
                                _evaluate_with_baseline(
                                    ws, tmp, lambda p: p.write_text("[1, 2]"))),

@@ -6,6 +6,7 @@ metrics and report against per-record loop oracles, bit for bit."""
 
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -494,7 +495,7 @@ class TestGroupedReport:
 
     def test_report_json_round_trip(self):
         rep = grouped_report(self._records())
-        again = MetricReport.from_json(rep.to_json())
+        again = MetricReport.from_dict(json.loads(rep.to_json()))
         assert again.to_dict() == rep.to_dict()
 
     def test_regenerated_from_file_identical(self, tmp_path):

@@ -231,6 +231,26 @@ class TestForward:
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+class TestTapeNodes:
+    @pytest.mark.parametrize("arch, nodes, dense", [("msnet", 117, 10),
+                                                    ("din", 40, 4)])
+    def test_one_training_step_at_the_default_config(self, arch, nodes,
+                                                     dense):
+        # counting the leaves; each MLP layer, of the CTR head and of the
+        # meta nets, is one dense node
+        config = ModelConfig(architecture=arch)
+        batch = micro_batch(np.random.default_rng(0), b=8,
+                            h=config.history_len)
+        assert (batch.seq_mask & batch.seq_limited).any()
+        assert (batch.seq_mask & ~batch.seq_limited).any()
+        tape = Tape(build_params(config, micro_vocabs()))
+        compute_losses(tape, config, batch, forward(tape, config, batch))
+        names = [node.name for node in tape._nodes]
+        assert len(names) == nodes
+        assert names.count("dense") == dense
+        assert not {"add_bias", "leaky_relu"} & set(names)
+
+
 class TestLossCE:
     def test_max_entropy_point(self):
         tape = Tape()
@@ -881,11 +901,9 @@ class TestGradientContracts:
     def test_full_model_matches_finite_differences(self):
         params, batch = self._setup()
 
-        def loss_fn():
-            tape = Tape(params)
+        def loss_fn(tape):
             out = forward(tape, MICRO_MSNET, batch)
-            _, _, total = compute_losses(tape, MICRO_MSNET, batch, out)
-            return tape, total
+            return compute_losses(tape, MICRO_MSNET, batch, out)[2]
 
         report = check_gradients(loss_fn, params, h=1e-5, tol=1e-4,
                                  max_entries=25, seed=1)
@@ -901,15 +919,14 @@ class TestGradientContracts:
         batch = micro_batch(rng, all_multi=True)
         assert batch.seq_mask.any()
 
-        def loss_fn():
-            tape = Tape(params)
+        def loss_fn(tape):
             out = forward(tape, MICRO_MSNET, batch)
             _, aux, total = compute_losses(tape, MICRO_MSNET, batch, out)
             assert aux.node is None and float(aux.values) == 0.0
-            return tape, total
+            return total
 
-        tape, total = loss_fn()
-        grads = tape.backward(total)
+        tape = Tape(params)
+        grads = tape.backward(loss_fn(tape))
         for name in ("att.limited.wk", "att.limited.wv", "meta.shift.w1"):
             assert not np.any(grads[name]), name
         assert np.any(grads["att.main.wk"])

@@ -274,13 +274,11 @@ class TestTargetAttention:
         params.add("values", values[packed])
         w = rng.normal(size=(b, 4))
 
-        def loss_fn():
-            tape = Tape(params)
+        def loss_fn(tape):
             res = target_attention(tape, "att", Tape.constant(target),
                                    tape.param("keys"), tape.param("values"),
                                    mask, 2, 2)
-            return tape, tape.sum_all(tape.mul(res.interest,
-                                               Tape.constant(w)))
+            return tape.sum_all(tape.mul(res.interest, Tape.constant(w)))
 
         report = check_gradients(loss_fn, params, h=1e-6, tol=1e-6)
         assert report.ok(), report.failures()
