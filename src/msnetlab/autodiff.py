@@ -841,7 +841,8 @@ def check_gradients(loss_fn: Callable[[Tape], Tensor],
 
 
 def sigmoid(x: Array | float) -> Array:
-    """Plain (non-taped) numerically stable sigmoid, shared by datagen.
+    """Plain (non-taped) numerically stable sigmoid, ``Tape.sigmoid``'s
+    forward.
 
     It computes ``1 / (1 + exp(-v))`` for ``v >= 0`` and
     ``exp(v) / (1 + exp(v))`` otherwise, without a select, as

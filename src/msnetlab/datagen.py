@@ -32,8 +32,6 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .autodiff import sigmoid
-
 T = TypeVar("T")
 
 DATASET_FIELDS = ("day", "user_id", "item_id", "label", "true_ctr",
@@ -369,15 +367,6 @@ def build_market(config: GeneratorConfig, seed: int) -> MarketState:
         created = int(rng.integers(-10, 1))
         items[iid] = _make_item(config, rng, iid, created)
     return MarketState(config, users, items, seed)
-
-
-def true_ctr(user: UserSpec, item: ItemSpec, config: GeneratorConfig) -> float:
-    """Ground-truth click probability: a logistic in the user's affinity
-    for the item's category and the item's quality."""
-    affinity = float(user.preference[item.category_id])
-    z = config.ctr_bias + config.ctr_w_affinity * affinity \
-        + config.ctr_w_quality * item.quality
-    return float(sigmoid(z))
 
 
 def _category_cdf(user: UserSpec, config: GeneratorConfig) -> list[float]:

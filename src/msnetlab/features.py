@@ -46,12 +46,9 @@ class Vocab:
             self._sorted = None
         return idx
 
-    def lookup(self, value: int) -> int:
-        return self._index.get(value, OOV_INDEX)
-
     def lookup_array(self, values: np.ndarray) -> np.ndarray:
-        """``lookup`` of every entry of an int64 array, by binary search
-        over the sorted values."""
+        """The index of every entry of an int64 array, ``OOV_INDEX`` for a
+        value never added, by binary search over the sorted values."""
         if self._sorted is None:
             keys = np.fromiter(self._index, dtype=np.int64,
                                count=len(self._index))

@@ -53,6 +53,7 @@ from .seqmodel import (
     meta_scale,
     meta_shift,
     mlp,
+    project_kv,
     scaling_weights,
     split_sequence,
     target_attention,
@@ -208,23 +209,46 @@ class ForwardOutput:
     branch_scores: list[tuple[np.ndarray, np.ndarray]]
 
 
-def _meta_kv(tape: Tape, config: ModelConfig, emb: Embedded
-             ) -> tuple[Tensor, Tensor, Tensor]:
-    """Limited-branch query embedding and final K/V under the configured
-    meta mode."""
+def _branches(config: ModelConfig) -> list[tuple[str, bool]]:
+    """Each attention branch's parameter prefix, and whether the meta nets
+    make its keys and values: the last branch's, when the model uses
+    them."""
+    prefixes = ["att.main", "att.limited"][:config.n_branches]
+    return [(prefix, config.uses_meta and i == len(prefixes) - 1)
+            for i, prefix in enumerate(prefixes)]
+
+
+def _branch_kv(tape: Tape, config: ModelConfig, prefix: str, meta: bool,
+               seq_id: Tensor, seq_side: Tensor) -> tuple[Tensor, Tensor]:
+    """Branch ``prefix``'s projected keys and values of the sequence rows
+    ``seq_id``/``seq_side``: the raw item embedding, or, when ``meta``, the
+    meta-scaled and meta-shifted K/V under the configured meta mode.  A row
+    depends on its own item and category alone."""
+    if not meta:
+        keys = values = tape.concat_cols([seq_id, seq_side])
+    elif config.meta_mode == "identity":
+        keys, values = compose_kv(
+            tape, seq_id, seq_side, identity_scaled(tape, seq_side),
+            identity_shifted(tape, seq_side, seq_id)[0])
+    else:
+        keys, values = compose_kv(
+            tape, seq_id, seq_side, meta_scale(tape, seq_id, seq_side),
+            meta_shift(tape, seq_side, seq_id)[0])
+    return project_kv(tape, prefix, keys, values)
+
+
+def _branch_query(tape: Tape, config: ModelConfig, meta: bool,
+                  emb: Embedded, e_target: Tensor) -> Tensor:
+    """The target embedding a branch queries with: ``e_target``, or its
+    side half rescaled as the meta branch rescales its keys."""
+    if not meta:
+        return e_target
     if config.meta_mode == "identity":
-        scaled_side = identity_scaled(tape, emb.seq_side)
-        shifted_id, _ = identity_shifted(tape, emb.seq_side, emb.seq_id)
         q_side = identity_scaled(tape, emb.target_side)
     else:
-        scaled_side = meta_scale(tape, emb.seq_id, emb.seq_side)
-        shifted_id, _ = meta_shift(tape, emb.seq_side, emb.seq_id)
         q_side = tape.mul(scaling_weights(tape, emb.target_id),
                           emb.target_side)
-    final_k, final_v = compose_kv(tape, emb.seq_id, emb.seq_side,
-                                  scaled_side, shifted_id)
-    query = tape.concat_cols([emb.target_id, q_side])
-    return query, final_k, final_v
+    return tape.concat_cols([emb.target_id, q_side])
 
 
 def _mlp_head(tape: Tape, config: ModelConfig, x: Tensor) -> Tensor:
@@ -234,30 +258,60 @@ def _mlp_head(tape: Tape, config: ModelConfig, x: Tensor) -> Tensor:
                                    config.logit_clamp))
 
 
-def forward(tape: Tape, config: ModelConfig, batch: SampleBatch) -> ForwardOutput:
+@dataclasses.dataclass
+class KVCache:
+    """Projected keys and values of a set of distinct history entries,
+    each row made by the branch that attends to its entry, and the entry
+    row of each sequence position of one batch: what a forward pass
+    gathers in place of computing K/V."""
+
+    k: np.ndarray          # [C, n_heads*d_head]
+    v: np.ndarray          # [C, n_heads*d_head]
+    entry_row: np.ndarray  # [B, H]; read only where the mask is True
+
+    def gather(self, mask: np.ndarray) -> tuple[Tensor, Tensor]:
+        """The k and v rows of the positions where ``mask`` is True,
+        packed in row-major order."""
+        rows = self.entry_row[mask]
+        return (Tape.constant(np.take(self.k, rows, axis=0)),
+                Tape.constant(np.take(self.v, rows, axis=0)))
+
+
+def forward(tape: Tape, config: ModelConfig, batch: SampleBatch,
+            cache: KVCache | None = None) -> ForwardOutput:
     """Each branch embeds only the positions it attends to: all valid
     positions without a split, else multi positions for the main branch
     and limited positions for the limited branch, which is also the only
-    one the meta networks see."""
+    one the meta networks see.
+
+    With a ``cache`` (forward-only scoring), a branch gathers its
+    positions' k and v from it, unless it holds exactly one position,
+    which is projected here: a one-row matrix product takes another BLAS
+    kernel than the cache's rows did, and its last bits differ.  The
+    query, scores, pooling and head run here either way.
+    """
     if config.n_branches == 1:
         masks = None
-        branches = [("att.main", batch.seq_mask)]
+        keeps = [batch.seq_mask]
     else:
         masks = split_sequence(batch)
-        branches = [("att.main", masks.multi), ("att.limited", masks.limited)]
-    emb = embed(tape, batch, branches[0][1])
-    e_target = tape.concat_cols([emb.target_id, emb.target_side])
+        keeps = [masks.multi, masks.limited]
+    emb: Embedded | None = None
     interests: list[Tensor] = []
     branch_scores: list[tuple[np.ndarray, np.ndarray]] = []
-    for i, (prefix, mask) in enumerate(branches):
-        if i:
-            emb = embed(tape, batch, mask, emb)
-        if config.uses_meta and i == len(branches) - 1:
-            query, keys, values = _meta_kv(tape, config, emb)
+    for i, ((prefix, meta), mask) in enumerate(zip(_branches(config), keeps)):
+        cached = cache is not None and np.count_nonzero(mask) != 1
+        # a cached branch gathers the target rows and no sequence row
+        emb = embed(tape, batch, np.zeros_like(mask) if cached else mask, emb)
+        if not i:
+            e_target = tape.concat_cols([emb.target_id, emb.target_side])
+        if cached:
+            k, v = cache.gather(mask)
         else:
-            query = e_target
-            keys = values = tape.concat_cols([emb.seq_id, emb.seq_side])
-        att = target_attention(tape, prefix, query, keys, values, mask,
+            k, v = _branch_kv(tape, config, prefix, meta, emb.seq_id,
+                              emb.seq_side)
+        query = _branch_query(tape, config, meta, emb, e_target)
+        att = target_attention(tape, prefix, query, k, v, mask,
                                config.n_heads, config.d_head)
         interests.append(att.interest)
         branch_scores.append((att.scores, mask))
@@ -513,30 +567,96 @@ def _slice_batch(full: SampleBatch, rows: np.ndarray | slice) -> SampleBatch:
 # prediction and diagnostics
 
 
+def _kv_by_history(params: ParamStore, config: ModelConfig,
+                   table: ImpressionTable, full: SampleBatch,
+                   n_categories: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(k, v, grid, which)``: the K/V rows of the distinct history
+    entries (item index, category index, stock type) of ``full``'s valid
+    positions, each made by the branch that attends to that entry on a
+    forward-only tape, and where each position finds its row:
+    ``grid[which]`` is ``full``'s [N, H] grid of entry rows.  The [U, H]
+    ``grid`` has one row per distinct history of ``table``, as
+    ``encode_batch`` encodes them, and ``which`` [N] names each
+    impression's."""
+    _, first, which = np.unique(table.history, return_index=True,
+                                return_inverse=True)
+    mask = full.seq_mask[first]
+    keys = full.seq_item[first][mask] * n_categories
+    keys += full.seq_category[first][mask]
+    keys *= 2
+    keys += full.seq_limited[first][mask]
+    entries = np.unique(keys)
+    grid = np.zeros(mask.shape, dtype=np.min_scalar_type(entries.size))
+    grid[mask] = np.searchsorted(entries, keys)
+    pair, limited = np.divmod(entries, 2)
+    # the one branch attends to every entry; else the main branch to the
+    # multi entries and the limited branch to the limited ones
+    rows_of = ([np.arange(entries.size)] if config.n_branches == 1
+               else [np.flatnonzero(limited == flag) for flag in (0, 1)])
+    k = np.empty((entries.size, config.attention_out))
+    v = np.empty_like(k)
+    tape = Tape(params, record=False)
+    for (prefix, meta), rows in zip(_branches(config), rows_of):
+        if not rows.size:
+            continue
+        # at least two rows, as a batch's are: a one-row matrix product
+        # takes another BLAS kernel
+        item, category = np.divmod(pair[np.resize(rows, max(2, rows.size))],
+                                   n_categories)
+        bk, bv = _branch_kv(
+            tape, config, prefix, meta,
+            tape.gather_rows(tape.param("emb.item"), item, "emb.item"),
+            tape.gather_rows(tape.param("emb.category"), category,
+                             "emb.category"))
+        k[rows], v[rows] = bk.values[:rows.size], bv.values[:rows.size]
+    return k, v, grid, which
+
+
+def _probabilities(params: ParamStore, config: ModelConfig,
+                   table: ImpressionTable, full: SampleBatch,
+                   n_categories: int,
+                   score_accumulator: ScoreAccumulator | None) -> np.ndarray:
+    """``forward``'s probability of each row of ``full``, the encoded
+    ``table``, in batches of ``config.batch_size`` rows on forward-only
+    tapes that gather K/V from one cache; the cache lives only as long as
+    this call."""
+    k, v, grid, which = _kv_by_history(params, config, table, full,
+                                       n_categories)
+    p_chunks: list[np.ndarray] = [np.empty(0)]
+    for start in range(0, full.size, config.batch_size):
+        rows = slice(start, start + config.batch_size)
+        batch = _slice_batch(full, rows)
+        fo = forward(Tape(params, record=False), config, batch,
+                     KVCache(k, v, grid[which[rows]]))
+        if score_accumulator is not None:
+            for scores, mask in fo.branch_scores:
+                score_accumulator.add_batch(scores, batch.is_limited,
+                                            batch.seq_limited, mask)
+        p_chunks.append(fo.p.values)
+    return np.concatenate(p_chunks)
+
+
 def predict(params: ParamStore, config: ModelConfig, table: ImpressionTable,
             vocabs: Vocabs, catalog: Catalog, *, partition_seed: int = 0,
             score_accumulator: ScoreAccumulator | None = None,
             ) -> PredictionTable:
     """One prediction per impression, deterministic, in input order.
 
-    The table is encoded once, as ``fit`` does, and scored in batches of
-    ``config.batch_size`` rows on forward-only tapes.  Parameters whose
+    The table is encoded once, as ``fit`` does, and every branch's keys
+    and values are computed once, for the distinct (item, category) pairs
+    of its histories (``_kv_by_history``).  Batches of
+    ``config.batch_size`` rows are scored on forward-only tapes that
+    gather their k and v from that cache (``KVCache``); the probabilities
+    and the ``score_accumulator`` sums are byte for byte those of
+    ``forward`` on a recording tape, chunk by chunk.  Parameters whose
     forward pass is not finite raise ``ModelError``; the check, not numpy
     warnings, reports the overflow.
     """
     full = encode_batch(table, vocabs, catalog, config.history_len)
-    p_chunks: list[np.ndarray] = [np.empty(0)]
     with np.errstate(all="ignore"):
-        for start in range(0, len(table), config.batch_size):
-            batch = _slice_batch(full,
-                                 slice(start, start + config.batch_size))
-            fo = forward(Tape(params, record=False), config, batch)
-            if score_accumulator is not None:
-                for scores, mask in fo.branch_scores:
-                    score_accumulator.add_batch(scores, batch.is_limited,
-                                                batch.seq_limited, mask)
-            p_chunks.append(fo.p.values)
-    p = np.concatenate(p_chunks)
+        p = _probabilities(params, config, table, full, vocabs.category.size,
+                           score_accumulator)
     bad = np.count_nonzero(~np.isfinite(p))
     if bad:
         raise ModelError(f"{bad} of {p.size} predictions are not finite: "

@@ -41,28 +41,6 @@ def split_sequence(batch: SampleBatch) -> SplitMasks:
     return SplitMasks(multi=multi, limited=limited)
 
 
-def physical_split(batch: SampleBatch, keep: Array) -> SampleBatch:
-    """Materialize one branch as its own padded sequence.
-
-    Positions outside ``keep`` are rewritten to padding in place (index 0,
-    flags false, mask false), the same padding policy the encoder uses.
-    Attention over the physical branch must match attention over the full
-    sequence with ``keep`` as the mask, bit for bit.
-    """
-    keep = np.asarray(keep, dtype=bool)
-    return SampleBatch(
-        target_item=batch.target_item.copy(),
-        target_category=batch.target_category.copy(),
-        seq_item=np.where(keep, batch.seq_item, 0),
-        seq_category=np.where(keep, batch.seq_category, 0),
-        seq_mask=keep.copy(),
-        seq_limited=np.where(keep, batch.seq_limited, False),
-        labels=batch.labels.copy(),
-        is_new=batch.is_new.copy(),
-        is_limited=batch.is_limited.copy(),
-    )
-
-
 # ----------------------------------------------------------------------
 # attention
 
@@ -99,40 +77,49 @@ def head_blocks(n_heads: int, d_head: int) -> Array:
     return heads
 
 
-def target_attention(tape: Tape, prefix: str, target: Tensor, keys: Tensor,
-                     values: Tensor, mask: Array, n_heads: int,
-                     d_head: int) -> AttentionResult:
-    """Multi-head target attention over packed positions.
+def project_kv(tape: Tape, prefix: str, keys: Tensor,
+               values: Tensor) -> tuple[Tensor, Tensor]:
+    """Branch ``prefix``'s projected keys ``keys Wk`` and values
+    ``values Wv``, each [P, n_heads*d_head]; each row is a function of its
+    input row alone."""
+    return (tape.matmul(keys, tape.param(f"{prefix}.wk")),
+            tape.matmul(values, tape.param(f"{prefix}.wv")))
 
-    ``keys`` and ``values`` hold only the positions where ``mask`` [B, H]
-    is True, packed in row-major order, so the batch row of each packed
-    row (its segment) is nondecreasing.  Per head: q = target Wq,
-    k = keys Wk, v = values Wv; each packed row's score is its dot with
-    its batch row's q, scaled by 1/sqrt(d_head); a softmax over each
-    batch row's segment weights the v rows, whose segment sums are the
-    pooled heads.  Heads are concatenated and passed through the combine
-    matrix.  Rows whose mask is empty produce a zero interest vector.  All
-    heads run at once: a constant [n_heads*d_head, n_heads] block of ones
-    sums each head's columns of k * q, and its transpose widens each
-    head's weight back to that head's columns.
+
+def target_attention(tape: Tape, prefix: str, target: Tensor, k: Tensor,
+                     v: Tensor, mask: Array, n_heads: int,
+                     d_head: int) -> AttentionResult:
+    """Multi-head target attention over packed, projected positions.
+
+    ``k`` and ``v`` are the projected keys and values (``project_kv``) of
+    only the positions where ``mask`` [B, H] is True, packed in row-major
+    order, so the batch row of each packed row (its segment) is
+    nondecreasing.  Per head: q = target Wq; each packed row's score is its
+    k's dot with its batch row's q, scaled by 1/sqrt(d_head); a softmax
+    over each batch row's segment weights the v rows, whose segment sums
+    are the pooled heads.  Heads are concatenated and passed through the
+    combine matrix.  Rows whose mask is empty produce a zero interest
+    vector.  All heads run at once: a constant [n_heads*d_head, n_heads]
+    block of ones sums each head's columns of k * q, and its transpose
+    widens each head's weight back to that head's columns.  Only q, the
+    scores and what follows depend on the target, so ``k`` and ``v`` may
+    be computed once per distinct history entry and gathered.
     """
     mask = np.asarray(mask, dtype=bool)
     b = mask.shape[0]
     # one segment per batch row, as long as the row's True positions
     seg = SegmentRuns.from_lengths(mask.sum(axis=1))
     p = seg.ids.size
-    if target.values.shape[0] != b or keys.values.shape[0] != p \
-            or values.values.shape[0] != p:
+    if target.values.shape[0] != b or k.values.shape[0] != p \
+            or v.values.shape[0] != p:
         raise ValueError(
             f"attention shape mismatch: target {target.values.shape}, "
-            f"keys {keys.values.shape}, values {values.values.shape}, "
+            f"k {k.values.shape}, v {v.values.shape}, "
             f"mask {mask.shape} with {p} positions")
     n, d = n_heads, d_head
     heads = head_blocks(n, d)
     q = tape.gather_rows(tape.matmul(target, tape.param(f"{prefix}.wq")),
                          seg.ids)
-    k = tape.matmul(keys, tape.param(f"{prefix}.wk"))
-    v = tape.matmul(values, tape.param(f"{prefix}.wv"))
     scores = tape.matmul(tape.mul(k, q), Tape.constant(heads / math.sqrt(d)))
     weights = tape.segment_softmax(scores, seg)
     pooled = tape.segment_sum(
@@ -266,12 +253,15 @@ class ScoreAccumulator:
         flat = np.flatnonzero(mask)
         t_flags = np.asarray(target_limited, dtype=bool)[flat // mask.shape[1]]
         s_flags = np.asarray(seq_limited, dtype=bool).reshape(-1)[flat]
+        # the four (target, sequence) cells, built once for every head
+        cells = [((t_name, s_name), (t_flags == t_flag) & (s_flags == s_flag))
+                 for t_flag, t_name in ((False, "multi"), (True, "limited"))
+                 for s_flag, s_name in ((False, "multi"), (True, "limited"))]
         for head in scores.T:
-            for t_flag, t_name in ((False, "multi"), (True, "limited")):
-                for s_flag, s_name in ((False, "multi"), (True, "limited")):
-                    vals = head[(t_flags == t_flag) & (s_flags == s_flag)]
-                    self.sums[(t_name, s_name)] += float(vals.sum())
-                    self.counts[(t_name, s_name)] += int(vals.size)
+            for key, cell in cells:
+                vals = head[cell]
+                self.sums[key] += float(vals.sum())
+                self.counts[key] += int(vals.size)
 
     def table(self) -> AttentionScoreTable:
         means = {}

@@ -45,11 +45,13 @@ from msnetlab.seqmodel import (
     ScoreAccumulator,
     add_attention_params,
     meta_shift,
-    physical_split,
+    project_kv,
     scaling_weights,
     split_sequence,
     target_attention,
 )
+
+from helpers import physical_split
 
 
 def ok(n, text):
@@ -345,8 +347,8 @@ def test_criterion_7_split_equivalence_100_batches():
                     table[seq_items.reshape(-1)[m.reshape(-1)]])
                 e_t = Tape.constant(table[batch.target_item])
                 tape = Tape(params)
-                res = target_attention(tape, "att", e_t, e_seq, e_seq, m,
-                                       2, 4)
+                k, v = project_kv(tape, "att", e_seq, e_seq)
+                res = target_attention(tape, "att", e_t, k, v, m, 2, 4)
                 outs.append(res.interest.values.tobytes())
             assert outs[0] == outs[1], f"trial {trial}"
     ok(7, "mask-based and physically split branches agree bitwise on "

@@ -35,7 +35,6 @@ from msnetlab.datagen import (
     read_dataset,
     simulate,
     split_train_test,
-    true_ctr,
     write_catalog,
     write_dataset,
 )
@@ -46,6 +45,7 @@ from msnetlab.metrics import (
     read_predictions,
     write_predictions,
 )
+from helpers import true_ctr
 from table_rows import table_of
 
 SMALL = GeneratorConfig(n_users=40, n_items=250, n_categories=4, days=4,

@@ -26,6 +26,7 @@ from msnetlab.features import (
     encode_batch,
     init_embedding,
 )
+from helpers import lookup
 from table_rows import table_of
 
 
@@ -49,17 +50,17 @@ def item_spec(item_id, cat=0, stock=1):
 class TestVocab:
     def test_first_seen_order(self):
         v = Vocab([7, 9, 7])
-        assert v.lookup(7) == 1
-        assert v.lookup(9) == 2
+        assert lookup(v, 7) == 1
+        assert lookup(v, 9) == 2
         assert len(v) == 2
 
     def test_unseen_maps_to_oov(self):
         v = Vocab([7, 9])
-        assert v.lookup(42) == OOV_INDEX
+        assert lookup(v, 42) == OOV_INDEX
 
     def test_index_zero_never_assigned(self):
         v = Vocab(range(100))
-        assert OOV_INDEX not in {v.lookup(i) for i in range(100)}
+        assert OOV_INDEX not in {lookup(v, i) for i in range(100)}
         assert v.size == 101
 
     def test_train_only_vocab_cold_start(self):
@@ -73,7 +74,7 @@ class TestVocab:
         batch = encode_batch(test_only, vocabs, catalog, history_len=4)
         assert batch.target_item[0] == OOV_INDEX
         # but its category is known from the catalog
-        assert batch.target_category[0] == vocabs.category.lookup(3)
+        assert batch.target_category[0] == lookup(vocabs.category, 3)
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
@@ -104,7 +105,7 @@ class TestEncodeBatch:
         records = table_of([make_record(0, history=hist)])
         vocabs = build_vocab(records, catalog)
         batch = encode_batch(records, vocabs, catalog, history_len=5)
-        kept = [vocabs.item.lookup(i) for i in range(1, 6)]
+        kept = [lookup(vocabs.item, i) for i in range(1, 6)]
         np.testing.assert_array_equal(batch.seq_item[0], kept)
         assert batch.seq_mask[0].all()
 
@@ -157,16 +158,16 @@ def loop_encode_batch(records, vocabs, catalog, history_len):
         labels=np.zeros(b), is_new=np.zeros(b, dtype=bool),
         is_limited=np.zeros(b, dtype=bool))
     for i, r in enumerate(records):
-        out.target_item[i] = vocabs.item.lookup(r.item_id)
+        out.target_item[i] = lookup(vocabs.item, r.item_id)
         spec = catalog.get(r.item_id)
         if spec is not None:
-            out.target_category[i] = vocabs.category.lookup(spec.category_id)
+            out.target_category[i] = lookup(vocabs.category, spec.category_id)
         out.labels[i] = float(r.label)
         out.is_new[i] = r.item_is_new
         out.is_limited[i] = r.item_is_limited
         for j, (hid, hcat, hlim) in enumerate(r.history[:h]):
-            out.seq_item[i, j] = vocabs.item.lookup(hid)
-            out.seq_category[i, j] = vocabs.category.lookup(hcat)
+            out.seq_item[i, j] = lookup(vocabs.item, hid)
+            out.seq_category[i, j] = lookup(vocabs.category, hcat)
             out.seq_mask[i, j] = True
             out.seq_limited[i, j] = hlim
     return out

@@ -20,13 +20,20 @@ from msnetlab.datagen import (
     simulate,
     split_train_test,
 )
-from msnetlab.features import SampleBatch, Vocab, Vocabs, encode_batch
+from msnetlab.features import (
+    SampleBatch,
+    Vocab,
+    Vocabs,
+    build_vocab,
+    encode_batch,
+)
 from msnetlab.metrics import partition_of
 from msnetlab.model import (
     AdagradState,
     ModelConfig,
     ModelError,
     CheckpointError,
+    _branch_kv,
     aux_scope_mask,
     build_params,
     compute_losses,
@@ -42,6 +49,8 @@ from msnetlab.model import (
     total_loss,
 )
 from msnetlab.seqmodel import ScoreAccumulator, split_sequence
+
+from table_rows import table_of
 
 
 def micro_vocabs(n_items=6, n_cats=3):
@@ -765,6 +774,27 @@ PREDICT_VARIANTS = {
 }
 
 
+def with_histories(table, histories):
+    """``table``'s rows, row i with the history ``histories[i]``."""
+    return table_of([dataclasses.replace(r, history=h)
+                     for r, h in zip(table, histories)])
+
+
+def assert_predict_matches_reference(catalog, train, rows, cfg):
+    """``predict`` after a fit of ``cfg`` gives ``reference_predict``'s
+    probabilities and score sums, byte for byte."""
+    r = fit(train, catalog, cfg)
+    got_acc, want_acc = ScoreAccumulator(), ScoreAccumulator()
+    preds = predict(r.params, cfg, rows, r.vocabs, catalog,
+                    score_accumulator=got_acc)
+    want = reference_predict(r.params, cfg, rows, r.vocabs, catalog,
+                             want_acc)
+    assert len(preds) == len(rows)
+    assert preds.p.tobytes() == want.tobytes()
+    assert got_acc.sums == want_acc.sums
+    assert got_acc.counts == want_acc.counts
+
+
 class TestForwardOnlyPredict:
     @pytest.fixture(scope="class")
     def setup(self):
@@ -776,16 +806,7 @@ class TestForwardOnlyPredict:
         catalog, train, test = setup
         cfg = ModelConfig(epochs=1, seed=4, history_len=6, batch_size=64,
                           **PREDICT_VARIANTS[variant])
-        r = fit(train, catalog, cfg)
-        got_acc, want_acc = ScoreAccumulator(), ScoreAccumulator()
-        preds = predict(r.params, cfg, test[:rows], r.vocabs, catalog,
-                        score_accumulator=got_acc)
-        want = reference_predict(r.params, cfg, test[:rows], r.vocabs,
-                                 catalog, want_acc)
-        assert len(preds) == rows
-        assert preds.p.tobytes() == want.tobytes()
-        assert got_acc.sums == want_acc.sums
-        assert got_acc.counts == want_acc.counts
+        assert_predict_matches_reference(catalog, train, test[:rows], cfg)
 
     def test_encodes_once_per_call(self, setup, monkeypatch):
         import msnetlab.model as model_mod
@@ -804,6 +825,34 @@ class TestForwardOnlyPredict:
             predict(r.params, cfg, test[:rows], r.vocabs, catalog)
             assert calls == [rows]
 
+    def test_meta_nets_once_per_call(self, setup, monkeypatch):
+        # fit runs the meta nets and compose_kv on every training step;
+        # predict runs them once per call, over the K/V cache's rows
+        import msnetlab.model as model_mod
+        catalog, train, test = setup
+        cfg = ModelConfig(epochs=1, seed=4, history_len=6, batch_size=32)
+        names = ("meta_scale", "meta_shift", "compose_kv")
+        calls = {}
+        for name in names:
+            def counted(*args, _name=name, _real=getattr(model_mod, name),
+                        **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(model_mod, name, counted)
+        r = fit(train, catalog, cfg)
+        steps = math.ceil(len(train) / cfg.batch_size)
+        assert calls == dict.fromkeys(names, steps)
+        rows = test[:100]
+        # no chunk's limited branch holds exactly one position, which
+        # would be projected on its own
+        limited = split_sequence(encode_batch(rows, r.vocabs, catalog,
+                                              6)).limited
+        assert all(np.count_nonzero(limited[s:s + cfg.batch_size]) != 1
+                   for s in range(0, len(rows), cfg.batch_size))
+        calls.clear()
+        predict(r.params, cfg, rows, r.vocabs, catalog)
+        assert calls == dict.fromkeys(names, 1)
+
     def test_forward_records_no_node(self, setup):
         catalog, train, test = setup
         cfg = ModelConfig(epochs=0, seed=4, history_len=6)
@@ -814,6 +863,98 @@ class TestForwardOnlyPredict:
         assert tape._nodes == [] and out.p.node is None
         assert out.p.values.tobytes() == \
             forward(Tape(r.params), cfg, batch).p.values.tobytes()
+
+
+class TestKVCacheEdges:
+    """``predict`` against the per-chunk recording loop, byte for byte,
+    where the K/V cache has the fewest rows to work with."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        return tiny_training_setup(n=300)
+
+    @staticmethod
+    def config(variant, batch_size):
+        return ModelConfig(epochs=1, seed=4, history_len=6,
+                           batch_size=batch_size, **PREDICT_VARIANTS[variant])
+
+    @pytest.mark.parametrize("variant", sorted(PREDICT_VARIANTS))
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    def test_small_batches(self, setup, variant, batch_size):
+        catalog, train, test = setup
+        assert_predict_matches_reference(catalog, train, test[:40],
+                                         self.config(variant, batch_size))
+
+    @pytest.mark.parametrize("variant", sorted(PREDICT_VARIANTS))
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    def test_branches_with_one_position(self, setup, variant, batch_size):
+        catalog, train, test = setup
+        (a, ca), (b, cb), (c, cc) = zip(train.hist_item[:3],
+                                        train.hist_category[:3])
+        # five histories, so that chunks of 1, 2 or 3 rows start at every
+        # one of them and each mask has chunks with one position
+        cycle = [((a, ca, True),), ((b, cb, False),),
+                 ((a, ca, True), (b, cb, False), (c, cc, False)), (), ()]
+        rows = with_histories(test[:30], cycle * 6)
+        cfg = self.config(variant, batch_size)
+        batch = encode_batch(rows, build_vocab(train, catalog), catalog,
+                             cfg.history_len)
+        masks = split_sequence(batch)
+        for mask in (batch.seq_mask, masks.multi, masks.limited):
+            counts = [np.count_nonzero(mask[s:s + batch_size])
+                      for s in range(0, len(rows), batch_size)]
+            assert 1 in counts
+        assert_predict_matches_reference(catalog, train, rows, cfg)
+
+    @pytest.mark.parametrize("variant", sorted(PREDICT_VARIANTS))
+    def test_one_distinct_pair(self, setup, variant):
+        # every position holds the same (item, category), limited or not:
+        # the cache's one real row is computed beside a padding row
+        catalog, train, test = setup
+        entry = (int(train.hist_item[0]), int(train.hist_category[0]))
+        histories = [tuple((*entry, bool(j % 2)) for j in range(i % 5))
+                     for i in range(30)]
+        assert_predict_matches_reference(
+            catalog, train, with_histories(test[:30], histories),
+            self.config(variant, 4))
+
+
+class TestRowIndependence:
+    """The K/V cache gives a batch the rows of products over other row
+    sets.  At the model's shapes a row of a matrix product of two or more
+    rows has the same bits in any such product; a one-row product takes
+    another kernel, so neither side of the cache ever makes one."""
+
+    def test_matmul_rows(self):
+        rng = np.random.default_rng(41)
+        for trial in range(2000):
+            d_in, d_out = rng.choice([8, 16], size=2)
+            x = rng.normal(size=(int(rng.integers(2, 400)), d_in))
+            w = rng.normal(size=(d_in, d_out))
+            rows = rng.integers(0, len(x), size=int(rng.integers(2, 300)))
+            assert (x[rows] @ w).tobytes() == (x @ w)[rows].tobytes(), trial
+
+    @pytest.mark.parametrize("meta", [False, True])
+    def test_branch_kv_rows(self, meta):
+        config = ModelConfig()
+        params = build_params(config, micro_vocabs(n_items=500, n_cats=9))
+        rng = np.random.default_rng(43)
+
+        def kv(item, category):
+            tape = Tape(params, record=False)
+            return [t.values for t in _branch_kv(
+                tape, config, "att.limited", meta,
+                tape.gather_rows(tape.param("emb.item"), item),
+                tape.gather_rows(tape.param("emb.category"), category))]
+
+        item = rng.integers(0, 501, size=400)
+        category = rng.integers(0, 10, size=400)
+        whole = kv(item, category)
+        for trial in range(200):
+            rows = rng.integers(0, 400, size=int(rng.integers(2, 300)))
+            part = kv(item[rows], category[rows])
+            for a, b in zip(part, whole):
+                assert a.tobytes() == b[rows].tobytes(), trial
 
 
 class TestCheckpoint:

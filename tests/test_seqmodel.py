@@ -22,11 +22,13 @@ from msnetlab.seqmodel import (
     identity_shifted,
     meta_scale,
     meta_shift,
-    physical_split,
+    project_kv,
     scaling_weights,
     split_sequence,
     target_attention,
 )
+
+from helpers import physical_split
 
 
 def make_batch(seq_limited, seq_mask, b=None, h=None, target_limited=None):
@@ -132,7 +134,8 @@ class TestTargetAttention:
         params, target, keys, values = attention_fixture(rng, 1, 1, 3, 1, 4)
         tape = Tape(params)
         res = target_attention(tape, "att", Tape.constant(target),
-                               Tape.constant(keys), Tape.constant(values),
+                               *project_kv(tape, "att", Tape.constant(keys),
+                                           Tape.constant(values)),
                                np.array([[True]]), 1, 4)
         want = (values @ params.values["att.wv"]) @ params.values["att.combine"]
         np.testing.assert_allclose(res.interest.values, want, rtol=1e-12)
@@ -143,7 +146,8 @@ class TestTargetAttention:
         keys[1] = keys[0]
         tape = Tape(params)
         res = target_attention(tape, "att", Tape.constant(target),
-                               Tape.constant(keys), Tape.constant(values),
+                               *project_kv(tape, "att", Tape.constant(keys),
+                                           Tape.constant(values)),
                                np.ones((1, 2), dtype=bool), 1, 4)
         assert res.scores[0, 0] == res.scores[1, 0]
         avg_v = 0.5 * (values[0] + values[1])
@@ -163,9 +167,9 @@ class TestTargetAttention:
                              params.values["att.combine"], d_head)
         tape = Tape(params)
         packed = mask.reshape(-1)
-        res = target_attention(tape, "att", Tape.constant(target),
-                               Tape.constant(keys[packed]),
-                               Tape.constant(values[packed]),
+        k, v = project_kv(tape, "att", Tape.constant(keys[packed]),
+                          Tape.constant(values[packed]))
+        res = target_attention(tape, "att", Tape.constant(target), k, v,
                                mask, n_heads, d_head)
         np.testing.assert_allclose(res.interest.values, want, rtol=1e-10,
                                    atol=1e-12)
@@ -188,7 +192,8 @@ class TestTargetAttention:
         want = (w[0] * values[0] + w[1] * values[1]) * 2.0
         tape = Tape(params)
         res = target_attention(tape, "att", Tape.constant(target),
-                               Tape.constant(keys), Tape.constant(values),
+                               *project_kv(tape, "att", Tape.constant(keys),
+                                           Tape.constant(values)),
                                np.ones((1, 2), dtype=bool), 1, 2)
         np.testing.assert_allclose(res.scores[:, 0], s, rtol=1e-15)
         np.testing.assert_allclose(res.interest.values[0], want, rtol=1e-12)
@@ -200,9 +205,9 @@ class TestTargetAttention:
         mask[1, 0] = True
         tape = Tape(params)
         packed = mask.reshape(-1)
-        res = target_attention(tape, "att", Tape.constant(target),
-                               Tape.constant(keys[packed]),
-                               Tape.constant(values[packed]),
+        k, v = project_kv(tape, "att", Tape.constant(keys[packed]),
+                          Tape.constant(values[packed]))
+        res = target_attention(tape, "att", Tape.constant(target), k, v,
                                mask, 2, 3)
         np.testing.assert_array_equal(res.interest.values[0],
                                       np.zeros_like(res.interest.values[0]))
@@ -230,9 +235,9 @@ class TestTargetAttention:
                              params.values["att.combine"], 2)
         tape = Tape(params)
         packed = mask.reshape(-1)
-        res = target_attention(tape, "att", Tape.constant(target),
-                               Tape.constant(keys[packed]),
-                               Tape.constant(values[packed]), mask, 1, 2)
+        k, v = project_kv(tape, "att", Tape.constant(keys[packed]),
+                          Tape.constant(values[packed]))
+        res = target_attention(tape, "att", Tape.constant(target), k, v, mask, 1, 2)
         assert np.abs(res.scores[:, 0]).min() > 900.0
         assert np.isfinite(res.interest.values).all()
         np.testing.assert_allclose(res.interest.values, want, rtol=1e-12)
@@ -246,9 +251,9 @@ class TestTargetAttention:
                          [False, True, True, True]])
         tape = Tape(params)
         packed = mask.reshape(-1)
-        res = target_attention(tape, "att", Tape.constant(target),
-                               Tape.constant(keys[packed]),
-                               Tape.constant(values[packed]),
+        k, v = project_kv(tape, "att", Tape.constant(keys[packed]),
+                          Tape.constant(values[packed]))
+        res = target_attention(tape, "att", Tape.constant(target), k, v,
                                mask, n_heads, d_head)
         assert res.scores.shape == (mask.sum(), n_heads)
         for i, scores in enumerate(res.scores.T):
@@ -276,7 +281,8 @@ class TestTargetAttention:
 
         def loss_fn(tape):
             res = target_attention(tape, "att", Tape.constant(target),
-                                   tape.param("keys"), tape.param("values"),
+                                   *project_kv(tape, "att", tape.param("keys"),
+                                               tape.param("values")),
                                    mask, 2, 2)
             return tape.sum_all(tape.mul(res.interest, Tape.constant(w)))
 
@@ -290,7 +296,8 @@ class TestTargetAttention:
         with pytest.raises(ValueError, match="mismatch"):
             tape = Tape(params)
             target_attention(tape, "att", Tape.constant(target),
-                             Tape.constant(keys[:-1]), Tape.constant(values),
+                             *project_kv(tape, "att", Tape.constant(keys[:-1]),
+                                         Tape.constant(values)),
                              np.ones((2, 3), dtype=bool), 1, 3)
 
 
@@ -437,8 +444,8 @@ class TestPhysicalMaskEquivalence:
                     table[seq_items.reshape(-1)[mask.reshape(-1)]])
                 e_t = Tape.constant(table[batch.target_item])
                 tape = Tape(params)
-                res = target_attention(tape, "att", e_t, e_seq, e_seq, mask,
-                                       2, 3)
+                k, v = project_kv(tape, "att", e_seq, e_seq)
+                res = target_attention(tape, "att", e_t, k, v, mask, 2, 3)
                 outs.append(res.interest.values.tobytes())
             assert outs[0] == outs[1], f"trial {trial} diverged"
 
