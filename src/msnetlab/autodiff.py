@@ -10,9 +10,9 @@ No broadcasting rules, no GPU, no higher-order derivatives.
 
 A ``Tape`` is rebuilt for every forward pass (define-by-run).  ``Tensor``
 values are immutable once created; parameters live in a ``ParamStore`` and
-are re-registered on each new tape.  Gradients for embedding tables are
-returned as deduplicated sparse row lists, everything else as dense arrays
-of the parameter's shape.
+are re-registered on each new tape.  A backward pass returns one
+``Gradients``: the dense parameters' gradients in one vector laid out like
+``ParamStore.dense``, and each embedding table's deduplicated sparse rows.
 """
 
 from __future__ import annotations
@@ -55,7 +55,23 @@ class SparseRows:
         return out
 
 
-GradMap = dict[str, "Array | SparseRows"]
+@dataclasses.dataclass(frozen=True)
+class Gradients:
+    """The gradients of one backward pass.
+
+    ``dense`` is laid out like the ``ParamStore.dense`` of the tape's
+    parameters and is zero for parameters off the loss path; ``sparse``
+    holds each embedding table's rows, in creation order.  ``grads[name]``
+    gives a dense parameter's view into ``dense`` (``views``) or a table's
+    ``SparseRows``.
+    """
+
+    dense: Array
+    sparse: dict[str, SparseRows]
+    views: dict[str, Array]
+
+    def __getitem__(self, name: str) -> "Array | SparseRows":
+        return self.sparse[name] if name in self.sparse else self.views[name]
 
 
 class ParamStore:
@@ -100,27 +116,16 @@ class ParamStore:
         return {name: flat[start:start + math.prod(shape)].reshape(shape)
                 for name, (start, shape) in self._slots.items()}
 
-    def flatten(self, arrays: dict[str, "Array | SparseRows"]) -> Array:
-        """One vector laid out like ``dense`` from ``arrays``, which maps
-        each dense parameter's name to an array of its shape."""
-        parts = []
-        for name, (_, shape) in self._slots.items():
-            part = arrays[name]
-            if isinstance(part, SparseRows) or np.shape(part) != shape:
-                raise AutodiffError(
-                    f"{name!r} wants an array of shape {shape}")
-            parts.append(np.reshape(part, -1))
-        if not parts:
-            return np.zeros(0, dtype=np.float64)
-        return np.concatenate(parts).astype(np.float64, copy=False)
-
     def names(self) -> list[str]:
         return list(self._order)
 
-    def copy(self) -> "ParamStore":
+    def copy(self, *, zero: bool = False) -> "ParamStore":
+        """A store with this one's names, kinds and layout, holding copies
+        of its values, or zeros when ``zero``."""
         other = ParamStore()
         for name in self._order:
-            other.add(name, self.values[name].copy(),
+            values = self.values[name]
+            other.add(name, np.zeros_like(values) if zero else values.copy(),
                       embedding=name in self.embedding_names)
         return other
 
@@ -213,7 +218,6 @@ class Tape:
                  record: bool = True) -> None:
         self._nodes: list[_Node] = []
         self._leaf_node: dict[str, int] = {}
-        self._embedding_nodes: set[int] = set()
         # per embedding leaf node: list of (indices, grad rows) to merge later
         self._sparse_parts: dict[int, list[tuple[Array, Array]]] = {}
         self.params = params
@@ -221,20 +225,34 @@ class Tape:
         self._consumed = False
         # stop_gradient's outputs come from it when set (check_gradients)
         self.freezer: StopGradientFreezer | None = None
+        # the dense gradient, laid out like params.dense, and each dense
+        # parameter's view into it
+        self._dense_grad = np.zeros(0, dtype=np.float64)
+        self._grad_views: dict[str, Array] = {}
         if params is not None and record:
+            self._dense_grad = np.zeros_like(params.dense)
+            self._grad_views = params.dense_views(self._dense_grad)
             for name in params.names():
-                self._register_leaf(name, params.values[name],
-                                    embedding=name in params.embedding_names)
+                self._register_leaf(name, self._grad_views.get(name))
 
     # ------------------------------------------------------------------
     # node plumbing
 
-    def _register_leaf(self, name: str, values: Array, *, embedding: bool) -> None:
-        nid = self._push(lambda g, grads: None, f"leaf:{name}")
-        self._leaf_node[name] = nid
-        if embedding:
-            self._embedding_nodes.add(nid)
+    def _register_leaf(self, name: str, grad: Array | None) -> None:
+        """A leaf for parameter ``name``.  A dense parameter's leaf writes
+        its summed gradient into ``grad``, its view into the dense gradient;
+        it runs after every node that uses the parameter, since those were
+        pushed after it.  An embedding table (``grad`` None) collects its
+        gathers' rows instead."""
+        if grad is None:
+            nid = self._push(lambda g, grads: None, f"leaf:{name}")
             self._sparse_parts[nid] = []
+        else:
+            def backward(g: Array, grads: list[Array | None]) -> None:
+                grad[...] = g
+
+            nid = self._push(backward, f"leaf:{name}")
+        self._leaf_node[name] = nid
 
     def _push(self, backward: Callable[[Array, list[Array | None]], None],
               name: str) -> int | None:
@@ -279,7 +297,7 @@ class Tape:
         if tnode is None:
             return Tensor(out, None)
 
-        if tnode in self._embedding_nodes:
+        if tnode in self._sparse_parts:
             parts = self._sparse_parts[tnode]
 
             def backward(g: Array, grads: list[Array | None]) -> None:
@@ -617,8 +635,8 @@ class Tape:
     # ------------------------------------------------------------------
     # backward
 
-    def backward(self, loss: Tensor) -> GradMap:
-        """Propagate from a scalar loss; returns gradients for every
+    def backward(self, loss: Tensor) -> Gradients:
+        """Propagate from a scalar loss; returns the gradients of every
         registered parameter (zero for parameters off the path).
 
         The tape is consumed: a second call raises, as does a call on a
@@ -630,7 +648,7 @@ class Tape:
             raise AutodiffError("tape already consumed by backward()")
         if loss.node is None:
             # constant loss (e.g. aux loss of no rows): every gradient is zero
-            return self._collect([None] * len(self._nodes))
+            return self._collect()
         if loss.values.size != 1:
             raise AutodiffError(
                 f"backward wants a scalar loss, got shape {loss.values.shape}")
@@ -641,25 +659,19 @@ class Tape:
             if g is None:
                 continue
             self._nodes[nid].backward(g, grads)
-        result = self._collect(grads)
+        result = self._collect()
         self._consumed = True
         self._nodes = []
         return result
 
-    def _collect(self, grads: list[Array | None]) -> GradMap:
-        out: GradMap = {}
-        if self.params is None:
-            return out
-        for name in self.params.names():
-            nid = self._leaf_node[name]
-            shape = self.params.values[name].shape
-            if nid in self._embedding_nodes:
-                out[name] = _merge_sparse(self._sparse_parts[nid],
-                                          self.params.values[name].shape[1])
-            else:
-                g = grads[nid]
-                out[name] = np.zeros(shape, dtype=np.float64) if g is None else g
-        return out
+    def _collect(self) -> Gradients:
+        """The dense gradient the leaves wrote, and each table's merged
+        rows."""
+        sparse = {name: _merge_sparse(self._sparse_parts[nid],
+                                      self.params.values[name].shape[1])
+                  for name, nid in self._leaf_node.items()
+                  if nid in self._sparse_parts}
+        return Gradients(self._dense_grad, sparse, self._grad_views)
 
 
 def _merge_sparse(parts: list[tuple[Array, Array]], dim: int) -> SparseRows:

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .autodiff import (
-    GradMap,
+    Gradients,
     ParamStore,
     Tape,
     Tensor,
@@ -43,7 +43,6 @@ from .features import (
 from .metrics import PredictionTable, partition_ids, partition_of  # noqa: F401
 from .seqmodel import (
     ScoreAccumulator,
-    SplitMasks,
     add_attention_params,
     add_meta_params,
     add_mlp_params,
@@ -203,7 +202,6 @@ def build_params(config: ModelConfig, vocabs: Vocabs) -> ParamStore:
 @dataclasses.dataclass
 class ForwardOutput:
     p: Tensor                 # [B] probabilities in (0, 1)
-    masks: SplitMasks | None  # None when no branch split happened
     # (packed [P, n_heads] scores, [B, H] mask) per attention branch,
     # detached, for the score diagnostic
     branch_scores: list[tuple[np.ndarray, np.ndarray]]
@@ -291,7 +289,6 @@ def forward(tape: Tape, config: ModelConfig, batch: SampleBatch,
     query, scores, pooling and head run here either way.
     """
     if config.n_branches == 1:
-        masks = None
         keeps = [batch.seq_mask]
     else:
         masks = split_sequence(batch)
@@ -316,7 +313,7 @@ def forward(tape: Tape, config: ModelConfig, batch: SampleBatch,
         interests.append(att.interest)
         branch_scores.append((att.scores, mask))
     x = tape.concat_cols(interests + [e_target])
-    return ForwardOutput(p=_mlp_head(tape, config, x), masks=masks,
+    return ForwardOutput(p=_mlp_head(tape, config, x),
                          branch_scores=branch_scores)
 
 
@@ -328,12 +325,9 @@ def loss_ce(tape: Tape, p: Tensor, labels: np.ndarray) -> Tensor:
     return tape.bce(p, labels)
 
 
-def aux_scope_mask(config: ModelConfig, batch: SampleBatch,
-                   masks: SplitMasks | None) -> np.ndarray:
+def aux_scope_mask(config: ModelConfig, batch: SampleBatch) -> np.ndarray:
     """[B, H] positions the aux loss covers."""
     if config.aux_scope == "limited_only":
-        if masks is not None:
-            return masks.limited
         return batch.seq_mask & batch.seq_limited
     return batch.seq_mask
 
@@ -365,7 +359,7 @@ def compute_losses(tape: Tape, config: ModelConfig, batch: SampleBatch,
     aux = None
     if (config.architecture == ARCH_MSNET and config.use_aux_loss
             and config.alpha > 0.0):
-        scope = aux_scope_mask(config, batch, out.masks)
+        scope = aux_scope_mask(config, batch)
         aux = loss_aux(tape, embed(tape, batch, scope))
     return ce, aux, total_loss(tape, ce, aux, config.alpha)
 
@@ -376,29 +370,11 @@ def compute_losses(tape: Tape, config: ModelConfig, batch: SampleBatch,
 
 @dataclasses.dataclass
 class AdagradState:
-    """One accumulator per parameter, by name.  The dense parameters'
-    accumulators are views into ``dense``, laid out like
-    ``ParamStore.dense`` of the parameters they belong to."""
+    """One accumulator per parameter, held in a store laid out like the
+    parameters' own (``params.copy(zero=True)`` at the start)."""
 
-    acc: dict[str, np.ndarray]
-    dense: np.ndarray
+    acc: ParamStore
     step: int = 0
-
-    @classmethod
-    def for_params(cls, params: ParamStore,
-                   acc: dict[str, np.ndarray] | None = None,
-                   step: int = 0) -> "AdagradState":
-        """Zero accumulators laid out for ``params``, or copies of the
-        arrays of ``acc``."""
-        dense = np.zeros_like(params.dense)
-        views = params.dense_views(dense)
-        out = {name: views[name] if name in views
-               else np.zeros_like(params.values[name])
-               for name in params.names()}
-        if acc is not None:
-            for name, values in out.items():
-                values[...] = acc[name]
-        return cls(acc=out, dense=dense, step=step)
 
 
 ADAGRAD_EPS = 1e-8
@@ -422,34 +398,34 @@ def _refuse_non_finite(params: ParamStore, flat: np.ndarray,
                         f"aborted")
 
 
-def optimizer_step(params: ParamStore, grads: GradMap, state: AdagradState,
+def optimizer_step(params: ParamStore, grads: Gradients, state: AdagradState,
                    lr: float, decay: float = 1.0) -> None:
     """Adagrad with optional accumulator decay.
 
     acc <- decay*acc + g^2 per touched entry; theta -= lr*g/(sqrt(acc)+eps).
-    The dense parameters take one pass over ``params.dense`` and
-    ``state.dense``; the arithmetic per entry is that of a step per
-    parameter, so the bits are too.  Embedding rows absent from the batch
-    are left untouched (values and accumulators both).  A non-finite
-    gradient, or an accumulator the step would make non-finite (g^2
-    overflows), aborts the whole step before any value or accumulator
-    moves, naming the first such parameter in creation order.
+    The dense parameters take one pass over ``params.dense``,
+    ``grads.dense`` and ``state.acc.dense``, all laid out alike; the
+    arithmetic per entry is that of a step per parameter, so the bits are
+    too.  Embedding rows absent from the batch are left untouched (values
+    and accumulators both).  A non-finite gradient, or an accumulator the
+    step would make non-finite (g^2 overflows), aborts the whole step
+    before any value or accumulator moves, naming the first such parameter
+    in creation order.
     """
-    g = params.flatten(grads)
-    sparse = {name: grads[name] for name in params.names()
-              if name in params.embedding_names}
+    g, sparse = grads.dense, grads.sparse
     _refuse_non_finite(params, g, {n: r.rows for n, r in sparse.items()},
                        "gradient")
+    tables = state.acc.values
     # x * 1.0 is x, bit for bit
-    sparse_acc = {name: state.acc[name][rows.indices] * decay
+    sparse_acc = {name: tables[name][rows.indices] * decay
                   + rows.rows * rows.rows for name, rows in sparse.items()}
-    acc = state.dense * decay + g * g
+    acc = state.acc.dense * decay + g * g
     _refuse_non_finite(params, acc, sparse_acc, "Adagrad accumulator")
     for name, rows in sparse.items():
-        state.acc[name][rows.indices] = sparse_acc[name]
+        tables[name][rows.indices] = sparse_acc[name]
         params.values[name][rows.indices] -= \
             lr * rows.rows / (np.sqrt(sparse_acc[name]) + ADAGRAD_EPS)
-    state.dense[...] = acc
+    state.acc.dense[...] = acc
     params.dense -= lr * g / (np.sqrt(acc) + ADAGRAD_EPS)
     state.step += 1
 
@@ -499,7 +475,7 @@ def fit(table: ImpressionTable, catalog: Catalog, config: ModelConfig, *,
     if vocabs is None:
         vocabs = build_vocab(table, catalog)
     params = build_params(config, vocabs)
-    state = AdagradState.for_params(params)
+    state = AdagradState(params.copy(zero=True))
     result = TrainResult(params=params, opt_state=state, vocabs=vocabs,
                          log=[])
     full = encode_batch(table, vocabs, catalog, config.history_len)
@@ -545,8 +521,7 @@ def fit(table: ImpressionTable, catalog: Catalog, config: ModelConfig, *,
 
 def _snapshot(params: ParamStore, state: AdagradState
               ) -> tuple[ParamStore, AdagradState]:
-    copy = params.copy()
-    return copy, AdagradState.for_params(copy, state.acc, state.step)
+    return params.copy(), AdagradState(state.acc.copy(), state.step)
 
 
 def _slice_batch(full: SampleBatch, rows: np.ndarray | slice) -> SampleBatch:
@@ -690,7 +665,7 @@ def save_checkpoint(path: str | Path, params: ParamStore,
     arrays: dict[str, np.ndarray] = {}
     for name in params.names():
         arrays[f"param/{name}"] = params.values[name]
-        arrays[f"opt/{name}"] = opt_state.acc[name]
+        arrays[f"opt/{name}"] = opt_state.acc.values[name]
     arrays["vocab/items"] = np.asarray(vocabs.item.ordered_values(),
                                        dtype=np.int64)
     arrays["vocab/categories"] = np.asarray(vocabs.category.ordered_values(),
@@ -728,7 +703,7 @@ def load_checkpoint(path: str | Path,
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
     try:
-        with np.load(path, allow_pickle=False) as data:
+        with path.open("rb") as fh, np.load(fh, allow_pickle=False) as data:
             blobs = {k: data[k] for k in data.files}
     except (zipfile.BadZipFile, ValueError, OSError, EOFError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
@@ -760,12 +735,16 @@ def load_checkpoint(path: str | Path,
         raise CheckpointError(
             f"checkpoint config hash {config_hash(config)} does not match "
             f"expected {config_hash(expected_config)}")
-    try:
-        vocabs = Vocabs(item=Vocab(blobs.pop("vocab/items").tolist()),
-                        category=Vocab(blobs.pop("vocab/categories").tolist()))
-    except KeyError as exc:
-        raise CheckpointError(
-            f"corrupt checkpoint {path}: missing {exc}") from exc
+    vocab_list = []
+    for key in ("vocab/items", "vocab/categories"):
+        ids = blobs.pop(key, None)
+        if ids is None or ids.dtype != np.int64 or ids.ndim != 1 or \
+                np.unique(ids).size != ids.size:
+            raise CheckpointError(
+                f"checkpoint {path} block {key!r} is missing or not a 1-D "
+                f"int64 array of distinct ids")
+        vocab_list.append(Vocab(ids.tolist()))
+    vocabs = Vocabs(*vocab_list)
     # the parameter set must be exactly what the config and vocabularies
     # build, block for block and shape for shape
     skeleton = build_params(config, vocabs)
@@ -776,21 +755,22 @@ def load_checkpoint(path: str | Path,
             f"checkpoint {path} parameter blocks do not match its config: "
             f"missing {sorted(set(skeleton.names()) - stored)}, "
             f"unexpected {sorted(stored - set(skeleton.names()))}")
-    params = ParamStore()
-    acc: dict[str, np.ndarray] = {}
+    params, acc = ParamStore(), ParamStore()
     for name in skeleton.names():
         want = skeleton.values[name].shape
         value, opt = blobs.get(f"param/{name}"), blobs.get(f"opt/{name}")
         if value is None or opt is None or \
-                value.shape != want or opt.shape != want:
+                any(a.shape != want or a.dtype != np.float64
+                    for a in (value, opt)):
             raise CheckpointError(
-                f"checkpoint {path} block {name!r} is missing or not "
-                f"shaped {want}")
-        params.add(name, value, embedding=name in skeleton.embedding_names)
-        acc[name] = opt
+                f"checkpoint {path} block {name!r} is missing or not a "
+                f"float64 array shaped {want}")
+        embedding = name in skeleton.embedding_names
+        params.add(name, value, embedding=embedding)
+        acc.add(name, opt, embedding=embedding)
     step = meta.get("opt_step", 0)
     if not isinstance(step, int) or isinstance(step, bool) or step < 0:
         raise CheckpointError(f"checkpoint {path} has a bad opt_step {step!r}")
-    state = AdagradState.for_params(params, acc, step)
+    state = AdagradState(acc, step)
     return Checkpoint(params=params, opt_state=state, config=config,
                       vocabs=vocabs, meta=meta)

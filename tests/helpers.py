@@ -1,10 +1,11 @@
 """Test helpers that the package itself does not need: a one-value
 vocabulary lookup, the generator's click probability of one (user, item)
-pair, and a sequence branch materialized as its own padded batch."""
+pair, a sequence branch materialized as its own padded batch, and the
+per-name gradient composition the tape's one dense vector replaced."""
 
 import numpy as np
 
-from msnetlab.autodiff import sigmoid
+from msnetlab.autodiff import Gradients, ParamStore, Tape, Tensor, sigmoid
 from msnetlab.datagen import GeneratorConfig, ItemSpec, UserSpec
 from msnetlab.features import OOV_INDEX, SampleBatch, Vocab
 
@@ -45,3 +46,36 @@ def physical_split(batch: SampleBatch, keep: np.ndarray) -> SampleBatch:
         is_new=batch.is_new.copy(),
         is_limited=batch.is_limited.copy(),
     )
+
+
+def per_name_gradients(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
+    """Each dense parameter's gradient as an array of its own, as a reverse
+    sweep over ``tape``'s nodes leaves it at the parameter's leaf, and a
+    zero array of its shape for a parameter off the loss path.  The sweep
+    runs the tape's own node closures, so use a tape that ``backward``
+    will not run."""
+    nodes = tape._nodes
+    grads = [None] * len(nodes)
+    grads[loss.node] = np.ones_like(loss.values)
+    for nid in range(len(nodes) - 1, -1, -1):
+        if grads[nid] is not None:
+            nodes[nid].backward(grads[nid], grads)
+    params = tape.params
+    out = {}
+    for name in params.names():
+        if name not in params.embedding_names:
+            g = grads[tape._leaf_node[name]]
+            out[name] = np.zeros(params.values[name].shape) if g is None else g
+    return out
+
+
+def gradients_of(params: ParamStore, by_name: dict) -> Gradients:
+    """``Gradients`` for ``params`` from per-name gradients: the dense
+    arrays concatenated in creation order, the tables' ``SparseRows`` as
+    given."""
+    dense_names = [n for n in params.names() if n not in params.embedding_names]
+    dense = np.concatenate([np.zeros(0)] + [np.reshape(by_name[n], -1)
+                                            for n in dense_names])
+    return Gradients(dense, {n: by_name[n] for n in params.names()
+                             if n in params.embedding_names},
+                     params.dense_views(dense))

@@ -32,6 +32,8 @@ from msnetlab.autodiff import (
 )
 from msnetlab.seqmodel import head_blocks
 
+from helpers import per_name_gradients
+
 
 def fd_grad(loss_of_theta, theta, h=1e-5):
     """Central-difference gradient oracle, independent of the tape."""
@@ -710,11 +712,42 @@ class TestDeterminism:
             build, params = _random_op_cases(99)
             tape, loss = build()
             grads = tape.backward(loss)
-            results.append((float(loss.values),
-                            {k: (v.rows.tobytes() if isinstance(v, SparseRows)
-                                 else v.tobytes()) for k, v in grads.items()}))
-        assert results[0][0] == results[1][0]
-        assert results[0][1] == results[1][1]
+            results.append((float(loss.values), grads.dense.tobytes(),
+                            {k: v.rows.tobytes()
+                             for k, v in grads.sparse.items()}))
+        assert results[0] == results[1]
+
+
+class TestDenseGradient:
+    """``Tape.backward`` writes the dense gradients into one vector laid
+    out like ``ParamStore.dense``; the per-name arrays the tape composed
+    before, concatenated, are its oracle."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_vector_is_per_name_gradients_concatenated(self, seed):
+        build, params = _random_op_cases(seed)
+        # a table and a dense parameter the loss never reads
+        params.add("table", np.ones((3, 2)), embedding=True)
+        params.add("off", np.ones((2, 3)))
+        old = per_name_gradients(*build())
+        tape, loss = build()
+        grads = tape.backward(loss)
+        assert grads.dense.tobytes() == np.concatenate(
+            [old[n].reshape(-1) for n in old]).astype(np.float64).tobytes()
+        assert list(old) == [n for n in params.names() if n != "table"]
+        for name, g in old.items():
+            assert grads[name].shape == params.values[name].shape
+            assert np.shares_memory(grads[name], grads.dense)
+        assert not np.any(grads["off"]) and not grads["table"].indices.size
+        assert list(grads.sparse) == ["table"]
+
+    def test_constant_loss_gives_the_zero_layout(self):
+        params = ParamStore()
+        params.add("t", np.ones((2, 2)), embedding=True)
+        params.add("w", np.ones(3))
+        grads = Tape(params).backward(Tape.constant(1.0))
+        assert grads.dense.tobytes() == np.zeros(3).tobytes()
+        assert grads["w"].shape == (3,) and not grads["t"].indices.size
 
 
 class TestCheckGradients:
@@ -1034,11 +1067,16 @@ class TestFlatStore:
         np.testing.assert_array_equal(other.dense, [9, 1, 2, 3])
         assert other.values["t"][1, 1] == 9.0
 
-    def test_flatten_refuses_misshapen_gradient(self):
+    def test_zero_copy_keeps_the_layout(self):
         params = ParamStore()
-        params.add("w", np.zeros((2, 3)))
-        with pytest.raises(AutodiffError, match="'w'.*shape"):
-            params.flatten({"w": np.zeros((3, 2))})
+        params.add("t", np.ones((3, 2)), embedding=True)
+        params.add("w", np.arange(4.0).reshape(2, 2))
+        zero = params.copy(zero=True)
+        assert zero.names() == params.names()
+        assert zero.embedding_names == params.embedding_names
+        assert zero.dense.tobytes() == np.zeros(4).tobytes()
+        assert zero.values["t"].tobytes() == np.zeros((3, 2)).tobytes()
+        assert zero.values["w"].shape == (2, 2)
 
     def test_check_gradients_perturbs_live_values(self):
         rng = np.random.default_rng(3)

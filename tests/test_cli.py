@@ -25,7 +25,12 @@ from msnetlab.autodiff import ParamStore
 from msnetlab.cli import ABLATION_VARIANTS, CliError, ExperimentConfig, main
 from msnetlab.datagen import GeneratorConfig, read_dataset
 from msnetlab.metrics import PREDICTION_FIELDS, read_predictions
-from msnetlab.model import ModelConfig, load_checkpoint, save_checkpoint
+from msnetlab.model import (
+    ModelConfig,
+    _array_checksum,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 TINY = {
     "seed": 5,
@@ -533,18 +538,43 @@ def _evaluate_with_baseline(workspace, tmp_path: Path, make) -> list[str]:
             "--baseline", str(baseline)]
 
 
-def _checkpoint_meta(workspace, tmp_path: Path, edit) -> list[str]:
+def _checkpoint_meta(workspace, tmp_path: Path, edit,
+                     edit_blocks=None) -> list[str]:
     """Rewrites only the metadata: the checksum covers the arrays, so it
-    still matches and the edited field is what the loader must judge."""
+    still matches and the edited field is what the loader must judge.
+    ``edit_blocks``, when given, first changes the dict of array blocks in
+    place, and the metadata gets their new checksum, so that the blocks
+    themselves are what the loader must judge."""
     _, _, data, run = workspace
     with np.load(run / "msnet.ckpt.npz") as blob:
         arrays = {k: blob[k] for k in blob.files}
-    meta = edit(str(arrays.pop("__meta__")))
+    meta = str(arrays.pop("__meta__"))
+    if edit_blocks is not None:
+        edit_blocks(arrays)
+        meta = json.dumps({**json.loads(meta),
+                           "checksum": _array_checksum(arrays)})
     ckpt = tmp_path / "msnet.ckpt.npz"
     with ckpt.open("wb") as fh:
-        np.savez(fh, __meta__=np.asarray(meta), **arrays)
+        np.savez(fh, __meta__=np.asarray(edit(meta)), **arrays)
     return ["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
             "--out", str(tmp_path / "e")]
+
+
+def _checkpoint_block(workspace, tmp_path: Path, key: str, make) -> list[str]:
+    """The checkpoint with block ``key`` replaced by ``make(block)`` under a
+    valid checksum."""
+    def edit_blocks(arrays):
+        arrays[key] = make(arrays[key])
+    return _checkpoint_meta(workspace, tmp_path, str, edit_blocks)
+
+
+def _repeated_item_id(arrays) -> None:
+    """The last item id repeats the first, and the item table and its
+    accumulator lose their last row, so that the shapes still agree with
+    the vocabulary a repeated id would collapse to."""
+    arrays["vocab/items"][-1] = arrays["vocab/items"][0]
+    for key in ("param/emb.item", "opt/emb.item"):
+        arrays[key] = arrays[key][:-1]
 
 
 def _old_format(meta: str) -> str:
@@ -671,6 +701,38 @@ MALFORMED_INPUTS = {
     "checkpoint_missing_block": ("E_INTEGRITY", lambda ws, tmp:
                                  _checkpoint_without(ws, tmp,
                                                      "att.limited.wq")),
+    "checkpoint_vocab_items_2d": ("E_INTEGRITY", lambda ws, tmp:
+                                  _checkpoint_block(
+                                      ws, tmp, "vocab/items",
+                                      lambda a: a.reshape(1, -1))),
+    "checkpoint_vocab_categories_0d": ("E_INTEGRITY", lambda ws, tmp:
+                                       _checkpoint_block(
+                                           ws, tmp, "vocab/categories",
+                                           lambda a: a[0])),
+    "checkpoint_vocab_ids_past_int64": ("E_INTEGRITY", lambda ws, tmp:
+                                        _checkpoint_block(
+                                            ws, tmp, "vocab/items",
+                                            lambda a: a.astype(np.uint64)
+                                            + np.uint64(2 ** 63))),
+    "checkpoint_vocab_float_ids": ("E_INTEGRITY", lambda ws, tmp:
+                                   _checkpoint_block(
+                                       ws, tmp, "vocab/items",
+                                       lambda a: a + 0.5)),
+    "checkpoint_vocab_repeated_id": ("E_INTEGRITY", lambda ws, tmp:
+                                     _checkpoint_meta(ws, tmp, str,
+                                                      _repeated_item_id)),
+    "checkpoint_param_strings": ("E_INTEGRITY", lambda ws, tmp:
+                                 _checkpoint_block(
+                                     ws, tmp, "param/mlp.out.b",
+                                     lambda a: np.full(a.shape, "x"))),
+    "checkpoint_param_complex": ("E_INTEGRITY", lambda ws, tmp:
+                                 _checkpoint_block(
+                                     ws, tmp, "param/mlp.out.b",
+                                     lambda a: a.astype(np.complex128))),
+    "checkpoint_opt_int64": ("E_INTEGRITY", lambda ws, tmp:
+                             _checkpoint_block(
+                                 ws, tmp, "opt/att.main.wq",
+                                 lambda a: a.astype(np.int64))),
     "usage_missing_arguments": ("E_USAGE", lambda ws, tmp: [
         "train", "--config", "x.json"]),
     "usage_unknown_command": ("E_USAGE", lambda ws, tmp: ["bogus"]),

@@ -50,6 +50,7 @@ from msnetlab.model import (
 )
 from msnetlab.seqmodel import ScoreAccumulator, split_sequence
 
+from helpers import gradients_of, per_name_gradients
 from table_rows import table_of
 
 
@@ -353,7 +354,7 @@ class TestLossAux:
         params = build_params(cfg, vocabs)
         rng = np.random.default_rng(3)
         batch = micro_batch(rng, all_multi=True)
-        scope = aux_scope_mask(cfg, batch, split_sequence(batch))
+        scope = aux_scope_mask(cfg, batch)
         tape, emb = self._embedded(params, batch, scope)
         assert not scope.any()
         got = float(loss_aux(tape, emb).values)
@@ -367,9 +368,7 @@ class TestAuxScopeBoth:
     def test_mask_is_every_valid_position(self):
         cfg = dataclasses.replace(MICRO_MSNET, aux_scope="both")
         batch = micro_batch(np.random.default_rng(5), b=6)
-        for masks in (None, split_sequence(batch)):
-            assert np.array_equal(aux_scope_mask(cfg, batch, masks),
-                                  batch.seq_mask)
+        assert np.array_equal(aux_scope_mask(cfg, batch), batch.seq_mask)
 
     def test_multi_positions_change_the_aux_loss(self):
         from msnetlab.features import embed
@@ -429,59 +428,63 @@ class TestOptimizer:
     def _single(self, value=1.0):
         params = ParamStore()
         params.add("w", np.array([value]))
-        return params, AdagradState.for_params(params)
+        return params, AdagradState(params.copy(zero=True))
+
+    @staticmethod
+    def _step(params, by_name, state, **kwargs):
+        optimizer_step(params, gradients_of(params, by_name), state, **kwargs)
 
     def test_first_step_closed_form(self):
         # acc = 1, step = -0.1 * 1/(sqrt(1)+1e-8)
         params, state = self._single(0.0)
-        optimizer_step(params, {"w": np.array([1.0])}, state, lr=0.1)
+        self._step(params, {"w": np.array([1.0])}, state, lr=0.1)
         want = -0.1 / (1.0 + 1e-8)
         assert params.values["w"][0] == pytest.approx(want, rel=1e-12)
 
     def test_zero_gradient_no_change(self):
         params, state = self._single(2.5)
         before = params.values["w"].copy()
-        optimizer_step(params, {"w": np.array([0.0])}, state, lr=0.1)
+        self._step(params, {"w": np.array([0.0])}, state, lr=0.1)
         np.testing.assert_array_equal(params.values["w"], before)
-        np.testing.assert_array_equal(state.acc["w"], [0.0])
+        np.testing.assert_array_equal(state.acc.values["w"], [0.0])
 
     def test_two_steps_accumulator(self):
         # second step is -lr/sqrt(2) up to eps
         params, state = self._single(0.0)
-        optimizer_step(params, {"w": np.array([1.0])}, state, lr=0.1)
+        self._step(params, {"w": np.array([1.0])}, state, lr=0.1)
         first = params.values["w"][0]
-        optimizer_step(params, {"w": np.array([1.0])}, state, lr=0.1)
+        self._step(params, {"w": np.array([1.0])}, state, lr=0.1)
         second = params.values["w"][0] - first
         assert second == pytest.approx(-0.1 / math.sqrt(2.0), rel=1e-7)
 
     def test_sparse_untouched_rows_unchanged(self):
         params = ParamStore()
         params.add("t", np.ones((4, 2)), embedding=True)
-        state = AdagradState.for_params(params)
+        state = AdagradState(params.copy(zero=True))
         g = SparseRows(indices=np.array([1]), rows=np.array([[1.0, 1.0]]))
-        optimizer_step(params, {"t": g}, state, lr=0.5)
+        self._step(params, {"t": g}, state, lr=0.5)
         np.testing.assert_array_equal(params.values["t"][0], [1.0, 1.0])
         np.testing.assert_array_equal(params.values["t"][2], [1.0, 1.0])
         assert np.all(params.values["t"][1] < 1.0)
-        np.testing.assert_array_equal(state.acc["t"][0], [0.0, 0.0])
+        np.testing.assert_array_equal(state.acc.values["t"][0], [0.0, 0.0])
 
     def test_decay_applied_before_accumulation(self):
         params, state = self._single(0.0)
-        optimizer_step(params, {"w": np.array([2.0])}, state, lr=0.0,
-                       decay=0.5)
-        assert state.acc["w"][0] == pytest.approx(4.0)  # 0*0.5 + 4
-        optimizer_step(params, {"w": np.array([2.0])}, state, lr=0.0,
-                       decay=0.5)
-        assert state.acc["w"][0] == pytest.approx(6.0)  # 4*0.5 + 4
+        self._step(params, {"w": np.array([2.0])}, state, lr=0.0,
+                   decay=0.5)
+        assert state.acc.values["w"][0] == pytest.approx(4.0)  # 0*0.5 + 4
+        self._step(params, {"w": np.array([2.0])}, state, lr=0.0,
+                   decay=0.5)
+        assert state.acc.values["w"][0] == pytest.approx(6.0)  # 4*0.5 + 4
 
     def test_non_finite_aborts_whole_step(self):
         params = ParamStore()
         params.add("a", np.array([1.0]))
         params.add("b", np.array([1.0]))
-        state = AdagradState.for_params(params)
+        state = AdagradState(params.copy(zero=True))
         grads = {"a": np.array([1.0]), "b": np.array([float("nan")])}
         with pytest.raises(ModelError, match="'b'"):
-            optimizer_step(params, grads, state, lr=0.1)
+            self._step(params, grads, state, lr=0.1)
         np.testing.assert_array_equal(params.values["a"], [1.0])
         assert state.step == 0
 
@@ -493,8 +496,8 @@ class TestOptimizer:
         params.add("a", np.array([1.0]))
         params.add("e", np.ones((3, 2)), embedding=True)
         params.add("b", np.array([1.0, 2.0]))
-        state = AdagradState.for_params(params)
-        state.acc["b"][...] = 1e308
+        state = AdagradState(params.copy(zero=True))
+        state.acc.values["b"][...] = 1e308
         grads = {"a": np.array([1.0]), "b": np.array([0.0, 1.0]),
                  "e": SparseRows(indices=np.array([2]),
                                  rows=np.array([[1.0, 1.0]]))}
@@ -503,15 +506,16 @@ class TestOptimizer:
         else:
             grads["b"][1] = 1e160  # 1e308 + 1e320 overflows
         before = params.copy()
-        acc_before = {k: v.copy() for k, v in state.acc.items()}
+        acc_before = state.acc.copy()
         with pytest.raises(ModelError, match=f"non-finite Adagrad "
                            f"accumulator for parameter '{overflowing}'"), \
                 np.errstate(over="ignore"):
-            optimizer_step(params, grads, state, lr=0.1)
+            self._step(params, grads, state, lr=0.1)
         for name in params.names():
             assert params.values[name].tobytes() == \
                 before.values[name].tobytes()
-            assert state.acc[name].tobytes() == acc_before[name].tobytes()
+            assert state.acc.values[name].tobytes() == \
+                acc_before.values[name].tobytes()
         assert state.step == 0
 
 
@@ -559,7 +563,7 @@ class TestFlatAdagrad:
             else:
                 shape = DENSE_SHAPES[int(rng.integers(len(DENSE_SHAPES)))]
                 params.add(f"d{i}", rng.normal(size=shape))
-        state = AdagradState.for_params(params)
+        state = AdagradState(params.copy(zero=True))
         values = {n: params.values[n].copy() for n in params.names()}
         acc = {n: np.zeros_like(v) for n, v in values.items()}
         for _ in range(3):
@@ -582,33 +586,70 @@ class TestFlatAdagrad:
                 loop_optimizer_step(values, acc, grads, lr, decay)
             except ModelError as exc:
                 with pytest.raises(ModelError, match=re.escape(str(exc))):
-                    optimizer_step(params, grads, state, lr, decay)
+                    optimizer_step(params, gradients_of(params, grads),
+                                   state, lr, decay)
             else:
-                optimizer_step(params, grads, state, lr, decay)
+                optimizer_step(params, gradients_of(params, grads), state,
+                               lr, decay)
             for name in params.names():
                 assert params.values[name].tobytes() == values[name].tobytes()
-                assert state.acc[name].tobytes() == acc[name].tobytes()
+                assert state.acc.values[name].tobytes() == \
+                    acc[name].tobytes()
         for name in params.names():
-            assert np.shares_memory(state.acc[name], state.dense) == \
+            assert np.shares_memory(state.acc.values[name],
+                                    state.acc.dense) == \
                 (name not in params.embedding_names and acc[name].size > 0)
+
+    @pytest.mark.parametrize("decay", [1.0, 0.9])
+    def test_model_steps_match_per_name_reference(self, decay):
+        # MSNet steps on tape gradients against the per-parameter loop on
+        # the per-name gradients the tape composed before; the all-multi
+        # batch leaves the limited branch and the meta nets off the path
+        cfg = dataclasses.replace(MICRO_MSNET, adagrad_decay=decay)
+        params = build_params(cfg, micro_vocabs())
+        state = AdagradState(params.copy(zero=True))
+        values = {n: v.copy() for n, v in params.values.items()}
+        acc = {n: np.zeros_like(v) for n, v in values.items()}
+        rng = np.random.default_rng(8)
+        for all_multi in (False, True, False):
+            batch = micro_batch(rng, b=6, all_multi=all_multi)
+
+            def build():
+                tape = Tape(params)
+                out = forward(tape, cfg, batch)
+                return tape, compute_losses(tape, cfg, batch, out)[2]
+
+            old = per_name_gradients(*build())
+            tape, total = build()
+            grads = tape.backward(total)
+            assert grads.dense.tobytes() == np.concatenate(
+                [g.reshape(-1) for g in old.values()]).tobytes()
+            assert np.any(old["att.limited.wv"]) != all_multi
+            loop_optimizer_step(values, acc, {**old, **grads.sparse},
+                                cfg.learning_rate, decay)
+            optimizer_step(params, grads, state, cfg.learning_rate, decay)
+            for name in params.names():
+                assert params.values[name].tobytes() == values[name].tobytes()
+                assert state.acc.values[name].tobytes() == \
+                    acc[name].tobytes()
 
     def test_parameter_off_the_loss_path_keeps_its_bits(self):
         params = ParamStore()
         params.add("table", np.ones((3, 2)), embedding=True)
         params.add("used", np.array([0.5, -1.0]))
         params.add("unused", np.array([[-0.0, 3.0], [1e-300, -2.0]]))
-        state = AdagradState.for_params(params)
-        state.acc["unused"][:] = [[0.25, 0.0], [4.0, 1e-12]]
+        state = AdagradState(params.copy(zero=True))
+        state.acc.values["unused"][:] = [[0.25, 0.0], [4.0, 1e-12]]
         before = (params.values["unused"].tobytes(),
-                  state.acc["unused"].tobytes())
+                  state.acc.values["unused"].tobytes())
         for _ in range(3):
             tape = Tape(params)
             used = tape.param("used")
             grads = tape.backward(tape.sum_all(tape.mul(used, used)))
             optimizer_step(params, grads, state, lr=0.1)
         assert (params.values["unused"].tobytes(),
-                state.acc["unused"].tobytes()) == before
-        assert state.acc["used"].min() > 0.0
+                state.acc.values["unused"].tobytes()) == before
+        assert state.acc.values["used"].min() > 0.0
 
 
 def tiny_training_setup(seed=0, n=400):
@@ -977,7 +1018,8 @@ class TestCheckpoint:
         assert a.p.tobytes() == b.p.tobytes()
         assert ck.opt_state.step == r.opt_state.step
         assert ck.params.dense.tobytes() == r.params.dense.tobytes()
-        assert ck.opt_state.dense.tobytes() == r.opt_state.dense.tobytes()
+        assert ck.opt_state.acc.dense.tobytes() == \
+            r.opt_state.acc.dense.tobytes()
         # a step after loading moves parameters and accumulators as the
         # same step on the in-memory model does
         grads = {n: (SparseRows(np.array([0, 2]), np.full((2, v.shape[1]),
@@ -986,12 +1028,13 @@ class TestCheckpoint:
                                                                    -0.25))
                  for n, v in r.params.values.items()}
         for run in (r, ck):
-            optimizer_step(run.params, grads, run.opt_state, lr=0.1)
+            optimizer_step(run.params, gradients_of(run.params, grads),
+                           run.opt_state, lr=0.1)
         for name in r.params.names():
             assert ck.params.values[name].tobytes() == \
                 r.params.values[name].tobytes()
-            assert ck.opt_state.acc[name].tobytes() == \
-                r.opt_state.acc[name].tobytes()
+            assert ck.opt_state.acc.values[name].tobytes() == \
+                r.opt_state.acc.values[name].tobytes()
 
     def test_truncated_file_integrity_error(self, tmp_path):
         _, _, _, _, path = self._trained(tmp_path)
