@@ -209,32 +209,30 @@ class Embedded:
     seq_row: np.ndarray  # [P] int64
 
 
+def embed_rows(tape: Tape, item: np.ndarray,
+               category: np.ndarray) -> tuple[Tensor, Tensor]:
+    """The rows ``item`` of the item table and ``category`` of the
+    category table."""
+    return (tape.gather_rows(tape.param("emb.item"), item, "emb.item"),
+            tape.gather_rows(tape.param("emb.category"), category,
+                             "emb.category"))
+
+
 def embed(tape: Tape, batch: SampleBatch, keep: np.ndarray,
-          target: Embedded | None = None) -> Embedded:
+          target: tuple[Tensor, Tensor] | None = None) -> Embedded:
     """Target rows plus the sequence rows where ``keep`` [B, H] is True.
 
-    ``target``, an earlier result for the same batch, lends its target
-    tensors so that a pass over several branches gathers them once.
+    ``target``, the batch's target rows gathered earlier on the same tape,
+    is used in place of gathering them again.
     """
     keep = np.asarray(keep, dtype=bool)
     if keep.shape != batch.seq_mask.shape:
         raise ValueError(f"keep mask {keep.shape} does not match the batch's "
                          f"sequence grid {batch.seq_mask.shape}")
-    item = tape.param("emb.item")
-    category = tape.param("emb.category")
-    if target is None:
-        target_id = tape.gather_rows(item, batch.target_item, "emb.item")
-        target_side = tape.gather_rows(category, batch.target_category,
-                                       "emb.category")
-    else:
-        target_id, target_side = target.target_id, target.target_side
+    target_id, target_side = target or embed_rows(
+        tape, batch.target_item, batch.target_category)
     flat = np.flatnonzero(keep)
-    return Embedded(
-        target_id=target_id, target_side=target_side,
-        seq_id=tape.gather_rows(item, batch.seq_item.reshape(-1)[flat],
-                                "emb.item"),
-        seq_side=tape.gather_rows(category,
-                                  batch.seq_category.reshape(-1)[flat],
-                                  "emb.category"),
-        seq_row=flat // batch.history_len,
-    )
+    seq_id, seq_side = embed_rows(tape, batch.seq_item.reshape(-1)[flat],
+                                  batch.seq_category.reshape(-1)[flat])
+    return Embedded(target_id, target_side, seq_id, seq_side,
+                    flat // batch.history_len)

@@ -36,6 +36,7 @@ from .features import (
     add_embedding_tables,
     build_vocab,
     embed,
+    embed_rows,
     encode_batch,
 )
 # partition_of is not called here but stays a name of this module, where
@@ -205,6 +206,8 @@ class ForwardOutput:
     # (packed [P, n_heads] scores, [B, H] mask) per attention branch,
     # detached, for the score diagnostic
     branch_scores: list[tuple[np.ndarray, np.ndarray]]
+    # the batch's target rows of the item and category tables
+    target: tuple[Tensor, Tensor]
 
 
 def _branches(config: ModelConfig) -> list[tuple[str, bool]]:
@@ -214,6 +217,16 @@ def _branches(config: ModelConfig) -> list[tuple[str, bool]]:
     prefixes = ["att.main", "att.limited"][:config.n_branches]
     return [(prefix, config.uses_meta and i == len(prefixes) - 1)
             for i, prefix in enumerate(prefixes)]
+
+
+def _branch_masks(config: ModelConfig, batch: SampleBatch) -> list[np.ndarray]:
+    """The [B, H] positions each branch attends to: all valid positions
+    without a split, else the multi positions for the main branch and the
+    limited ones for the limited branch."""
+    if config.n_branches == 1:
+        return [batch.seq_mask]
+    masks = split_sequence(batch)
+    return [masks.multi, masks.limited]
 
 
 def _branch_kv(tape: Tape, config: ModelConfig, prefix: str, meta: bool,
@@ -236,17 +249,17 @@ def _branch_kv(tape: Tape, config: ModelConfig, prefix: str, meta: bool,
 
 
 def _branch_query(tape: Tape, config: ModelConfig, meta: bool,
-                  emb: Embedded, e_target: Tensor) -> Tensor:
+                  target: tuple[Tensor, Tensor], e_target: Tensor) -> Tensor:
     """The target embedding a branch queries with: ``e_target``, or its
     side half rescaled as the meta branch rescales its keys."""
     if not meta:
         return e_target
+    target_id, target_side = target
     if config.meta_mode == "identity":
-        q_side = identity_scaled(tape, emb.target_side)
+        q_side = identity_scaled(tape, target_side)
     else:
-        q_side = tape.mul(scaling_weights(tape, emb.target_id),
-                          emb.target_side)
-    return tape.concat_cols([emb.target_id, q_side])
+        q_side = tape.mul(scaling_weights(tape, target_id), target_side)
+    return tape.concat_cols([target_id, q_side])
 
 
 def _mlp_head(tape: Tape, config: ModelConfig, x: Tensor) -> Tensor:
@@ -257,64 +270,104 @@ def _mlp_head(tape: Tape, config: ModelConfig, x: Tensor) -> Tensor:
 
 
 @dataclasses.dataclass
+class HistoryEntries:
+    """The distinct history entries each branch attends to in an encoded
+    table, and where each position finds its entry: ``grid[which]`` is the
+    table's [N, H] grid of each position's row among its branch's
+    entries.  The [U, H] ``grid`` has one row per distinct history, and
+    ``which`` [N] names each impression's."""
+
+    pairs: list[tuple[np.ndarray, np.ndarray]]  # per branch: item, category
+    grid: np.ndarray   # [U, H]; read where a branch mask is True
+    which: np.ndarray  # [N]
+
+
+def _history_entries(config: ModelConfig, full: SampleBatch,
+                     history: np.ndarray) -> HistoryEntries:
+    """The entries of ``full``, whose row i holds the history
+    ``history[i]``; each distinct history is read once."""
+    _, first, which = np.unique(history, return_index=True,
+                                return_inverse=True)
+    seqs = _slice_batch(full, first)
+    n_categories = int(seqs.seq_category.max(initial=0)) + 1
+    grid = np.zeros(seqs.seq_item.shape,
+                    dtype=np.min_scalar_type(seqs.seq_item.size))
+    pairs = []
+    for mask in _branch_masks(config, seqs):
+        keys = seqs.seq_item[mask] * n_categories + seqs.seq_category[mask]
+        entries = np.unique(keys)
+        grid[mask] = np.searchsorted(entries, keys)
+        pairs.append(np.divmod(entries, n_categories))
+    return HistoryEntries(pairs, grid, which)
+
+
+@dataclasses.dataclass
 class KVCache:
-    """Projected keys and values of a set of distinct history entries,
-    each row made by the branch that attends to its entry, and the entry
-    row of each sequence position of one batch: what a forward pass
-    gathers in place of computing K/V."""
+    """Each branch's projected keys and values of a set of its history
+    entries, and the row of each batch position's entry among them: what
+    ``forward`` gathers a branch's k and v from."""
 
-    k: np.ndarray          # [C, n_heads*d_head]
-    v: np.ndarray          # [C, n_heads*d_head]
-    entry_row: np.ndarray  # [B, H]; read only where the mask is True
+    kv: list[tuple[Tensor, Tensor]]  # per branch, [C_b, n_heads*d_head]
+    entry_row: np.ndarray            # [B, H]; read where a mask is True
 
-    def gather(self, mask: np.ndarray) -> tuple[Tensor, Tensor]:
-        """The k and v rows of the positions where ``mask`` is True,
-        packed in row-major order."""
-        rows = self.entry_row[mask]
-        return (Tape.constant(np.take(self.k, rows, axis=0)),
-                Tape.constant(np.take(self.v, rows, axis=0)))
+
+def _entry_kv(tape: Tape, config: ModelConfig, entries: HistoryEntries,
+              used: list[np.ndarray] | None = None
+              ) -> list[tuple[Tensor, Tensor]]:
+    """Each branch's ``_branch_kv`` of its entries, or of its entries
+    ``used[i]`` only, on ``tape``."""
+    kv = []
+    for i, (prefix, meta) in enumerate(_branches(config)):
+        item, category = entries.pairs[i]
+        if used is not None:
+            item, category = item[used[i]], category[used[i]]
+        # at least two rows, a padding row if need be: a one-row matrix
+        # product takes another BLAS kernel, and its last bits differ
+        n = item.size + (item.size == 1)
+        kv.append(_branch_kv(tape, config, prefix, meta, *embed_rows(
+            tape, np.resize(item, n), np.resize(category, n))))
+    return kv
+
+
+def _batch_cache(tape: Tape, config: ModelConfig, entries: HistoryEntries,
+                 batch: SampleBatch, rows: np.ndarray | slice) -> KVCache:
+    """The cache of ``batch``, the rows ``rows`` of the table ``entries``
+    lists: each branch's K/V of only the entries the batch's positions
+    hold, found by an occupancy count over the entry rows."""
+    entry_row = entries.grid[entries.which[rows]]
+    used = []
+    for mask in _branch_masks(config, batch):
+        ids = entry_row[mask]
+        occupied = np.bincount(ids) > 0
+        entry_row[mask] = (np.cumsum(occupied) - 1)[ids]
+        used.append(np.flatnonzero(occupied))
+    return KVCache(_entry_kv(tape, config, entries, used), entry_row)
 
 
 def forward(tape: Tape, config: ModelConfig, batch: SampleBatch,
             cache: KVCache | None = None) -> ForwardOutput:
-    """Each branch embeds only the positions it attends to: all valid
-    positions without a split, else multi positions for the main branch
-    and limited positions for the limited branch, which is also the only
-    one the meta networks see.
-
-    With a ``cache`` (forward-only scoring), a branch gathers its
-    positions' k and v from it, unless it holds exactly one position,
-    which is projected here: a one-row matrix product takes another BLAS
-    kernel than the cache's rows did, and its last bits differ.  The
-    query, scores, pooling and head run here either way.
-    """
-    if config.n_branches == 1:
-        keeps = [batch.seq_mask]
-    else:
-        masks = split_sequence(batch)
-        keeps = [masks.multi, masks.limited]
-    emb: Embedded | None = None
-    interests: list[Tensor] = []
-    branch_scores: list[tuple[np.ndarray, np.ndarray]] = []
-    for i, ((prefix, meta), mask) in enumerate(zip(_branches(config), keeps)):
-        cached = cache is not None and np.count_nonzero(mask) != 1
-        # a cached branch gathers the target rows and no sequence row
-        emb = embed(tape, batch, np.zeros_like(mask) if cached else mask, emb)
-        if not i:
-            e_target = tape.concat_cols([emb.target_id, emb.target_side])
-        if cached:
-            k, v = cache.gather(mask)
-        else:
-            k, v = _branch_kv(tape, config, prefix, meta, emb.seq_id,
-                              emb.seq_side)
-        query = _branch_query(tape, config, meta, emb, e_target)
-        att = target_attention(tape, prefix, query, k, v, mask,
-                               config.n_heads, config.d_head)
+    """Each branch attends only to its positions (``_branch_masks``) and
+    gathers their k and v from ``cache``; without one, the batch's own is
+    built on ``tape`` as ``fit`` builds it.  The query, scores, pooling
+    and head run here."""
+    if cache is None:
+        entries = _history_entries(config, batch, np.arange(batch.size))
+        cache = _batch_cache(tape, config, entries, batch, slice(None))
+    target = embed_rows(tape, batch.target_item, batch.target_category)
+    e_target = tape.concat_cols(list(target))
+    interests, branch_scores = [], []
+    for (prefix, meta), mask, (k, v) in zip(
+            _branches(config), _branch_masks(config, batch), cache.kv):
+        rows = cache.entry_row[mask]
+        att = target_attention(
+            tape, prefix, _branch_query(tape, config, meta, target, e_target),
+            tape.gather_rows(k, rows), tape.gather_rows(v, rows), mask,
+            config.n_heads, config.d_head)
         interests.append(att.interest)
         branch_scores.append((att.scores, mask))
     x = tape.concat_cols(interests + [e_target])
     return ForwardOutput(p=_mlp_head(tape, config, x),
-                         branch_scores=branch_scores)
+                         branch_scores=branch_scores, target=target)
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +413,7 @@ def compute_losses(tape: Tape, config: ModelConfig, batch: SampleBatch,
     if (config.architecture == ARCH_MSNET and config.use_aux_loss
             and config.alpha > 0.0):
         scope = aux_scope_mask(config, batch)
-        aux = loss_aux(tape, embed(tape, batch, scope))
+        aux = loss_aux(tape, embed(tape, batch, scope, out.target))
     return ce, aux, total_loss(tape, ce, aux, config.alpha)
 
 
@@ -463,7 +516,8 @@ def fit(table: ImpressionTable, catalog: Catalog, config: ModelConfig, *,
     """Train on the given impressions, deterministically in config.seed.
 
     Vocabularies come from the training impressions unless supplied.  Batches
-    are a seeded shuffle, re-drawn per epoch.  If the total loss goes
+    are a seeded shuffle, re-drawn per epoch; each gets its K/V from the
+    entry table built once per run (``_batch_cache``).  If the total loss goes
     non-finite or ``optimizer_step`` refuses a step, the run aborts,
     keeping the parameters from the end of the last completed epoch; the
     checks, not numpy warnings, report a step that overflows or takes the
@@ -479,6 +533,7 @@ def fit(table: ImpressionTable, catalog: Catalog, config: ModelConfig, *,
     result = TrainResult(params=params, opt_state=state, vocabs=vocabs,
                          log=[])
     full = encode_batch(table, vocabs, catalog, config.history_len)
+    entries = _history_entries(config, full, table.history)
     shuffle_rng = np.random.default_rng([config.seed, 7])
     n = full.size
     snapshot = _snapshot(params, state)
@@ -491,7 +546,8 @@ def fit(table: ImpressionTable, catalog: Catalog, config: ModelConfig, *,
             batch = _slice_batch(full, rows)
             tape = Tape(params)
             with np.errstate(all="ignore"):
-                out = forward(tape, config, batch)
+                out = forward(tape, config, batch,
+                              _batch_cache(tape, config, entries, batch, rows))
                 ce, aux, total = compute_losses(tape, config, batch, out)
                 total_val = float(total.values)
                 try:
@@ -525,85 +581,29 @@ def _snapshot(params: ParamStore, state: AdagradState
 
 
 def _slice_batch(full: SampleBatch, rows: np.ndarray | slice) -> SampleBatch:
-    return SampleBatch(
-        target_item=full.target_item[rows],
-        target_category=full.target_category[rows],
-        seq_item=full.seq_item[rows],
-        seq_category=full.seq_category[rows],
-        seq_mask=full.seq_mask[rows],
-        seq_limited=full.seq_limited[rows],
-        labels=full.labels[rows],
-        is_new=full.is_new[rows],
-        is_limited=full.is_limited[rows],
-    )
+    return SampleBatch(**{field.name: getattr(full, field.name)[rows]
+                          for field in dataclasses.fields(SampleBatch)})
 
 
 # ----------------------------------------------------------------------
 # prediction and diagnostics
 
 
-def _kv_by_history(params: ParamStore, config: ModelConfig,
-                   table: ImpressionTable, full: SampleBatch,
-                   n_categories: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(k, v, grid, which)``: the K/V rows of the distinct history
-    entries (item index, category index, stock type) of ``full``'s valid
-    positions, each made by the branch that attends to that entry on a
-    forward-only tape, and where each position finds its row:
-    ``grid[which]`` is ``full``'s [N, H] grid of entry rows.  The [U, H]
-    ``grid`` has one row per distinct history of ``table``, as
-    ``encode_batch`` encodes them, and ``which`` [N] names each
-    impression's."""
-    _, first, which = np.unique(table.history, return_index=True,
-                                return_inverse=True)
-    mask = full.seq_mask[first]
-    keys = full.seq_item[first][mask] * n_categories
-    keys += full.seq_category[first][mask]
-    keys *= 2
-    keys += full.seq_limited[first][mask]
-    entries = np.unique(keys)
-    grid = np.zeros(mask.shape, dtype=np.min_scalar_type(entries.size))
-    grid[mask] = np.searchsorted(entries, keys)
-    pair, limited = np.divmod(entries, 2)
-    # the one branch attends to every entry; else the main branch to the
-    # multi entries and the limited branch to the limited ones
-    rows_of = ([np.arange(entries.size)] if config.n_branches == 1
-               else [np.flatnonzero(limited == flag) for flag in (0, 1)])
-    k = np.empty((entries.size, config.attention_out))
-    v = np.empty_like(k)
-    tape = Tape(params, record=False)
-    for (prefix, meta), rows in zip(_branches(config), rows_of):
-        if not rows.size:
-            continue
-        # at least two rows, as a batch's are: a one-row matrix product
-        # takes another BLAS kernel
-        item, category = np.divmod(pair[np.resize(rows, max(2, rows.size))],
-                                   n_categories)
-        bk, bv = _branch_kv(
-            tape, config, prefix, meta,
-            tape.gather_rows(tape.param("emb.item"), item, "emb.item"),
-            tape.gather_rows(tape.param("emb.category"), category,
-                             "emb.category"))
-        k[rows], v[rows] = bk.values[:rows.size], bv.values[:rows.size]
-    return k, v, grid, which
-
-
 def _probabilities(params: ParamStore, config: ModelConfig,
                    table: ImpressionTable, full: SampleBatch,
-                   n_categories: int,
                    score_accumulator: ScoreAccumulator | None) -> np.ndarray:
     """``forward``'s probability of each row of ``full``, the encoded
     ``table``, in batches of ``config.batch_size`` rows on forward-only
-    tapes that gather K/V from one cache; the cache lives only as long as
-    this call."""
-    k, v, grid, which = _kv_by_history(params, config, table, full,
-                                       n_categories)
+    tapes that gather K/V from one cache of every entry of the table; the
+    cache lives only as long as this call."""
+    entries = _history_entries(config, full, table.history)
+    kv = _entry_kv(Tape(params, record=False), config, entries)
     p_chunks: list[np.ndarray] = [np.empty(0)]
     for start in range(0, full.size, config.batch_size):
         rows = slice(start, start + config.batch_size)
         batch = _slice_batch(full, rows)
         fo = forward(Tape(params, record=False), config, batch,
-                     KVCache(k, v, grid[which[rows]]))
+                     KVCache(kv, entries.grid[entries.which[rows]]))
         if score_accumulator is not None:
             for scores, mask in fo.branch_scores:
                 score_accumulator.add_batch(scores, batch.is_limited,
@@ -619,8 +619,8 @@ def predict(params: ParamStore, config: ModelConfig, table: ImpressionTable,
     """One prediction per impression, deterministic, in input order.
 
     The table is encoded once, as ``fit`` does, and every branch's keys
-    and values are computed once, for the distinct (item, category) pairs
-    of its histories (``_kv_by_history``).  Batches of
+    and values are computed once, for the distinct entries of its
+    histories (``_history_entries``, ``_entry_kv``).  Batches of
     ``config.batch_size`` rows are scored on forward-only tapes that
     gather their k and v from that cache (``KVCache``); the probabilities
     and the ``score_accumulator`` sums are byte for byte those of
@@ -630,8 +630,7 @@ def predict(params: ParamStore, config: ModelConfig, table: ImpressionTable,
     """
     full = encode_batch(table, vocabs, catalog, config.history_len)
     with np.errstate(all="ignore"):
-        p = _probabilities(params, config, table, full, vocabs.category.size,
-                           score_accumulator)
+        p = _probabilities(params, config, table, full, score_accumulator)
     bad = np.count_nonzero(~np.isfinite(p))
     if bad:
         raise ModelError(f"{bad} of {p.size} predictions are not finite: "

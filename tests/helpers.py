@@ -1,13 +1,16 @@
 """Test helpers that the package itself does not need: a one-value
 vocabulary lookup, the generator's click probability of one (user, item)
-pair, a sequence branch materialized as its own padded batch, and the
-per-name gradient composition the tape's one dense vector replaced."""
+pair, a sequence branch materialized as its own padded batch, the
+per-name gradient composition the tape's one dense vector replaced, and
+the per-position key/value composition the per-entry cache replaced."""
 
 import numpy as np
 
+from msnetlab import model
 from msnetlab.autodiff import Gradients, ParamStore, Tape, Tensor, sigmoid
 from msnetlab.datagen import GeneratorConfig, ItemSpec, UserSpec
-from msnetlab.features import OOV_INDEX, SampleBatch, Vocab
+from msnetlab.features import OOV_INDEX, SampleBatch, Vocab, embed
+from msnetlab.seqmodel import target_attention
 
 
 def lookup(vocab: Vocab, value: int) -> int:
@@ -79,3 +82,34 @@ def gradients_of(params: ParamStore, by_name: dict) -> Gradients:
     return Gradients(dense, {n: by_name[n] for n in params.names()
                              if n in params.embedding_names},
                      params.dense_views(dense))
+
+
+def per_position_forward(tape: Tape, config: "model.ModelConfig",
+                         batch: SampleBatch) -> tuple[Tensor, Tensor]:
+    """``(p, total loss)`` of ``batch`` as the model composed them before
+    keys and values came from a per-entry cache: each branch embeds its
+    own positions and runs ``_branch_kv`` on one row per position, and the
+    aux loss gathers the target rows once more."""
+    emb, interests = None, []
+    for (prefix, meta), mask in zip(model._branches(config),
+                                    model._branch_masks(config, batch)):
+        emb = embed(tape, batch, mask,
+                    emb and (emb.target_id, emb.target_side))
+        target = emb.target_id, emb.target_side
+        if not interests:
+            e_target = tape.concat_cols(list(target))
+        k, v = model._branch_kv(tape, config, prefix, meta, emb.seq_id,
+                                emb.seq_side)
+        query = model._branch_query(tape, config, meta, target, e_target)
+        interests.append(target_attention(tape, prefix, query, k, v, mask,
+                                          config.n_heads,
+                                          config.d_head).interest)
+    p = model._mlp_head(tape, config,
+                        tape.concat_cols(interests + [e_target]))
+    aux = None
+    if config.architecture == model.ARCH_MSNET and config.use_aux_loss \
+            and config.alpha > 0.0:
+        aux = model.loss_aux(tape, embed(
+            tape, batch, model.aux_scope_mask(config, batch)))
+    return p, model.total_loss(tape, model.loss_ce(tape, p, batch.labels),
+                               aux, config.alpha)

@@ -361,8 +361,8 @@ class TestEmbed:
             emb.seq_id.values, params.values["emb.item"][[2, 3, 2, 4]])
         np.testing.assert_array_equal(
             emb.seq_side.values, params.values["emb.category"][[1, 2, 3, 2]])
-        # a second branch borrows the target rows instead of gathering
-        other = embed(tape, batch, ~keep, emb)
+        # a second call borrows the target rows instead of gathering
+        other = embed(tape, batch, ~keep, (emb.target_id, emb.target_side))
         assert other.target_id is emb.target_id
         assert other.seq_row.tolist() == [0, 1, 1, 1, 2]
         with pytest.raises(ValueError, match="keep mask"):

@@ -33,7 +33,12 @@ from msnetlab.model import (
     ModelConfig,
     ModelError,
     CheckpointError,
+    _batch_cache,
     _branch_kv,
+    _branch_masks,
+    _entry_kv,
+    _history_entries,
+    _slice_batch,
     aux_scope_mask,
     build_params,
     compute_losses,
@@ -50,7 +55,7 @@ from msnetlab.model import (
 )
 from msnetlab.seqmodel import ScoreAccumulator, split_sequence
 
-from helpers import gradients_of, per_name_gradients
+from helpers import gradients_of, per_name_gradients, per_position_forward
 from table_rows import table_of
 
 
@@ -242,8 +247,8 @@ class TestForward:
 
 
 class TestTapeNodes:
-    @pytest.mark.parametrize("arch, nodes, dense", [("msnet", 117, 10),
-                                                    ("din", 40, 4)])
+    @pytest.mark.parametrize("arch, nodes, dense", [("msnet", 119, 10),
+                                                    ("din", 42, 4)])
     def test_one_training_step_at_the_default_config(self, arch, nodes,
                                                      dense):
         # counting the leaves; each MLP layer, of the CTR head and of the
@@ -883,12 +888,14 @@ class TestForwardOnlyPredict:
         r = fit(train, catalog, cfg)
         steps = math.ceil(len(train) / cfg.batch_size)
         assert calls == dict.fromkeys(names, steps)
-        rows = test[:100]
-        # no chunk's limited branch holds exactly one position, which
-        # would be projected on its own
+        # every chunk's limited branch holds exactly one position
+        entry = (int(train.hist_item[0]), int(train.hist_category[0]))
+        rows = with_histories(test[:100], [
+            ((*entry, True), (*entry, False)) if i % cfg.batch_size == 0
+            else ((*entry, False),) for i in range(100)])
         limited = split_sequence(encode_batch(rows, r.vocabs, catalog,
                                               6)).limited
-        assert all(np.count_nonzero(limited[s:s + cfg.batch_size]) != 1
+        assert all(np.count_nonzero(limited[s:s + cfg.batch_size]) == 1
                    for s in range(0, len(rows), cfg.batch_size))
         calls.clear()
         predict(r.params, cfg, rows, r.vocabs, catalog)
@@ -996,6 +1003,85 @@ class TestRowIndependence:
             part = kv(item[rows], category[rows])
             for a, b in zip(part, whole):
                 assert a.tobytes() == b[rows].tobytes(), trial
+
+    @pytest.mark.parametrize("variant", sorted(PREDICT_VARIANTS))
+    def test_batch_cache_rows(self, variant):
+        # the rows a training batch's cache makes for the entries it holds
+        # are the whole-table cache's rows, so fit's forward is predict's
+        catalog, train, _ = tiny_training_setup(n=300)
+        config = ModelConfig(history_len=6, seed=4,
+                             **PREDICT_VARIANTS[variant])
+        vocabs = build_vocab(train, catalog)
+        params = build_params(config, vocabs)
+        full = encode_batch(train, vocabs, catalog, config.history_len)
+        entries = _history_entries(config, full, train.history)
+        whole = _entry_kv(Tape(params, record=False), config, entries)
+        rng = np.random.default_rng(44)
+        order = rng.permutation(len(train))
+        start = 0
+        while start < len(train):
+            rows = order[start:start + int(rng.integers(1, 40))]
+            start += rows.size
+            batch = _slice_batch(full, rows)
+            cache = _batch_cache(Tape(params), config, entries, batch, rows)
+            grid = entries.grid[entries.which[rows]]
+            for i, mask in enumerate(_branch_masks(config, batch)):
+                for part, all_rows in zip(cache.kv[i], whole[i]):
+                    assert part.values[cache.entry_row[mask]].tobytes() == \
+                        all_rows.values[grid[mask]].tobytes()
+
+
+class TestPerPositionOracle:
+    """``forward`` and its losses against the per-position composition
+    that the per-entry cache replaced (``helpers.per_position_forward``),
+    on encoded batches where every branch holds at least two positions.
+    The probabilities and the loss agree byte for byte.  The gradients
+    sum a duplicate entry's rows before the K/V product rather than
+    after, so they agree within ``RTOL`` of each parameter's largest
+    gradient entry; the largest error measured was 1.5e-15."""
+
+    RTOL = 1e-12
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        return tiny_training_setup(n=600)
+
+    @staticmethod
+    def assert_close(got, want, name):
+        scale = np.abs(want).max(initial=0.0)
+        err = np.abs(got - want).max(initial=0.0)
+        assert err <= TestPerPositionOracle.RTOL * scale, (name, err, scale)
+
+    @pytest.mark.parametrize("variant", sorted(PREDICT_VARIANTS))
+    def test_matches_per_position_composition(self, setup, variant):
+        catalog, train, test = setup
+        cfg = ModelConfig(epochs=1, seed=4, history_len=6, batch_size=32,
+                          **PREDICT_VARIANTS[variant])
+        r = fit(train, catalog, cfg)
+        full = encode_batch(test, r.vocabs, catalog, cfg.history_len)
+        checked = 0
+        for start in range(0, full.size, cfg.batch_size):
+            batch = _slice_batch(full, slice(start, start + cfg.batch_size))
+            if any(np.count_nonzero(mask) < 2
+                   for mask in _branch_masks(cfg, batch)):
+                continue
+            tape = Tape(r.params)
+            out = forward(tape, cfg, batch)
+            loss = compute_losses(tape, cfg, batch, out)[2]
+            oracle = Tape(r.params)
+            p, oracle_loss = per_position_forward(oracle, cfg, batch)
+            assert out.p.values.tobytes() == p.values.tobytes()
+            assert loss.values.tobytes() == oracle_loss.values.tobytes()
+            got, want = tape.backward(loss), oracle.backward(oracle_loss)
+            for name in r.params.names():
+                if name in r.params.embedding_names:
+                    assert np.array_equal(got[name].indices,
+                                          want[name].indices), name
+                    self.assert_close(got[name].rows, want[name].rows, name)
+                else:
+                    self.assert_close(got[name], want[name], name)
+            checked += 1
+        assert checked >= 3
 
 
 class TestCheckpoint:
