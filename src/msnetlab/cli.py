@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .datagen import (
+    INT64_MAX,
     Catalog,
     DatasetError,
     GeneratorConfig,
@@ -67,21 +68,18 @@ TRAIN_FILE = "train.tsv"
 TEST_FILE = "test.tsv"
 CATALOG_FILE = "items.tsv"
 
-# Table-3-style ablation rows, in presentation order
+# Table-3-style ablation rows, in presentation order: each variant's
+# label and its model config overrides; each ablation turns off one
+# mechanism of the paper
 ABLATION_VARIANTS = {
-    "base": {"architecture": ARCH_DIN},
-    "wo_seq_split": {"architecture": ARCH_MSNET, "use_seq_split": False},
-    "wo_seq_meta": {"architecture": ARCH_MSNET, "use_seq_meta": False},
-    "wo_aux_loss": {"architecture": ARCH_MSNET, "use_aux_loss": False},
-    "msnet": {"architecture": ARCH_MSNET},
-}
-
-VARIANT_LABELS = {
-    "base": "Base (DIN)",
-    "wo_seq_split": "W/o seq-split",
-    "wo_seq_meta": "W/o seq-meta",
-    "wo_aux_loss": "W/o auxiliary loss",
-    "msnet": "MSNet",
+    "base": ("Base (DIN)", {"architecture": ARCH_DIN}),
+    "wo_seq_split": ("W/o seq-split",
+                     {"architecture": ARCH_MSNET, "use_seq_split": False}),
+    "wo_seq_meta": ("W/o seq-meta",
+                    {"architecture": ARCH_MSNET, "use_seq_meta": False}),
+    "wo_aux_loss": ("W/o auxiliary loss",
+                    {"architecture": ARCH_MSNET, "alpha": 0.0}),
+    "msnet": ("MSNet", {"architecture": ARCH_MSNET}),
 }
 
 
@@ -134,9 +132,10 @@ class ExperimentConfig:
         except (DatasetError, ModelError) as exc:
             raise CliError("E_CONFIG", str(exc))
         seed = raw.get("seed", cls.seed)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise CliError("E_CONFIG",
-                           f"seed must be an integer >= 0, got {seed!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool) or \
+                not 0 <= seed <= INT64_MAX:
+            raise CliError("E_CONFIG", f"seed must be an integer in "
+                           f"[0, {INT64_MAX}], got {seed!r}")
         ablation = raw.get("ablation", list(ABLATION_VARIANTS))
         if not isinstance(ablation, list):
             raise CliError("E_CONFIG", "ablation must be a list of variants")
@@ -243,8 +242,9 @@ def _seed(args: argparse.Namespace, config: ExperimentConfig) -> int:
     """``--seed`` when given, else the config's seed."""
     if args.seed is None:
         return config.seed
-    if args.seed < 0:
-        raise CliError("E_CONFIG", f"--seed must be >= 0, got {args.seed}")
+    if not 0 <= args.seed <= INT64_MAX:
+        raise CliError("E_CONFIG", f"--seed must lie in [0, {INT64_MAX}], "
+                       f"got {args.seed}")
     return args.seed
 
 
@@ -418,11 +418,9 @@ def _ablation_rows(config: ExperimentConfig, sweep_alpha: bool) -> list[tuple[st
     # the base model always anchors the table
     variants = list(dict.fromkeys(["base", *config.ablation]))
     for name in variants:
-        overrides = dict(ABLATION_VARIANTS[name])
-        arch = overrides.pop("architecture")
-        label = VARIANT_LABELS[name]
-        rows.append((name, label,
-                     _model_config(config, arch, config.seed, **overrides)))
+        label, overrides = ABLATION_VARIANTS[name]
+        rows.append((name, label, _model_config(
+            config, overrides["architecture"], config.seed, **overrides)))
     if sweep_alpha:
         for alpha in config.alpha_sweep:
             name = f"alpha_{alpha:g}"

@@ -48,8 +48,6 @@ from .seqmodel import (
     add_meta_params,
     add_mlp_params,
     compose_kv,
-    identity_scaled,
-    identity_shifted,
     meta_scale,
     meta_shift,
     mlp,
@@ -95,11 +93,8 @@ class ModelConfig:
     batch_size: int = 256
     epochs: int = 1
     seed: int = 0
-    aux_scope: str = "limited_only"  # or "both"
     use_seq_split: bool = True
     use_seq_meta: bool = True
-    use_aux_loss: bool = True
-    meta_mode: str = "net"  # "identity" forces no-op scaling/shifting
     logit_clamp: float = 15.0
 
     def validate(self) -> None:
@@ -122,10 +117,6 @@ class ModelConfig:
             raise ModelError("logit_clamp must be finite and > 0")
         if not (0.0 < self.adagrad_decay <= 1.0):
             raise ModelError("adagrad_decay must lie in (0, 1]")
-        if self.aux_scope not in ("limited_only", "both"):
-            raise ModelError(f"unknown aux_scope {self.aux_scope!r}")
-        if self.meta_mode not in ("net", "identity"):
-            raise ModelError(f"unknown meta_mode {self.meta_mode!r}")
         if any(h < 1 for h in self.mlp_hidden):
             raise ModelError("mlp_hidden sizes must be positive")
 
@@ -229,18 +220,14 @@ def _branch_masks(config: ModelConfig, batch: SampleBatch) -> list[np.ndarray]:
     return [masks.multi, masks.limited]
 
 
-def _branch_kv(tape: Tape, config: ModelConfig, prefix: str, meta: bool,
-               seq_id: Tensor, seq_side: Tensor) -> tuple[Tensor, Tensor]:
+def _branch_kv(tape: Tape, prefix: str, meta: bool, seq_id: Tensor,
+               seq_side: Tensor) -> tuple[Tensor, Tensor]:
     """Branch ``prefix``'s projected keys and values of the sequence rows
     ``seq_id``/``seq_side``: the raw item embedding, or, when ``meta``, the
-    meta-scaled and meta-shifted K/V under the configured meta mode.  A row
-    depends on its own item and category alone."""
+    meta-scaled and meta-shifted K/V.  A row depends on its own item and
+    category alone."""
     if not meta:
         keys = values = tape.concat_cols([seq_id, seq_side])
-    elif config.meta_mode == "identity":
-        keys, values = compose_kv(
-            tape, seq_id, seq_side, identity_scaled(tape, seq_side),
-            identity_shifted(tape, seq_side, seq_id)[0])
     else:
         keys, values = compose_kv(
             tape, seq_id, seq_side, meta_scale(tape, seq_id, seq_side),
@@ -248,17 +235,14 @@ def _branch_kv(tape: Tape, config: ModelConfig, prefix: str, meta: bool,
     return project_kv(tape, prefix, keys, values)
 
 
-def _branch_query(tape: Tape, config: ModelConfig, meta: bool,
-                  target: tuple[Tensor, Tensor], e_target: Tensor) -> Tensor:
+def _branch_query(tape: Tape, meta: bool, target: tuple[Tensor, Tensor],
+                  e_target: Tensor) -> Tensor:
     """The target embedding a branch queries with: ``e_target``, or its
     side half rescaled as the meta branch rescales its keys."""
     if not meta:
         return e_target
     target_id, target_side = target
-    if config.meta_mode == "identity":
-        q_side = identity_scaled(tape, target_side)
-    else:
-        q_side = tape.mul(scaling_weights(tape, target_id), target_side)
+    q_side = tape.mul(scaling_weights(tape, target_id), target_side)
     return tape.concat_cols([target_id, q_side])
 
 
@@ -324,7 +308,7 @@ def _entry_kv(tape: Tape, config: ModelConfig, entries: HistoryEntries,
         # at least two rows, a padding row if need be: a one-row matrix
         # product takes another BLAS kernel, and its last bits differ
         n = item.size + (item.size == 1)
-        kv.append(_branch_kv(tape, config, prefix, meta, *embed_rows(
+        kv.append(_branch_kv(tape, prefix, meta, *embed_rows(
             tape, np.resize(item, n), np.resize(category, n))))
     return kv
 
@@ -360,7 +344,7 @@ def forward(tape: Tape, config: ModelConfig, batch: SampleBatch,
             _branches(config), _branch_masks(config, batch), cache.kv):
         rows = cache.entry_row[mask]
         att = target_attention(
-            tape, prefix, _branch_query(tape, config, meta, target, e_target),
+            tape, prefix, _branch_query(tape, meta, target, e_target),
             tape.gather_rows(k, rows), tape.gather_rows(v, rows), mask,
             config.n_heads, config.d_head)
         interests.append(att.interest)
@@ -372,17 +356,6 @@ def forward(tape: Tape, config: ModelConfig, batch: SampleBatch,
 
 # ----------------------------------------------------------------------
 # losses
-
-
-def loss_ce(tape: Tape, p: Tensor, labels: np.ndarray) -> Tensor:
-    return tape.bce(p, labels)
-
-
-def aux_scope_mask(config: ModelConfig, batch: SampleBatch) -> np.ndarray:
-    """[B, H] positions the aux loss covers."""
-    if config.aux_scope == "limited_only":
-        return batch.seq_mask & batch.seq_limited
-    return batch.seq_mask
 
 
 def loss_aux(tape: Tape, emb: Embedded) -> Tensor:
@@ -408,11 +381,12 @@ def total_loss(tape: Tape, ce: Tensor, aux: Tensor | None,
 
 def compute_losses(tape: Tape, config: ModelConfig, batch: SampleBatch,
                    out: ForwardOutput) -> tuple[Tensor, Tensor | None, Tensor]:
-    ce = loss_ce(tape, out.p, batch.labels)
+    """The click loss, the aux loss over the limited-stock positions (an
+    MSNet with ``alpha`` > 0 only, else None) and their weighted sum."""
+    ce = tape.bce(out.p, batch.labels)
     aux = None
-    if (config.architecture == ARCH_MSNET and config.use_aux_loss
-            and config.alpha > 0.0):
-        scope = aux_scope_mask(config, batch)
+    if config.architecture == ARCH_MSNET and config.alpha > 0.0:
+        scope = split_sequence(batch).limited
         aux = loss_aux(tape, embed(tape, batch, scope, out.target))
     return ce, aux, total_loss(tape, ce, aux, config.alpha)
 

@@ -201,21 +201,6 @@ def compose_kv(tape: Tape, seq_id: Tensor, seq_side: Tensor,
     return final_k, final_v
 
 
-def identity_scaled(tape: Tape, side_emb: Tensor) -> Tensor:
-    """Scaling forced to exact ones (degeneracy mode)."""
-    ones = Tape.constant(np.ones_like(side_emb.values))
-    return tape.mul(ones, side_emb)
-
-
-def identity_shifted(tape: Tape, side_emb: Tensor,
-                     id_emb: Tensor) -> tuple[Tensor, Tensor]:
-    """Shift blend forced to the original id: v = 0 exactly, so the blend
-    returns the raw id bit for bit (meta id contributes 0 * meta)."""
-    meta_id = mlp(tape, META_SHIFT, tape.stop_gradient(side_emb))
-    v = Tape.constant(np.zeros(id_emb.values.shape[0]))
-    return tape.blend_rows(v, meta_id, id_emb), v
-
-
 # ----------------------------------------------------------------------
 # attention-score diagnostic
 

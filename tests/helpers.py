@@ -1,8 +1,9 @@
 """Test helpers that the package itself does not need: a one-value
 vocabulary lookup, the generator's click probability of one (user, item)
-pair, a sequence branch materialized as its own padded batch, the
-per-name gradient composition the tape's one dense vector replaced, and
-the per-position key/value composition the per-entry cache replaced."""
+pair, a sequence branch materialized as its own padded batch, meta nets
+made exact no-ops, the per-name gradient composition the tape's one dense
+vector replaced, and the per-position key/value composition the per-entry
+cache replaced."""
 
 import numpy as np
 
@@ -10,7 +11,7 @@ from msnetlab import model
 from msnetlab.autodiff import Gradients, ParamStore, Tape, Tensor, sigmoid
 from msnetlab.datagen import GeneratorConfig, ItemSpec, UserSpec
 from msnetlab.features import OOV_INDEX, SampleBatch, Vocab, embed
-from msnetlab.seqmodel import target_attention
+from msnetlab.seqmodel import META_SCALE, META_SHIFT, target_attention
 
 
 def lookup(vocab: Vocab, value: int) -> int:
@@ -49,6 +50,16 @@ def physical_split(batch: SampleBatch, keep: np.ndarray) -> SampleBatch:
         is_new=batch.is_new.copy(),
         is_limited=batch.is_limited.copy(),
     )
+
+
+def zero_meta_outputs(params: ParamStore) -> None:
+    """Zero the output layers of both meta nets in ``params``, in place.
+    The scaling weights become 2*sigmoid(0) = 1 and the shift's norm ratio
+    v becomes 0, both exactly, so the meta keys, values and query are the
+    raw item and target embeddings bit for bit."""
+    for layer in (META_SCALE[-1], META_SHIFT[-1]):
+        for name in layer:
+            params.values[name][:] = 0.0
 
 
 def per_name_gradients(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
@@ -98,18 +109,16 @@ def per_position_forward(tape: Tape, config: "model.ModelConfig",
         target = emb.target_id, emb.target_side
         if not interests:
             e_target = tape.concat_cols(list(target))
-        k, v = model._branch_kv(tape, config, prefix, meta, emb.seq_id,
-                                emb.seq_side)
-        query = model._branch_query(tape, config, meta, target, e_target)
+        k, v = model._branch_kv(tape, prefix, meta, emb.seq_id, emb.seq_side)
+        query = model._branch_query(tape, meta, target, e_target)
         interests.append(target_attention(tape, prefix, query, k, v, mask,
                                           config.n_heads,
                                           config.d_head).interest)
     p = model._mlp_head(tape, config,
                         tape.concat_cols(interests + [e_target]))
     aux = None
-    if config.architecture == model.ARCH_MSNET and config.use_aux_loss \
-            and config.alpha > 0.0:
+    if config.architecture == model.ARCH_MSNET and config.alpha > 0.0:
         aux = model.loss_aux(tape, embed(
-            tape, batch, model.aux_scope_mask(config, batch)))
-    return p, model.total_loss(tape, model.loss_ce(tape, p, batch.labels),
-                               aux, config.alpha)
+            tape, batch, batch.seq_mask & batch.seq_limited))
+    return p, model.total_loss(tape, tape.bce(p, batch.labels), aux,
+                               config.alpha)

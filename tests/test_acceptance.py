@@ -51,7 +51,7 @@ from msnetlab.seqmodel import (
     target_attention,
 )
 
-from helpers import physical_split
+from helpers import physical_split, zero_meta_outputs
 
 
 def ok(n, text):
@@ -165,10 +165,13 @@ def test_criterion_3_stop_gradient_contracts():
 
 
 # ----------------------------------------------------------------------
-# 4. degeneracy: forced-identity MSNet == DIN bitwise
+# 4. degeneracy: MSNet with no-op meta nets == DIN bitwise
 
 
 def test_criterion_4_degeneracy_bitwise():
+    """Unsplit MSNet whose meta nets have zeroed output layers, so that
+    they scale by exactly 1 and shift by exactly 0, runs the meta path and
+    gives DIN's bits; with the nets as initialized it does not."""
     vocabs = acceptance_vocabs()
     din_cfg = ModelConfig(architecture="din", d_id=4, d_side=4,
                           history_len=5, n_heads=2, d_head=8,
@@ -176,18 +179,22 @@ def test_criterion_4_degeneracy_bitwise():
     forced = ModelConfig(architecture="msnet", d_id=4, d_side=4,
                          history_len=5, n_heads=2, d_head=8,
                          mlp_hidden=(8, 4), meta_hidden=6, seed=11,
-                         use_seq_split=False, use_seq_meta=True,
-                         meta_mode="identity", use_aux_loss=False, alpha=0.0)
+                         use_seq_split=False, use_seq_meta=True, alpha=0.0)
     din_params = build_params(din_cfg, vocabs)
     ms_params = build_params(forced, vocabs)
     for name in din_params.names():
         ms_params.values[name][:] = din_params.values[name]
+    raw_params = ms_params.copy()
+    zero_meta_outputs(ms_params)
     for seed in range(5):
         batch = acceptance_batch(seed=seed)
         p_din = forward(Tape(din_params), din_cfg, batch).p.values
         p_ms = forward(Tape(ms_params), forced, batch).p.values
+        p_raw = forward(Tape(raw_params), forced, batch).p.values
         assert p_din.tobytes() == p_ms.tobytes(), f"batch seed {seed}"
-    ok(4, "identity-forced MSNet forward equals DIN bitwise on 5 batches")
+        assert p_din.tobytes() != p_raw.tobytes(), f"batch seed {seed}"
+    ok(4, "MSNet with zeroed meta output layers equals DIN bitwise on 5 "
+          "batches; untouched meta nets differ")
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +272,7 @@ def test_criterion_6_sold_item_gradient_support():
     must strictly enlarge the gradient support to include it."""
     cfg = ModelConfig(architecture="msnet", d_id=2, d_side=2, history_len=3,
                       n_heads=1, d_head=4, mlp_hidden=(4,), meta_hidden=4,
-                      seed=5, aux_scope="limited_only")
+                      seed=5)
     vocabs = Vocabs(item=Vocab([901, 902, 903, 904]), category=Vocab([1, 2]))
     params = build_params(cfg, vocabs)
     # rows: 1 = sold limited item (appears only in the sequence),

@@ -585,6 +585,17 @@ def _opt_step_text(meta: str) -> str:
     return json.dumps({**json.loads(meta), "opt_step": "x"})
 
 
+# model switches of an earlier version, each at its old default
+REMOVED_SWITCHES = {"use_aux_loss": True, "aux_scope": "limited_only",
+                    "meta_mode": "net"}
+
+
+def _removed_switches(meta: str) -> str:
+    meta = json.loads(meta)
+    meta["config"].update(REMOVED_SWITCHES)
+    return json.dumps(meta)
+
+
 def _checkpoint_without(workspace, tmp_path: Path, block: str) -> list[str]:
     """Saves the checkpoint again without one parameter block, so its
     checksum is consistent and only the parameter set is wrong."""
@@ -679,6 +690,17 @@ MALFORMED_INPUTS = {
                                    _checkpoint_meta(ws, tmp, _opt_step_text)),
     "seed_flag_negative": ("E_CONFIG", lambda ws, tmp: _config_text(
         tmp / "cfg.json", "{}") + ["--seed", "-1"]),
+    "seed_flag_past_int64": ("E_CONFIG", lambda ws, tmp:
+                             _train_with_model(ws, tmp)
+                             + ["--seed", str(10**30)]),
+    "config_seed_past_int64": ("E_CONFIG", lambda ws, tmp: _config_text(
+        tmp / "cfg.json", json.dumps({"seed": 10**30}))),
+    "config_removed_model_switches": ("E_CONFIG", lambda ws, tmp:
+                                      _train_with_model(ws, tmp,
+                                                        **REMOVED_SWITCHES)),
+    "checkpoint_removed_model_switches": ("E_INTEGRITY", lambda ws, tmp:
+                                          _checkpoint_meta(ws, tmp,
+                                                           _removed_switches)),
     "config_seed_string": ("E_CONFIG", lambda ws, tmp: _config_text(
         tmp / "cfg.json", json.dumps({"seed": "x"}))),
     "config_n_users_string": ("E_CONFIG", lambda ws, tmp: _config_text(
@@ -1004,10 +1026,7 @@ MODEL_BLOCKS = st.fixed_dictionaries({}, optional={
     "seed": st.one_of(st.integers(0, 3), st.just(2 ** 63 - 1)),
     "alpha": RATES, "learning_rate": RATES, "adagrad_decay": RATES,
     "logit_clamp": RATES,
-    "aux_scope": st.sampled_from(["limited_only", "both"]),
-    "meta_mode": st.sampled_from(["net", "identity"]),
     "use_seq_split": st.booleans(), "use_seq_meta": st.booleans(),
-    "use_aux_loss": st.booleans(),
 })
 
 

@@ -39,7 +39,6 @@ from msnetlab.model import (
     _entry_kv,
     _history_entries,
     _slice_batch,
-    aux_scope_mask,
     build_params,
     compute_losses,
     config_hash,
@@ -47,7 +46,6 @@ from msnetlab.model import (
     forward,
     load_checkpoint,
     loss_aux,
-    loss_ce,
     optimizer_step,
     predict,
     save_checkpoint,
@@ -55,7 +53,12 @@ from msnetlab.model import (
 )
 from msnetlab.seqmodel import ScoreAccumulator, split_sequence
 
-from helpers import gradients_of, per_name_gradients, per_position_forward
+from helpers import (
+    gradients_of,
+    per_name_gradients,
+    per_position_forward,
+    zero_meta_outputs,
+)
 from table_rows import table_of
 
 
@@ -128,6 +131,15 @@ class TestConfig:
         except ModelError:
             pass
 
+    @pytest.mark.parametrize("key, value", [("use_aux_loss", True),
+                                            ("aux_scope", "limited_only"),
+                                            ("meta_mode", "net")])
+    def test_removed_switches_are_unknown_keys(self, key, value):
+        # each value was the removed switch's default
+        want = re.escape(f"unknown model config keys: ['{key}']")
+        with pytest.raises(ModelError, match=want):
+            ModelConfig.from_dict({key: value})
+
     def test_hash_changes_with_config(self):
         a = config_hash(ModelConfig())
         b = config_hash(ModelConfig(d_id=16))
@@ -178,7 +190,7 @@ class TestForward:
                                  history_len=5, n_heads=2, d_head=8,
                                  mlp_hidden=(8, 4), seed=99,
                                  use_seq_split=False, use_seq_meta=False,
-                                 use_aux_loss=False)
+                                 alpha=0.0)
         ms_params = build_params(degenerate, vocabs)
         assert set(ms_params.names()) == set(din_params.names())
         for name in din_params.names():
@@ -189,6 +201,8 @@ class TestForward:
         assert p_din.tobytes() == p_ms.tobytes()
 
     def test_forced_identity_meta_equals_din_bitwise(self):
+        # meta nets with zeroed output layers scale by exactly 1 and shift
+        # by exactly 0; the untrained nets do neither
         rng = np.random.default_rng(6)
         vocabs = micro_vocabs()
         din_params = build_params(MICRO_DIN, vocabs)
@@ -196,15 +210,17 @@ class TestForward:
                                  history_len=5, n_heads=2, d_head=8,
                                  mlp_hidden=(8, 4), meta_hidden=6, seed=99,
                                  use_seq_split=False, use_seq_meta=True,
-                                 meta_mode="identity", use_aux_loss=False,
                                  alpha=0.0)
         ms_params = build_params(degenerate, vocabs)
         for name in din_params.names():
             ms_params.values[name][:] = din_params.values[name]
         batch = micro_batch(rng)
         p_din = forward(Tape(din_params), MICRO_DIN, batch).p.values
+        p_raw = forward(Tape(ms_params), degenerate, batch).p.values
+        zero_meta_outputs(ms_params)
         p_ms = forward(Tape(ms_params), degenerate, batch).p.values
         assert p_din.tobytes() == p_ms.tobytes()
+        assert p_din.tobytes() != p_raw.tobytes()
 
     def test_hand_rolled_din_oracle(self):
         # B=2, D_id=D_side=2, H=2, one head, MLP (2,): plain-numpy oracle
@@ -270,21 +286,21 @@ class TestLossCE:
     def test_max_entropy_point(self):
         tape = Tape()
         p = Tape.constant([0.5, 0.5, 0.5])
-        got = float(loss_ce(tape, p, np.array([1.0, 0.0, 1.0])).values)
+        got = float(tape.bce(p, np.array([1.0, 0.0, 1.0])).values)
         assert got == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_closed_form(self):
         # -mean(ln .9, ln .9) = -ln 0.9 = 0.10536...
         tape = Tape()
         p = Tape.constant([0.9, 0.1])
-        got = float(loss_ce(tape, p, np.array([1.0, 0.0])).values)
+        got = float(tape.bce(p, np.array([1.0, 0.0])).values)
         assert got == pytest.approx(-math.log(0.9), rel=1e-12)
         assert got == pytest.approx(0.105360515657826, rel=1e-10)
 
     def test_perfect_prediction_limit(self):
         tape = Tape()
         p = Tape.constant([1 - 1e-12, 1e-12])
-        got = float(loss_ce(tape, p, np.array([1.0, 0.0])).values)
+        got = float(tape.bce(p, np.array([1.0, 0.0])).values)
         assert got < 1e-10
 
 
@@ -359,46 +375,11 @@ class TestLossAux:
         params = build_params(cfg, vocabs)
         rng = np.random.default_rng(3)
         batch = micro_batch(rng, all_multi=True)
-        scope = aux_scope_mask(cfg, batch)
+        scope = split_sequence(batch).limited
         tape, emb = self._embedded(params, batch, scope)
         assert not scope.any()
         got = float(loss_aux(tape, emb).values)
         assert got == 0.0
-
-
-class TestAuxScopeBoth:
-    """``aux_scope="both"`` puts every valid history position, limited or
-    multi-stock, under the aux loss."""
-
-    def test_mask_is_every_valid_position(self):
-        cfg = dataclasses.replace(MICRO_MSNET, aux_scope="both")
-        batch = micro_batch(np.random.default_rng(5), b=6)
-        assert np.array_equal(aux_scope_mask(cfg, batch), batch.seq_mask)
-
-    def test_multi_positions_change_the_aux_loss(self):
-        from msnetlab.features import embed
-        params = build_params(MICRO_MSNET, micro_vocabs())
-        batch = micro_batch(np.random.default_rng(6), b=6)
-        assert (batch.seq_mask & ~batch.seq_limited).any()
-        aux = {}
-        for scope in ("limited_only", "both"):
-            cfg = dataclasses.replace(MICRO_MSNET, aux_scope=scope)
-            tape = Tape(params)
-            aux[scope] = float(compute_losses(
-                tape, cfg, batch, forward(tape, cfg, batch))[1].values)
-        assert aux["both"] != aux["limited_only"]
-        tape = Tape(params)
-        assert aux["both"] == float(
-            loss_aux(tape, embed(tape, batch, batch.seq_mask)).values)
-
-    def test_fit_ends_with_a_finite_loss(self):
-        catalog, train, _ = tiny_training_setup(n=500)
-        cfg = ModelConfig(architecture="msnet", epochs=1, seed=2,
-                          history_len=6, batch_size=64, aux_scope="both")
-        result = fit(train, catalog, cfg)
-        assert not result.diverged
-        assert math.isfinite(result.log[-1].mean_total)
-        assert result.log[-1].mean_aux > 0.0
 
 
 class TestTotalLoss:
@@ -698,18 +679,6 @@ class TestFit:
             assert a.params.values[name].tobytes() == \
                 b.params.values[name].tobytes()
 
-    def test_aux_switch_off_matches_alpha_zero_bitwise(self):
-        catalog, train, _ = tiny_training_setup(n=600)
-        base = dict(architecture="msnet", epochs=1, seed=7, history_len=6,
-                    batch_size=64)
-        off = ModelConfig(**base, use_aux_loss=False, alpha=0.3)
-        zero = ModelConfig(**base, use_aux_loss=True, alpha=0.0)
-        a = fit(train, catalog, off)
-        b = fit(train, catalog, zero)
-        for name in a.params.names():
-            assert a.params.values[name].tobytes() == \
-                b.params.values[name].tobytes()
-
     def test_epochs_zero_keeps_initial_params(self):
         catalog, train, _ = tiny_training_setup(n=200)
         cfg = ModelConfig(architecture="din", epochs=0, seed=3,
@@ -815,9 +784,17 @@ def reference_predict(params, config, table, vocabs, catalog, accumulator):
 PREDICT_VARIANTS = {
     "din": dict(architecture="din"),
     "msnet": dict(architecture="msnet"),
-    "msnet_identity_meta": dict(architecture="msnet", meta_mode="identity"),
+    "msnet_identity_meta": dict(architecture="msnet"),
+    "msnet_no_meta": dict(architecture="msnet", use_seq_meta=False),
     "msnet_no_split": dict(architecture="msnet", use_seq_split=False),
 }
+# in-place edits of a variant's built or trained parameters: the identity
+# variant's meta nets scale by exactly 1 and shift by exactly 0
+PARAM_EDITS = {"msnet_identity_meta": zero_meta_outputs}
+
+
+def edit_params(variant, params):
+    PARAM_EDITS.get(variant, lambda params: None)(params)
 
 
 def with_histories(table, histories):
@@ -826,10 +803,11 @@ def with_histories(table, histories):
                      for r, h in zip(table, histories)])
 
 
-def assert_predict_matches_reference(catalog, train, rows, cfg):
-    """``predict`` after a fit of ``cfg`` gives ``reference_predict``'s
-    probabilities and score sums, byte for byte."""
+def assert_predict_matches_reference(catalog, train, rows, cfg, variant):
+    """``predict`` after a fit of ``cfg``, the config of ``variant``, gives
+    ``reference_predict``'s probabilities and score sums, byte for byte."""
     r = fit(train, catalog, cfg)
+    edit_params(variant, r.params)
     got_acc, want_acc = ScoreAccumulator(), ScoreAccumulator()
     preds = predict(r.params, cfg, rows, r.vocabs, catalog,
                     score_accumulator=got_acc)
@@ -852,7 +830,8 @@ class TestForwardOnlyPredict:
         catalog, train, test = setup
         cfg = ModelConfig(epochs=1, seed=4, history_len=6, batch_size=64,
                           **PREDICT_VARIANTS[variant])
-        assert_predict_matches_reference(catalog, train, test[:rows], cfg)
+        assert_predict_matches_reference(catalog, train, test[:rows], cfg,
+                                         variant)
 
     def test_encodes_once_per_call(self, setup, monkeypatch):
         import msnetlab.model as model_mod
@@ -931,7 +910,8 @@ class TestKVCacheEdges:
     def test_small_batches(self, setup, variant, batch_size):
         catalog, train, test = setup
         assert_predict_matches_reference(catalog, train, test[:40],
-                                         self.config(variant, batch_size))
+                                         self.config(variant, batch_size),
+                                         variant)
 
     @pytest.mark.parametrize("variant", sorted(PREDICT_VARIANTS))
     @pytest.mark.parametrize("batch_size", [1, 2, 3])
@@ -952,7 +932,7 @@ class TestKVCacheEdges:
             counts = [np.count_nonzero(mask[s:s + batch_size])
                       for s in range(0, len(rows), batch_size)]
             assert 1 in counts
-        assert_predict_matches_reference(catalog, train, rows, cfg)
+        assert_predict_matches_reference(catalog, train, rows, cfg, variant)
 
     @pytest.mark.parametrize("variant", sorted(PREDICT_VARIANTS))
     def test_one_distinct_pair(self, setup, variant):
@@ -964,7 +944,7 @@ class TestKVCacheEdges:
                      for i in range(30)]
         assert_predict_matches_reference(
             catalog, train, with_histories(test[:30], histories),
-            self.config(variant, 4))
+            self.config(variant, 4), variant)
 
 
 class TestRowIndependence:
@@ -991,7 +971,7 @@ class TestRowIndependence:
         def kv(item, category):
             tape = Tape(params, record=False)
             return [t.values for t in _branch_kv(
-                tape, config, "att.limited", meta,
+                tape, "att.limited", meta,
                 tape.gather_rows(tape.param("emb.item"), item),
                 tape.gather_rows(tape.param("emb.category"), category))]
 
@@ -1013,6 +993,7 @@ class TestRowIndependence:
                              **PREDICT_VARIANTS[variant])
         vocabs = build_vocab(train, catalog)
         params = build_params(config, vocabs)
+        edit_params(variant, params)
         full = encode_batch(train, vocabs, catalog, config.history_len)
         entries = _history_entries(config, full, train.history)
         whole = _entry_kv(Tape(params, record=False), config, entries)
@@ -1058,6 +1039,7 @@ class TestPerPositionOracle:
         cfg = ModelConfig(epochs=1, seed=4, history_len=6, batch_size=32,
                           **PREDICT_VARIANTS[variant])
         r = fit(train, catalog, cfg)
+        edit_params(variant, r.params)
         full = encode_batch(test, r.vocabs, catalog, cfg.history_len)
         checked = 0
         for start in range(0, full.size, cfg.batch_size):

@@ -18,8 +18,6 @@ from msnetlab.seqmodel import (
     add_attention_params,
     add_meta_params,
     compose_kv,
-    identity_scaled,
-    identity_shifted,
     meta_scale,
     meta_shift,
     project_kv,
@@ -28,7 +26,7 @@ from msnetlab.seqmodel import (
     target_attention,
 )
 
-from helpers import physical_split
+from helpers import physical_split, zero_meta_outputs
 
 
 def make_batch(seq_limited, seq_mask, b=None, h=None, target_limited=None):
@@ -398,15 +396,16 @@ class TestComposeKV:
         assert v.values.shape == (n, 8)
 
     def test_identity_modes_degenerate_to_raw_item(self):
-        # scaling forced to 1 and shifting forced to the raw id must give
-        # K == V == concat(id, side) bit for bit
+        # meta nets with zeroed output layers scale by exactly 1 and shift
+        # by exactly 0, so K == V == concat(id, side) bit for bit
         rng = np.random.default_rng(1)
         params, id_emb, side_emb = meta_fixture(rng, n=5)
+        zero_meta_outputs(params)
         tape = Tape(params)
         tid = Tape.constant(id_emb)
         tside = Tape.constant(side_emb)
-        scaled = identity_scaled(tape, tside)
-        shifted, v = identity_shifted(tape, tside, tid)
+        scaled = meta_scale(tape, tid, tside)
+        shifted, v = meta_shift(tape, tside, tid)
         k, vv = compose_kv(tape, tid, tside, scaled, shifted)
         e_item = np.concatenate([id_emb, side_emb], axis=1)
         assert k.values.tobytes() == e_item.tobytes()
