@@ -3,9 +3,10 @@
 The engine is deliberately small: it provides exactly the operations the
 CTR models in this package need (embedding gather with sparse gradient
 accumulation, matrix product, dense layer ``x @ w + b`` with an optional
-leaky rectifier, reshape, concat, softmax and sum over sorted row
-segments, sigmoid, clamp, elementwise arithmetic, row norms and row
-scaling, stop-gradient, mean, binary cross-entropy) and nothing else.
+leaky rectifier, reshape, concat, multi-head target attention over
+packed row segments read from per-item q, k and v tables, sigmoid, clamp,
+elementwise arithmetic, row norms and row scaling, stop-gradient, mean,
+binary cross-entropy) and nothing else.
 No broadcasting rules, no GPU, no higher-order derivatives.
 
 A ``Tape`` is rebuilt for every forward pass (define-by-run).  ``Tensor``
@@ -18,6 +19,7 @@ are re-registered on each new tape.  A backward pass returns one
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -287,11 +289,7 @@ class Tape:
         """
         idx = np.asarray(indices, dtype=np.int64).reshape(-1)
         rows = table.values.shape[0]
-        if idx.size and (idx.min() < 0 or idx.max() >= rows):
-            offender = int(idx[(idx < 0) | (idx >= rows)][0])
-            raise AutodiffError(
-                f"index {offender} out of range for {table_name} "
-                f"with {rows} rows")
+        _check_rows(idx, rows, table_name)
         out = np.take(table.values, idx, axis=0)
         tnode = table.node
         if tnode is None:
@@ -470,59 +468,95 @@ class Tape:
 
         return Tensor(out, self._push(backward, "mul_rows"))
 
-    def segment_softmax(self, x: Tensor,
-                        seg: SegmentRuns | Array | Sequence[int]) -> Tensor:
-        """Softmax of each column of x [P x m] over each run of equal
-        ``seg`` [P]; ``seg`` must be nondecreasing.
+    def target_attention(self, q: Tensor, q_row: Array, k: Tensor, v: Tensor,
+                         entry_row: Array, lengths: Array, combine: Tensor,
+                         n_heads: int, d_head: int) -> tuple[Tensor, Array]:
+        """Multi-head target attention of B batch rows over P packed
+        positions, read from per-item tables; returns the interest
+        [B, n_heads*d_head] and the detached [P, n_heads] pre-softmax
+        scores.
 
-        Stabilized by the per-segment column max.  The backward is
-        ``y * (g - segsum(g * y)[seg])``.  Per-segment rows are widened to
-        their runs by ``np.take``, the bytes of fancy indexing at a fraction
-        of its cost.
+        Batch row i owns ``lengths[i]`` consecutive positions (none when
+        0) and queries with row ``q_row[i]`` of the table ``q``; position
+        p reads row ``entry_row[p]`` of the tables ``k`` and ``v``.  All
+        heads run at once: the constant block of ones ``E``
+        (``_head_blocks``) sums each head's columns of k * q, and ``E.T``
+        widens each head's weight back to its columns.  Per head, each
+        position's score is its k's dot with its row's q over
+        sqrt(d_head), a softmax over each row's positions weights their
+        v, and the sums pool them; the heads, concatenated, go through
+        ``combine``.  A row with no positions gets a zero interest.
+
+        The numpy calls, and their order, are those of the composition
+        this op replaced: three ``gather_rows``, two ``mul``, two
+        ``matmul`` with E, a segment softmax, a segment sum and a
+        ``matmul`` with ``combine``
+        (``tests/helpers.py::attention_oracle``), so forward and backward
+        have its bits.  The backward sums each gathered gradient into its
+        table's rows with ``sum_rows_by_index``, as ``gather_rows`` does;
+        with no positions, k and q get none.
         """
-        v = x.values
-        if v.ndim != 2:
-            raise AutodiffError("segment_softmax wants a matrix")
-        runs = _segment_runs(seg, v.shape[0], "segment_softmax")
-        starts, run = runs.starts, runs.run
-        out = np.zeros_like(v)
+        lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
+        runs = SegmentRuns.from_lengths(lengths)
+        ids, starts, run = runs.ids, runs.starts, runs.run
+        b, p, width = lengths.size, ids.size, n_heads * d_head
+        q_row = np.asarray(q_row, dtype=np.int64).reshape(-1)
+        e_idx = np.asarray(entry_row, dtype=np.int64).reshape(-1)
+        if q_row.size != b or e_idx.size != p or \
+                any(t.values.ndim != 2 or t.values.shape[1] != width
+                    for t in (q, k, v)) or \
+                k.values.shape != v.values.shape or \
+                combine.values.shape != (width, width):
+            raise AutodiffError(
+                f"target_attention shape mismatch: q {q.values.shape}, "
+                f"k {k.values.shape}, v {v.values.shape}, combine "
+                f"{combine.values.shape}, {q_row.size} query rows, "
+                f"{e_idx.size} entry rows for {b} rows and {p} positions "
+                f"of {n_heads} heads of {d_head}")
+        _check_rows(q_row, q.values.shape[0], "the query table")
+        _check_rows(e_idx, k.values.shape[0], "the key/value tables")
+        q_idx = np.repeat(q_row, lengths)
+        heads, scaled = _head_blocks(n_heads, d_head)
+        qg = np.take(q.values, q_idx, axis=0)
+        kg = np.take(k.values, e_idx, axis=0)
+        vg = np.take(v.values, e_idx, axis=0)
+        kq = kg * qg
+        scores = kq @ scaled
+        w = np.zeros_like(scores)
         if starts.size:
-            e = np.exp(v - np.take(np.maximum.reduceat(v, starts, axis=0),
-                                   run, axis=0))
-            out = e / np.take(np.add.reduceat(e, starts, axis=0), run, axis=0)
-        xn = x.node
+            e = np.exp(scores - np.take(np.maximum.reduceat(scores, starts,
+                                                            axis=0),
+                                        run, axis=0))
+            w = e / np.take(np.add.reduceat(e, starts, axis=0), run, axis=0)
+        wide = w @ heads.T
+        x = wide * vg
+        pooled = np.zeros((b, width), dtype=np.float64)
+        if starts.size:
+            pooled[ids[starts]] = np.add.reduceat(x, starts, axis=0)
+        cv = combine.values
+        qn, kn, vn, cn = q.node, k.node, v.node, combine.node
+        n_q, n_kv = q.values.shape[0], k.values.shape[0]
 
         def backward(g: Array, grads: list[Array | None]) -> None:
-            if xn is not None and starts.size:
-                inner = np.add.reduceat(g * out, starts, axis=0)
-                _accum(grads, xn, out * (g - np.take(inner, run, axis=0)))
+            g_pooled = g @ cv.T
+            if cn is not None:
+                _accum(grads, cn, pooled.T @ g)
+            g_x = np.take(g_pooled, ids, axis=0)
+            g_v = g_x * wide
+            if starts.size:
+                g_w = (g_x * vg) @ heads
+                inner = np.add.reduceat(g_w * w, starts, axis=0)
+                g_kq = (w * (g_w - np.take(inner, run, axis=0))) @ scaled.T
+                if qn is not None:
+                    _accum(grads, qn, sum_rows_by_index(q_idx, g_kq * kg, n_q))
+            # the order in which the replaced gathers' backwards ran
+            if vn is not None:
+                _accum(grads, vn, sum_rows_by_index(e_idx, g_v, n_kv))
+            if starts.size and kn is not None:
+                _accum(grads, kn, sum_rows_by_index(e_idx, g_kq * qg, n_kv))
 
-        return Tensor(out, self._push(backward, "segment_softmax"))
-
-    def segment_sum(self, x: Tensor, seg: SegmentRuns | Array | Sequence[int],
-                    n: int) -> Tensor:
-        """Row sums of x [P x D] over each run of equal ``seg`` [P] into
-        row ``seg`` of an [n x D] zero matrix; ``seg`` must be
-        nondecreasing and in [0, n).  Segments with no rows stay zero.
-        The backward is ``g[seg]``.
-        """
-        v = x.values
-        if v.ndim != 2:
-            raise AutodiffError("segment_sum wants a matrix")
-        runs = _segment_runs(seg, v.shape[0], "segment_sum")
-        idx, starts = runs.ids, runs.starts
-        if idx.size and (idx[0] < 0 or idx[-1] >= n):
-            raise AutodiffError(f"segment_sum segments out of range [0, {n})")
-        out = np.zeros((n, v.shape[1]), dtype=np.float64)
-        if starts.size:
-            out[idx[starts]] = np.add.reduceat(v, starts, axis=0)
-        xn = x.node
-
-        def backward(g: Array, grads: list[Array | None]) -> None:
-            if xn is not None:
-                _accum(grads, xn, np.take(g, idx, axis=0))
-
-        return Tensor(out, self._push(backward, "segment_sum"))
+        return (Tensor(pooled @ cv, self._push(backward, "target_attention")),
+                scores)
 
     def sigmoid(self, x: Tensor) -> Tensor:
         out = sigmoid(x.values)
@@ -693,6 +727,28 @@ def _merge_sparse(parts: list[tuple[Array, Array]], dim: int) -> SparseRows:
     return SparseRows(uniq, sum_rows_by_index(slot[ids], rows, uniq.size))
 
 
+def _check_rows(idx: Array, rows: int, table_name: str) -> None:
+    """Raise naming the first of the int64 ``idx`` out of range for a
+    table of ``rows`` rows."""
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        offender = int(idx[(idx < 0) | (idx >= rows)][0])
+        raise AutodiffError(
+            f"index {offender} out of range for {table_name} "
+            f"with {rows} rows")
+
+
+@functools.lru_cache(maxsize=None)
+def _head_blocks(n_heads: int, d_head: int) -> tuple[Array, Array]:
+    """The read-only [n_heads*d_head, n_heads] 0/1 matrix ``E`` whose
+    column h is 1 on head h's rows, ``np.kron(np.eye(n), np.ones((d,
+    1)))``, and ``E / sqrt(d_head)``."""
+    heads = np.kron(np.eye(n_heads), np.ones((d_head, 1)))
+    scaled = heads / math.sqrt(d_head)
+    for block in (heads, scaled):
+        block.flags.writeable = False
+    return heads, scaled
+
+
 def sum_rows_by_index(indices: Array, rows: Array, n: int) -> Array:
     """[n x D] matrix whose row i is the sum of the ``rows`` [N x D] whose
     index is i (zero when none is).
@@ -715,8 +771,8 @@ class SegmentRuns:
     of each row, ``starts`` the first row of each run of equal ids, and
     ``run`` the run number of each row.
 
-    ``segment_softmax`` and ``segment_sum`` take one in place of a raw
-    ``seg``, so that ops over the same segments derive the runs once.
+    ``Tape.target_attention`` builds one from the row counts of its
+    segments, one segment per batch row.
     """
 
     ids: Array
@@ -731,26 +787,6 @@ class SegmentRuns:
         return cls(ids=np.repeat(np.arange(lengths.size), lengths),
                    starts=(np.cumsum(lengths) - lengths)[used],
                    run=np.repeat(np.arange(used.size), lengths[used]))
-
-
-def _segment_runs(seg: "SegmentRuns | Array | Sequence[int]", p: int,
-                  op: str) -> SegmentRuns:
-    """The runs of ``seg`` [p]; a raw ``seg`` must be nondecreasing."""
-    given = isinstance(seg, SegmentRuns)
-    ids = seg.ids if given else np.asarray(seg, dtype=np.int64).reshape(-1)
-    if ids.shape[0] != p:
-        raise AutodiffError(f"{op} wants one segment per row, got "
-                            f"{ids.shape[0]} for {p} rows")
-    if given:
-        return seg
-    step = np.diff(ids)
-    if (step < 0).any():
-        raise AutodiffError(f"{op} segments must be nondecreasing")
-    new = np.flatnonzero(step) + 1
-    run = np.zeros(p, dtype=np.int64)
-    run[new] = 1
-    return SegmentRuns(ids=ids, starts=np.concatenate([[0], new]) if p else new,
-                       run=np.cumsum(run))
 
 
 # ----------------------------------------------------------------------

@@ -125,6 +125,10 @@ class ExperimentConfig:
         if extra:
             raise CliError("E_CONFIG", f"unknown config keys {extra}; "
                            f"the known keys are {known}")
+        if isinstance(raw.get("model"), dict) and "seed" in raw["model"]:
+            raise CliError("E_CONFIG", 'model.seed is refused: set the '
+                           'top-level "seed", which seeds generation and '
+                           'training')
         try:
             gen = GeneratorConfig.from_dict(raw.get("generator", {}))
             gen.validate()
@@ -158,10 +162,12 @@ class ExperimentConfig:
     @classmethod
     def default_json(cls) -> str:
         cfg = cls()
+        model = cfg.model.to_dict()
+        del model["seed"]  # the top-level seed seeds training
         return json.dumps({
             "seed": cfg.seed,
             "generator": cfg.generator.to_dict(),
-            "model": cfg.model.to_dict(),
+            "model": model,
             "ablation": list(cfg.ablation),
             "alpha_sweep": list(cfg.alpha_sweep),
         }, indent=2, sort_keys=True) + "\n"
@@ -274,12 +280,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _model_config(config: ExperimentConfig, arch: str, seed: int | None,
+def _model_config(config: ExperimentConfig, arch: str, seed: int,
                   **overrides) -> ModelConfig:
     base = config.model.to_dict()
     base["architecture"] = arch
-    if seed is not None:
-        base["seed"] = seed
+    base["seed"] = seed
     base.update(overrides)
     return ModelConfig.from_dict(base)
 

@@ -194,9 +194,10 @@ def build_params(config: ModelConfig, vocabs: Vocabs) -> ParamStore:
 @dataclasses.dataclass
 class ForwardOutput:
     p: Tensor                 # [B] probabilities in (0, 1)
-    # (packed [P, n_heads] scores, [B, H] mask) per attention branch,
-    # detached, for the score diagnostic
-    branch_scores: list[tuple[np.ndarray, np.ndarray]]
+    # per attention branch, the detached [P, n_heads] scores of its
+    # positions (``_branch_masks``), packed row by row, for the score
+    # diagnostic
+    branch_scores: list[np.ndarray]
     # the batch's target rows of the item and category tables
     target: tuple[Tensor, Tensor]
 
@@ -246,6 +247,25 @@ def _branch_query(tape: Tape, meta: bool, target: tuple[Tensor, Tensor],
     return tape.concat_cols([target_id, q_side])
 
 
+def _query_tables(tape: Tape, config: ModelConfig,
+                  target: tuple[Tensor, Tensor], e_target: Tensor
+                  ) -> list[Tensor]:
+    """Each branch's projected queries ``_branch_query(...) @ Wq`` of the
+    target rows ``target``, whose concatenation is ``e_target``; a row
+    depends on its own target alone."""
+    return [tape.matmul(_branch_query(tape, meta, target, e_target),
+                        tape.param(f"{prefix}.wq"))
+            for prefix, meta in _branches(config)]
+
+
+def _target_queries(tape: Tape, config: ModelConfig, item: np.ndarray,
+                    category: np.ndarray) -> list[Tensor]:
+    """``_query_tables`` of the targets ``item``/``category``, embedded
+    here, one row each (two for one target)."""
+    target = embed_rows(tape, *_at_least_two_rows(item, category))
+    return _query_tables(tape, config, target, tape.concat_cols(list(target)))
+
+
 def _mlp_head(tape: Tape, config: ModelConfig, x: Tensor) -> Tensor:
     logits = tape.reshape(mlp(tape, _head_layers(config), x),
                           (x.values.shape[0],))
@@ -253,46 +273,98 @@ def _mlp_head(tape: Tape, config: ModelConfig, x: Tensor) -> Tensor:
                                    config.logit_clamp))
 
 
+def _distinct_pairs(item: np.ndarray, category: np.ndarray
+                    ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The distinct (item, category) pairs of ``item``/``category``, in
+    sorted order, and the row of each given pair among them."""
+    n_categories = int(category.max(initial=0)) + 1
+    keys, inverse = np.unique(item * n_categories + category,
+                              return_inverse=True)
+    return np.divmod(keys, n_categories), inverse
+
+
+def _at_least_two_rows(*ids: np.ndarray) -> list[np.ndarray]:
+    """``ids``, each repeated to two entries when it holds one: a one-row
+    matrix product takes another BLAS kernel, and its last bits differ,
+    so no table of keys, values or queries is ever one row."""
+    n = ids[0].size
+    return [np.resize(a, n + (n == 1)) for a in ids]
+
+
+@dataclasses.dataclass
+class Positions:
+    """A branch's positions in a run of rows, packed row by row: each
+    position's row among the branch's entries (or in its k and v tables),
+    and how many positions each row holds."""
+
+    entry_row: np.ndarray  # [P]
+    lengths: np.ndarray    # [rows]
+
+
 @dataclasses.dataclass
 class HistoryEntries:
     """The distinct history entries each branch attends to in an encoded
-    table, and where each position finds its entry: ``grid[which]`` is the
-    table's [N, H] grid of each position's row among its branch's
-    entries.  The [U, H] ``grid`` has one row per distinct history, and
-    ``which`` [N] names each impression's."""
+    table, and where each position finds its entry.  Per branch: the
+    entries, and the ``Positions`` of each of the U distinct histories,
+    which start at ``starts`` in its packed rows; ``which`` [N] names
+    each impression's history."""
 
     pairs: list[tuple[np.ndarray, np.ndarray]]  # per branch: item, category
-    grid: np.ndarray   # [U, H]; read where a branch mask is True
-    which: np.ndarray  # [N]
+    histories: list[Positions]                  # per branch, U rows
+    starts: list[np.ndarray]                    # per branch, [U]
+    which: np.ndarray                           # [N]
 
 
 def _history_entries(config: ModelConfig, full: SampleBatch,
                      history: np.ndarray) -> HistoryEntries:
     """The entries of ``full``, whose row i holds the history
-    ``history[i]``; each distinct history is read once."""
+    ``history[i]``; each distinct history is read once.  Entry rows and
+    lengths take the narrowest unsigned dtype that holds them."""
     _, first, which = np.unique(history, return_index=True,
                                 return_inverse=True)
     seqs = _slice_batch(full, first)
-    n_categories = int(seqs.seq_category.max(initial=0)) + 1
-    grid = np.zeros(seqs.seq_item.shape,
-                    dtype=np.min_scalar_type(seqs.seq_item.size))
-    pairs = []
+    entries = HistoryEntries([], [], [], which)
     for mask in _branch_masks(config, seqs):
-        keys = seqs.seq_item[mask] * n_categories + seqs.seq_category[mask]
-        entries = np.unique(keys)
-        grid[mask] = np.searchsorted(entries, keys)
-        pairs.append(np.divmod(entries, n_categories))
-    return HistoryEntries(pairs, grid, which)
+        pairs, rows = _distinct_pairs(seqs.seq_item[mask],
+                                      seqs.seq_category[mask])
+        lengths = mask.sum(axis=1, dtype=np.min_scalar_type(mask.shape[1]))
+        entries.pairs.append(pairs)
+        entries.histories.append(Positions(
+            rows.astype(np.min_scalar_type(pairs[0].size)), lengths))
+        entries.starts.append(np.cumsum(lengths, dtype=np.int64) - lengths)
+    return entries
+
+
+def _positions(entries: HistoryEntries, rows: np.ndarray | slice
+               ) -> list[Positions]:
+    """Each branch's ``Positions`` of the rows ``rows`` of the table
+    ``entries`` lists: each row's history's positions, in row order, as
+    the row-major order of the row's mask packs them."""
+    which = entries.which[rows]
+    positions = []
+    for history, starts in zip(entries.histories, entries.starts):
+        lengths = history.lengths[which]
+        ends = np.cumsum(lengths, dtype=np.int64)
+        # position j of the run, in row i, is position
+        # starts[which[i]] + j - (ends - lengths)[i] of the histories
+        shift = np.repeat(starts[which] - ends + lengths, lengths)
+        positions.append(Positions(
+            history.entry_row[np.arange(shift.size) + shift], lengths))
+    return positions
 
 
 @dataclasses.dataclass
-class KVCache:
-    """Each branch's projected keys and values of a set of its history
-    entries, and the row of each batch position's entry among them: what
-    ``forward`` gathers a branch's k and v from."""
+class ItemCache:
+    """The per-item tables ``forward`` reads a batch's attention from.
+    Per branch: the projected keys and values of a set of its history
+    entries, and the batch's positions among them.  ``queries``, when
+    set, holds each branch's projected queries of a set of targets and
+    the row of each batch row's target among them; when None,
+    ``forward`` projects the batch's own targets, one row each."""
 
     kv: list[tuple[Tensor, Tensor]]  # per branch, [C_b, n_heads*d_head]
-    entry_row: np.ndarray            # [B, H]; read where a mask is True
+    positions: list[Positions]
+    queries: tuple[list[Tensor], np.ndarray] | None = None
 
 
 def _entry_kv(tape: Tape, config: ModelConfig, entries: HistoryEntries,
@@ -305,50 +377,53 @@ def _entry_kv(tape: Tape, config: ModelConfig, entries: HistoryEntries,
         item, category = entries.pairs[i]
         if used is not None:
             item, category = item[used[i]], category[used[i]]
-        # at least two rows, a padding row if need be: a one-row matrix
-        # product takes another BLAS kernel, and its last bits differ
-        n = item.size + (item.size == 1)
         kv.append(_branch_kv(tape, prefix, meta, *embed_rows(
-            tape, np.resize(item, n), np.resize(category, n))))
+            tape, *_at_least_two_rows(item, category))))
     return kv
 
 
 def _batch_cache(tape: Tape, config: ModelConfig, entries: HistoryEntries,
-                 batch: SampleBatch, rows: np.ndarray | slice) -> KVCache:
+                 batch: SampleBatch, rows: np.ndarray | slice) -> ItemCache:
     """The cache of ``batch``, the rows ``rows`` of the table ``entries``
     lists: each branch's K/V of only the entries the batch's positions
-    hold, found by an occupancy count over the entry rows."""
-    entry_row = entries.grid[entries.which[rows]]
+    hold, found by an occupancy count over the entry rows.  The queries
+    are left to ``forward``."""
+    positions = _positions(entries, rows)
     used = []
-    for mask in _branch_masks(config, batch):
-        ids = entry_row[mask]
-        occupied = np.bincount(ids) > 0
-        entry_row[mask] = (np.cumsum(occupied) - 1)[ids]
+    for pos in positions:
+        occupied = np.bincount(pos.entry_row) > 0
+        pos.entry_row = (np.cumsum(occupied) - 1)[pos.entry_row]
         used.append(np.flatnonzero(occupied))
-    return KVCache(_entry_kv(tape, config, entries, used), entry_row)
+    return ItemCache(_entry_kv(tape, config, entries, used), positions)
 
 
 def forward(tape: Tape, config: ModelConfig, batch: SampleBatch,
-            cache: KVCache | None = None) -> ForwardOutput:
-    """Each branch attends only to its positions (``_branch_masks``) and
-    gathers their k and v from ``cache``; without one, the batch's own is
-    built on ``tape`` as ``fit`` builds it.  The query, scores, pooling
-    and head run here."""
+            cache: ItemCache | None = None) -> ForwardOutput:
+    """Each branch attends only to its positions (``_branch_masks``),
+    reading q, k and v from ``cache``; without one, the batch's own is
+    built on ``tape`` as ``fit`` builds it.  Without the cache's queries,
+    the batch's targets are projected here, one row per batch row (a
+    one-row batch's beside a padding row, as ``_target_queries`` does).
+    The attention and the head run here."""
     if cache is None:
         entries = _history_entries(config, batch, np.arange(batch.size))
         cache = _batch_cache(tape, config, entries, batch, slice(None))
     target = embed_rows(tape, batch.target_item, batch.target_category)
     e_target = tape.concat_cols(list(target))
+    if cache.queries is not None:
+        queries, q_row = cache.queries
+    else:
+        q_row = np.arange(batch.size)
+        queries = (_query_tables(tape, config, target, e_target)
+                   if batch.size > 1 else _target_queries(
+                       tape, config, batch.target_item, batch.target_category))
     interests, branch_scores = [], []
-    for (prefix, meta), mask, (k, v) in zip(
-            _branches(config), _branch_masks(config, batch), cache.kv):
-        rows = cache.entry_row[mask]
-        att = target_attention(
-            tape, prefix, _branch_query(tape, meta, target, e_target),
-            tape.gather_rows(k, rows), tape.gather_rows(v, rows), mask,
-            config.n_heads, config.d_head)
+    for (prefix, _), q, (k, v), pos in zip(_branches(config), queries,
+                                           cache.kv, cache.positions):
+        att = target_attention(tape, prefix, q, q_row, k, v, pos.entry_row,
+                               pos.lengths, config.n_heads, config.d_head)
         interests.append(att.interest)
-        branch_scores.append((att.scores, mask))
+        branch_scores.append(att.scores)
     x = tape.concat_cols(interests + [e_target])
     return ForwardOutput(p=_mlp_head(tape, config, x),
                          branch_scores=branch_scores, target=target)
@@ -563,23 +638,55 @@ def _slice_batch(full: SampleBatch, rows: np.ndarray | slice) -> SampleBatch:
 # prediction and diagnostics
 
 
+# rows per block when ``predict`` packs a table's positions: each block's
+# int64 position indices stay far below the packed arrays
+PACK_ROWS = 4096
+
+
+def _packed_positions(entries: HistoryEntries, n: int) -> list[Positions]:
+    """Each branch's ``Positions`` of the n rows of the table ``entries``
+    lists, packed block by block."""
+    # an empty table packs one empty block
+    blocks = [_positions(entries, slice(start, start + PACK_ROWS))
+              for start in range(0, max(n, 1), PACK_ROWS)]
+    return [Positions(np.concatenate([b[i].entry_row for b in blocks]),
+                      np.concatenate([b[i].lengths for b in blocks]))
+            for i in range(len(entries.histories))]
+
+
 def _probabilities(params: ParamStore, config: ModelConfig,
                    table: ImpressionTable, full: SampleBatch,
                    score_accumulator: ScoreAccumulator | None) -> np.ndarray:
     """``forward``'s probability of each row of ``full``, the encoded
     ``table``, in batches of ``config.batch_size`` rows on forward-only
-    tapes that gather K/V from one cache of every entry of the table; the
-    cache lives only as long as this call."""
+    tapes.  Each batch reads its q, k and v from tables made once per
+    call, of every distinct target and every history entry, and its
+    positions as slices of each branch's positions packed once per call;
+    both live only as long as this call."""
     entries = _history_entries(config, full, table.history)
-    kv = _entry_kv(Tape(params, record=False), config, entries)
+    tape = Tape(params, record=False)
+    kv = _entry_kv(tape, config, entries)
+    targets, target_row = _distinct_pairs(full.target_item,
+                                          full.target_category)
+    queries = _target_queries(tape, config, *targets)
+    target_row = target_row.astype(np.min_scalar_type(targets[0].size))
+    packed = _packed_positions(entries, full.size)
+    at = [0] * len(packed)
     p_chunks: list[np.ndarray] = [np.empty(0)]
     for start in range(0, full.size, config.batch_size):
         rows = slice(start, start + config.batch_size)
         batch = _slice_batch(full, rows)
+        positions = []
+        for i, pos in enumerate(packed):
+            lengths = pos.lengths[rows]
+            end = at[i] + int(lengths.sum())
+            positions.append(Positions(pos.entry_row[at[i]:end], lengths))
+            at[i] = end
         fo = forward(Tape(params, record=False), config, batch,
-                     KVCache(kv, entries.grid[entries.which[rows]]))
+                     ItemCache(kv, positions, (queries, target_row[rows])))
         if score_accumulator is not None:
-            for scores, mask in fo.branch_scores:
+            for scores, mask in zip(fo.branch_scores,
+                                    _branch_masks(config, batch)):
                 score_accumulator.add_batch(scores, batch.is_limited,
                                             batch.seq_limited, mask)
         p_chunks.append(fo.p.values)
@@ -592,13 +699,14 @@ def predict(params: ParamStore, config: ModelConfig, table: ImpressionTable,
             ) -> PredictionTable:
     """One prediction per impression, deterministic, in input order.
 
-    The table is encoded once, as ``fit`` does, and every branch's keys
-    and values are computed once, for the distinct entries of its
-    histories (``_history_entries``, ``_entry_kv``).  Batches of
-    ``config.batch_size`` rows are scored on forward-only tapes that
-    gather their k and v from that cache (``KVCache``); the probabilities
-    and the ``score_accumulator`` sums are byte for byte those of
-    ``forward`` on a recording tape, chunk by chunk.  Parameters whose
+    The table is encoded once, as ``fit`` does.  Every branch's keys and
+    values are computed once, for the distinct entries of its histories
+    (``_history_entries``, ``_entry_kv``), and its queries once, for the
+    distinct targets (``_target_queries``).  Batches of
+    ``config.batch_size`` rows are scored on forward-only tapes that read
+    q, k and v from those tables (``ItemCache``); the probabilities and
+    the ``score_accumulator`` sums are byte for byte those of ``forward``
+    on a recording tape, chunk by chunk.  Parameters whose
     forward pass is not finite raise ``ModelError``; the check, not numpy
     warnings, reports the overflow.
     """

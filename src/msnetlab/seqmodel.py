@@ -12,13 +12,12 @@ embeddings lean harder on the synthetic one.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Sequence
 
 import numpy as np
 
-from .autodiff import ParamStore, SegmentRuns, Tape, Tensor
+from .autodiff import ParamStore, Tape, Tensor
 from .features import SampleBatch
 
 Array = np.ndarray
@@ -68,15 +67,6 @@ class AttentionResult:
     scores: Array
 
 
-@functools.lru_cache(maxsize=None)
-def head_blocks(n_heads: int, d_head: int) -> Array:
-    """The read-only [n_heads*d_head, n_heads] 0/1 matrix whose column h
-    is 1 on head h's rows: ``np.kron(np.eye(n), np.ones((d, 1)))``."""
-    heads = np.kron(np.eye(n_heads), np.ones((d_head, 1)))
-    heads.flags.writeable = False
-    return heads
-
-
 def project_kv(tape: Tape, prefix: str, keys: Tensor,
                values: Tensor) -> tuple[Tensor, Tensor]:
     """Branch ``prefix``'s projected keys ``keys Wk`` and values
@@ -86,46 +76,22 @@ def project_kv(tape: Tape, prefix: str, keys: Tensor,
             tape.matmul(values, tape.param(f"{prefix}.wv")))
 
 
-def target_attention(tape: Tape, prefix: str, target: Tensor, k: Tensor,
-                     v: Tensor, mask: Array, n_heads: int,
-                     d_head: int) -> AttentionResult:
-    """Multi-head target attention over packed, projected positions.
-
-    ``k`` and ``v`` are the projected keys and values (``project_kv``) of
-    only the positions where ``mask`` [B, H] is True, packed in row-major
-    order, so the batch row of each packed row (its segment) is
-    nondecreasing.  Per head: q = target Wq; each packed row's score is its
-    k's dot with its batch row's q, scaled by 1/sqrt(d_head); a softmax
-    over each batch row's segment weights the v rows, whose segment sums
-    are the pooled heads.  Heads are concatenated and passed through the
-    combine matrix.  Rows whose mask is empty produce a zero interest
-    vector.  All heads run at once: a constant [n_heads*d_head, n_heads]
-    block of ones sums each head's columns of k * q, and its transpose
-    widens each head's weight back to that head's columns.  Only q, the
-    scores and what follows depend on the target, so ``k`` and ``v`` may
-    be computed once per distinct history entry and gathered.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    b = mask.shape[0]
-    # one segment per batch row, as long as the row's True positions
-    seg = SegmentRuns.from_lengths(mask.sum(axis=1))
-    p = seg.ids.size
-    if target.values.shape[0] != b or k.values.shape[0] != p \
-            or v.values.shape[0] != p:
-        raise ValueError(
-            f"attention shape mismatch: target {target.values.shape}, "
-            f"k {k.values.shape}, v {v.values.shape}, "
-            f"mask {mask.shape} with {p} positions")
-    n, d = n_heads, d_head
-    heads = head_blocks(n, d)
-    q = tape.gather_rows(tape.matmul(target, tape.param(f"{prefix}.wq")),
-                         seg.ids)
-    scores = tape.matmul(tape.mul(k, q), Tape.constant(heads / math.sqrt(d)))
-    weights = tape.segment_softmax(scores, seg)
-    pooled = tape.segment_sum(
-        tape.mul(tape.matmul(weights, Tape.constant(heads.T)), v), seg, b)
-    interest = tape.matmul(pooled, tape.param(f"{prefix}.combine"))
-    return AttentionResult(interest=interest, scores=scores.values)
+def target_attention(tape: Tape, prefix: str, q: Tensor, q_row: Array,
+                     k: Tensor, v: Tensor, entry_row: Array, lengths: Array,
+                     n_heads: int, d_head: int) -> AttentionResult:
+    """Branch ``prefix``'s multi-head target attention, one
+    ``Tape.target_attention`` node: batch row i queries with row
+    ``q_row[i]`` of the projected queries ``q`` (target Wq) and attends to
+    its ``lengths[i]`` packed positions, position p with row
+    ``entry_row[p]`` of the projected keys ``k`` and values ``v``
+    (``project_kv``).  The pooled heads go through the branch's combine
+    matrix; a row with no positions gets a zero interest.  Only q depends
+    on the target and only k and v on a position's entry, so each table
+    may hold one row per distinct target or entry."""
+    interest, scores = tape.target_attention(
+        q, q_row, k, v, entry_row, lengths,
+        tape.param(f"{prefix}.combine"), n_heads, d_head)
+    return AttentionResult(interest=interest, scores=scores)
 
 
 # ----------------------------------------------------------------------
@@ -232,8 +198,10 @@ class ScoreAccumulator:
     def add_batch(self, scores: Array, target_limited: Array,
                   seq_limited: Array, mask: Array) -> None:
         """``scores`` [P, n_heads] holds one row per True position of
-        ``mask`` [B, H], in row-major order, as ``target_attention``
-        returns them."""
+        ``mask`` [B, H], in row-major order: a branch's packed positions,
+        as ``forward`` returns them in ``branch_scores``.  A row's target
+        flag is ``target_limited`` at its batch row, and its sequence flag
+        is ``seq_limited`` at its position."""
         mask = np.asarray(mask, dtype=bool)
         flat = np.flatnonzero(mask)
         t_flags = np.asarray(target_limited, dtype=bool)[flat // mask.shape[1]]

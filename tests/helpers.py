@@ -2,16 +2,28 @@
 vocabulary lookup, the generator's click probability of one (user, item)
 pair, a sequence branch materialized as its own padded batch, meta nets
 made exact no-ops, the per-name gradient composition the tape's one dense
-vector replaced, and the per-position key/value composition the per-entry
-cache replaced."""
+vector replaced, the per-position key/value composition the per-entry
+cache replaced, and the attention composition, with its two segment ops,
+that ``Tape.target_attention`` replaced."""
+
+import math
 
 import numpy as np
 
 from msnetlab import model
-from msnetlab.autodiff import Gradients, ParamStore, Tape, Tensor, sigmoid
+from msnetlab.autodiff import (
+    AutodiffError,
+    Gradients,
+    ParamStore,
+    SegmentRuns,
+    Tape,
+    Tensor,
+    _accum,
+    sigmoid,
+)
 from msnetlab.datagen import GeneratorConfig, ItemSpec, UserSpec
 from msnetlab.features import OOV_INDEX, SampleBatch, Vocab, embed
-from msnetlab.seqmodel import META_SCALE, META_SHIFT, target_attention
+from msnetlab.seqmodel import META_SCALE, META_SHIFT
 
 
 def lookup(vocab: Vocab, value: int) -> int:
@@ -95,12 +107,108 @@ def gradients_of(params: ParamStore, by_name: dict) -> Gradients:
                      params.dense_views(dense))
 
 
+def segment_runs(seg, p: int, op: str) -> SegmentRuns:
+    """The runs of ``seg`` [p], a ``SegmentRuns`` or a nondecreasing raw
+    segment id per row."""
+    given = isinstance(seg, SegmentRuns)
+    ids = seg.ids if given else np.asarray(seg, dtype=np.int64).reshape(-1)
+    if ids.shape[0] != p:
+        raise AutodiffError(f"{op} wants one segment per row, got "
+                            f"{ids.shape[0]} for {p} rows")
+    if given:
+        return seg
+    step = np.diff(ids)
+    if (step < 0).any():
+        raise AutodiffError(f"{op} segments must be nondecreasing")
+    new = np.flatnonzero(step) + 1
+    run = np.zeros(p, dtype=np.int64)
+    run[new] = 1
+    return SegmentRuns(ids=ids,
+                       starts=np.concatenate([[0], new]) if p else new,
+                       run=np.cumsum(run))
+
+
+def segment_softmax(tape: Tape, x: Tensor, seg) -> Tensor:
+    """Softmax of each column of x [P x m] over each run of equal ``seg``
+    [P] (a ``SegmentRuns`` or nondecreasing ids), on ``tape``.
+
+    Stabilized by the per-segment column max.  The backward is
+    ``y * (g - segsum(g * y)[seg])``.  Per-segment rows are widened to
+    their runs by ``np.take``.
+    """
+    v = x.values
+    if v.ndim != 2:
+        raise AutodiffError("segment_softmax wants a matrix")
+    runs = segment_runs(seg, v.shape[0], "segment_softmax")
+    starts, run = runs.starts, runs.run
+    out = np.zeros_like(v)
+    if starts.size:
+        e = np.exp(v - np.take(np.maximum.reduceat(v, starts, axis=0),
+                               run, axis=0))
+        out = e / np.take(np.add.reduceat(e, starts, axis=0), run, axis=0)
+    xn = x.node
+
+    def backward(g, grads):
+        if xn is not None and starts.size:
+            inner = np.add.reduceat(g * out, starts, axis=0)
+            _accum(grads, xn, out * (g - np.take(inner, run, axis=0)))
+
+    return Tensor(out, tape._push(backward, "segment_softmax"))
+
+
+def segment_sum(tape: Tape, x: Tensor, seg, n: int) -> Tensor:
+    """Row sums of x [P x D] over each run of equal ``seg`` [P] into row
+    ``seg`` of an [n x D] zero matrix, on ``tape``; ``seg`` must be
+    nondecreasing and in [0, n).  Segments with no rows stay zero.  The
+    backward is ``g[seg]``.
+    """
+    v = x.values
+    if v.ndim != 2:
+        raise AutodiffError("segment_sum wants a matrix")
+    runs = segment_runs(seg, v.shape[0], "segment_sum")
+    idx, starts = runs.ids, runs.starts
+    if idx.size and (idx[0] < 0 or idx[-1] >= n):
+        raise AutodiffError(f"segment_sum segments out of range [0, {n})")
+    out = np.zeros((n, v.shape[1]), dtype=np.float64)
+    if starts.size:
+        out[idx[starts]] = np.add.reduceat(v, starts, axis=0)
+    xn = x.node
+
+    def backward(g, grads):
+        if xn is not None:
+            _accum(grads, xn, np.take(g, idx, axis=0))
+
+    return Tensor(out, tape._push(backward, "segment_sum"))
+
+
+def attention_oracle(tape: Tape, q: Tensor, q_row, k: Tensor, v: Tensor,
+                     entry_row, lengths, combine: Tensor, n_heads: int,
+                     d_head: int) -> tuple[Tensor, np.ndarray]:
+    """``Tape.target_attention``'s (interest, scores) as the nodes it
+    replaced compose them: the rows of q, k and v gathered per position,
+    ``mul``, a ``matmul`` with the head blocks E / sqrt(d_head), the
+    segment softmax, a ``matmul`` with E.T, ``mul``, the segment sum and a
+    ``matmul`` with ``combine``."""
+    seg = SegmentRuns.from_lengths(lengths)
+    heads = np.kron(np.eye(n_heads), np.ones((d_head, 1)))
+    rows = np.asarray(entry_row, dtype=np.int64)
+    kg, vg = tape.gather_rows(k, rows), tape.gather_rows(v, rows)
+    qg = tape.gather_rows(q, np.asarray(q_row, dtype=np.int64)[seg.ids])
+    scores = tape.matmul(tape.mul(kg, qg),
+                         Tape.constant(heads / math.sqrt(d_head)))
+    weights = segment_softmax(tape, scores, seg)
+    pooled = segment_sum(tape, tape.mul(
+        tape.matmul(weights, Tape.constant(heads.T)), vg), seg, len(lengths))
+    return tape.matmul(pooled, combine), scores.values
+
+
 def per_position_forward(tape: Tape, config: "model.ModelConfig",
                          batch: SampleBatch) -> tuple[Tensor, Tensor]:
     """``(p, total loss)`` of ``batch`` as the model composed them before
     keys and values came from a per-entry cache: each branch embeds its
-    own positions and runs ``_branch_kv`` on one row per position, and the
-    aux loss gathers the target rows once more."""
+    own positions and runs ``_branch_kv`` on one row per position, the
+    attention is ``attention_oracle`` over one query row per batch row,
+    and the aux loss gathers the target rows once more."""
     emb, interests = None, []
     for (prefix, meta), mask in zip(model._branches(config),
                                     model._branch_masks(config, batch)):
@@ -110,10 +218,12 @@ def per_position_forward(tape: Tape, config: "model.ModelConfig",
         if not interests:
             e_target = tape.concat_cols(list(target))
         k, v = model._branch_kv(tape, prefix, meta, emb.seq_id, emb.seq_side)
-        query = model._branch_query(tape, meta, target, e_target)
-        interests.append(target_attention(tape, prefix, query, k, v, mask,
-                                          config.n_heads,
-                                          config.d_head).interest)
+        q = tape.matmul(model._branch_query(tape, meta, target, e_target),
+                        tape.param(f"{prefix}.wq"))
+        interests.append(attention_oracle(
+            tape, q, np.arange(batch.size), k, v, np.arange(emb.seq_row.size),
+            mask.sum(axis=1), tape.param(f"{prefix}.combine"),
+            config.n_heads, config.d_head)[0])
     p = model._mlp_head(tape, config,
                         tape.concat_cols(interests + [e_target]))
     aux = None

@@ -355,7 +355,10 @@ def test_criterion_7_split_equivalence_100_batches():
                 e_t = Tape.constant(table[batch.target_item])
                 tape = Tape(params)
                 k, v = project_kv(tape, "att", e_seq, e_seq)
-                res = target_attention(tape, "att", e_t, k, v, m, 2, 4)
+                q = tape.matmul(e_t, tape.param("att.wq"))
+                res = target_attention(tape, "att", q, np.arange(b), k, v,
+                                       np.arange(k.values.shape[0]),
+                                       m.sum(axis=1), 2, 4)
                 outs.append(res.interest.values.tobytes())
             assert outs[0] == outs[1], f"trial {trial}"
     ok(7, "mask-based and physically split branches agree bitwise on "

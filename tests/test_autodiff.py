@@ -23,16 +23,21 @@ from msnetlab.autodiff import (
     SparseRows,
     Tape,
     Tensor,
+    _head_blocks,
     _merge_sparse,
-    _segment_runs,
     check_gradients,
     leaky_relu,
     sigmoid,
     sum_rows_by_index,
 )
-from msnetlab.seqmodel import head_blocks
-
-from helpers import per_name_gradients
+import helpers
+from helpers import (
+    attention_oracle,
+    per_name_gradients,
+    segment_runs,
+    segment_softmax,
+    segment_sum,
+)
 
 
 def fd_grad(loss_of_theta, theta, h=1e-5):
@@ -151,7 +156,7 @@ class TestSegmentSum:
         # rows of one segment add up; segments with no rows stay zero
         tape = Tape()
         x = Tape.constant([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        out = tape.segment_sum(x, [0, 3, 3], 4)
+        out = segment_sum(tape, x, [0, 3, 3], 4)
         np.testing.assert_array_equal(
             out.values, [[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [8.0, 10.0]])
 
@@ -161,7 +166,7 @@ class TestSegmentSum:
         params.add("x", np.ones((3, 2)))
         w = np.arange(8.0).reshape(4, 2)
         tape = Tape(params)
-        out = tape.segment_sum(tape.param("x"), [0, 3, 3], 4)
+        out = segment_sum(tape, tape.param("x"), [0, 3, 3], 4)
         grads = tape.backward(tape.sum_all(tape.mul(out, Tape.constant(w))))
         np.testing.assert_array_equal(grads["x"], w[[0, 3, 3]])
 
@@ -169,7 +174,7 @@ class TestSegmentSum:
         params = ParamStore()
         params.add("x", np.zeros((0, 3)))
         tape = Tape(params)
-        out = tape.segment_sum(tape.param("x"), [], 2)
+        out = segment_sum(tape, tape.param("x"), [], 2)
         np.testing.assert_array_equal(out.values, np.zeros((2, 3)))
         grads = tape.backward(tape.sum_all(out))
         assert grads["x"].shape == (0, 3)
@@ -179,7 +184,7 @@ class TestSegmentSum:
         # decreasing, out of range above and below, wrong length
         tape = Tape()
         with pytest.raises(AutodiffError, match="segment_sum"):
-            tape.segment_sum(Tape.constant(np.ones((2, 2))), seg, 5)
+            segment_sum(tape, Tape.constant(np.ones((2, 2))), seg, 5)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(13)
@@ -188,7 +193,7 @@ class TestSegmentSum:
         w = rng.normal(size=(5, 2))
 
         def loss_fn(tape):
-            out = tape.segment_sum(tape.param("x"), [1, 1, 2, 4], 5)
+            out = segment_sum(tape, tape.param("x"), [1, 1, 2, 4], 5)
             return tape.sum_all(tape.mul(tape.mul(out, out),
                                          Tape.constant(w)))
 
@@ -202,7 +207,7 @@ class TestSegmentRuns:
     def test_from_lengths_matches_runs_of_raw_segments(self, lengths):
         runs = SegmentRuns.from_lengths(lengths)
         ids = np.repeat(np.arange(len(lengths)), lengths)
-        raw = _segment_runs(ids, ids.size, "test")
+        raw = segment_runs(ids, ids.size, "test")
         for name in ("ids", "starts", "run"):
             got, want = getattr(runs, name), getattr(raw, name)
             assert got.dtype == want.dtype == np.int64
@@ -218,8 +223,8 @@ class TestSegmentRuns:
         results = []
         for seg in (ids, SegmentRuns.from_lengths(lengths)):
             tape = Tape(params)
-            s = tape.segment_softmax(tape.param("x"), seg)
-            out = tape.segment_sum(tape.mul(s, s), seg, 5)
+            s = segment_softmax(tape, tape.param("x"), seg)
+            out = segment_sum(tape, tape.mul(s, s), seg, 5)
             loss = tape.sum_all(tape.mul(out, w))
             results.append((out.values.tobytes(),
                             tape.backward(loss)["x"].tobytes()))
@@ -231,7 +236,7 @@ class TestSegmentRuns:
         x = Tape.constant(np.ones((2, 2)))
         args = (runs, 2) if op == "segment_sum" else (runs,)
         with pytest.raises(AutodiffError, match=f"{op} wants one segment"):
-            getattr(Tape(), op)(x, *args)
+            getattr(helpers, op)(Tape(), x, *args)
 
 
 class TestStopGradient:
@@ -294,8 +299,8 @@ def softmax_rows(x, mask=None):
     mask = np.ones(x.shape, dtype=bool) if mask is None else np.asarray(mask)
     flat = np.flatnonzero(mask)
     tape = Tape()
-    packed = tape.segment_softmax(Tape.constant(x.reshape(-1, 1)[flat]),
-                                  flat // x.shape[1])
+    packed = segment_softmax(tape, Tape.constant(x.reshape(-1, 1)[flat]),
+                             flat // x.shape[1])
     out = np.zeros(x.size)
     out[flat] = packed.values[:, 0]
     return out.reshape(x.shape)
@@ -342,7 +347,7 @@ class TestSegmentSoftmax:
     def test_segments_normalize_apart(self):
         # equal scores in segments of 2 and 1 rows: 1/2, 1/2 and 1
         tape = Tape()
-        out = tape.segment_softmax(Tape.constant([[1.0], [1.0], [1.0]]),
+        out = segment_softmax(tape, Tape.constant([[1.0], [1.0], [1.0]]),
                                    [0, 0, 4])
         np.testing.assert_allclose(out.values, [[0.5], [0.5], [1.0]],
                                    atol=1e-15)
@@ -352,8 +357,9 @@ class TestSegmentSoftmax:
         # column with its own max
         expect = [1.0 / (1.0 + math.e), math.e / (1.0 + math.e)]
         tape = Tape()
-        out = tape.segment_softmax(
-            Tape.constant([[1000.0, -1001.0], [1001.0, -1000.0]]), [7, 7])
+        out = segment_softmax(
+            tape, Tape.constant([[1000.0, -1001.0], [1001.0, -1000.0]]),
+            [7, 7])
         np.testing.assert_allclose(out.values[:, 0], expect, rtol=1e-12)
         np.testing.assert_allclose(out.values[:, 1], expect, rtol=1e-12)
         assert np.isfinite(out.values).all()
@@ -362,7 +368,7 @@ class TestSegmentSoftmax:
         params = ParamStore()
         params.add("x", np.zeros((0, 2)))
         tape = Tape(params)
-        out = tape.segment_softmax(tape.param("x"), [])
+        out = segment_softmax(tape, tape.param("x"), [])
         assert out.values.shape == (0, 2)
         grads = tape.backward(tape.sum_all(out))
         assert grads["x"].shape == (0, 2) and not grads["x"].any()
@@ -371,7 +377,7 @@ class TestSegmentSoftmax:
     def test_decreasing_or_short_seg_refused(self, seg):
         tape = Tape()
         with pytest.raises(AutodiffError, match="segment_softmax"):
-            tape.segment_softmax(Tape.constant(np.ones((3, 2))), seg)
+            segment_softmax(tape, Tape.constant(np.ones((3, 2))), seg)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=60, deadline=None)
@@ -381,7 +387,7 @@ class TestSegmentSoftmax:
         x = rng.normal(scale=5.0, size=(p, m))
         seg = np.sort(rng.integers(0, 5, size=p))
         tape = Tape()
-        out = tape.segment_softmax(Tape.constant(x), seg).values
+        out = segment_softmax(tape, Tape.constant(x), seg).values
         for s in np.unique(seg):
             np.testing.assert_allclose(out[seg == s].sum(axis=0), 1.0,
                                        atol=1e-12)
@@ -395,7 +401,7 @@ class TestSegmentSoftmax:
         w = rng.normal(size=(6, 2))
 
         def loss_fn(tape):
-            out = tape.segment_softmax(tape.param("x"), [0, 0, 0, 2, 3, 3])
+            out = segment_softmax(tape, tape.param("x"), [0, 0, 0, 2, 3, 3])
             return tape.sum_all(tape.mul(out, Tape.constant(w)))
 
         report = check_gradients(loss_fn, params, h=1e-6, tol=1e-6)
@@ -600,8 +606,8 @@ class TestForwardOnlyTape:
     def _graph(self, tape):
         x = tape.gather_rows(tape.param("emb"), [3, 0, 3])
         h = tape.dense(x, tape.param("w"), tape.param("b"), leaky=True)
-        pooled = tape.segment_sum(tape.segment_softmax(h, [0, 0, 2]),
-                                  [0, 0, 2], 3)
+        pooled = segment_sum(tape, segment_softmax(tape, h, [0, 0, 2]),
+                             [0, 0, 2], 3)
         return tape.sum_all(tape.mul(pooled, pooled))
 
     def test_same_values_as_a_recording_tape_and_no_nodes(self):
@@ -650,14 +656,14 @@ def _random_op_cases(seed):
         cos = tape.cosine_sim_rows(a, b)
         blended, _ = tape.norm_ratio_blend(tape.sigmoid(a), b)
         # softmax of each row of h: one segment per row of k entries
-        s = tape.segment_softmax(tape.reshape(h, (n * k, 1)),
-                                 np.repeat(np.arange(n), k))
+        s = segment_softmax(tape, tape.reshape(h, (n * k, 1)),
+                            np.repeat(np.arange(n), k))
         kept = tape.gather_rows(tape.reshape(s, (n * k, 1)),
                                 np.flatnonzero(keep))
         part1 = tape.mean(tape.reshape(kept, (kept.shape[0],)))
         part2 = tape.sum_all(tape.mul(cos, cos))
         part3 = tape.sum_all(tape.row_norm(blended))
-        pooled = tape.segment_sum(tape.mul(a, b), seg, n + 1)
+        pooled = segment_sum(tape, tape.mul(a, b), seg, n + 1)
         part4 = tape.sum_all(tape.mul(pooled, pooled))
         loss = tape.add(tape.add(part1, tape.scale(part2, 0.3)),
                         tape.add(tape.scale(part3, 0.1),
@@ -1014,8 +1020,8 @@ class TestKernelsMatchOracles:
         params = ParamStore()
         params.add("x", v)
         tape = Tape(params)
-        out = tape.segment_softmax(tape.param("x"), seg)
-        pooled = tape.segment_sum(out, seg, n)
+        out = segment_softmax(tape, tape.param("x"), seg)
+        pooled = segment_sum(tape, out, seg, n)
         g_pooled = rng.normal(size=(n, m))
         grads = tape.backward(tape.add(
             tape.sum_all(tape.mul(out, Tape.constant(g))),
@@ -1028,12 +1034,73 @@ class TestKernelsMatchOracles:
     @given(st.integers(1, 6), st.integers(1, 12))
     @settings(max_examples=50, deadline=None)
     def test_head_blocks(self, n, d):
-        heads = head_blocks(n, d)
+        heads, scaled = _head_blocks(n, d)
         want = np.kron(np.eye(n), np.ones((d, 1)))
         assert heads.dtype == want.dtype and heads.tobytes() == want.tobytes()
-        assert head_blocks(n, d) is heads
-        with pytest.raises(ValueError, match="read-only"):
-            heads[0, 0] = 2.0
+        assert scaled.tobytes() == (want / math.sqrt(d)).tobytes()
+        assert _head_blocks(n, d)[0] is heads
+        for block in (heads, scaled):
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 2.0
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_target_attention_is_the_composition_it_replaced(self, seed):
+        # the oracle is the ten-node composition in tests/helpers.py; rows
+        # may own no position, tables may be one row, query and entry rows
+        # repeat, and one table may serve as q, k and v at once; values
+        # spread over decades, so any change in an expression or in its
+        # order of operations shows in the bits
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        b = int(rng.integers(1, 7))
+        lengths = rng.integers(0, 4, size=b) * (rng.random(size=b) < 0.8)
+        n_q, n_kv = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        shared = rng.random() < 0.2
+        if shared:
+            n_q = n_kv
+        params = ParamStore()
+        for name, rows in (("q", n_q), ("k", n_kv), ("v", n_kv),
+                           ("combine", n * d)):
+            params.add(name, rng.normal(size=(rows, n * d))
+                       * 10.0 ** rng.integers(-3, 1, size=(rows, n * d)))
+        q_row = rng.integers(0, n_q, size=b)
+        entry_row = rng.integers(0, n_kv, size=int(lengths.sum()))
+        g = rng.normal(size=(b, n * d))
+        outs = []
+        for attend in (Tape.target_attention, attention_oracle):
+            tape = Tape(params)
+            q, k, v = (tape.param("k" if shared else name)
+                       for name in "qkv")
+            interest, scores = attend(tape, q, q_row, k, v, entry_row,
+                                      lengths, tape.param("combine"), n, d)
+            grads = tape.backward(tape.sum_all(
+                tape.mul(interest, Tape.constant(g))))
+            outs.append([interest.values.tobytes(), scores.tobytes()]
+                        + [grads[name].tobytes() for name in params.names()])
+        assert outs[0] == outs[1]
+
+    def test_target_attention_refuses_bad_rows(self):
+        tape = Tape()
+        table = Tape.constant(np.ones((3, 4)))
+        combine = Tape.constant(np.eye(4))
+        with pytest.raises(AutodiffError, match="shape mismatch"):
+            tape.target_attention(table, [0], table, table, [0, 1], [1],
+                                  combine, 2, 2)
+        with pytest.raises(AutodiffError, match="shape mismatch"):
+            tape.target_attention(table, [0, 1], table, table, [0], [1],
+                                  combine, 2, 2)
+        with pytest.raises(AutodiffError, match="shape mismatch"):
+            tape.target_attention(table, [0], table, table, [0], [1],
+                                  combine, 1, 2)
+        with pytest.raises(AutodiffError,
+                           match="index 3 out of range for the key/value"):
+            tape.target_attention(table, [0], table, table, [3], [1],
+                                  combine, 2, 2)
+        with pytest.raises(AutodiffError,
+                           match="index -1 out of range for the query"):
+            tape.target_attention(table, [-1], table, table, [0], [1],
+                                  combine, 2, 2)
 
 
 class TestFlatStore:

@@ -465,8 +465,19 @@ class TestInitConfig:
         assert main(["init-config", "--out", str(target)]) == 0
         cfg = json.loads(target.read_text())
         assert "generator" in cfg and "model" in cfg
+        assert "seed" in cfg and "seed" not in cfg["model"]
+        assert ExperimentConfig.load(target) == ExperimentConfig()
         assert main(["init-config", "--out", str(target)]) == 2
         assert "E_EXISTS" in capsys.readouterr().err
+
+
+def test_checkpoint_config_keeps_the_top_level_seed(workspace):
+    # the config file holds one seed, at the top level; training copies it
+    # into the model config each checkpoint stores
+    _, _, _, run = workspace
+    for arch in ("din", "msnet"):
+        assert load_checkpoint(run / f"{arch}.ckpt.npz").config.seed == \
+            TINY["seed"]
 
 
 def _config_text(path: Path, text: str) -> list[str]:
@@ -701,6 +712,8 @@ MALFORMED_INPUTS = {
     "checkpoint_removed_model_switches": ("E_INTEGRITY", lambda ws, tmp:
                                           _checkpoint_meta(ws, tmp,
                                                            _removed_switches)),
+    "config_model_seed": ("E_CONFIG", lambda ws, tmp: _config_text(
+        tmp / "cfg.json", json.dumps({"model": {"seed": 5}}))),
     "config_seed_string": ("E_CONFIG", lambda ws, tmp: _config_text(
         tmp / "cfg.json", json.dumps({"seed": "x"}))),
     "config_n_users_string": ("E_CONFIG", lambda ws, tmp: _config_text(

@@ -25,6 +25,7 @@ from msnetlab.features import (
     Vocab,
     Vocabs,
     build_vocab,
+    embed_rows,
     encode_batch,
 )
 from msnetlab.metrics import partition_of
@@ -36,6 +37,7 @@ from msnetlab.model import (
     _batch_cache,
     _branch_kv,
     _branch_masks,
+    _branch_query,
     _entry_kv,
     _history_entries,
     _slice_batch,
@@ -263,12 +265,13 @@ class TestForward:
 
 
 class TestTapeNodes:
-    @pytest.mark.parametrize("arch, nodes, dense", [("msnet", 119, 10),
-                                                    ("din", 42, 4)])
+    @pytest.mark.parametrize("arch, nodes, dense", [("msnet", 101, 10),
+                                                    ("din", 33, 4)])
     def test_one_training_step_at_the_default_config(self, arch, nodes,
                                                      dense):
         # counting the leaves; each MLP layer, of the CTR head and of the
-        # meta nets, is one dense node
+        # meta nets, is one dense node, and each branch's attention is one
+        # target_attention node beside its query product
         config = ModelConfig(architecture=arch)
         batch = micro_batch(np.random.default_rng(0), b=8,
                             h=config.history_len)
@@ -280,6 +283,7 @@ class TestTapeNodes:
         assert len(names) == nodes
         assert names.count("dense") == dense
         assert not {"add_bias", "leaky_relu"} & set(names)
+        assert names.count("target_attention") == config.n_branches
 
 
 class TestLossCE:
@@ -774,7 +778,8 @@ def reference_predict(params, config, table, vocabs, catalog, accumulator):
         batch = encode_batch(table[start:start + config.batch_size], vocabs,
                              catalog, config.history_len)
         out = forward(Tape(params), config, batch)
-        for scores, mask in out.branch_scores:
+        for scores, mask in zip(out.branch_scores,
+                                _branch_masks(config, batch)):
             accumulator.add_batch(scores, batch.is_limited, batch.seq_limited,
                                   mask)
         chunks.append(out.p.values)
@@ -880,6 +885,31 @@ class TestForwardOnlyPredict:
         predict(r.params, cfg, rows, r.vocabs, catalog)
         assert calls == dict.fromkeys(names, 1)
 
+    def test_forward_once_per_chunk_and_per_step(self, setup, monkeypatch):
+        # perfbench times a training step from a fit's first forward call
+        # to each optimizer step, and a prediction batch from one forward
+        # call of predict to the next: fit must call forward once per
+        # step, and predict once per batch_size chunk
+        import msnetlab.model as model_mod
+        catalog, train, test = setup
+        cfg = ModelConfig(epochs=2, seed=4, history_len=6, batch_size=32)
+        sizes = []
+
+        def counted(tape, config, batch, *args, _real=model_mod.forward,
+                    **kwargs):
+            sizes.append(batch.size)
+            return _real(tape, config, batch, *args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "forward", counted)
+        r = fit(train, catalog, cfg)
+        steps = cfg.epochs * math.ceil(len(train) / cfg.batch_size)
+        assert len(sizes) == r.opt_state.step == steps
+        for rows in (100, 64, 0):
+            sizes.clear()
+            predict(r.params, cfg, test[:rows], r.vocabs, catalog)
+            assert sizes == [min(cfg.batch_size, rows - start)
+                             for start in range(0, rows, cfg.batch_size)]
+
     def test_forward_records_no_node(self, setup):
         catalog, train, test = setup
         cfg = ModelConfig(epochs=0, seed=4, history_len=6)
@@ -946,12 +976,23 @@ class TestKVCacheEdges:
             catalog, train, with_histories(test[:30], histories),
             self.config(variant, 4), variant)
 
+    @pytest.mark.parametrize("variant", sorted(PREDICT_VARIANTS))
+    def test_one_distinct_target(self, setup, variant):
+        # every impression has the same target: the query table's one
+        # real row is computed beside a padding row
+        catalog, train, test = setup
+        item = int(train.item_id[0])
+        rows = table_of([dataclasses.replace(r, item_id=item)
+                         for r in test[:30]])
+        assert_predict_matches_reference(catalog, train, rows,
+                                         self.config(variant, 4), variant)
+
 
 class TestRowIndependence:
-    """The K/V cache gives a batch the rows of products over other row
-    sets.  At the model's shapes a row of a matrix product of two or more
-    rows has the same bits in any such product; a one-row product takes
-    another kernel, so neither side of the cache ever makes one."""
+    """The per-item q, k and v tables give a batch the rows of products
+    over other row sets.  At the model's shapes a row of a matrix product
+    of two or more rows has the same bits in any such product; a one-row
+    product takes another kernel, so no table is ever one row."""
 
     def test_matmul_rows(self):
         rng = np.random.default_rng(41)
@@ -984,6 +1025,29 @@ class TestRowIndependence:
             for a, b in zip(part, whole):
                 assert a.tobytes() == b[rows].tobytes(), trial
 
+    @pytest.mark.parametrize("meta", [False, True])
+    def test_branch_query_rows(self, meta):
+        # predict's query table holds every distinct target once; the rows
+        # a batch reads from it are those of the batch's own table
+        config = ModelConfig()
+        params = build_params(config, micro_vocabs(n_items=500, n_cats=9))
+        rng = np.random.default_rng(45)
+
+        def queries(item, category):
+            tape = Tape(params, record=False)
+            target = embed_rows(tape, item, category)
+            query = _branch_query(tape, meta, target,
+                                  tape.concat_cols(list(target)))
+            return tape.matmul(query, tape.param("att.limited.wq")).values
+
+        item = rng.integers(0, 501, size=400)
+        category = rng.integers(0, 10, size=400)
+        whole = queries(item, category)
+        for trial in range(200):
+            rows = rng.integers(0, 400, size=int(rng.integers(2, 300)))
+            assert queries(item[rows], category[rows]).tobytes() == \
+                whole[rows].tobytes(), trial
+
     @pytest.mark.parametrize("variant", sorted(PREDICT_VARIANTS))
     def test_batch_cache_rows(self, variant):
         # the rows a training batch's cache makes for the entries it holds
@@ -1005,11 +1069,17 @@ class TestRowIndependence:
             start += rows.size
             batch = _slice_batch(full, rows)
             cache = _batch_cache(Tape(params), config, entries, batch, rows)
-            grid = entries.grid[entries.which[rows]]
             for i, mask in enumerate(_branch_masks(config, batch)):
+                # each position's entry, found by its (item, category)
+                row_of = {pair: row for row, pair in
+                          enumerate(zip(*entries.pairs[i]))}
+                want = [row_of[pair] for pair in zip(batch.seq_item[mask],
+                                                     batch.seq_category[mask])]
+                pos = cache.positions[i]
+                assert pos.lengths.tolist() == mask.sum(axis=1).tolist()
                 for part, all_rows in zip(cache.kv[i], whole[i]):
-                    assert part.values[cache.entry_row[mask]].tobytes() == \
-                        all_rows.values[grid[mask]].tobytes()
+                    assert part.values[pos.entry_row].tobytes() == \
+                        all_rows.values[want].tobytes()
 
 
 class TestPerPositionOracle:

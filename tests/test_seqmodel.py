@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msnetlab.autodiff import ParamStore, Tape, check_gradients
+from msnetlab.autodiff import AutodiffError, ParamStore, Tape, check_gradients
 from msnetlab.features import SampleBatch
 from msnetlab.seqmodel import (
     ScoreAccumulator,
@@ -124,6 +124,18 @@ def attention_fixture(rng, b, h, d_in, n_heads, d_head):
     return params, target, keys, values
 
 
+def attend(tape, target, k, v, mask, n_heads, d_head):
+    """Branch "att"'s ``target_attention`` of the ``target`` rows over the
+    projected keys and values ``k``/``v`` of ``mask``'s True positions,
+    packed row by row: one query row per batch row, one k/v row per
+    position."""
+    mask = np.asarray(mask, dtype=bool)
+    q = tape.matmul(target, tape.param("att.wq"))
+    return target_attention(tape, "att", q, np.arange(mask.shape[0]), k, v,
+                            np.arange(k.values.shape[0]), mask.sum(axis=1),
+                            n_heads, d_head)
+
+
 class TestTargetAttention:
     def test_single_valid_item_passes_value_through(self):
         # softmax over one unmasked key is weight 1, so the interest is
@@ -131,10 +143,10 @@ class TestTargetAttention:
         rng = np.random.default_rng(0)
         params, target, keys, values = attention_fixture(rng, 1, 1, 3, 1, 4)
         tape = Tape(params)
-        res = target_attention(tape, "att", Tape.constant(target),
-                               *project_kv(tape, "att", Tape.constant(keys),
-                                           Tape.constant(values)),
-                               np.array([[True]]), 1, 4)
+        res = attend(tape, Tape.constant(target),
+                     *project_kv(tape, "att", Tape.constant(keys),
+                                 Tape.constant(values)),
+                     np.array([[True]]), 1, 4)
         want = (values @ params.values["att.wv"]) @ params.values["att.combine"]
         np.testing.assert_allclose(res.interest.values, want, rtol=1e-12)
 
@@ -143,10 +155,10 @@ class TestTargetAttention:
         params, target, keys, values = attention_fixture(rng, 1, 2, 3, 1, 4)
         keys[1] = keys[0]
         tape = Tape(params)
-        res = target_attention(tape, "att", Tape.constant(target),
-                               *project_kv(tape, "att", Tape.constant(keys),
-                                           Tape.constant(values)),
-                               np.ones((1, 2), dtype=bool), 1, 4)
+        res = attend(tape, Tape.constant(target),
+                     *project_kv(tape, "att", Tape.constant(keys),
+                                 Tape.constant(values)),
+                     np.ones((1, 2), dtype=bool), 1, 4)
         assert res.scores[0, 0] == res.scores[1, 0]
         avg_v = 0.5 * (values[0] + values[1])
         want = (avg_v @ params.values["att.wv"]) @ params.values["att.combine"]
@@ -167,8 +179,8 @@ class TestTargetAttention:
         packed = mask.reshape(-1)
         k, v = project_kv(tape, "att", Tape.constant(keys[packed]),
                           Tape.constant(values[packed]))
-        res = target_attention(tape, "att", Tape.constant(target), k, v,
-                               mask, n_heads, d_head)
+        res = attend(tape, Tape.constant(target), k, v,
+                     mask, n_heads, d_head)
         np.testing.assert_allclose(res.interest.values, want, rtol=1e-10,
                                    atol=1e-12)
 
@@ -189,10 +201,10 @@ class TestTargetAttention:
         w = e / e.sum()
         want = (w[0] * values[0] + w[1] * values[1]) * 2.0
         tape = Tape(params)
-        res = target_attention(tape, "att", Tape.constant(target),
-                               *project_kv(tape, "att", Tape.constant(keys),
-                                           Tape.constant(values)),
-                               np.ones((1, 2), dtype=bool), 1, 2)
+        res = attend(tape, Tape.constant(target),
+                     *project_kv(tape, "att", Tape.constant(keys),
+                                 Tape.constant(values)),
+                     np.ones((1, 2), dtype=bool), 1, 2)
         np.testing.assert_allclose(res.scores[:, 0], s, rtol=1e-15)
         np.testing.assert_allclose(res.interest.values[0], want, rtol=1e-12)
 
@@ -205,8 +217,8 @@ class TestTargetAttention:
         packed = mask.reshape(-1)
         k, v = project_kv(tape, "att", Tape.constant(keys[packed]),
                           Tape.constant(values[packed]))
-        res = target_attention(tape, "att", Tape.constant(target), k, v,
-                               mask, 2, 3)
+        res = attend(tape, Tape.constant(target), k, v,
+                     mask, 2, 3)
         np.testing.assert_array_equal(res.interest.values[0],
                                       np.zeros_like(res.interest.values[0]))
         assert np.any(res.interest.values[1] != 0.0)
@@ -235,7 +247,7 @@ class TestTargetAttention:
         packed = mask.reshape(-1)
         k, v = project_kv(tape, "att", Tape.constant(keys[packed]),
                           Tape.constant(values[packed]))
-        res = target_attention(tape, "att", Tape.constant(target), k, v, mask, 1, 2)
+        res = attend(tape, Tape.constant(target), k, v, mask, 1, 2)
         assert np.abs(res.scores[:, 0]).min() > 900.0
         assert np.isfinite(res.interest.values).all()
         np.testing.assert_allclose(res.interest.values, want, rtol=1e-12)
@@ -251,8 +263,8 @@ class TestTargetAttention:
         packed = mask.reshape(-1)
         k, v = project_kv(tape, "att", Tape.constant(keys[packed]),
                           Tape.constant(values[packed]))
-        res = target_attention(tape, "att", Tape.constant(target), k, v,
-                               mask, n_heads, d_head)
+        res = attend(tape, Tape.constant(target), k, v,
+                     mask, n_heads, d_head)
         assert res.scores.shape == (mask.sum(), n_heads)
         for i, scores in enumerate(res.scores.T):
             c = slice(i * d_head, (i + 1) * d_head)
@@ -278,10 +290,10 @@ class TestTargetAttention:
         w = rng.normal(size=(b, 4))
 
         def loss_fn(tape):
-            res = target_attention(tape, "att", Tape.constant(target),
-                                   *project_kv(tape, "att", tape.param("keys"),
-                                               tape.param("values")),
-                                   mask, 2, 2)
+            res = attend(tape, Tape.constant(target),
+                         *project_kv(tape, "att", tape.param("keys"),
+                                     tape.param("values")),
+                         mask, 2, 2)
             return tape.sum_all(tape.mul(res.interest, Tape.constant(w)))
 
         report = check_gradients(loss_fn, params, h=1e-6, tol=1e-6)
@@ -291,12 +303,12 @@ class TestTargetAttention:
     def test_shape_mismatch_raises(self):
         rng = np.random.default_rng(4)
         params, target, keys, values = attention_fixture(rng, 2, 3, 4, 1, 3)
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(AutodiffError, match="mismatch"):
             tape = Tape(params)
-            target_attention(tape, "att", Tape.constant(target),
-                             *project_kv(tape, "att", Tape.constant(keys[:-1]),
-                                         Tape.constant(values)),
-                             np.ones((2, 3), dtype=bool), 1, 3)
+            attend(tape, Tape.constant(target),
+                   *project_kv(tape, "att", Tape.constant(keys[:-1]),
+                               Tape.constant(values)),
+                   np.ones((2, 3), dtype=bool), 1, 3)
 
 
 def meta_fixture(rng, n=6, d_id=3, d_side=2, hidden=4):
@@ -444,7 +456,7 @@ class TestPhysicalMaskEquivalence:
                 e_t = Tape.constant(table[batch.target_item])
                 tape = Tape(params)
                 k, v = project_kv(tape, "att", e_seq, e_seq)
-                res = target_attention(tape, "att", e_t, k, v, mask, 2, 3)
+                res = attend(tape, e_t, k, v, mask, 2, 3)
                 outs.append(res.interest.values.tobytes())
             assert outs[0] == outs[1], f"trial {trial} diverged"
 
