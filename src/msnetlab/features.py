@@ -9,6 +9,10 @@ Side information is the item's category.  The target item's category is
 not part of the impression record (the log format carries categories only
 inside history triples), so encoding takes the item catalog, which knows
 the category of every item including brand-new ones.
+
+An encoded table holds each distinct history once, packed entry by
+entry in a ``HistoryStore``, and each row names its history; the models
+read no padded ``[B, H]`` grid.
 """
 
 from __future__ import annotations
@@ -117,31 +121,42 @@ def build_vocab(table: ImpressionTable, catalog: Catalog) -> Vocabs:
 
 
 @dataclasses.dataclass
-class SampleBatch:
-    """Encoded impressions ready for the models.
+class HistoryStore:
+    """Each distinct history of an encoded table, once: the kept entries
+    (the most recent ``history_len`` at most, most recent first) packed
+    history by history, and how many each history keeps."""
 
-    All arrays are fixed-width; history is truncated to the most recent H
-    entries and right-padded with index 0 / mask False.  Flags are only
-    ever True where the mask is True.
-    """
+    item: np.ndarray       # [E] int64
+    category: np.ndarray   # [E] int64
+    limited: np.ndarray    # [E] bool
+    lengths: np.ndarray    # [U] int64
+    history_len: int
+
+
+@dataclasses.dataclass
+class SampleBatch:
+    """Encoded impressions ready for the models: row i's history is
+    history ``history[i]`` of ``store``, which every batch sliced from one
+    encoded table shares."""
 
     target_item: np.ndarray    # [B] int64
     target_category: np.ndarray  # [B] int64
-    seq_item: np.ndarray       # [B, H] int64
-    seq_category: np.ndarray   # [B, H] int64
-    seq_mask: np.ndarray       # [B, H] bool
-    seq_limited: np.ndarray    # [B, H] bool
+    history: np.ndarray        # [B] int64
     labels: np.ndarray         # [B] float64
     is_new: np.ndarray         # [B] bool
     is_limited: np.ndarray     # [B] bool
+    store: HistoryStore
 
     @property
     def size(self) -> int:
         return int(self.target_item.shape[0])
 
     @property
-    def history_len(self) -> int:
-        return int(self.seq_item.shape[1])
+    def seq_mask(self) -> np.ndarray:
+        """[B, H] bool, True at each row's kept positions: the fill of a
+        padded history grid, for the benchmark's ``seq_fill_ratio``."""
+        return np.arange(self.store.history_len) < \
+            self.store.lengths[self.history][:, None]
 
 
 def encode_batch(table: ImpressionTable, vocabs: Vocabs, catalog: Catalog,
@@ -149,27 +164,20 @@ def encode_batch(table: ImpressionTable, vocabs: Vocabs, catalog: Catalog,
     if history_len < 1:
         raise ValueError("history_len must be >= 1")
     known, category = catalog.categories(table.item_id)
-    # each distinct history the rows hold is encoded once, into one row
-    # of the [U, H] grids, and the grid rows are gathered per row
-    histories, which = np.unique(table.history, return_inverse=True)
+    # each distinct history the rows hold is encoded once, into the store
+    histories, history = np.unique(table.history, return_inverse=True)
     idx, lengths = table.history_entries(histories, history_len)
-    seq_mask = np.arange(history_len) < lengths[:, None]
-    seq_item = np.zeros(seq_mask.shape, dtype=np.int64)
-    seq_category = np.zeros_like(seq_item)
-    seq_limited = np.zeros_like(seq_mask)
-    seq_item[seq_mask] = vocabs.item.lookup_array(table.hist_item[idx])
-    seq_category[seq_mask] = vocabs.category.lookup_array(
-        table.hist_category[idx])
-    seq_limited[seq_mask] = table.hist_limited[idx]
     return SampleBatch(
         target_item=vocabs.item.lookup_array(table.item_id),
         target_category=np.where(
             known, vocabs.category.lookup_array(category), OOV_INDEX),
-        seq_item=seq_item[which], seq_category=seq_category[which],
-        seq_mask=seq_mask[which], seq_limited=seq_limited[which],
-        labels=table.label.astype(np.float64),
+        history=history, labels=table.label.astype(np.float64),
         is_new=table.item_is_new.copy(),
-        is_limited=table.item_is_limited.copy())
+        is_limited=table.item_is_limited.copy(),
+        store=HistoryStore(
+            vocabs.item.lookup_array(table.hist_item[idx]),
+            vocabs.category.lookup_array(table.hist_category[idx]),
+            table.hist_limited[idx], lengths, history_len))
 
 
 def init_embedding(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
@@ -195,12 +203,8 @@ def add_embedding_tables(params: ParamStore, vocabs: Vocabs, d_id: int,
 
 @dataclasses.dataclass
 class Embedded:
-    """Gathered embeddings for one batch.
-
-    Sequence tensors hold only the kept positions, packed in row-major
-    order of the batch's [B, H] grid; ``seq_row`` names the batch row of
-    each packed row.
-    """
+    """Gathered embeddings for one batch: its target rows, and packed
+    sequence rows, each paired with its batch row ``seq_row``."""
 
     target_id: Tensor    # [B, D_id]
     target_side: Tensor  # [B, D_side]
@@ -216,23 +220,3 @@ def embed_rows(tape: Tape, item: np.ndarray,
     return (tape.gather_rows(tape.param("emb.item"), item, "emb.item"),
             tape.gather_rows(tape.param("emb.category"), category,
                              "emb.category"))
-
-
-def embed(tape: Tape, batch: SampleBatch, keep: np.ndarray,
-          target: tuple[Tensor, Tensor] | None = None) -> Embedded:
-    """Target rows plus the sequence rows where ``keep`` [B, H] is True.
-
-    ``target``, the batch's target rows gathered earlier on the same tape,
-    is used in place of gathering them again.
-    """
-    keep = np.asarray(keep, dtype=bool)
-    if keep.shape != batch.seq_mask.shape:
-        raise ValueError(f"keep mask {keep.shape} does not match the batch's "
-                         f"sequence grid {batch.seq_mask.shape}")
-    target_id, target_side = target or embed_rows(
-        tape, batch.target_item, batch.target_category)
-    flat = np.flatnonzero(keep)
-    seq_id, seq_side = embed_rows(tape, batch.seq_item.reshape(-1)[flat],
-                                  batch.seq_category.reshape(-1)[flat])
-    return Embedded(target_id, target_side, seq_id, seq_side,
-                    flat // batch.history_len)

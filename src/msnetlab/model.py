@@ -35,7 +35,6 @@ from .features import (
     Vocabs,
     add_embedding_tables,
     build_vocab,
-    embed,
     embed_rows,
     encode_batch,
 )
@@ -53,7 +52,6 @@ from .seqmodel import (
     mlp,
     project_kv,
     scaling_weights,
-    split_sequence,
     target_attention,
 )
 
@@ -195,11 +193,11 @@ def build_params(config: ModelConfig, vocabs: Vocabs) -> ParamStore:
 class ForwardOutput:
     p: Tensor                 # [B] probabilities in (0, 1)
     # per attention branch, the detached [P, n_heads] scores of its
-    # positions (``_branch_masks``), packed row by row, for the score
-    # diagnostic
+    # positions (``cache.positions``), for the score diagnostic
     branch_scores: list[np.ndarray]
     # the batch's target rows of the item and category tables
     target: tuple[Tensor, Tensor]
+    cache: "ItemCache"        # what the attention read, for the aux loss
 
 
 def _branches(config: ModelConfig) -> list[tuple[str, bool]]:
@@ -209,16 +207,6 @@ def _branches(config: ModelConfig) -> list[tuple[str, bool]]:
     prefixes = ["att.main", "att.limited"][:config.n_branches]
     return [(prefix, config.uses_meta and i == len(prefixes) - 1)
             for i, prefix in enumerate(prefixes)]
-
-
-def _branch_masks(config: ModelConfig, batch: SampleBatch) -> list[np.ndarray]:
-    """The [B, H] positions each branch attends to: all valid positions
-    without a split, else the multi positions for the main branch and the
-    limited ones for the limited branch."""
-    if config.n_branches == 1:
-        return [batch.seq_mask]
-    masks = split_sequence(batch)
-    return [masks.multi, masks.limited]
 
 
 def _branch_kv(tape: Tape, prefix: str, meta: bool, seq_id: Tensor,
@@ -294,53 +282,53 @@ def _at_least_two_rows(*ids: np.ndarray) -> list[np.ndarray]:
 @dataclasses.dataclass
 class Positions:
     """A branch's positions in a run of rows, packed row by row: each
-    position's row among the branch's entries (or in its k and v tables),
-    and how many positions each row holds."""
+    position's row among the branch's entries (or in its k and v tables)
+    and its stock flag, and how many positions each row holds."""
 
     entry_row: np.ndarray  # [P]
     lengths: np.ndarray    # [rows]
+    limited: np.ndarray    # [P] bool
 
 
 @dataclasses.dataclass
 class HistoryEntries:
     """The distinct history entries each branch attends to in an encoded
     table, and where each position finds its entry.  Per branch: the
-    entries, and the ``Positions`` of each of the U distinct histories,
-    which start at ``starts`` in its packed rows; ``which`` [N] names
-    each impression's history."""
+    entries, and the ``Positions`` of each of the U histories of the
+    table's store, which start at ``starts`` in its packed rows."""
 
     pairs: list[tuple[np.ndarray, np.ndarray]]  # per branch: item, category
     histories: list[Positions]                  # per branch, U rows
     starts: list[np.ndarray]                    # per branch, [U]
-    which: np.ndarray                           # [N]
 
 
-def _history_entries(config: ModelConfig, full: SampleBatch,
-                     history: np.ndarray) -> HistoryEntries:
-    """The entries of ``full``, whose row i holds the history
-    ``history[i]``; each distinct history is read once.  Entry rows and
-    lengths take the narrowest unsigned dtype that holds them."""
-    _, first, which = np.unique(history, return_index=True,
-                                return_inverse=True)
-    seqs = _slice_batch(full, first)
-    entries = HistoryEntries([], [], [], which)
-    for mask in _branch_masks(config, seqs):
-        pairs, rows = _distinct_pairs(seqs.seq_item[mask],
-                                      seqs.seq_category[mask])
-        lengths = mask.sum(axis=1, dtype=np.min_scalar_type(mask.shape[1]))
+def _history_entries(config: ModelConfig, batch: SampleBatch
+                     ) -> HistoryEntries:
+    """The entries of ``batch``'s history store: all of them for a model
+    with one branch, else the multi ones for the main branch and the
+    limited ones for the limited branch.  Entry rows and lengths take the
+    narrowest unsigned dtype that holds them."""
+    store = batch.store
+    owner = np.repeat(np.arange(store.lengths.size), store.lengths)
+    width = np.min_scalar_type(store.lengths.max(initial=0))
+    entries = HistoryEntries([], [], [])
+    for keep in ([np.ones_like(store.limited)] if config.n_branches == 1
+                 else [~store.limited, store.limited]):
+        pairs, rows = _distinct_pairs(store.item[keep], store.category[keep])
+        lengths = np.bincount(owner[keep], minlength=store.lengths.size
+                              ).astype(width)
         entries.pairs.append(pairs)
         entries.histories.append(Positions(
-            rows.astype(np.min_scalar_type(pairs[0].size)), lengths))
+            rows.astype(np.min_scalar_type(pairs[0].size)), lengths,
+            store.limited[keep]))
         entries.starts.append(np.cumsum(lengths, dtype=np.int64) - lengths)
     return entries
 
 
-def _positions(entries: HistoryEntries, rows: np.ndarray | slice
+def _positions(entries: HistoryEntries, which: np.ndarray
                ) -> list[Positions]:
-    """Each branch's ``Positions`` of the rows ``rows`` of the table
-    ``entries`` lists: each row's history's positions, in row order, as
-    the row-major order of the row's mask packs them."""
-    which = entries.which[rows]
+    """Each branch's ``Positions`` of rows whose histories are ``which``:
+    each row's history's positions, in row order."""
     positions = []
     for history, starts in zip(entries.histories, entries.starts):
         lengths = history.lengths[which]
@@ -348,8 +336,9 @@ def _positions(entries: HistoryEntries, rows: np.ndarray | slice
         # position j of the run, in row i, is position
         # starts[which[i]] + j - (ends - lengths)[i] of the histories
         shift = np.repeat(starts[which] - ends + lengths, lengths)
-        positions.append(Positions(
-            history.entry_row[np.arange(shift.size) + shift], lengths))
+        at = np.arange(shift.size) + shift
+        positions.append(Positions(history.entry_row[at], lengths,
+                                   history.limited[at]))
     return positions
 
 
@@ -357,57 +346,55 @@ def _positions(entries: HistoryEntries, rows: np.ndarray | slice
 class ItemCache:
     """The per-item tables ``forward`` reads a batch's attention from.
     Per branch: the projected keys and values of a set of its history
-    entries, and the batch's positions among them.  ``queries``, when
-    set, holds each branch's projected queries of a set of targets and
-    the row of each batch row's target among them; when None,
-    ``forward`` projects the batch's own targets, one row each."""
+    entries, the (item, category) of each of those entries, and the
+    batch's positions among them.  ``queries``, when set, holds each
+    branch's projected queries of a set of targets and the row of each
+    batch row's target among them; when None, ``forward`` projects the
+    batch's own targets, one row each."""
 
     kv: list[tuple[Tensor, Tensor]]  # per branch, [C_b, n_heads*d_head]
     positions: list[Positions]
+    pairs: list[tuple[np.ndarray, np.ndarray]]  # per branch, [C_b] each
     queries: tuple[list[Tensor], np.ndarray] | None = None
 
 
-def _entry_kv(tape: Tape, config: ModelConfig, entries: HistoryEntries,
-              used: list[np.ndarray] | None = None
+def _entry_kv(tape: Tape, config: ModelConfig,
+              pairs: list[tuple[np.ndarray, np.ndarray]]
               ) -> list[tuple[Tensor, Tensor]]:
-    """Each branch's ``_branch_kv`` of its entries, or of its entries
-    ``used[i]`` only, on ``tape``."""
-    kv = []
-    for i, (prefix, meta) in enumerate(_branches(config)):
-        item, category = entries.pairs[i]
-        if used is not None:
-            item, category = item[used[i]], category[used[i]]
-        kv.append(_branch_kv(tape, prefix, meta, *embed_rows(
-            tape, *_at_least_two_rows(item, category))))
-    return kv
+    """Each branch's ``_branch_kv`` of the entries ``pairs[i]``, on
+    ``tape``."""
+    return [_branch_kv(tape, prefix, meta, *embed_rows(
+        tape, *_at_least_two_rows(*pair)))
+        for (prefix, meta), pair in zip(_branches(config), pairs)]
 
 
 def _batch_cache(tape: Tape, config: ModelConfig, entries: HistoryEntries,
-                 batch: SampleBatch, rows: np.ndarray | slice) -> ItemCache:
-    """The cache of ``batch``, the rows ``rows`` of the table ``entries``
-    lists: each branch's K/V of only the entries the batch's positions
-    hold, found by an occupancy count over the entry rows.  The queries
-    are left to ``forward``."""
-    positions = _positions(entries, rows)
-    used = []
-    for pos in positions:
+                 batch: SampleBatch) -> ItemCache:
+    """The cache of ``batch``, whose store ``entries`` lists: each
+    branch's K/V of only the entries the batch's positions hold, found by
+    an occupancy count over the entry rows.  The queries are left to
+    ``forward``."""
+    positions = _positions(entries, batch.history)
+    pairs = []
+    for pos, (item, category) in zip(positions, entries.pairs):
         occupied = np.bincount(pos.entry_row) > 0
         pos.entry_row = (np.cumsum(occupied) - 1)[pos.entry_row]
-        used.append(np.flatnonzero(occupied))
-    return ItemCache(_entry_kv(tape, config, entries, used), positions)
+        used = np.flatnonzero(occupied)
+        pairs.append((item[used], category[used]))
+    return ItemCache(_entry_kv(tape, config, pairs), positions, pairs)
 
 
 def forward(tape: Tape, config: ModelConfig, batch: SampleBatch,
             cache: ItemCache | None = None) -> ForwardOutput:
-    """Each branch attends only to its positions (``_branch_masks``),
+    """Each branch attends only to its positions (``_history_entries``),
     reading q, k and v from ``cache``; without one, the batch's own is
     built on ``tape`` as ``fit`` builds it.  Without the cache's queries,
     the batch's targets are projected here, one row per batch row (a
     one-row batch's beside a padding row, as ``_target_queries`` does).
     The attention and the head run here."""
     if cache is None:
-        entries = _history_entries(config, batch, np.arange(batch.size))
-        cache = _batch_cache(tape, config, entries, batch, slice(None))
+        cache = _batch_cache(tape, config, _history_entries(config, batch),
+                             batch)
     target = embed_rows(tape, batch.target_item, batch.target_category)
     e_target = tape.concat_cols(list(target))
     if cache.queries is not None:
@@ -426,7 +413,8 @@ def forward(tape: Tape, config: ModelConfig, batch: SampleBatch,
         branch_scores.append(att.scores)
     x = tape.concat_cols(interests + [e_target])
     return ForwardOutput(p=_mlp_head(tape, config, x),
-                         branch_scores=branch_scores, target=target)
+                         branch_scores=branch_scores, target=target,
+                         cache=cache)
 
 
 # ----------------------------------------------------------------------
@@ -457,12 +445,16 @@ def total_loss(tape: Tape, ce: Tensor, aux: Tensor | None,
 def compute_losses(tape: Tape, config: ModelConfig, batch: SampleBatch,
                    out: ForwardOutput) -> tuple[Tensor, Tensor | None, Tensor]:
     """The click loss, the aux loss over the limited-stock positions (an
-    MSNet with ``alpha`` > 0 only, else None) and their weighted sum."""
+    MSNet with ``alpha`` > 0 only, else None) and their weighted sum.  The
+    last branch holds every limited position, each row's in order."""
     ce = tape.bce(out.p, batch.labels)
     aux = None
     if config.architecture == ARCH_MSNET and config.alpha > 0.0:
-        scope = split_sequence(batch).limited
-        aux = loss_aux(tape, embed(tape, batch, scope, out.target))
+        pos, (item, category) = out.cache.positions[-1], out.cache.pairs[-1]
+        rows = pos.entry_row[pos.limited]
+        seq_row = np.repeat(np.arange(batch.size), pos.lengths)[pos.limited]
+        aux = loss_aux(tape, Embedded(*out.target, *embed_rows(
+            tape, item[rows], category[rows]), seq_row))
     return ce, aux, total_loss(tape, ce, aux, config.alpha)
 
 
@@ -582,7 +574,7 @@ def fit(table: ImpressionTable, catalog: Catalog, config: ModelConfig, *,
     result = TrainResult(params=params, opt_state=state, vocabs=vocabs,
                          log=[])
     full = encode_batch(table, vocabs, catalog, config.history_len)
-    entries = _history_entries(config, full, table.history)
+    entries = _history_entries(config, full)
     shuffle_rng = np.random.default_rng([config.seed, 7])
     n = full.size
     snapshot = _snapshot(params, state)
@@ -596,7 +588,7 @@ def fit(table: ImpressionTable, catalog: Catalog, config: ModelConfig, *,
             tape = Tape(params)
             with np.errstate(all="ignore"):
                 out = forward(tape, config, batch,
-                              _batch_cache(tape, config, entries, batch, rows))
+                              _batch_cache(tape, config, entries, batch))
                 ce, aux, total = compute_losses(tape, config, batch, out)
                 total_val = float(total.values)
                 try:
@@ -630,8 +622,10 @@ def _snapshot(params: ParamStore, state: AdagradState
 
 
 def _slice_batch(full: SampleBatch, rows: np.ndarray | slice) -> SampleBatch:
+    """The rows ``rows`` of ``full``, sharing its history store."""
     return SampleBatch(**{field.name: getattr(full, field.name)[rows]
-                          for field in dataclasses.fields(SampleBatch)})
+                          for field in dataclasses.fields(SampleBatch)
+                          if field.name != "store"}, store=full.store)
 
 
 # ----------------------------------------------------------------------
@@ -643,34 +637,35 @@ def _slice_batch(full: SampleBatch, rows: np.ndarray | slice) -> SampleBatch:
 PACK_ROWS = 4096
 
 
-def _packed_positions(entries: HistoryEntries, n: int) -> list[Positions]:
-    """Each branch's ``Positions`` of the n rows of the table ``entries``
-    lists, packed block by block."""
+def _packed_positions(entries: HistoryEntries, which: np.ndarray
+                      ) -> list[Positions]:
+    """Each branch's ``Positions`` of rows whose histories are ``which``,
+    packed block by block."""
     # an empty table packs one empty block
-    blocks = [_positions(entries, slice(start, start + PACK_ROWS))
-              for start in range(0, max(n, 1), PACK_ROWS)]
-    return [Positions(np.concatenate([b[i].entry_row for b in blocks]),
-                      np.concatenate([b[i].lengths for b in blocks]))
-            for i in range(len(entries.histories))]
+    blocks = [_positions(entries, which[start:start + PACK_ROWS])
+              for start in range(0, max(which.size, 1), PACK_ROWS)]
+    return [Positions(*(np.concatenate(parts) for parts in zip(
+        *((b[i].entry_row, b[i].lengths, b[i].limited) for b in blocks))))
+        for i in range(len(entries.histories))]
 
 
 def _probabilities(params: ParamStore, config: ModelConfig,
-                   table: ImpressionTable, full: SampleBatch,
+                   full: SampleBatch,
                    score_accumulator: ScoreAccumulator | None) -> np.ndarray:
-    """``forward``'s probability of each row of ``full``, the encoded
-    ``table``, in batches of ``config.batch_size`` rows on forward-only
+    """``forward``'s probability of each row of the encoded table
+    ``full``, in batches of ``config.batch_size`` rows on forward-only
     tapes.  Each batch reads its q, k and v from tables made once per
     call, of every distinct target and every history entry, and its
-    positions as slices of each branch's positions packed once per call;
-    both live only as long as this call."""
-    entries = _history_entries(config, full, table.history)
+    positions and their stock flags as slices of each branch's positions
+    packed once per call; both live only as long as this call."""
+    entries = _history_entries(config, full)
     tape = Tape(params, record=False)
-    kv = _entry_kv(tape, config, entries)
+    kv = _entry_kv(tape, config, entries.pairs)
     targets, target_row = _distinct_pairs(full.target_item,
                                           full.target_category)
     queries = _target_queries(tape, config, *targets)
     target_row = target_row.astype(np.min_scalar_type(targets[0].size))
-    packed = _packed_positions(entries, full.size)
+    packed = _packed_positions(entries, full.history)
     at = [0] * len(packed)
     p_chunks: list[np.ndarray] = [np.empty(0)]
     for start in range(0, full.size, config.batch_size):
@@ -679,16 +674,18 @@ def _probabilities(params: ParamStore, config: ModelConfig,
         positions = []
         for i, pos in enumerate(packed):
             lengths = pos.lengths[rows]
-            end = at[i] + int(lengths.sum())
-            positions.append(Positions(pos.entry_row[at[i]:end], lengths))
-            at[i] = end
+            run = slice(at[i], at[i] + int(lengths.sum()))
+            positions.append(Positions(pos.entry_row[run], lengths,
+                                       pos.limited[run]))
+            at[i] = run.stop
         fo = forward(Tape(params, record=False), config, batch,
-                     ItemCache(kv, positions, (queries, target_row[rows])))
+                     ItemCache(kv, positions, entries.pairs,
+                               (queries, target_row[rows])))
         if score_accumulator is not None:
-            for scores, mask in zip(fo.branch_scores,
-                                    _branch_masks(config, batch)):
-                score_accumulator.add_batch(scores, batch.is_limited,
-                                            batch.seq_limited, mask)
+            for scores, pos in zip(fo.branch_scores, positions):
+                score_accumulator.add_batch(
+                    scores, np.repeat(batch.is_limited, pos.lengths),
+                    pos.limited)
         p_chunks.append(fo.p.values)
     return np.concatenate(p_chunks)
 
@@ -712,7 +709,7 @@ def predict(params: ParamStore, config: ModelConfig, table: ImpressionTable,
     """
     full = encode_batch(table, vocabs, catalog, config.history_len)
     with np.errstate(all="ignore"):
-        p = _probabilities(params, config, table, full, score_accumulator)
+        p = _probabilities(params, config, full, score_accumulator)
     bad = np.count_nonzero(~np.isfinite(p))
     if bad:
         raise ModelError(f"{bad} of {p.size} predictions are not finite: "

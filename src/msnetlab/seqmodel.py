@@ -1,6 +1,8 @@
-"""Sequence modeling blocks: stock-based sequence split, multi-head target
-attention, MLP layers, the meta scaling / shifting networks, and the final
-key/value composition for the limited-stock branch.
+"""Sequence modeling blocks: multi-head target attention, MLP layers, the
+meta scaling / shifting networks, the final key/value composition for the
+limited-stock branch, and the attention-score diagnostic.  Every
+per-position array holds packed positions, one row each; the split by
+stock type is made on the packed history store (``model._history_entries``).
 
 The meta networks take gradient-blocked inputs: the scaling net reads the
 id embedding (blocked) and reweights the side embedding field-wise; the
@@ -18,26 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import ParamStore, Tape, Tensor
-from .features import SampleBatch
 
 Array = np.ndarray
-
-
-@dataclasses.dataclass
-class SplitMasks:
-    """Partition of the validity mask by the stock type of each position."""
-
-    multi: Array    # [B, H] bool
-    limited: Array  # [B, H] bool
-
-
-def split_sequence(batch: SampleBatch) -> SplitMasks:
-    """Limited positions are valid positions flagged limited-stock; multi
-    positions are the remaining valid ones.  The two masks partition the
-    validity mask."""
-    limited = batch.seq_mask & batch.seq_limited
-    multi = batch.seq_mask & ~batch.seq_limited
-    return SplitMasks(multi=multi, limited=limited)
 
 
 # ----------------------------------------------------------------------
@@ -188,24 +172,21 @@ class AttentionScoreTable:
 
 
 class ScoreAccumulator:
-    """Streams (packed scores, target flags, sequence flags, mask) per
-    batch and reduces to the 2x2 diagnostic table."""
+    """Streams (packed scores, target flags, sequence flags) per batch and
+    reduces to the 2x2 diagnostic table."""
 
     def __init__(self) -> None:
         self.sums = {(t, s): 0.0 for t in STOCK_TYPES for s in STOCK_TYPES}
         self.counts = {(t, s): 0 for t in STOCK_TYPES for s in STOCK_TYPES}
 
     def add_batch(self, scores: Array, target_limited: Array,
-                  seq_limited: Array, mask: Array) -> None:
-        """``scores`` [P, n_heads] holds one row per True position of
-        ``mask`` [B, H], in row-major order: a branch's packed positions,
-        as ``forward`` returns them in ``branch_scores``.  A row's target
-        flag is ``target_limited`` at its batch row, and its sequence flag
-        is ``seq_limited`` at its position."""
-        mask = np.asarray(mask, dtype=bool)
-        flat = np.flatnonzero(mask)
-        t_flags = np.asarray(target_limited, dtype=bool)[flat // mask.shape[1]]
-        s_flags = np.asarray(seq_limited, dtype=bool).reshape(-1)[flat]
+                  entry_limited: Array) -> None:
+        """``scores`` [P, n_heads] holds one row per packed position, as
+        ``forward`` returns a branch's in ``branch_scores``; position p's
+        target flag is ``target_limited[p]`` and its sequence flag
+        ``entry_limited[p]``."""
+        t_flags = np.asarray(target_limited, dtype=bool)
+        s_flags = np.asarray(entry_limited, dtype=bool)
         # the four (target, sequence) cells, built once for every head
         cells = [((t_name, s_name), (t_flags == t_flag) & (s_flags == s_flag))
                  for t_flag, t_name in ((False, "multi"), (True, "limited"))

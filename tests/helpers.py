@@ -1,11 +1,14 @@
 """Test helpers that the package itself does not need: a one-value
 vocabulary lookup, the generator's click probability of one (user, item)
-pair, a sequence branch materialized as its own padded batch, meta nets
-made exact no-ops, the per-name gradient composition the tape's one dense
-vector replaced, the per-position key/value composition the per-entry
-cache replaced, and the attention composition, with its two segment ops,
-that ``Tape.target_attention`` replaced."""
+pair, batches packed from and unpacked to padded [B, H] grids with the
+mask-based oracles over them (``embed``, ``branch_masks``,
+``add_batch_by_mask``, a sequence branch materialized as its own batch),
+meta nets made exact no-ops, the per-name gradient composition the tape's
+one dense vector replaced, the per-position key/value composition the
+per-entry cache replaced, and the attention composition, with its two
+segment ops, that ``Tape.target_attention`` replaced."""
 
+import collections
 import math
 
 import numpy as np
@@ -22,8 +25,15 @@ from msnetlab.autodiff import (
     sigmoid,
 )
 from msnetlab.datagen import GeneratorConfig, ItemSpec, UserSpec
-from msnetlab.features import OOV_INDEX, SampleBatch, Vocab, embed
-from msnetlab.seqmodel import META_SCALE, META_SHIFT
+from msnetlab.features import (
+    OOV_INDEX,
+    Embedded,
+    HistoryStore,
+    SampleBatch,
+    Vocab,
+    embed_rows,
+)
+from msnetlab.seqmodel import META_SCALE, META_SHIFT, STOCK_TYPES
 
 
 def lookup(vocab: Vocab, value: int) -> int:
@@ -42,26 +52,106 @@ def true_ctr(user: UserSpec, item: ItemSpec, config: GeneratorConfig) -> float:
     return float(sigmoid(z))
 
 
-def physical_split(batch: SampleBatch, keep: np.ndarray) -> SampleBatch:
-    """Materialize one branch as its own padded sequence.
+# a batch's histories as padded [B, H] grids
+Grids = collections.namedtuple("Grids", "item category mask limited")
 
-    Positions outside ``keep`` are rewritten to padding in place (index 0,
-    flags false, mask false), the same padding policy the encoder uses.
+
+def grid_batch(*, seq_item, seq_category, seq_mask, seq_limited,
+               **rows) -> SampleBatch:
+    """A batch from hand-made [B, H] grids: row i holds history i, whose
+    entries are row i's positions where ``seq_mask`` is True, packed in
+    row-major order.  ``rows`` holds the per-row columns."""
+    mask = np.asarray(seq_mask, dtype=bool)
+    store = HistoryStore(np.asarray(seq_item, dtype=np.int64)[mask],
+                         np.asarray(seq_category, dtype=np.int64)[mask],
+                         np.asarray(seq_limited, dtype=bool)[mask],
+                         mask.sum(axis=1), mask.shape[1])
+    return SampleBatch(history=np.arange(mask.shape[0]), store=store, **rows)
+
+
+def batch_grids(batch: SampleBatch) -> Grids:
+    """``batch``'s histories as padded [B, H] grids: row i holds its
+    history's entries from column 0, then index 0 and False."""
+    store, mask = batch.store, batch.seq_mask
+    starts = np.cumsum(store.lengths) - store.lengths
+    at = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        np.arange(starts[u], starts[u] + store.lengths[u])
+        for u in batch.history])
+    grids = Grids(np.zeros(mask.shape, dtype=np.int64),
+                  np.zeros(mask.shape, dtype=np.int64), mask,
+                  np.zeros(mask.shape, dtype=bool))
+    for grid, column in ((grids.item, store.item),
+                         (grids.category, store.category),
+                         (grids.limited, store.limited)):
+        grid[mask] = column[at]
+    return grids
+
+
+def embed(tape: Tape, batch: SampleBatch, keep: np.ndarray,
+          target: tuple[Tensor, Tensor] | None = None) -> Embedded:
+    """Target rows plus the sequence rows of ``batch_grids(batch)`` where
+    ``keep`` [B, H] is True, in row-major order, as the package gathered
+    them by mask; ``target``, the target rows gathered earlier on the same
+    tape, is used in place of gathering them again."""
+    keep = np.asarray(keep, dtype=bool)
+    grids = batch_grids(batch)
+    if keep.shape != grids.mask.shape:
+        raise ValueError(f"keep mask {keep.shape} does not match the batch's "
+                         f"sequence grid {grids.mask.shape}")
+    target_id, target_side = target or embed_rows(
+        tape, batch.target_item, batch.target_category)
+    flat = np.flatnonzero(keep)
+    seq_id, seq_side = embed_rows(tape, grids.item.reshape(-1)[flat],
+                                  grids.category.reshape(-1)[flat])
+    return Embedded(target_id, target_side, seq_id, seq_side,
+                    flat // keep.shape[1])
+
+
+def branch_masks(config: "model.ModelConfig",
+                 batch: SampleBatch) -> list[np.ndarray]:
+    """The [B, H] positions of ``batch_grids(batch)`` each branch attends
+    to: all kept positions without a split, else the multi positions for
+    the main branch and the limited ones for the limited branch."""
+    grids = batch_grids(batch)
+    if config.n_branches == 1:
+        return [grids.mask]
+    return [grids.mask & ~grids.limited, grids.mask & grids.limited]
+
+
+def add_batch_by_mask(acc, scores: np.ndarray, target_limited: np.ndarray,
+                      seq_limited: np.ndarray, mask: np.ndarray) -> None:
+    """``ScoreAccumulator.add_batch`` on ``acc`` as it read the flags from
+    grids: ``scores`` [P, n_heads] holds one row per True position of
+    ``mask`` [B, H], in row-major order; a row's target flag is
+    ``target_limited`` at its batch row, its sequence flag
+    ``seq_limited`` at its position."""
+    mask = np.asarray(mask, dtype=bool)
+    flat = np.flatnonzero(mask)
+    t_flags = np.asarray(target_limited, dtype=bool)[flat // mask.shape[1]]
+    s_flags = np.asarray(seq_limited, dtype=bool).reshape(-1)[flat]
+    cells = [((t_name, s_name), (t_flags == t_flag) & (s_flags == s_flag))
+             for t_flag, t_name in zip((False, True), STOCK_TYPES)
+             for s_flag, s_name in zip((False, True), STOCK_TYPES)]
+    for head in scores.T:
+        for key, cell in cells:
+            vals = head[cell]
+            acc.sums[key] += float(vals.sum())
+            acc.counts[key] += int(vals.size)
+
+
+def physical_split(batch: SampleBatch, keep: np.ndarray) -> SampleBatch:
+    """Materialize one branch as its own batch: the positions of
+    ``batch_grids(batch)`` where ``keep`` is True, and no others.
     Attention over the physical branch must match attention over the full
     sequence with ``keep`` as the mask, bit for bit.
     """
-    keep = np.asarray(keep, dtype=bool)
-    return SampleBatch(
+    grids = batch_grids(batch)
+    return grid_batch(
         target_item=batch.target_item.copy(),
         target_category=batch.target_category.copy(),
-        seq_item=np.where(keep, batch.seq_item, 0),
-        seq_category=np.where(keep, batch.seq_category, 0),
-        seq_mask=keep.copy(),
-        seq_limited=np.where(keep, batch.seq_limited, False),
-        labels=batch.labels.copy(),
-        is_new=batch.is_new.copy(),
-        is_limited=batch.is_limited.copy(),
-    )
+        seq_item=grids.item, seq_category=grids.category, seq_mask=keep,
+        seq_limited=grids.limited, labels=batch.labels.copy(),
+        is_new=batch.is_new.copy(), is_limited=batch.is_limited.copy())
 
 
 def zero_meta_outputs(params: ParamStore) -> None:
@@ -211,7 +301,7 @@ def per_position_forward(tape: Tape, config: "model.ModelConfig",
     and the aux loss gathers the target rows once more."""
     emb, interests = None, []
     for (prefix, meta), mask in zip(model._branches(config),
-                                    model._branch_masks(config, batch)):
+                                    branch_masks(config, batch)):
         emb = embed(tape, batch, mask,
                     emb and (emb.target_id, emb.target_side))
         target = emb.target_id, emb.target_side
@@ -228,7 +318,8 @@ def per_position_forward(tape: Tape, config: "model.ModelConfig",
                         tape.concat_cols(interests + [e_target]))
     aux = None
     if config.architecture == model.ARCH_MSNET and config.alpha > 0.0:
-        aux = model.loss_aux(tape, embed(
-            tape, batch, batch.seq_mask & batch.seq_limited))
+        grids = batch_grids(batch)
+        aux = model.loss_aux(tape, embed(tape, batch,
+                                         grids.mask & grids.limited))
     return p, model.total_loss(tape, tape.bce(p, batch.labels), aux,
                                config.alpha)

@@ -23,7 +23,7 @@ from msnetlab.datagen import (
     simulate,
     split_train_test,
 )
-from msnetlab.features import SampleBatch, Vocab, Vocabs, embed
+from msnetlab.features import Vocab, Vocabs
 from msnetlab.metrics import (
     PredictionRecord,
     auc_from_arrays,
@@ -47,11 +47,16 @@ from msnetlab.seqmodel import (
     meta_shift,
     project_kv,
     scaling_weights,
-    split_sequence,
     target_attention,
 )
 
-from helpers import physical_split, zero_meta_outputs
+from helpers import (
+    batch_grids,
+    embed,
+    grid_batch,
+    physical_split,
+    zero_meta_outputs,
+)
 
 
 def ok(n, text):
@@ -91,7 +96,7 @@ def acceptance_batch(seed=0, b=2, h=5):
     limited = mask & (rng.random(size=(b, h)) < 0.5)
     if not limited.any():
         limited[0, 0] = mask[0, 0]
-    return SampleBatch(
+    return grid_batch(
         target_item=rng.integers(1, 7, size=b),
         target_category=rng.integers(1, 4, size=b),
         seq_item=np.where(mask, rng.integers(1, 7, size=(b, h)), 0),
@@ -151,8 +156,8 @@ def test_criterion_3_stop_gradient_contracts():
 
     # (c) aux-loss side-similarity path -> side table
     tape = Tape(params)
-    scope = batch.seq_mask & batch.seq_limited
-    emb = embed(tape, batch, scope)
+    grids = batch_grids(batch)
+    emb = embed(tape, batch, grids.mask & grids.limited)
     aux = loss_aux(tape, emb)
     grads = tape.backward(aux)
     assert not np.any(grads["emb.category"].rows)
@@ -291,7 +296,7 @@ def test_criterion_6_sold_item_gradient_support():
         params.values["att.limited.wq"][:, cols] = eye
         params.values["att.limited.wk"][:, cols] = eye
 
-    batch = SampleBatch(
+    batch = grid_batch(
         target_item=np.array([4]), target_category=np.array([1]),
         seq_item=np.array([[3, 1, 2]]),       # multi, sold-limited, limited
         seq_category=np.array([[1, 2, 1]]),
@@ -335,7 +340,7 @@ def test_criterion_7_split_equivalence_100_batches():
         h = int(rng.integers(1, 7))
         mask_len = rng.integers(0, h + 1, size=b)
         mask = np.arange(h)[None, :] < mask_len[:, None]
-        batch = SampleBatch(
+        batch = grid_batch(
             target_item=rng.integers(1, 15, size=b),
             target_category=np.ones(b, dtype=np.int64),
             seq_item=np.where(mask, rng.integers(1, 15, size=(b, h)), 0),
@@ -344,12 +349,13 @@ def test_criterion_7_split_equivalence_100_batches():
             seq_limited=mask & (rng.random(size=(b, h)) < 0.5),
             labels=np.zeros(b), is_new=np.zeros(b, dtype=bool),
             is_limited=np.zeros(b, dtype=bool))
-        masks = split_sequence(batch)
-        for branch_mask in (masks.multi, masks.limited):
+        grids = batch_grids(batch)
+        for branch_mask in (grids.mask & ~grids.limited,
+                            grids.mask & grids.limited):
             phys = physical_split(batch, branch_mask)
             outs = []
-            for seq_items, m in ((batch.seq_item, branch_mask),
-                                 (phys.seq_item, phys.seq_mask)):
+            for seq_items, m in ((grids.item, branch_mask),
+                                 (batch_grids(phys).item, phys.seq_mask)):
                 e_seq = Tape.constant(
                     table[seq_items.reshape(-1)[m.reshape(-1)]])
                 e_t = Tape.constant(table[batch.target_item])

@@ -853,7 +853,7 @@ def test_memory_error_is_one_error_line(workspace, tmp_path, capsys,
 # a size numpy refuses before allocating, and steps that overflow: each
 # gives exactly one error line, with no numpy warning on the way
 OVERSIZED_OR_OVERFLOWING = {
-    "history_len": (9 * 10 ** 18, "E_MEMORY"),
+    "d_head": (9 * 10 ** 18, "E_MEMORY"),
     "meta_hidden": (9 * 10 ** 18, "E_MEMORY"),
     "learning_rate": (1e308, "E_DIVERGED"),
     "alpha": (1e308, "E_DIVERGED"),
@@ -877,6 +877,28 @@ def test_oversized_or_overflowing_config_one_error_line(key, workspace,
     assert len(lines) == 1 and lines[0].startswith(f"error {code}: ")
     if code == "E_DIVERGED":  # the initial parameters, the last good ones
         assert load_checkpoint(run / "msnet.ckpt.npz")
+
+
+def test_history_len_past_every_history_trains(workspace, tmp_path):
+    # the encoder stores only the entries each history keeps, so a
+    # history_len past every history sizes no array: it trains as one
+    # equal to the longest history does
+    _, _, data, _ = workspace
+    longest = int(np.diff(read_dataset(data / "train.tsv").hist_offsets).max())
+    params = []
+    for value in (9 * 10 ** 18, longest):
+        cfg = write_config(tmp_path / f"cfg{value}.json",
+                           model={**TINY["model"], "history_len": value})
+        run = tmp_path / f"run{value}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(cfg), "--data", str(data),
+                         "--arch", "msnet", "--out", str(run)]) == 0
+        assert [str(w.message) for w in caught] == []
+        params.append(load_checkpoint(run / "msnet.ckpt.npz").params)
+    for name in params[0].names():
+        assert params[0].values[name].tobytes() == \
+            params[1].values[name].tobytes(), name
 
 
 def _poisoned_checkpoint(workspace, tmp_path: Path, values: dict) -> Path:

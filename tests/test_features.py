@@ -1,7 +1,5 @@
 """Vocabulary, encoding, and embedding-lookup tests."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,16 +15,14 @@ from msnetlab.datagen import (
 )
 from msnetlab.features import (
     OOV_INDEX,
-    SampleBatch,
     Vocab,
     Vocabs,
     add_embedding_tables,
     build_vocab,
-    embed,
     encode_batch,
     init_embedding,
 )
-from helpers import lookup
+from helpers import batch_grids, embed, grid_batch, lookup
 from table_rows import table_of
 
 
@@ -93,10 +89,11 @@ class TestEncodeBatch:
     def test_padding_mask(self):
         catalog, records, vocabs = self._setup()
         batch = encode_batch(records, vocabs, catalog, history_len=5)
+        grids = batch_grids(batch)
         np.testing.assert_array_equal(batch.seq_mask[0],
                                       [True, True, True, False, False])
-        assert np.all(batch.seq_item[0, 3:] == OOV_INDEX)
-        assert np.all(~batch.seq_limited[0, 3:])
+        assert np.all(grids.item[0, 3:] == OOV_INDEX)
+        assert np.all(~grids.limited[0, 3:])
 
     def test_truncation_keeps_most_recent(self):
         catalog = make_catalog(item_spec(0, cat=0),
@@ -106,7 +103,7 @@ class TestEncodeBatch:
         vocabs = build_vocab(records, catalog)
         batch = encode_batch(records, vocabs, catalog, history_len=5)
         kept = [lookup(vocabs.item, i) for i in range(1, 6)]
-        np.testing.assert_array_equal(batch.seq_item[0], kept)
+        np.testing.assert_array_equal(batch_grids(batch).item[0], kept)
         assert batch.seq_mask[0].all()
 
     def test_empty_history(self):
@@ -114,21 +111,26 @@ class TestEncodeBatch:
         records = table_of([make_record(10)])
         vocabs = build_vocab(records, catalog)
         batch = encode_batch(records, vocabs, catalog, history_len=3)
-        assert np.all(batch.seq_item[0] == 0)
+        assert np.all(batch_grids(batch).item[0] == 0)
         assert not batch.seq_mask[0].any()
+        assert batch.store.lengths.tolist() == [0]
 
     def test_flags_only_where_masked(self):
         catalog, records, vocabs = self._setup()
-        batch = encode_batch(records, vocabs, catalog, history_len=5)
-        assert not np.any(batch.seq_limited & ~batch.seq_mask)
+        grids = batch_grids(encode_batch(records, vocabs, catalog,
+                                         history_len=5))
+        assert not np.any(grids.limited & ~grids.mask)
 
     def test_deterministic(self):
         catalog, records, vocabs = self._setup()
         a = encode_batch(records, vocabs, catalog, history_len=5)
         b = encode_batch(records, vocabs, catalog, history_len=5)
-        for field in ("target_item", "seq_item", "seq_mask", "labels"):
+        for field in ("target_item", "history", "seq_mask", "labels"):
             np.testing.assert_array_equal(getattr(a, field),
                                           getattr(b, field))
+        for field in ("item", "category", "limited", "lengths"):
+            np.testing.assert_array_equal(getattr(a.store, field),
+                                          getattr(b.store, field))
 
 
 def loop_build_vocab(records, catalog):
@@ -145,32 +147,38 @@ def loop_build_vocab(records, catalog):
     return Vocabs(item=item, category=category)
 
 
+# the per-row columns of an encoded batch
+ROW_FIELDS = ("target_item", "target_category", "labels", "is_new",
+              "is_limited")
+
+
 def loop_encode_batch(records, vocabs, catalog, history_len):
-    """Per-entry oracle: one ``lookup`` per history entry."""
+    """Per-entry oracle: one ``lookup`` per history entry, written into
+    padded [B, H] grids."""
     b, h = len(records), history_len
-    out = SampleBatch(
-        target_item=np.zeros(b, dtype=np.int64),
-        target_category=np.zeros(b, dtype=np.int64),
-        seq_item=np.zeros((b, h), dtype=np.int64),
-        seq_category=np.zeros((b, h), dtype=np.int64),
-        seq_mask=np.zeros((b, h), dtype=bool),
-        seq_limited=np.zeros((b, h), dtype=bool),
-        labels=np.zeros(b), is_new=np.zeros(b, dtype=bool),
-        is_limited=np.zeros(b, dtype=bool))
+    rows = dict(target_item=np.zeros(b, dtype=np.int64),
+                target_category=np.zeros(b, dtype=np.int64),
+                labels=np.zeros(b), is_new=np.zeros(b, dtype=bool),
+                is_limited=np.zeros(b, dtype=bool))
+    grids = dict(seq_item=np.zeros((b, h), dtype=np.int64),
+                 seq_category=np.zeros((b, h), dtype=np.int64),
+                 seq_mask=np.zeros((b, h), dtype=bool),
+                 seq_limited=np.zeros((b, h), dtype=bool))
     for i, r in enumerate(records):
-        out.target_item[i] = lookup(vocabs.item, r.item_id)
+        rows["target_item"][i] = lookup(vocabs.item, r.item_id)
         spec = catalog.get(r.item_id)
         if spec is not None:
-            out.target_category[i] = lookup(vocabs.category, spec.category_id)
-        out.labels[i] = float(r.label)
-        out.is_new[i] = r.item_is_new
-        out.is_limited[i] = r.item_is_limited
+            rows["target_category"][i] = lookup(vocabs.category,
+                                                spec.category_id)
+        rows["labels"][i] = float(r.label)
+        rows["is_new"][i] = r.item_is_new
+        rows["is_limited"][i] = r.item_is_limited
         for j, (hid, hcat, hlim) in enumerate(r.history[:h]):
-            out.seq_item[i, j] = lookup(vocabs.item, hid)
-            out.seq_category[i, j] = lookup(vocabs.category, hcat)
-            out.seq_mask[i, j] = True
-            out.seq_limited[i, j] = hlim
-    return out
+            grids["seq_item"][i, j] = lookup(vocabs.item, hid)
+            grids["seq_category"][i, j] = lookup(vocabs.category, hcat)
+            grids["seq_mask"][i, j] = True
+            grids["seq_limited"][i, j] = hlim
+    return grid_batch(**grids, **rows)
 
 
 # small pools so values repeat, plus ids at and beyond 2**40 and negatives
@@ -248,12 +256,20 @@ class TestArrayEncodingMatchesLoops:
         for form, given_records in forms.items():
             got = encode_batch(given_records, vocabs,
                                Catalog.from_items(catalog), history_len)
-            for field in dataclasses.fields(SampleBatch):
-                a, b = getattr(got, field.name), getattr(want, field.name)
+            pairs = [(f, getattr(got, f), getattr(want, f))
+                     for f in ROW_FIELDS]
+            pairs += zip(("seq_item", "seq_category", "seq_mask",
+                          "seq_limited"), batch_grids(got),
+                         batch_grids(want))
+            for field, a, b in pairs:
                 assert a.dtype == b.dtype and a.shape == b.shape, \
-                    (form, field.name)
-                np.testing.assert_array_equal(
-                    a, b, err_msg=f"{form}: {field.name}")
+                    (form, field)
+                np.testing.assert_array_equal(a, b,
+                                              err_msg=f"{form}: {field}")
+            for field in ("item", "category", "limited", "lengths"):
+                assert getattr(got.store, field).dtype == \
+                    getattr(want.store, field).dtype, (form, field)
+            assert got.history.dtype == want.history.dtype, form
 
     def test_lookup_array_cache_follows_growth(self):
         v = Vocab([5, 2 ** 41])
@@ -264,6 +280,52 @@ class TestArrayEncodingMatchesLoops:
                                       [2, 3])
         np.testing.assert_array_equal(Vocab().lookup_array(np.array([1, 2])),
                                       [OOV_INDEX, OOV_INDEX])
+
+
+class TestHistoryStore:
+    @given(record_lists(), record_lists(), CATALOG, st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_each_distinct_history_once(self, tmp_path_factory, records,
+                                        others, catalog, history_len):
+        vocabs = loop_build_vocab(records + others, catalog)
+        forms = input_forms(records, tmp_path_factory.mktemp("s"), others)
+        for form, table in forms.items():
+            batch = encode_batch(table, vocabs, Catalog.from_items(catalog),
+                                 history_len)
+            store = batch.store
+            # the store follows np.unique over the rows' histories
+            histories = np.unique(table.history)
+            idx, lengths = table.history_entries(histories, history_len)
+            np.testing.assert_array_equal(store.lengths, lengths, form)
+            for got, vocab, values in (
+                    (store.item, vocabs.item, table.hist_item[idx]),
+                    (store.category, vocabs.category,
+                     table.hist_category[idx])):
+                np.testing.assert_array_equal(
+                    got, [lookup(vocab, v) for v in values.tolist()], form)
+            np.testing.assert_array_equal(store.limited,
+                                          table.hist_limited[idx], form)
+            # rows that hold one history name one store history
+            np.testing.assert_array_equal(histories[batch.history],
+                                          table.history, form)
+            assert batch.seq_mask.shape == (len(table), history_len)
+            assert batch.seq_mask.sum() == store.lengths[batch.history].sum()
+
+    def test_shared_and_empty_histories(self):
+        catalog = make_catalog(item_spec(10, cat=1), item_spec(11, cat=2))
+        hist = ((11, 2, True), (10, 1, False))
+        records = table_of([make_record(10, history=hist), make_record(11),
+                            make_record(11, history=hist)])
+        vocabs = build_vocab(records, catalog)
+        batch = encode_batch(records, vocabs, catalog, history_len=3)
+        store = batch.store
+        assert batch.history[0] == batch.history[2] != batch.history[1]
+        assert store.lengths[batch.history].tolist() == [2, 0, 2]
+        assert store.item.size == 2
+        np.testing.assert_array_equal(store.limited, [True, False])
+        np.testing.assert_array_equal(
+            batch.seq_mask, [[True, True, False], [False] * 3,
+                             [True, True, False]])
 
 
 class TestInitEmbedding:
@@ -306,10 +368,11 @@ class TestEmbed:
                                       item_table[batch.target_item])
         np.testing.assert_array_equal(emb.target_side.values,
                                       cat_table[batch.target_category])
+        grids = batch_grids(batch)
         np.testing.assert_array_equal(
-            emb.seq_id.values, item_table[batch.seq_item.reshape(-1)])
+            emb.seq_id.values, item_table[grids.item.reshape(-1)])
         np.testing.assert_array_equal(
-            emb.seq_side.values, cat_table[batch.seq_category.reshape(-1)])
+            emb.seq_side.values, cat_table[grids.category.reshape(-1)])
         # the item id concat category pairing mirrors a per-position concat
         e_item = np.concatenate([emb.seq_id.values, emb.seq_side.values],
                                 axis=1)
@@ -346,7 +409,7 @@ class TestEmbed:
                    embedding=True)
         keep = np.array([[False, True, True], [False, False, False],
                          [True, False, True]])
-        batch = SampleBatch(
+        batch = grid_batch(
             target_item=np.array([1, 2, 3]),
             target_category=np.array([1, 2, 3]),
             seq_item=np.array([[1, 2, 3], [4, 5, 1], [2, 3, 4]]),
@@ -381,7 +444,7 @@ class TestEmbed:
         g = grads["emb.item"]
         assert isinstance(g, SparseRows)
         referenced = set(batch.target_item.tolist())
-        referenced |= set(batch.seq_item[batch.seq_mask].tolist())
+        referenced |= set(batch_grids(batch).item[batch.seq_mask].tolist())
         touched = {int(i) for i, row in zip(g.indices, g.rows)
                    if np.any(row != 0.0)}
         assert touched == referenced

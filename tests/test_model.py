@@ -21,7 +21,6 @@ from msnetlab.datagen import (
     split_train_test,
 )
 from msnetlab.features import (
-    SampleBatch,
     Vocab,
     Vocabs,
     build_vocab,
@@ -36,7 +35,6 @@ from msnetlab.model import (
     CheckpointError,
     _batch_cache,
     _branch_kv,
-    _branch_masks,
     _branch_query,
     _entry_kv,
     _history_entries,
@@ -53,10 +51,15 @@ from msnetlab.model import (
     save_checkpoint,
     total_loss,
 )
-from msnetlab.seqmodel import ScoreAccumulator, split_sequence
+from msnetlab.seqmodel import ScoreAccumulator
 
 from helpers import (
+    add_batch_by_mask,
+    batch_grids,
+    branch_masks,
+    embed,
     gradients_of,
+    grid_batch,
     per_name_gradients,
     per_position_forward,
     zero_meta_outputs,
@@ -75,7 +78,7 @@ def micro_batch(rng, b=4, h=5, n_items=6, n_cats=3, all_multi=False):
     limited = mask & (rng.random(size=(b, h)) < 0.5)
     if all_multi:
         limited = np.zeros_like(mask)
-    return SampleBatch(
+    return grid_batch(
         target_item=rng.integers(1, n_items + 1, size=b),
         target_category=rng.integers(1, n_cats + 1, size=b),
         seq_item=np.where(mask, rng.integers(1, n_items + 1, size=(b, h)), 0),
@@ -171,7 +174,7 @@ class TestForward:
         # histories give the same output; interest vectors are zero
         vocabs = micro_vocabs()
         params = build_params(MICRO_MSNET, vocabs)
-        empty = SampleBatch(
+        empty = grid_batch(
             target_item=np.array([2, 2]), target_category=np.array([1, 1]),
             seq_item=np.zeros((2, 5), dtype=np.int64),
             seq_category=np.zeros((2, 5), dtype=np.int64),
@@ -240,8 +243,9 @@ class TestForward:
         item, cat = P["emb.item"], P["emb.category"]
         e_t = np.concatenate([item[batch.target_item],
                               cat[batch.target_category]], axis=1)
-        e_s = np.concatenate([item[batch.seq_item.reshape(-1)],
-                              cat[batch.seq_category.reshape(-1)]], axis=1)
+        grids = batch_grids(batch)
+        e_s = np.concatenate([item[grids.item.reshape(-1)],
+                              cat[grids.category.reshape(-1)]], axis=1)
         q = e_t @ P["att.main.wq"]
         k = e_s @ P["att.main.wk"]
         v = e_s @ P["att.main.wv"]
@@ -275,8 +279,9 @@ class TestTapeNodes:
         config = ModelConfig(architecture=arch)
         batch = micro_batch(np.random.default_rng(0), b=8,
                             h=config.history_len)
-        assert (batch.seq_mask & batch.seq_limited).any()
-        assert (batch.seq_mask & ~batch.seq_limited).any()
+        grids = batch_grids(batch)
+        assert (grids.mask & grids.limited).any()
+        assert (grids.mask & ~grids.limited).any()
         tape = Tape(build_params(config, micro_vocabs()))
         compute_losses(tape, config, batch, forward(tape, config, batch))
         names = [node.name for node in tape._nodes]
@@ -310,7 +315,6 @@ class TestLossCE:
 
 class TestLossAux:
     def _embedded(self, params, batch, keep):
-        from msnetlab.features import embed
         tape = Tape(params)
         return tape, embed(tape, batch, keep)
 
@@ -327,7 +331,7 @@ class TestLossAux:
         # keep ids within the category-table range so the paired lookups
         # really return the same vectors
         batch = micro_batch(rng, n_items=n_cat_rows - 1, n_cats=n_cat_rows - 1)
-        batch.seq_category[:] = batch.seq_item
+        batch.store.category[:] = batch.store.item
         batch.target_category[:] = batch.target_item
         scope = batch.seq_mask
         tape, emb = self._embedded(params, batch, scope)
@@ -341,7 +345,7 @@ class TestLossAux:
                                          [0.0, 1.0]]), embedding=True)
         params.add("emb.category", np.array([[0.0, 0.0], [1.0, 0.0],
                                              [0.0, 1.0]]), embedding=True)
-        batch = SampleBatch(
+        batch = grid_batch(
             target_item=np.array([1]), target_category=np.array([1]),
             # positions: ids orthogonal to target id; sides: equal then
             # orthogonal to target side
@@ -351,7 +355,6 @@ class TestLossAux:
             labels=np.array([1.0]), is_new=np.array([False]),
             is_limited=np.array([False]))
         tape = Tape(params)
-        from msnetlab.features import embed
         emb = embed(tape, batch, batch.seq_mask)
         got = float(loss_aux(tape, emb).values)
         assert got == pytest.approx(0.5, rel=1e-9)
@@ -379,7 +382,8 @@ class TestLossAux:
         params = build_params(cfg, vocabs)
         rng = np.random.default_rng(3)
         batch = micro_batch(rng, all_multi=True)
-        scope = split_sequence(batch).limited
+        grids = batch_grids(batch)
+        scope = grids.mask & grids.limited
         tape, emb = self._embedded(params, batch, scope)
         assert not scope.any()
         got = float(loss_aux(tape, emb).values)
@@ -779,9 +783,9 @@ def reference_predict(params, config, table, vocabs, catalog, accumulator):
                              catalog, config.history_len)
         out = forward(Tape(params), config, batch)
         for scores, mask in zip(out.branch_scores,
-                                _branch_masks(config, batch)):
-            accumulator.add_batch(scores, batch.is_limited, batch.seq_limited,
-                                  mask)
+                                branch_masks(config, batch)):
+            add_batch_by_mask(accumulator, scores, batch.is_limited,
+                              batch_grids(batch).limited, mask)
         chunks.append(out.p.values)
     return np.concatenate(chunks)
 
@@ -877,8 +881,8 @@ class TestForwardOnlyPredict:
         rows = with_histories(test[:100], [
             ((*entry, True), (*entry, False)) if i % cfg.batch_size == 0
             else ((*entry, False),) for i in range(100)])
-        limited = split_sequence(encode_batch(rows, r.vocabs, catalog,
-                                              6)).limited
+        grids = batch_grids(encode_batch(rows, r.vocabs, catalog, 6))
+        limited = grids.mask & grids.limited
         assert all(np.count_nonzero(limited[s:s + cfg.batch_size]) == 1
                    for s in range(0, len(rows), cfg.batch_size))
         calls.clear()
@@ -957,8 +961,9 @@ class TestKVCacheEdges:
         cfg = self.config(variant, batch_size)
         batch = encode_batch(rows, build_vocab(train, catalog), catalog,
                              cfg.history_len)
-        masks = split_sequence(batch)
-        for mask in (batch.seq_mask, masks.multi, masks.limited):
+        grids = batch_grids(batch)
+        for mask in (grids.mask, grids.mask & ~grids.limited,
+                     grids.mask & grids.limited):
             counts = [np.count_nonzero(mask[s:s + batch_size])
                       for s in range(0, len(rows), batch_size)]
             assert 1 in counts
@@ -1059,8 +1064,8 @@ class TestRowIndependence:
         params = build_params(config, vocabs)
         edit_params(variant, params)
         full = encode_batch(train, vocabs, catalog, config.history_len)
-        entries = _history_entries(config, full, train.history)
-        whole = _entry_kv(Tape(params, record=False), config, entries)
+        entries = _history_entries(config, full)
+        whole = _entry_kv(Tape(params, record=False), config, entries.pairs)
         rng = np.random.default_rng(44)
         order = rng.permutation(len(train))
         start = 0
@@ -1068,18 +1073,75 @@ class TestRowIndependence:
             rows = order[start:start + int(rng.integers(1, 40))]
             start += rows.size
             batch = _slice_batch(full, rows)
-            cache = _batch_cache(Tape(params), config, entries, batch, rows)
-            for i, mask in enumerate(_branch_masks(config, batch)):
+            cache = _batch_cache(Tape(params), config, entries, batch)
+            grids = batch_grids(batch)
+            for i, mask in enumerate(branch_masks(config, batch)):
                 # each position's entry, found by its (item, category)
                 row_of = {pair: row for row, pair in
                           enumerate(zip(*entries.pairs[i]))}
-                want = [row_of[pair] for pair in zip(batch.seq_item[mask],
-                                                     batch.seq_category[mask])]
+                want = [row_of[pair] for pair in zip(grids.item[mask],
+                                                     grids.category[mask])]
                 pos = cache.positions[i]
                 assert pos.lengths.tolist() == mask.sum(axis=1).tolist()
                 for part, all_rows in zip(cache.kv[i], whole[i]):
                     assert part.values[pos.entry_row].tobytes() == \
                         all_rows.values[want].tobytes()
+
+
+class TestAuxScope:
+    """``compute_losses`` takes its aux rows from the last branch's
+    limited positions: they are the (item, category, batch row) of the
+    mask oracle's ``flatnonzero(seq_mask & seq_limited)``, in row-major
+    order, on slices of an encoded table as ``fit`` makes them."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        return tiny_training_setup(n=300)
+
+    @pytest.mark.parametrize("variant", ["msnet", "msnet_no_split"])
+    def test_aux_rows_are_the_oracle_positions(self, setup, variant,
+                                                monkeypatch):
+        import msnetlab.model as model_mod
+        catalog, train, test = setup
+        cfg = ModelConfig(history_len=6, seed=4, **PREDICT_VARIANTS[variant])
+        vocabs = build_vocab(train, catalog)
+        params = build_params(cfg, vocabs)
+        # each table row holds its own index, so a gathered row names it
+        for name in ("emb.item", "emb.category"):
+            table = params.values[name]
+            table[:] = np.arange(table.shape[0])[:, None]
+        seen = []
+
+        def captured(tape, emb, _real=model_mod.loss_aux):
+            seen.append(emb)
+            return _real(tape, emb)
+
+        monkeypatch.setattr(model_mod, "loss_aux", captured)
+        entry = (int(train.hist_item[0]), int(train.hist_category[0]))
+        no_limited = with_histories(test[:8], [((*entry, False),), ()] * 4)
+        with_limited = 0
+        for rows in (test, no_limited):
+            full = encode_batch(rows, vocabs, catalog, cfg.history_len)
+            entries = _history_entries(cfg, full)
+            for start in range(0, full.size, 32):
+                batch = _slice_batch(full, slice(start, start + 32))
+                tape = Tape(params)
+                out = forward(tape, cfg, batch,
+                              _batch_cache(tape, cfg, entries, batch))
+                aux = compute_losses(tape, cfg, batch, out)[1]
+                grids = batch_grids(batch)
+                flat = np.flatnonzero(grids.mask & grids.limited)
+                emb = seen.pop()
+                assert emb.seq_row.tolist() == \
+                    (flat // cfg.history_len).tolist()
+                assert emb.seq_id.values[:, 0].tolist() == \
+                    grids.item.reshape(-1)[flat].tolist()
+                assert emb.seq_side.values[:, 0].tolist() == \
+                    grids.category.reshape(-1)[flat].tolist()
+                if not flat.size:
+                    assert aux.node is None and float(aux.values) == 0.0
+                with_limited += bool(flat.size)
+        assert with_limited >= 3 and not seen
 
 
 class TestPerPositionOracle:
@@ -1115,7 +1177,7 @@ class TestPerPositionOracle:
         for start in range(0, full.size, cfg.batch_size):
             batch = _slice_batch(full, slice(start, start + cfg.batch_size))
             if any(np.count_nonzero(mask) < 2
-                   for mask in _branch_masks(cfg, batch)):
+                   for mask in branch_masks(cfg, batch)):
                 continue
             tape = Tape(r.params)
             out = forward(tape, cfg, batch)
@@ -1259,18 +1321,17 @@ class TestGradientContracts:
 
     def test_aux_only_gradient_never_reaches_side_table(self):
         params, batch = self._setup(seed=2)
-        if not (batch.seq_mask & batch.seq_limited).any():
+        grids = batch_grids(batch)
+        scope = grids.mask & grids.limited
+        if not scope.any():
             pytest.skip("need limited positions")
-        from msnetlab.features import embed
         tape = Tape(params)
-        scope = batch.seq_mask & batch.seq_limited
         emb = embed(tape, batch, scope)
         aux = loss_aux(tape, emb)
         grads = tape.backward(aux)
         assert not np.any(grads["emb.category"].rows)
 
     def test_scaling_input_path_blocked(self):
-        from msnetlab.features import embed
         from msnetlab.seqmodel import scaling_weights
         params, batch = self._setup(seed=3)
         tape = Tape(params)
@@ -1280,7 +1341,6 @@ class TestGradientContracts:
         assert not np.any(grads["emb.item"].rows)
 
     def test_shifting_input_path_blocked(self):
-        from msnetlab.features import embed
         from msnetlab.seqmodel import meta_shift
         params, batch = self._setup(seed=4)
         tape = Tape(params)

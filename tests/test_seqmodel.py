@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msnetlab.autodiff import AutodiffError, ParamStore, Tape, check_gradients
-from msnetlab.features import SampleBatch
+from msnetlab.model import ModelConfig, _history_entries, _positions
 from msnetlab.seqmodel import (
     ScoreAccumulator,
     add_attention_params,
@@ -22,21 +22,32 @@ from msnetlab.seqmodel import (
     meta_shift,
     project_kv,
     scaling_weights,
-    split_sequence,
     target_attention,
 )
 
-from helpers import physical_split, zero_meta_outputs
+from helpers import (
+    add_batch_by_mask,
+    batch_grids,
+    branch_masks,
+    grid_batch,
+    physical_split,
+    zero_meta_outputs,
+)
+
+# a model with the stock split: a multi branch, then a limited branch
+SPLIT = ModelConfig(architecture="msnet")
 
 
-def make_batch(seq_limited, seq_mask, b=None, h=None, target_limited=None):
+def make_batch(seq_limited, seq_mask, seq_item=None, target_limited=None):
     seq_limited = np.asarray(seq_limited, dtype=bool)
     seq_mask = np.asarray(seq_mask, dtype=bool)
     b, h = seq_mask.shape
-    return SampleBatch(
+    if seq_item is None:
+        seq_item = np.where(seq_mask, 1, 0)
+    return grid_batch(
         target_item=np.ones(b, dtype=np.int64),
         target_category=np.ones(b, dtype=np.int64),
-        seq_item=np.where(seq_mask, 1, 0).astype(np.int64),
+        seq_item=seq_item,
         seq_category=np.where(seq_mask, 1, 0).astype(np.int64),
         seq_mask=seq_mask,
         seq_limited=seq_limited & seq_mask,
@@ -51,7 +62,7 @@ def make_batch(seq_limited, seq_mask, b=None, h=None, target_limited=None):
 def random_batch(rng, b=4, h=6, n_items=9, n_cats=4):
     mask_len = rng.integers(0, h + 1, size=b)
     mask = np.arange(h)[None, :] < mask_len[:, None]
-    return SampleBatch(
+    return grid_batch(
         target_item=rng.integers(1, n_items, size=b),
         target_category=rng.integers(1, n_cats, size=b),
         seq_item=np.where(mask, rng.integers(1, n_items, size=(b, h)), 0),
@@ -64,31 +75,54 @@ def random_batch(rng, b=4, h=6, n_items=9, n_cats=4):
     )
 
 
+def split_of(batch):
+    """Each branch's positions as the split model takes them from
+    ``batch``'s history store: per position its item and stock flag, and
+    per row its position count."""
+    entries = _history_entries(SPLIT, batch)
+    return [(item[pos.entry_row], pos.limited, pos.lengths)
+            for (item, _), pos in zip(entries.pairs,
+                                      _positions(entries, batch.history))]
+
+
 class TestSplitSequence:
     def test_definitional_example(self):
         # flags [L, M, L, pad]
         batch = make_batch(seq_limited=[[True, False, True, False]],
-                           seq_mask=[[True, True, True, False]])
-        masks = split_sequence(batch)
-        np.testing.assert_array_equal(masks.limited, [[1, 0, 1, 0]])
-        np.testing.assert_array_equal(masks.multi, [[0, 1, 0, 0]])
+                           seq_mask=[[True, True, True, False]],
+                           seq_item=[[5, 6, 7, 0]])
+        (multi, multi_flags, multi_len), (lim, lim_flags, lim_len) = \
+            split_of(batch)
+        np.testing.assert_array_equal(lim, [5, 7])
+        np.testing.assert_array_equal(lim_flags, [True, True])
+        np.testing.assert_array_equal(lim_len, [2])
+        np.testing.assert_array_equal(multi, [6])
+        np.testing.assert_array_equal(multi_flags, [False])
+        np.testing.assert_array_equal(multi_len, [1])
 
     def test_all_limited_leaves_multi_empty(self):
         batch = make_batch(seq_limited=[[True, True]],
                            seq_mask=[[True, True]])
-        masks = split_sequence(batch)
-        assert not masks.multi.any()
-        assert masks.limited.all()
+        (multi, _, multi_len), (lim, lim_flags, lim_len) = split_of(batch)
+        assert multi.size == 0 and multi_len.tolist() == [0]
+        assert lim_flags.all() and lim_len.tolist() == [2]
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_masks_partition_validity(self, seed):
+        # each branch holds, row by row, the positions of its oracle mask
+        # over the padded grids, and the two masks partition the valid ones
         rng = np.random.default_rng(seed)
         batch = random_batch(rng)
-        masks = split_sequence(batch)
-        assert not np.any(masks.multi & masks.limited)
-        np.testing.assert_array_equal(masks.multi | masks.limited,
-                                      batch.seq_mask)
+        grids = batch_grids(batch)
+        multi, limited = branch_masks(SPLIT, batch)
+        assert not np.any(multi & limited)
+        np.testing.assert_array_equal(multi | limited, batch.seq_mask)
+        for (item, flags, lengths), mask in zip(split_of(batch),
+                                                (multi, limited)):
+            np.testing.assert_array_equal(item, grids.item[mask])
+            np.testing.assert_array_equal(flags, grids.limited[mask])
+            np.testing.assert_array_equal(lengths, mask.sum(axis=1))
 
 
 def ref_attention(target, keys, values, mask, heads, combine, d_head):
@@ -445,12 +479,16 @@ class TestPhysicalMaskEquivalence:
         table = rng.normal(size=(12, d_in))
         for trial in range(30):
             batch = random_batch(rng, b=3, h=5, n_items=12)
-            keep = split_sequence(batch).limited
+            keep = branch_masks(SPLIT, batch)[1]
             phys = physical_split(batch, keep)
-            np.testing.assert_array_equal(phys.seq_mask, keep)
+            grids, phys_grids = batch_grids(batch), batch_grids(phys)
+            np.testing.assert_array_equal(phys.seq_mask.sum(axis=1),
+                                          keep.sum(axis=1))
+            np.testing.assert_array_equal(phys_grids.item[phys.seq_mask],
+                                          grids.item[keep])
             outs = []
-            for seq_items, mask in ((batch.seq_item, keep),
-                                    (phys.seq_item, phys.seq_mask)):
+            for seq_items, mask in ((grids.item, keep),
+                                    (phys_grids.item, phys.seq_mask)):
                 e_seq = Tape.constant(
                     table[seq_items.reshape(-1)[mask.reshape(-1)]])
                 e_t = Tape.constant(table[batch.target_item])
@@ -483,16 +521,13 @@ def grid_add_batch(acc, scores, target_limited, seq_limited, mask):
 class TestScoreAccumulator:
     def test_bucketed_means(self):
         acc = ScoreAccumulator()
-        # one head; with a full mask the packed rows are the [B, H] grid
-        # in row-major order
+        # one head; each packed position's target and sequence flags
         scores = np.array([[0.3], [0.1], [0.09], [0.07]])
-        target_limited = np.array([False, True])
-        seq_limited = np.array([[False, True], [False, True]])
-        mask = np.ones((2, 2), dtype=bool)
-        acc.add_batch(scores, target_limited, seq_limited, mask)
+        acc.add_batch(scores, np.array([False, False, True, True]),
+                      np.array([False, True, False, True]))
         scores2 = np.array([[0.4], [0.24]])
-        acc.add_batch(scores2, np.array([False]),
-                      np.array([[False, True]]), np.ones((1, 2), dtype=bool))
+        acc.add_batch(scores2, np.array([False, False]),
+                      np.array([False, True]))
         table = acc.table()
         assert table.means[("multi", "multi")] == pytest.approx(0.35)
         assert table.means[("multi", "limited")] == pytest.approx(0.17)
@@ -502,9 +537,9 @@ class TestScoreAccumulator:
     def test_identical_scores_give_equal_cells(self):
         acc = ScoreAccumulator()
         scores = np.full((12, 1), 0.42)
-        tl = np.array([False, True, False, True])
-        sl = np.array([[False, True, False]] * 4)
-        acc.add_batch(scores, tl, sl, np.ones((4, 3), dtype=bool))
+        tl = np.repeat([False, True, False, True], 3)
+        sl = np.array([False, True, False] * 4)
+        acc.add_batch(scores, tl, sl)
         table = acc.table()
         vals = [v for v in table.means.values()]
         assert all(v == pytest.approx(0.42) for v in vals)
@@ -512,8 +547,8 @@ class TestScoreAccumulator:
     def test_single_bucket_leaves_others_absent(self):
         acc = ScoreAccumulator()
         scores = np.array([[1.0], [2.0]])
-        acc.add_batch(scores, np.array([False]),
-                      np.array([[False, False]]), np.ones((1, 2), dtype=bool))
+        acc.add_batch(scores, np.array([False, False]),
+                      np.array([False, False]))
         table = acc.table()
         assert table.means[("multi", "multi")] == pytest.approx(1.5)
         assert table.means[("multi", "limited")] is None
@@ -521,8 +556,11 @@ class TestScoreAccumulator:
         assert table.counts[("limited", "limited")] == 0
 
     def test_matches_grid_oracle_bitwise(self):
+        # packed flags, and the mask-based oracle that reads them from
+        # grids, against the oracle that spreads scores over grids
         rng = np.random.default_rng(23)
-        acc, oracle = ScoreAccumulator(), ScoreAccumulator()
+        acc, by_mask, oracle = (ScoreAccumulator(), ScoreAccumulator(),
+                                ScoreAccumulator())
         for trial in range(40):
             b, h = rng.integers(1, 41), rng.integers(1, 21)
             mask = rng.random(size=(b, h)) < rng.random()
@@ -530,9 +568,15 @@ class TestScoreAccumulator:
             seq_limited = rng.random(size=(b, h)) < 0.5
             scores = rng.normal(scale=3.0,
                                 size=(int(mask.sum()), rng.integers(1, 4)))
-            acc.add_batch(scores, target_limited, seq_limited, mask)
+            flat = np.flatnonzero(mask)
+            acc.add_batch(scores, target_limited[flat // h],
+                          seq_limited.reshape(-1)[flat])
+            add_batch_by_mask(by_mask, scores, target_limited, seq_limited,
+                              mask)
             grid_add_batch(oracle, scores, target_limited, seq_limited, mask)
-            got, want = acc.table(), oracle.table()
-            assert got.counts == want.counts, f"trial {trial}"
-            assert repr(got.means) == repr(want.means), f"trial {trial}"
-            assert repr(acc.sums) == repr(oracle.sums), f"trial {trial}"
+            want = oracle.table()
+            for got in (acc, by_mask):
+                assert got.table().counts == want.counts, f"trial {trial}"
+                assert repr(got.table().means) == repr(want.means), \
+                    f"trial {trial}"
+                assert repr(got.sums) == repr(oracle.sums), f"trial {trial}"
