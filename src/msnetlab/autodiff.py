@@ -5,8 +5,9 @@ CTR models in this package need (embedding gather with sparse gradient
 accumulation, matrix product, dense layer ``x @ w + b`` with an optional
 leaky rectifier, reshape, concat, multi-head target attention over
 packed row segments read from per-item q, k and v tables, sigmoid, clamp,
-elementwise arithmetic, row norms and row scaling, stop-gradient, mean,
-binary cross-entropy) and nothing else.
+elementwise add and multiply, scaling by a constant, stop-gradient, MSNet's
+norm-ratio blend and cosine-gap aux loss, binary cross-entropy) and
+nothing else.
 No broadcasting rules, no GPU, no higher-order derivatives.
 
 A ``Tape`` is rebuilt for every forward pass (define-by-run).  ``Tensor``
@@ -27,8 +28,8 @@ import numpy as np
 
 Array = np.ndarray
 
-# Epsilon used in cosine-similarity denominators.  Chosen far below every
-# test tolerance so it never hides a real error.
+# Epsilon in the norm ratio's and the cosines' denominators.  Chosen far
+# below every test tolerance so it never hides a real error.
 COSINE_EPS = 1e-12
 
 LEAKY_SLOPE = 0.01
@@ -365,21 +366,10 @@ class Tape:
         return self._elementwise2(a, b, a.values + b.values,
                                   lambda g: g, lambda g: g, "add")
 
-    def sub(self, a: Tensor, b: Tensor) -> Tensor:
-        return self._elementwise2(a, b, a.values - b.values,
-                                  lambda g: g, lambda g: -g, "sub")
-
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         av, bv = a.values, b.values
         return self._elementwise2(a, b, av * bv,
                                   lambda g: g * bv, lambda g: g * av, "mul")
-
-    def div(self, a: Tensor, b: Tensor) -> Tensor:
-        av, bv = a.values, b.values
-        out = av / bv
-        return self._elementwise2(a, b, out,
-                                  lambda g: g / bv,
-                                  lambda g: -g * out / bv, "div")
 
     def scale(self, x: Tensor, c: float) -> Tensor:
         xn = x.node
@@ -389,15 +379,6 @@ class Tape:
                 _accum(grads, xn, g * c)
 
         return Tensor(x.values * c, self._push(backward, "scale"))
-
-    def add_const(self, x: Tensor, c: float) -> Tensor:
-        xn = x.node
-
-        def backward(g: Array, grads: list[Array | None]) -> None:
-            if xn is not None:
-                _accum(grads, xn, g)
-
-        return Tensor(x.values + c, self._push(backward, "add_const"))
 
     def dense(self, x: Tensor, w: Tensor, b: Tensor, leaky: bool) -> Tensor:
         """``x @ w + b`` [N x K], through ``leaky_relu`` when ``leaky``.  Both
@@ -435,38 +416,36 @@ class Tape:
 
         return Tensor(out, self._push(backward, "reshape"))
 
-    def row_norm(self, x: Tensor) -> Tensor:
-        """Euclidean norm of each row: [N x D] -> [N].
-
-        Zero rows get gradient zero (the usual subgradient convention).
-        """
-        norms = np.sqrt(np.einsum("nd,nd->n", x.values, x.values))
-        xn = x.node
-        xv = x.values
-
-        def backward(g: Array, grads: list[Array | None]) -> None:
-            if xn is not None:
-                safe = np.where(norms > 0.0, norms, 1.0)
-                _accum(grads, xn, (g / safe)[:, None] * xv *
-                            (norms > 0.0)[:, None])
-
-        return Tensor(norms, self._push(backward, "row_norm"))
-
-    def mul_rows(self, x: Tensor, v: Tensor) -> Tensor:
-        """Scale row i of [N x D] by scalar v[i]."""
-        if v.values.ndim != 1 or v.values.shape[0] != x.values.shape[0]:
-            raise AutodiffError("mul_rows shape mismatch")
-        out = x.values * v.values[:, None]
-        xn, vn = x.node, v.node
-        xv, vv = x.values, v.values
+    def norm_ratio_blend(self, delta: Tensor,
+                         base: Tensor) -> tuple[Tensor, Tensor]:
+        """out = v*delta + (1-v)*base for rows of [N x D], one node, with
+        v = |delta| / (|delta| + |base| + COSINE_EPS) per row; returns
+        (out, v), v a constant in [0, 1].  The arithmetic and the ``_accum``
+        calls, in their order, are those of the ten nodes it replaced
+        (``tests/helpers.py::norm_ratio_blend``), so the bits are theirs.
+        A zero row's norm passes no gradient."""
+        dv, bv = delta.values, base.values
+        if dv.ndim != 2 or dv.shape != bv.shape:
+            raise AutodiffError(
+                f"norm_ratio_blend shape mismatch {dv.shape} vs {bv.shape}")
+        nd, nb = _row_norms(dv), _row_norms(bv)
+        den = (nd + nb) + COSINE_EPS
+        v = nd / den
+        om = v * -1.0 + 1.0
+        dn, bn = delta.node, base.node
 
         def backward(g: Array, grads: list[Array | None]) -> None:
-            if xn is not None:
-                _accum(grads, xn, g * vv[:, None])
-            if vn is not None:
-                _accum(grads, vn, np.einsum("nd,nd->n", g, xv))
+            _accum(grads, bn, g * om[:, None])
+            _accum(grads, dn, g * v[:, None])
+            gv = np.einsum("nd,nd->n", g, dv) + \
+                np.einsum("nd,nd->n", g, bv) * -1.0
+            g_den = -gv * v / den
+            _accum(grads, bn, _row_norm_grad(g_den, nb, bv))
+            _accum(grads, dn, _row_norm_grad(gv / den + g_den, nd, dv))
 
-        return Tensor(out, self._push(backward, "mul_rows"))
+        out = dv * v[:, None] + bv * om[:, None]
+        return (Tensor(out, self._push(backward, "norm_ratio_blend")),
+                Tensor(v))
 
     def target_attention(self, q: Tensor, q_row: Array, k: Tensor, v: Tensor,
                          entry_row: Array, lengths: Array, combine: Tensor,
@@ -586,31 +565,48 @@ class Tape:
             return Tensor(self.freezer.on_stop_gradient(x.values), None)
         return Tensor(x.values.copy(), None)
 
-    def mean(self, x: Tensor) -> Tensor:
-        """Mean of a nonempty vector."""
-        shape = x.values.shape
-        if len(shape) != 1 or not shape[0]:
-            raise AutodiffError(f"mean wants a nonempty vector, got {shape}")
-        count = shape[0]
-        out = float(x.values.sum() / count)
-        xn = x.node
+    def cosine_gap_loss(self, a: Tensor, a_to: Tensor, b: Tensor,
+                        b_to: Tensor, rows: Array) -> Tensor:
+        """mean_i (sg(cos(a_i, a_to[rows_i])) - cos(b_i, b_to[rows_i]))^2
+        over N >= 1 rows, one node.  sg is stop-gradient: a and a_to get no
+        gradient, and the blocked cosines go through the freezer when one
+        is set.  A cosine is dot / (|x| * |y| + COSINE_EPS), so a zero row
+        gives exactly 0.  The arithmetic and the ``_accum`` calls, in their
+        order, are those of the 21 nodes it replaced
+        (``tests/helpers.py::cosine_gap_loss``), so the bits are theirs;
+        b_to's rows get theirs by ``sum_rows_by_index``, as gathers do."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        n, av, bv = rows.size, a.values, b.values
+        shapes = [t.values.shape for t in (a, a_to, b, b_to)]
+        if not n or any(len(s) != 2 for s in shapes) or \
+                (shapes[0][0], shapes[2][0]) != (n, n) or \
+                shapes[0][1] != shapes[1][1] or shapes[2][1] != shapes[3][1]:
+            raise AutodiffError(f"cosine_gap_loss shape mismatch: a, a_to, "
+                                f"b, b_to {shapes} and {n} rows")
+        _check_rows(rows, a_to.values.shape[0], "cosine_gap_loss's a_to")
+        _check_rows(rows, b_to.values.shape[0], "cosine_gap_loss's b_to")
+        blocked = _cosine_rows(av, np.take(a_to.values, rows, axis=0))[0]
+        if self.freezer is not None:
+            blocked = self.freezer.on_stop_gradient(blocked)
+        tv = np.take(b_to.values, rows, axis=0)
+        sim, den, nb, nt, ones = _cosine_rows(bv, tv)
+        diff = blocked - sim
+        bn, tn, n_to = b.node, b_to.node, b_to.values.shape[0]
 
         def backward(g: Array, grads: list[Array | None]) -> None:
-            if xn is not None:
-                _accum(grads, xn, np.full(shape, g / count))
+            g_half = np.full((n,), g / n) * diff
+            g_sim = -(g_half + g_half)
+            g_den = -g_sim * sim / den
+            g_prod = (g_sim / den).reshape((n, 1)) @ ones.T
+            _accum(grads, bn, _row_norm_grad(g_den * nt, nb, bv))
+            _accum(grads, bn, g_prod * tv)
+            if tn is not None:
+                _accum(grads, tn, sum_rows_by_index(
+                    rows, _row_norm_grad(g_den * nb, nt, tv) + g_prod * bv,
+                    n_to))
 
-        return Tensor(np.asarray(out), self._push(backward, "mean"))
-
-    def sum_all(self, x: Tensor) -> Tensor:
-        out = np.asarray(x.values.sum())
-        xn = x.node
-        shape = x.values.shape
-
-        def backward(g: Array, grads: list[Array | None]) -> None:
-            if xn is not None:
-                _accum(grads, xn, np.broadcast_to(g, shape).astype(np.float64))
-
-        return Tensor(out, self._push(backward, "sum_all"))
+        return Tensor(np.asarray(float((diff * diff).sum() / n)),
+                      self._push(backward, "cosine_gap_loss"))
 
     def bce(self, p: Tensor, labels: Array) -> Tensor:
         """-mean(y log p + (1-y) log(1-p)) over a probability vector."""
@@ -627,44 +623,6 @@ class Tape:
                 _accum(grads, pn, g * (pv - y) / (pv * (1.0 - pv)) / n)
 
         return Tensor(np.asarray(out), self._push(backward, "bce"))
-
-    # ------------------------------------------------------------------
-    # composed helpers (taped through the primitives above)
-
-    def cosine_sim_rows(self, a: Tensor, b: Tensor) -> Tensor:
-        """Cosine similarity of row i of a [N x D] with row i of b [N x D]
-        -> [N].
-
-        Uses dot / (|a| * |b| + eps) with eps = 1e-12, so zero rows yield
-        exactly 0 instead of NaN.
-        """
-        if a.values.ndim != 2 or a.values.shape != b.values.shape:
-            raise AutodiffError(
-                f"cosine_sim_rows shape mismatch {a.values.shape} vs "
-                f"{b.values.shape}")
-        n, d = a.values.shape
-        dots = self.reshape(
-            self.matmul(self.mul(a, b), Tape.constant(np.ones((d, 1)))), (n,))
-        norms = self.mul(self.row_norm(a), self.row_norm(b))
-        return self.div(dots, self.add_const(norms, COSINE_EPS))
-
-    def blend_rows(self, v: Tensor, a: Tensor, b: Tensor) -> Tensor:
-        """Per-row convex-style blend v*a + (1-v)*b with v a [N] vector."""
-        one_minus = self.add_const(self.scale(v, -1.0), 1.0)
-        return self.add(self.mul_rows(a, v), self.mul_rows(b, one_minus))
-
-    def norm_ratio_blend(self, delta: Tensor, base: Tensor,
-                         eps: float = COSINE_EPS) -> tuple[Tensor, Tensor]:
-        """Blend delta into base by the norm ratio.
-
-        v = |delta| / (|delta| + |base| + eps), out = v*delta + (1-v)*base.
-        Returns (out, v).  v sits in [0, 1]: it goes to 0 as |delta| -> 0
-        and to 1 as |base| -> 0.
-        """
-        nd = self.row_norm(delta)
-        nb = self.row_norm(base)
-        v = self.div(nd, self.add_const(self.add(nd, nb), eps))
-        return self.blend_rows(v, delta, base), v
 
     # ------------------------------------------------------------------
     # backward
@@ -735,6 +693,27 @@ def _check_rows(idx: Array, rows: int, table_name: str) -> None:
         raise AutodiffError(
             f"index {offender} out of range for {table_name} "
             f"with {rows} rows")
+
+
+def _row_norms(x: Array) -> Array:
+    """The Euclidean norm of each row of x [N x D]."""
+    return np.sqrt(np.einsum("nd,nd->n", x, x))
+
+
+def _row_norm_grad(g: Array, norms: Array, x: Array) -> Array:
+    """x's gradient from ``g``, its row ``norms``' gradient; a zero row
+    gets zero (the usual subgradient convention)."""
+    safe = np.where(norms > 0.0, norms, 1.0)
+    return (g / safe)[:, None] * x * (norms > 0.0)[:, None]
+
+
+def _cosine_rows(x: Array, y: Array) -> tuple[Array, ...]:
+    """The cosines of x's and y's rows, ``(x * y) @ ones`` over den =
+    |x| * |y| + COSINE_EPS; then den, both norms and ones, for a backward."""
+    ones = np.ones((x.shape[1], 1))
+    nx, ny = _row_norms(x), _row_norms(y)
+    den = nx * ny + COSINE_EPS
+    return ((x * y) @ ones).reshape(-1) / den, den, nx, ny, ones
 
 
 @functools.lru_cache(maxsize=None)

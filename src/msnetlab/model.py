@@ -423,16 +423,13 @@ def forward(tape: Tape, config: ModelConfig, batch: SampleBatch,
 
 def loss_aux(tape: Tape, emb: Embedded) -> Tensor:
     """Mean squared gap between the (gradient-blocked) side similarity and
-    the id similarity of every sequence row of ``emb`` against its target;
-    exactly 0.0 when ``emb`` holds no sequence rows."""
+    the id similarity of every sequence row of ``emb`` against its target,
+    one ``Tape.cosine_gap_loss`` node; exactly 0.0 when ``emb`` holds no
+    sequence rows."""
     if not emb.seq_row.size:
         return Tape.constant(0.0)
-    side_sim = tape.cosine_sim_rows(
-        emb.seq_side, tape.gather_rows(emb.target_side, emb.seq_row))
-    id_sim = tape.cosine_sim_rows(
-        emb.seq_id, tape.gather_rows(emb.target_id, emb.seq_row))
-    diff = tape.sub(tape.stop_gradient(side_sim), id_sim)
-    return tape.mean(tape.mul(diff, diff))
+    return tape.cosine_gap_loss(emb.seq_side, emb.target_side, emb.seq_id,
+                                emb.target_id, emb.seq_row)
 
 
 def total_loss(tape: Tape, ce: Tensor, aux: Tensor | None,

@@ -137,7 +137,8 @@ def meta_scale(tape: Tape, id_emb: Tensor, side_emb: Tensor) -> Tensor:
 def meta_shift(tape: Tape, side_emb: Tensor, id_emb: Tensor) -> tuple[Tensor, Tensor]:
     """Synthetic-id blend: a meta id generated from the gradient-blocked
     side embedding is mixed with the raw id embedding by the norm ratio
-    v = |meta| / (|meta| + |id| + eps).  Returns (blended id, v)."""
+    v = |meta| / (|meta| + |id| + eps), one ``Tape.norm_ratio_blend``
+    node.  Returns (blended id, v), v a constant."""
     meta_id = mlp(tape, META_SHIFT, tape.stop_gradient(side_emb))
     return tape.norm_ratio_blend(meta_id, id_emb)
 

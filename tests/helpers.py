@@ -5,8 +5,11 @@ mask-based oracles over them (``embed``, ``branch_masks``,
 ``add_batch_by_mask``, a sequence branch materialized as its own batch),
 meta nets made exact no-ops, the per-name gradient composition the tape's
 one dense vector replaced, the per-position key/value composition the
-per-entry cache replaced, and the attention composition, with its two
-segment ops, that ``Tape.target_attention`` replaced."""
+per-entry cache replaced, the attention composition, with its two
+segment ops, that ``Tape.target_attention`` replaced, and the
+compositions, with their primitives, that ``Tape.norm_ratio_blend`` and
+``Tape.cosine_gap_loss`` replaced; ``sum_all`` makes the tests' scalar
+losses."""
 
 import collections
 import math
@@ -16,6 +19,7 @@ import numpy as np
 from msnetlab import model
 from msnetlab.autodiff import (
     AutodiffError,
+    COSINE_EPS,
     Gradients,
     ParamStore,
     SegmentRuns,
@@ -269,6 +273,106 @@ def segment_sum(tape: Tape, x: Tensor, seg, n: int) -> Tensor:
             _accum(grads, xn, np.take(g, idx, axis=0))
 
     return Tensor(out, tape._push(backward, "segment_sum"))
+
+
+def _op(tape: Tape, name: str, out, *inputs) -> Tensor:
+    """A node ``name`` with the forward value ``out`` on ``tape``; each of
+    ``inputs`` pairs an input tensor with the function that makes its
+    gradient from the upstream one, accumulated in the order given."""
+    def backward(g, grads):
+        for x, grad_of in inputs:
+            if x.node is not None:
+                _accum(grads, x.node, grad_of(g))
+
+    return Tensor(np.asarray(out), tape._push(backward, name))
+
+
+def sum_all(tape: Tape, x: Tensor) -> Tensor:
+    """The sum of every entry of x, a scalar."""
+    shape = x.values.shape
+    return _op(tape, "sum_all", x.values.sum(),
+               (x, lambda g: np.broadcast_to(g, shape).astype(np.float64)))
+
+
+# The primitives that only the two compositions below used, as they were
+# on the tape.
+def sub(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
+    return _op(tape, "sub", a.values - b.values, (a, lambda g: g),
+               (b, lambda g: -g))
+
+
+def div(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
+    av, bv = a.values, b.values
+    out = av / bv
+    return _op(tape, "div", out, (a, lambda g: g / bv),
+               (b, lambda g: -g * out / bv))
+
+
+def add_const(tape: Tape, x: Tensor, c: float) -> Tensor:
+    return _op(tape, "add_const", x.values + c, (x, lambda g: g))
+
+
+def row_norm(tape: Tape, x: Tensor) -> Tensor:
+    """Euclidean norm of each row: [N x D] -> [N]; a zero row gets
+    gradient zero."""
+    xv = x.values
+    norms = np.sqrt(np.einsum("nd,nd->n", xv, xv))
+    safe = np.where(norms > 0.0, norms, 1.0)
+
+    def grad(g):
+        return (g / safe)[:, None] * xv * (norms > 0.0)[:, None]
+
+    return _op(tape, "row_norm", norms, (x, grad))
+
+
+def mul_rows(tape: Tape, x: Tensor, v: Tensor) -> Tensor:
+    """Row i of x [N x D] scaled by v[i]."""
+    xv, vv = x.values, v.values
+    return _op(tape, "mul_rows", xv * vv[:, None],
+               (x, lambda g: g * vv[:, None]),
+               (v, lambda g: np.einsum("nd,nd->n", g, xv)))
+
+
+def mean(tape: Tape, x: Tensor) -> Tensor:
+    """Mean of a nonempty vector."""
+    shape = x.values.shape
+    if len(shape) != 1 or not shape[0]:
+        raise AutodiffError(f"mean wants a nonempty vector, got {shape}")
+    return _op(tape, "mean", float(x.values.sum() / shape[0]),
+               (x, lambda g: np.full(shape, g / shape[0])))
+
+
+def cosine_sim_rows(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
+    """Cosine similarity of row i of a [N x D] with row i of b [N x D]:
+    dot / (|a| * |b| + COSINE_EPS)."""
+    n, d = a.values.shape
+    dots = tape.reshape(
+        tape.matmul(tape.mul(a, b), Tape.constant(np.ones((d, 1)))), (n,))
+    norms = tape.mul(row_norm(tape, a), row_norm(tape, b))
+    return div(tape, dots, add_const(tape, norms, COSINE_EPS))
+
+
+def norm_ratio_blend(tape: Tape, delta: Tensor,
+                     base: Tensor) -> tuple[Tensor, Tensor]:
+    """``Tape.norm_ratio_blend``'s (out, v) as the ten nodes it replaced
+    compose them; here v is a node, not a constant."""
+    nd, nb = row_norm(tape, delta), row_norm(tape, base)
+    v = div(tape, nd, add_const(tape, tape.add(nd, nb), COSINE_EPS))
+    one_minus = add_const(tape, tape.scale(v, -1.0), 1.0)
+    return tape.add(mul_rows(tape, delta, v),
+                    mul_rows(tape, base, one_minus)), v
+
+
+def cosine_gap_loss(tape: Tape, a: Tensor, a_to: Tensor, b: Tensor,
+                    b_to: Tensor, rows) -> Tensor:
+    """``Tape.cosine_gap_loss`` as the 21 nodes it replaced compose it:
+    the mean squared gap between the stop-gradient cosines of a's rows
+    with their ``a_to`` rows and those of b's rows with their ``b_to``
+    rows."""
+    blocked = cosine_sim_rows(tape, a, tape.gather_rows(a_to, rows))
+    sim = cosine_sim_rows(tape, b, tape.gather_rows(b_to, rows))
+    diff = sub(tape, tape.stop_gradient(blocked), sim)
+    return mean(tape, tape.mul(diff, diff))
 
 
 def attention_oracle(tape: Tape, q: Tensor, q_row, k: Tensor, v: Tensor,

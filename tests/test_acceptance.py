@@ -55,6 +55,7 @@ from helpers import (
     embed,
     grid_batch,
     physical_split,
+    sum_all,
     zero_meta_outputs,
 )
 
@@ -144,14 +145,14 @@ def test_criterion_3_stop_gradient_contracts():
     tape = Tape(params)
     emb = embed(tape, batch, batch.seq_mask)
     weights = scaling_weights(tape, emb.seq_id)
-    grads = tape.backward(tape.sum_all(weights))
+    grads = tape.backward(sum_all(tape, weights))
     assert not np.any(grads["emb.item"].rows)
 
     # (b) shifting-net input path -> side table
     tape = Tape(params)
     emb = embed(tape, batch, batch.seq_mask)
     shifted, _ = meta_shift(tape, emb.seq_side, emb.seq_id)
-    grads = tape.backward(tape.sum_all(shifted))
+    grads = tape.backward(sum_all(tape, shifted))
     assert not np.any(grads["emb.category"].rows)
 
     # (c) aux-loss side-similarity path -> side table

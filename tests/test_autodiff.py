@@ -37,6 +37,7 @@ from helpers import (
     segment_runs,
     segment_softmax,
     segment_sum,
+    sum_all,
 )
 
 
@@ -79,7 +80,7 @@ class TestGatherRows:
         params.add("t", np.array([[1.0, 2.0], [3.0, 4.0]]), embedding=True)
         tape = Tape(params)
         out = tape.gather_rows(tape.param("t"), [1, 0, 1])
-        loss = tape.sum_all(out)
+        loss = sum_all(tape, out)
         grads = tape.backward(loss)
         g = grads["t"]
         assert isinstance(g, SparseRows)
@@ -93,7 +94,7 @@ class TestGatherRows:
         out = tape.gather_rows(tape.param("t"), [])
         assert out.values.shape == (0, 2)
         other = tape.gather_rows(tape.param("t"), [1])
-        grads = tape.backward(tape.sum_all(other))
+        grads = tape.backward(sum_all(tape, other))
         np.testing.assert_array_equal(grads["t"].indices, [1])
 
     def test_out_of_range_names_index_and_table(self):
@@ -112,11 +113,11 @@ class TestGatherRows:
             params.add("t", rng.normal(size=(rows, 3)), embedding=True)
             idx = rng.integers(0, rows, size=n)
             weights = rng.normal(size=n)
+            upstream = weights[:, None] * np.ones((n, 3))
             tape = Tape(params)
             out = tape.gather_rows(tape.param("t"), idx)
-            loss = tape.sum_all(tape.mul_rows(out, Tape.constant(weights)))
+            loss = sum_all(tape, tape.mul(out, Tape.constant(upstream)))
             grads = tape.backward(loss)
-            upstream = weights[:, None] * np.ones((n, 3))
             np.testing.assert_allclose(grads["t"].rows.sum(axis=0),
                                        upstream.sum(axis=0), atol=1e-12)
 
@@ -145,7 +146,7 @@ class TestSumRowsByIndex:
         w = np.array([[1.0, 2.0], [1e-17, 3.0], [1.0, -1.0], [1e17, 0.5]])
         tape = Tape(params)
         out = tape.gather_rows(tape.param("t"), [2, 0, 2, 2])
-        grads = tape.backward(tape.sum_all(tape.mul(out, Tape.constant(w))))
+        grads = tape.backward(sum_all(tape, tape.mul(out, Tape.constant(w))))
         want = np.zeros((3, 2))
         np.add.at(want, [2, 0, 2, 2], w)
         assert grads["t"].tobytes() == want.tobytes()
@@ -167,7 +168,7 @@ class TestSegmentSum:
         w = np.arange(8.0).reshape(4, 2)
         tape = Tape(params)
         out = segment_sum(tape, tape.param("x"), [0, 3, 3], 4)
-        grads = tape.backward(tape.sum_all(tape.mul(out, Tape.constant(w))))
+        grads = tape.backward(sum_all(tape, tape.mul(out, Tape.constant(w))))
         np.testing.assert_array_equal(grads["x"], w[[0, 3, 3]])
 
     def test_no_rows(self):
@@ -176,7 +177,7 @@ class TestSegmentSum:
         tape = Tape(params)
         out = segment_sum(tape, tape.param("x"), [], 2)
         np.testing.assert_array_equal(out.values, np.zeros((2, 3)))
-        grads = tape.backward(tape.sum_all(out))
+        grads = tape.backward(sum_all(tape, out))
         assert grads["x"].shape == (0, 3)
 
     @pytest.mark.parametrize("seg", [[3, 0], [0, 5], [-1, 1], [0]])
@@ -194,7 +195,7 @@ class TestSegmentSum:
 
         def loss_fn(tape):
             out = segment_sum(tape, tape.param("x"), [1, 1, 2, 4], 5)
-            return tape.sum_all(tape.mul(tape.mul(out, out),
+            return sum_all(tape, tape.mul(tape.mul(out, out),
                                          Tape.constant(w)))
 
         report = check_gradients(loss_fn, params, h=1e-6, tol=1e-6)
@@ -225,7 +226,7 @@ class TestSegmentRuns:
             tape = Tape(params)
             s = segment_softmax(tape, tape.param("x"), seg)
             out = segment_sum(tape, tape.mul(s, s), seg, 5)
-            loss = tape.sum_all(tape.mul(out, w))
+            loss = sum_all(tape, tape.mul(out, w))
             results.append((out.values.tobytes(),
                             tape.backward(loss)["x"].tobytes()))
         assert results[0] == results[1]
@@ -254,7 +255,7 @@ class TestStopGradient:
         params.add("x", xv.copy())
         params.add("y", yv.copy())
         tape = Tape(params)
-        loss = tape.sum_all(tape.mul(tape.stop_gradient(tape.param("x")),
+        loss = sum_all(tape, tape.mul(tape.stop_gradient(tape.param("x")),
                                      tape.param("y")))
         grads = tape.backward(loss)
         np.testing.assert_array_equal(grads["y"], xv)
@@ -272,7 +273,7 @@ class TestStopGradient:
         fd = fd_grad(loss, params.values["x"])
         assert np.all(np.abs(fd) > 0.5)
         tape = Tape(params)
-        loss = tape.sum_all(tape.mul(tape.stop_gradient(tape.param("x")),
+        loss = sum_all(tape, tape.mul(tape.stop_gradient(tape.param("x")),
                                      Tape.constant(yv)))
         grads = tape.backward(loss)
         assert np.all(grads["x"] == 0.0)
@@ -370,7 +371,7 @@ class TestSegmentSoftmax:
         tape = Tape(params)
         out = segment_softmax(tape, tape.param("x"), [])
         assert out.values.shape == (0, 2)
-        grads = tape.backward(tape.sum_all(out))
+        grads = tape.backward(sum_all(tape, out))
         assert grads["x"].shape == (0, 2) and not grads["x"].any()
 
     @pytest.mark.parametrize("seg", [[1, 0, 2], [0, 2, 1], [0, 1]])
@@ -402,55 +403,81 @@ class TestSegmentSoftmax:
 
         def loss_fn(tape):
             out = segment_softmax(tape, tape.param("x"), [0, 0, 0, 2, 3, 3])
-            return tape.sum_all(tape.mul(out, Tape.constant(w)))
+            return sum_all(tape, tape.mul(out, Tape.constant(w)))
 
         report = check_gradients(loss_fn, params, h=1e-6, tol=1e-6)
         assert report.ok() and not report.checks["x"].blocked
 
 
+def loop_cosine_gap(a, a_to, b, b_to, rows):
+    """mean_i (cos(a_i, a_to[rows_i]) - cos(b_i, b_to[rows_i]))^2, one row
+    at a time, with dot / (|x| * |y| + COSINE_EPS)."""
+    def cos(x, y):
+        return float(x @ y / (np.linalg.norm(x) * np.linalg.norm(y)
+                              + COSINE_EPS))
+
+    return float(np.mean([(cos(a[i], a_to[r]) - cos(b[i], b_to[r])) ** 2
+                          for i, r in enumerate(rows)]))
+
+
+def cosine_gap(a, a_to, b, b_to, rows):
+    """``Tape.cosine_gap_loss`` of constant arrays, as a float."""
+    args = (Tape.constant(x) for x in (a, a_to, b, b_to))
+    return float(Tape().cosine_gap_loss(*args, rows).values)
+
+
 class TestCosineSimRows:
+    """The cosines of ``Tape.cosine_gap_loss``, the aux loss's op."""
+
     def test_identical_orthogonal_zero(self):
-        tape = Tape()
-        got = tape.cosine_sim_rows(Tape.constant([[1.0, 0.0]]),
-                                   Tape.constant([[1.0, 0.0]])).values
-        np.testing.assert_allclose(got, [1.0], atol=1e-9)
-        tape = Tape()
-        got = tape.cosine_sim_rows(Tape.constant([[1.0, 0.0]]),
-                                   Tape.constant([[0.0, 1.0]])).values
-        np.testing.assert_allclose(got, [0.0], atol=1e-15)
-        tape = Tape()
-        got = tape.cosine_sim_rows(Tape.constant([[0.0, 0.0]]),
-                                   Tape.constant([[1.0, 0.0]])).values
-        np.testing.assert_array_equal(got, [0.0])
+        # a zero row on the blocked side makes the loss the live cosine
+        # squared: 1 for identical rows, exactly 0 for orthogonal ones
+        zero, x, y = [[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]
+        assert cosine_gap(zero, x, x, x, [0]) == pytest.approx(1.0, abs=1e-9)
+        assert cosine_gap(zero, x, x, y, [0]) == 0.0
+        # a zero row, on either side of either cosine, gives exactly 0
+        for args in ((zero, x, zero, x), (x, zero, y, zero),
+                     (zero, zero, zero, zero)):
+            assert cosine_gap(*args, [0]) == 0.0
+        # equal cosines on both sides leave no gap
+        assert cosine_gap(x, x, y, y, [0]) == 0.0
 
     def test_paired_rows_match_loop(self):
-        # row i of a pairs with row i of b
+        # row i of a and b pairs with row rows[i] of a_to and b_to
         rng = np.random.default_rng(0)
-        for n in (1, 4, 6):
-            a = rng.normal(size=(n, 3))
-            b = rng.normal(size=(n, 3))
-            tape = Tape()
-            got = tape.cosine_sim_rows(Tape.constant(a),
-                                       Tape.constant(b)).values
-            want = [float(a[i] @ b[i] /
-                          (np.linalg.norm(a[i]) * np.linalg.norm(b[i])
-                           + COSINE_EPS))
-                    for i in range(n)]
-            np.testing.assert_allclose(got, want, rtol=1e-12)
+        for n, d_a, d_b in ((1, 3, 3), (4, 3, 2), (6, 1, 4)):
+            a, b = rng.normal(size=(n, d_a)), rng.normal(size=(n, d_b))
+            a_to, b_to = rng.normal(size=(3, d_a)), rng.normal(size=(3, d_b))
+            rows = rng.integers(0, 3, size=n)
+            assert cosine_gap(a, a_to, b, b_to, rows) == pytest.approx(
+                loop_cosine_gap(a, a_to, b, b_to, rows), rel=1e-10)
 
     def test_refuses_unpaired_rows(self):
-        tape = Tape()
-        with pytest.raises(AutodiffError, match="cosine_sim_rows"):
-            tape.cosine_sim_rows(Tape.constant(np.ones((4, 3))),
-                                 Tape.constant(np.ones((1, 3))))
+        # unpaired rows, mismatched widths, a vector table, and no rows
+        for a, a_to, b, b_to, rows in (
+                ((4, 3), (2, 3), (1, 3), (2, 3), [0, 1, 0, 1]),
+                ((2, 3), (2, 3), (2, 3), (2, 3), [0, 1, 0]),
+                ((2, 3), (2, 2), (2, 3), (2, 3), [0, 1]),
+                ((2, 3), (2, 3), (2, 3), (2, 4), [0, 1]),
+                ((2, 3), (2, 3), (2, 3), (2,), [0, 1]),
+                ((0, 3), (2, 3), (0, 3), (2, 3), [])):
+            with pytest.raises(AutodiffError, match="cosine_gap_loss shape"):
+                cosine_gap(*(np.ones(s) for s in (a, a_to, b, b_to)), rows)
+        for table in ("a_to", "b_to"):
+            shapes = {"a_to": (2, 3), "b_to": (2, 3), table: (1, 3)}
+            with pytest.raises(AutodiffError, match=f"index 1 out of range "
+                               f"for cosine_gap_loss's {table}"):
+                cosine_gap(np.ones((2, 3)), np.ones(shapes["a_to"]),
+                           np.ones((2, 3)), np.ones(shapes["b_to"]), [0, 1])
 
     def test_bounded(self):
+        # each cosine is in [-1, 1], so each squared gap is in [0, 4]; it
+        # is 4 where the two cosines are 1 and -1
         rng = np.random.default_rng(3)
-        a = rng.normal(size=(50, 4))
-        b = rng.normal(size=(50, 4))
-        tape = Tape()
-        got = tape.cosine_sim_rows(Tape.constant(a), Tape.constant(b)).values
-        assert np.all(got <= 1.0 + 1e-9) and np.all(got >= -1.0 - 1e-9)
+        a, b = rng.normal(size=(50, 4)), rng.normal(size=(50, 4))
+        rows = rng.integers(0, 50, size=50)
+        assert 0.0 < cosine_gap(a, b, b, a, rows) <= 4.0
+        assert cosine_gap(a, a, a, -a, np.arange(50)) == pytest.approx(4.0)
 
 
 class TestMatmul:
@@ -490,7 +517,7 @@ class TestDense:
                            tape.param("b1"), leaky=True)
             out = tape.dense(h, tape.param("w2"), tape.param("b2"),
                              leaky=False)
-            return tape.sum_all(tape.mul(tape.mul(out, out),
+            return sum_all(tape, tape.mul(tape.mul(out, out),
                                          Tape.constant(c)))
 
         # the default step and tolerance, as criterion 2 uses them: the
@@ -507,7 +534,7 @@ class TestBackward:
         params.add("w", np.array([3.0]))
         tape = Tape(params)
         w = tape.param("w")
-        grads = tape.backward(tape.sum_all(tape.mul(w, w)))
+        grads = tape.backward(sum_all(tape, tape.mul(w, w)))
         np.testing.assert_array_equal(grads["w"], [6.0])
 
     def test_bce_of_sigmoid_at_zero(self):
@@ -534,7 +561,7 @@ class TestBackward:
         params.add("table", np.ones((3, 2)), embedding=True)
         tape = Tape(params)
         u = tape.param("used")
-        grads = tape.backward(tape.sum_all(tape.mul(u, u)))
+        grads = tape.backward(sum_all(tape, tape.mul(u, u)))
         assert np.all(grads["unused"] == 0.0)
         assert grads["table"].indices.size == 0
 
@@ -553,7 +580,7 @@ class TestBackward:
             p, q = tape.param("p"), tape.param("q")
             square = tape.mul(p, p)
             total = tape.add(square, tape.add(p, q))
-            return tape.sum_all(tape.mul(total, Tape.constant(c)))
+            return sum_all(tape, tape.mul(total, Tape.constant(c)))
 
         tape = Tape(params)
         grads = tape.backward(loss_fn(tape))
@@ -568,7 +595,7 @@ class TestBackward:
         params.add("w", np.array([1.0]))
         tape = Tape(params)
         w = tape.param("w")
-        loss = tape.sum_all(tape.mul(w, w))
+        loss = sum_all(tape, tape.mul(w, w))
         tape.backward(loss)
         with pytest.raises(AutodiffError, match="consumed"):
             tape.backward(loss)
@@ -608,7 +635,10 @@ class TestForwardOnlyTape:
         h = tape.dense(x, tape.param("w"), tape.param("b"), leaky=True)
         pooled = segment_sum(tape, segment_softmax(tape, h, [0, 0, 2]),
                              [0, 0, 2], 3)
-        return tape.sum_all(tape.mul(pooled, pooled))
+        blended, _ = tape.norm_ratio_blend(
+            x, tape.gather_rows(tape.param("emb"), [1, 1, 2]))
+        gap = tape.cosine_gap_loss(x, x, blended, x, [2, 0, 0])
+        return tape.add(sum_all(tape, tape.mul(pooled, pooled)), gap)
 
     def test_same_values_as_a_recording_tape_and_no_nodes(self):
         params = self._params()
@@ -641,7 +671,11 @@ def _random_op_cases(seed):
     params.add("b", rng.normal(size=(n, d)))
     params.add("w", rng.normal(size=(d, k)))
     params.add("bias", rng.normal(size=k))
-    params.add("v", rng.uniform(0.2, 1.0, size=n))
+    # the aux-loss table, its rows and the blocked side, which finite
+    # differences would see through unless constant
+    params.add("v", rng.uniform(0.2, 1.0, size=(n + 1, d)))
+    rows = rng.integers(0, n + 1, size=n)
+    blocked = [Tape.constant(rng.normal(size=s)) for s in ((n, d), (n + 1, d))]
     keep = rng.random(size=n * k) < 0.8
     if not keep.any():
         keep[0] = True
@@ -652,22 +686,20 @@ def _random_op_cases(seed):
         a, b = tape.param("a"), tape.param("b")
         h = tape.dense(tape.mul(a, b), tape.param("w"), tape.param("bias"),
                        leaky=True)
-        h = tape.mul_rows(h, tape.param("v"))
-        cos = tape.cosine_sim_rows(a, b)
         blended, _ = tape.norm_ratio_blend(tape.sigmoid(a), b)
+        gap = tape.cosine_gap_loss(*blocked, blended, tape.param("v"), rows)
         # softmax of each row of h: one segment per row of k entries
         s = segment_softmax(tape, tape.reshape(h, (n * k, 1)),
                             np.repeat(np.arange(n), k))
         kept = tape.gather_rows(tape.reshape(s, (n * k, 1)),
                                 np.flatnonzero(keep))
-        part1 = tape.mean(tape.reshape(kept, (kept.shape[0],)))
-        part2 = tape.sum_all(tape.mul(cos, cos))
-        part3 = tape.sum_all(tape.row_norm(blended))
+        part1 = sum_all(tape, kept)
+        part2 = sum_all(tape, tape.mul(blended, blended))
         pooled = segment_sum(tape, tape.mul(a, b), seg, n + 1)
-        part4 = tape.sum_all(tape.mul(pooled, pooled))
-        loss = tape.add(tape.add(part1, tape.scale(part2, 0.3)),
-                        tape.add(tape.scale(part3, 0.1),
-                                 tape.scale(part4, 0.05)))
+        part3 = sum_all(tape, tape.mul(pooled, pooled))
+        loss = tape.add(tape.add(part1, tape.scale(gap, 0.3)),
+                        tape.add(tape.scale(part2, 0.1),
+                                 tape.scale(part3, 0.05)))
         return tape, loss
 
     return build, params
@@ -703,7 +735,7 @@ class TestFiniteDifferenceProperty:
         def build():
             tape = Tape(params)
             out = tape.gather_rows(tape.param("t"), idx)
-            return tape, tape.sum_all(tape.mul(out, Tape.constant(w)))
+            return tape, sum_all(tape, tape.mul(out, Tape.constant(w)))
 
         tape, loss = build()
         grads = tape.backward(loss)
@@ -782,8 +814,8 @@ class TestCheckGradients:
         def loss_fn(tape):
             blocked = tape.stop_gradient(tape.param("hidden"))
             f = tape.param("free")
-            return tape.add(tape.sum_all(tape.mul(blocked, blocked)),
-                            tape.sum_all(tape.mul(f, f)))
+            return tape.add(sum_all(tape, tape.mul(blocked, blocked)),
+                            sum_all(tape, tape.mul(f, f)))
 
         report = check_gradients(loss_fn, params, h=1e-5, tol=1e-4)
         assert report.checks["hidden"].blocked
@@ -796,26 +828,30 @@ class TestCheckGradients:
 
         def loss_fn(tape):
             bad = tape.scale(tape.param("w"), float("inf"))
-            return tape.sum_all(bad)
+            return sum_all(tape, bad)
 
         with pytest.raises(AutodiffError, match="non-finite"):
             check_gradients(loss_fn, params)
 
 
 class TestMean:
+    """The oracle mean the aux loss's composition used; over no rows the
+    aux loss is the constant 0.0."""
+
     def test_basic_and_empty(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
-        out = Tape().mean(Tape.constant(x[[True, False, True, False]]))
+        kept = Tape.constant(x[[True, False, True, False]])
+        out = helpers.mean(Tape(), kept)
         assert float(out.values) == 2.0
         for bad in (x[:0], x.reshape(2, 2)):
             with pytest.raises(AutodiffError, match="mean wants"):
-                Tape().mean(Tape.constant(bad))
+                helpers.mean(Tape(), Tape.constant(bad))
 
     def test_backward_spreads_evenly(self):
         params = ParamStore()
         params.add("x", np.array([1.0, 2.0, 4.0]))
         tape = Tape(params)
-        grads = tape.backward(tape.mean(tape.param("x")))
+        grads = tape.backward(helpers.mean(tape, tape.param("x")))
         assert grads["x"].tobytes() == np.full(3, 1.0 / 3.0).tobytes()
 
     def test_constant_loss_backward_is_all_zero(self):
@@ -834,6 +870,7 @@ class TestNormRatioBlend:
         tape = Tape()
         out, v = tape.norm_ratio_blend(Tape.constant([[3.0, 0.0]]),
                                        Tape.constant([[0.0, 1.0]]))
+        assert v.node is None
         np.testing.assert_allclose(v.values, [0.75], rtol=1e-12)
         np.testing.assert_allclose(out.values, [[2.25, 0.25]], rtol=1e-12)
 
@@ -848,6 +885,13 @@ class TestNormRatioBlend:
         out, v = tape.norm_ratio_blend(delta, Tape.constant([[0.0, 0.0]]))
         assert abs(float(v.values[0]) - 1.0) < 1e-9
         np.testing.assert_allclose(out.values, delta.values, rtol=1e-9)
+
+    def test_refuses_mismatched_shapes(self):
+        for delta, base in (((2, 3), (2, 2)), ((2, 3), (3, 3)), ((3,), (3,))):
+            with pytest.raises(AutodiffError,
+                               match="norm_ratio_blend shape mismatch"):
+                Tape().norm_ratio_blend(Tape.constant(np.ones(delta)),
+                                        Tape.constant(np.ones(base)))
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=50, deadline=None)
@@ -957,7 +1001,7 @@ class TestKernelsMatchOracles:
         tape = Tape(params)
         out = tape.dense(tape.param("x"), tape.param("w"), tape.param("b"),
                          leaky=leaky)
-        grads = tape.backward(tape.sum_all(tape.mul(out, Tape.constant(g))))
+        grads = tape.backward(sum_all(tape, tape.mul(out, Tape.constant(g))))
         want = x @ w
         want = want + b
         want_g = g
@@ -1024,8 +1068,8 @@ class TestKernelsMatchOracles:
         pooled = segment_sum(tape, out, seg, n)
         g_pooled = rng.normal(size=(n, m))
         grads = tape.backward(tape.add(
-            tape.sum_all(tape.mul(out, Tape.constant(g))),
-            tape.sum_all(tape.mul(pooled, Tape.constant(g_pooled)))))
+            sum_all(tape, tape.mul(out, Tape.constant(g))),
+            sum_all(tape, tape.mul(pooled, Tape.constant(g_pooled)))))
         upstream = g + g_pooled[seg]  # segment_sum's backward, fancy form
         want_out, want_grad = fancy_segment_softmax(v, seg, upstream)
         assert out.values.tobytes() == want_out.tobytes()
@@ -1074,11 +1118,98 @@ class TestKernelsMatchOracles:
                        for name in "qkv")
             interest, scores = attend(tape, q, q_row, k, v, entry_row,
                                       lengths, tape.param("combine"), n, d)
-            grads = tape.backward(tape.sum_all(
-                tape.mul(interest, Tape.constant(g))))
+            grads = tape.backward(sum_all(
+                tape, tape.mul(interest, Tape.constant(g))))
             outs.append([interest.values.tobytes(), scores.tobytes()]
                         + [grads[name].tobytes() for name in params.names()])
         assert outs[0] == outs[1]
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_norm_ratio_blend_is_the_composition_it_replaced(self, seed):
+        # the oracle is the ten-node composition in tests/helpers.py; base
+        # already holds a gradient when the blend's backward runs, as the
+        # key concatenation gives it in the model, and so does delta, so
+        # the order of each input's sums shows; either side may have zero
+        # rows, and there may be one row or one column
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        params = ParamStore()
+        for name in ("delta", "base"):
+            x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 3,
+                                                              size=(n, d))
+            x[rng.random(size=n) < 0.25] = 0.0
+            params.add(name, x)
+        g_out, g_delta, g_base = rng.normal(size=(3, n, d))
+        outs = []
+        for blend in (Tape.norm_ratio_blend, helpers.norm_ratio_blend):
+            tape = Tape(params)
+            delta, base = tape.param("delta"), tape.param("base")
+            out, v = blend(tape, delta, base)
+            loss = sum_all(tape, tape.mul(out, Tape.constant(g_out)))
+            for x, g in ((delta, g_delta), (base, g_base)):
+                loss = tape.add(loss,
+                                sum_all(tape, tape.mul(x, Tape.constant(g))))
+            grads = tape.backward(loss)
+            outs.append([out.values.tobytes(), v.values.tobytes()]
+                        + [grads[name].tobytes() for name in params.names()])
+        assert outs[0] == outs[1]
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_cosine_gap_loss_is_the_composition_it_replaced(self, seed):
+        # the oracle is the 21-node composition in tests/helpers.py; b_to
+        # already holds a gradient when the loss's backward runs, as the
+        # target rows' other uses give it in the model, and so does b, so
+        # the order of its sums shows; any table may have zero rows, rows
+        # repeat, and there may be one row or one column
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        d_a, d_b = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        params = ParamStore()
+        names = ("a", "a_to", "b", "b_to")
+        for name, shape in zip(names, ((n, d_a), (m, d_a), (n, d_b),
+                                       (m, d_b))):
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3,
+                                                              size=shape)
+            x[rng.random(size=shape[0]) < 0.25] = 0.0
+            params.add(name, x)
+        rows = rng.integers(0, m, size=n)
+        alpha = rng.uniform(0.1, 2.0)
+        g_b, g_to = rng.normal(size=(n, d_b)), rng.normal(size=(m, d_b))
+        outs = []
+        for gap_of in (Tape.cosine_gap_loss, helpers.cosine_gap_loss):
+            tape = Tape(params)
+            tables = [tape.param(name) for name in names]
+            gap = gap_of(tape, *tables, rows)
+            loss = tape.scale(gap, alpha)
+            for x, g in ((tables[2], g_b), (tables[3], g_to)):
+                loss = tape.add(loss,
+                                sum_all(tape, tape.mul(x, Tape.constant(g))))
+            grads = tape.backward(loss)
+            outs.append([gap.values.tobytes()]
+                        + [grads[name].tobytes() for name in names])
+        assert outs[0] == outs[1]
+
+    def test_cosine_gap_loss_blocked_side_by_finite_differences(self):
+        # the blocked side reads b too, so only the freezer, which holds
+        # its cosines fixed, lets finite differences agree on b
+        rng = np.random.default_rng(23)
+        params = ParamStore()
+        for name, rows in (("a", 5), ("a_to", 3), ("b", 5), ("b_to", 3)):
+            params.add(name, rng.normal(size=(rows, 3)))
+        rows = np.array([2, 0, 2, 1, 2])
+
+        def loss_fn(tape):
+            b = tape.param("b")
+            return tape.cosine_gap_loss(tape.add(tape.param("a"), b),
+                                        tape.param("a_to"), b,
+                                        tape.param("b_to"), rows)
+
+        report = check_gradients(loss_fn, params, h=1e-6, tol=1e-6)
+        assert report.ok(), report.failures()
+        assert [name for name, check in report.checks.items()
+                if check.blocked] == ["a", "a_to"]
 
     def test_target_attention_refuses_bad_rows(self):
         tape = Tape()
@@ -1158,7 +1289,7 @@ class TestFlatStore:
             seen.append(params.dense.copy())
             h = tape.dense(Tape.constant(x), tape.param("w"), tape.param("b"),
                            leaky=False)
-            return tape.sum_all(tape.mul(h, h))
+            return sum_all(tape, tape.mul(h, h))
 
         report = check_gradients(loss_fn, params, h=1e-6, tol=1e-6)
         assert report.ok() and not any(c.blocked

@@ -22,7 +22,7 @@ from msnetlab.features import (
     encode_batch,
     init_embedding,
 )
-from helpers import batch_grids, embed, grid_batch, lookup
+from helpers import batch_grids, embed, grid_batch, lookup, mul_rows, sum_all
 from table_rows import table_of
 
 
@@ -436,10 +436,10 @@ class TestEmbed:
         tape = Tape(params)
         emb = embed(tape, batch, np.ones_like(batch.seq_mask))
         weights = Tape.constant(np.ones_like(emb.seq_id.values))
-        masked = tape.mul_rows(emb.seq_id,
-                               Tape.constant(batch.seq_mask.reshape(-1)
-                                             .astype(float)))
-        loss = tape.add(tape.sum_all(masked), tape.sum_all(emb.target_id))
+        masked = mul_rows(tape, emb.seq_id,
+                          Tape.constant(batch.seq_mask.reshape(-1)
+                                        .astype(float)))
+        loss = tape.add(sum_all(tape, masked), sum_all(tape, emb.target_id))
         grads = tape.backward(loss)
         g = grads["emb.item"]
         assert isinstance(g, SparseRows)

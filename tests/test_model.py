@@ -62,6 +62,7 @@ from helpers import (
     grid_batch,
     per_name_gradients,
     per_position_forward,
+    sum_all,
     zero_meta_outputs,
 )
 from table_rows import table_of
@@ -269,13 +270,14 @@ class TestForward:
 
 
 class TestTapeNodes:
-    @pytest.mark.parametrize("arch, nodes, dense", [("msnet", 101, 10),
+    @pytest.mark.parametrize("arch, nodes, dense", [("msnet", 72, 10),
                                                     ("din", 33, 4)])
     def test_one_training_step_at_the_default_config(self, arch, nodes,
                                                      dense):
         # counting the leaves; each MLP layer, of the CTR head and of the
-        # meta nets, is one dense node, and each branch's attention is one
-        # target_attention node beside its query product
+        # meta nets, is one dense node, each branch's attention is one
+        # target_attention node beside its query product, and MSNet's
+        # norm-ratio blend and aux loss are one node each
         config = ModelConfig(architecture=arch)
         batch = micro_batch(np.random.default_rng(0), b=8,
                             h=config.history_len)
@@ -289,6 +291,11 @@ class TestTapeNodes:
         assert names.count("dense") == dense
         assert not {"add_bias", "leaky_relu"} & set(names)
         assert names.count("target_attention") == config.n_branches
+        meta = int(arch == "msnet")
+        assert names.count("norm_ratio_blend") == meta
+        assert names.count("cosine_gap_loss") == meta
+        assert not {"sub", "div", "add_const", "row_norm", "mul_rows", "mean",
+                    "sum_all", "cosine_sim_rows", "blend_rows"} & set(names)
 
 
 class TestLossCE:
@@ -639,7 +646,7 @@ class TestFlatAdagrad:
         for _ in range(3):
             tape = Tape(params)
             used = tape.param("used")
-            grads = tape.backward(tape.sum_all(tape.mul(used, used)))
+            grads = tape.backward(sum_all(tape, tape.mul(used, used)))
             optimizer_step(params, grads, state, lr=0.1)
         assert (params.values["unused"].tobytes(),
                 state.acc.values["unused"].tobytes()) == before
@@ -1337,7 +1344,7 @@ class TestGradientContracts:
         tape = Tape(params)
         emb = embed(tape, batch, batch.seq_mask)
         weights = scaling_weights(tape, emb.seq_id)
-        grads = tape.backward(tape.sum_all(weights))
+        grads = tape.backward(sum_all(tape, weights))
         assert not np.any(grads["emb.item"].rows)
 
     def test_shifting_input_path_blocked(self):
@@ -1346,7 +1353,7 @@ class TestGradientContracts:
         tape = Tape(params)
         emb = embed(tape, batch, batch.seq_mask)
         shifted, _ = meta_shift(tape, emb.seq_side, emb.seq_id)
-        loss = tape.sum_all(shifted)
+        loss = sum_all(tape, shifted)
         grads = tape.backward(loss)
         # the side table feeds the shifting net only through the blocked
         # input, so it must receive exactly zero

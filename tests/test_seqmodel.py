@@ -31,6 +31,7 @@ from helpers import (
     branch_masks,
     grid_batch,
     physical_split,
+    sum_all,
     zero_meta_outputs,
 )
 
@@ -328,7 +329,7 @@ class TestTargetAttention:
                          *project_kv(tape, "att", tape.param("keys"),
                                      tape.param("values")),
                          mask, 2, 2)
-            return tape.sum_all(tape.mul(res.interest, Tape.constant(w)))
+            return sum_all(tape, tape.mul(res.interest, Tape.constant(w)))
 
         report = check_gradients(loss_fn, params, h=1e-6, tol=1e-6)
         assert report.ok(), report.failures()
@@ -382,7 +383,7 @@ class TestMetaScale:
         params.add("ids", id_emb.copy())
         tape = Tape(params)
         out = meta_scale(tape, tape.param("ids"), Tape.constant(side_emb))
-        grads = tape.backward(tape.sum_all(out))
+        grads = tape.backward(sum_all(tape, out))
         assert np.all(grads["ids"] == 0.0)
         # sanity: the net weights do receive gradient
         assert np.any(grads["meta.scale.w2"] != 0.0)
@@ -425,7 +426,7 @@ class TestMetaShift:
         params.add("sides", side_emb.copy())
         tape = Tape(params)
         out, _ = meta_shift(tape, tape.param("sides"), Tape.constant(id_emb))
-        grads = tape.backward(tape.sum_all(out))
+        grads = tape.backward(sum_all(tape, out))
         assert np.all(grads["sides"] == 0.0)
         assert np.any(grads["meta.shift.w2"] != 0.0)
 
