@@ -276,6 +276,12 @@ class Tape:
     def constant(values: Array | float | Sequence) -> Tensor:
         return Tensor(np.asarray(values, dtype=np.float64), None)
 
+    def _refuse_tables(self, op: str, **inputs: Tensor) -> None:
+        """Refuses an embedding table: only ``gather_rows`` feeds its leaf."""
+        for arg, t in inputs.items():
+            if t.node in self._sparse_parts:
+                raise AutodiffError(f"{op} takes no embedding table as {arg}")
+
     # ------------------------------------------------------------------
     # operations
 
@@ -492,6 +498,7 @@ class Tape:
                 f"{combine.values.shape}, {q_row.size} query rows, "
                 f"{e_idx.size} entry rows for {b} rows and {p} positions "
                 f"of {n_heads} heads of {d_head}")
+        self._refuse_tables("target_attention", q=q, k=k, v=v, combine=combine)
         _check_rows(q_row, q.values.shape[0], "the query table")
         _check_rows(e_idx, k.values.shape[0], "the key/value tables")
         q_idx = np.repeat(q_row, lengths)
@@ -583,6 +590,7 @@ class Tape:
                 shapes[0][1] != shapes[1][1] or shapes[2][1] != shapes[3][1]:
             raise AutodiffError(f"cosine_gap_loss shape mismatch: a, a_to, "
                                 f"b, b_to {shapes} and {n} rows")
+        self._refuse_tables("cosine_gap_loss", b=b, b_to=b_to)
         _check_rows(rows, a_to.values.shape[0], "cosine_gap_loss's a_to")
         _check_rows(rows, b_to.values.shape[0], "cosine_gap_loss's b_to")
         blocked = _cosine_rows(av, np.take(a_to.values, rows, axis=0))[0]

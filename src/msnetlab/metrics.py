@@ -6,7 +6,7 @@ AUCs and GAUC share one ``(group, p)`` sort; the test suite checks each
 against the exhaustive pairwise count, bit for bit.  GAUC weights
 per-user AUCs by impression count, skipping users whose impressions are
 single-class.  Cal-N aggregates per-partition PCOC errors, with the error
-asymmetric around 1 (pcoc-1 above, 1/pcoc-1 below).
+asymmetric around 1 (pcoc-1 above, 1/pcoc-1 below); sums run in row order.
 
 Partition ids come from a seeded hash of (user_id, item_id) so every
 number in a report can be reproduced from the stored prediction file.
@@ -18,7 +18,9 @@ import dataclasses
 import hashlib
 import json
 import math
-import re
+import struct
+from functools import reduce
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -54,11 +56,11 @@ def partition_ids(user_ids: Sequence[int] | np.ndarray,
     items = np.asarray(item_ids, dtype=np.int64).tolist()
     if len(users) != len(items):
         raise ValueError(f"{len(users)} user ids for {len(items)} item ids")
-    prefix = f"{seed}|".encode()
-    sha256, from_bytes = hashlib.sha256, int.from_bytes
+    key = f"{seed}|".encode().replace(b"%", b"%%") + b"%d|%d"
+    sha256, first_8 = hashlib.sha256, struct.Struct(">Q").unpack_from
     return np.fromiter(
-        (from_bytes(sha256(prefix + b"%d|%d" % pair).digest()[:8], "big")
-         % n_partitions for pair in zip(users, items)),
+        (first_8(sha256(key % pair).digest())[0] % n_partitions
+         for pair in zip(users, items)),
         dtype=np.int64, count=len(users))
 
 
@@ -149,18 +151,20 @@ def auc(predictions: Predictions) -> float | None:
     return auc_from_arrays(table.p, table.y)
 
 
-def _rank_sum_aucs(group: np.ndarray, p: np.ndarray, y: np.ndarray):
+def _rank_sum_aucs(group: np.ndarray, p: np.ndarray, y: np.ndarray,
+                   order: np.ndarray | None = None):
     """The rank-sum AUC of each group of rows, from one sort by (group, p).
 
     Tied rows share their mean rank within the group; the ranks are
-    half-integers, so their sums and every AUC are exact.  Returns the
-    sort order, each group's first sorted row and row count in ascending
-    key order, the mask of groups with both classes, and their AUCs.
+    half-integers, so their sums and every AUC are exact.  ``order``, when
+    given, is that sort, ``np.lexsort((p, group))``.  Returns the sort
+    order, each group's first sorted row and row count in ascending key
+    order, the mask of groups with both classes, and their AUCs.
     """
     n = p.size
     if not n:  # reduceat refuses empty input
         return (np.empty(0, np.int64),) * 3 + (np.empty(0, bool), np.empty(0))
-    order = np.lexsort((p, group))
+    order = np.lexsort((p, group)) if order is None else order
     key, p, pos = group[order], p[order], y[order] == 1
     new_group = np.r_[True, key[1:] != key[:-1]]
     starts = np.flatnonzero(new_group)
@@ -184,16 +188,17 @@ def auc_from_arrays(p: np.ndarray, y: np.ndarray) -> float | None:
     return float(aucs[0]) if aucs.size else None
 
 
-def gauc(predictions: Predictions) -> float | None:
+def gauc(predictions: Predictions, *,
+         order: np.ndarray | None = None) -> float | None:
     """Impression-weighted mean of per-user AUCs.
 
     Users with single-class impressions are excluded from the numerator
     and the denominator.  The weighted sum runs in the order users first
-    appear.
+    appear.  ``order``, when given, is the rows' ``(user, p)`` sort.
     """
     table = _as_table(predictions)
     order, starts, counts, both, aucs = _rank_sum_aucs(
-        table.user_id, table.p, table.y)
+        table.user_id, table.p, table.y, order)
     first_seen = np.argsort(np.minimum.reduceat(order, starts)[both])
     weighted = 0.0
     weight = 0
@@ -215,14 +220,14 @@ def rela_impr(auc_measured: float, auc_base: float) -> float | None:
 
 
 def pcoc(predictions: Predictions) -> float | None:
-    """Predicted clicks over observed clicks; undefined with zero clicks."""
+    """Predicted clicks over observed clicks; undefined with zero clicks.
+    ``np.cumsum`` adds the predicted clicks in row order, the same bits on
+    every Python; the built-in ``sum`` compensates from Python 3.12."""
     table = _as_table(predictions)
     clicks = int(table.y.sum())
     if clicks == 0:
         return None
-    # the built-in sum adds in row order; np.sum's pairwise order would
-    # move the last bits
-    return sum(table.p.tolist()) / clicks
+    return float(np.cumsum(table.p)[-1]) / clicks
 
 
 def calibration_error(pcoc_value: float) -> float:
@@ -247,20 +252,22 @@ def cal_n(predictions: Predictions,
     """
     table = _as_table(predictions)
     part = table.partition_id % n_partitions
-    pcocs = [pcoc(table[part == i]) for i in range(n_partitions)]
-    errors = [calibration_error(v) for v in pcocs if v is not None]
+    sums = [np.bincount(part, weights=w).tolist() for w in (table.p, table.y)]
+    errors = [calibration_error(p / c) for p, c in zip(*sums) if c]
     if not errors:
         return None, 0
-    value = math.sqrt(sum(e * e for e in errors) / len(errors))
+    value = math.sqrt(reduce(lambda s, e: s + e*e, errors, 0.0) / len(errors))
     return (value if math.isfinite(value) else None), len(errors)
 
 
 def partition_aucs(predictions: Predictions,
-                   n_partitions: int = N_PARTITIONS) -> list[float]:
-    """AUC per partition in partition order, skipping single-class ones."""
+                   n_partitions: int = N_PARTITIONS, *,
+                   order: np.ndarray | None = None) -> list[float]:
+    """AUC per partition in partition order, skipping single-class ones.
+    ``order``, when given, is the rows' ``(partition, p)`` sort."""
     table = _as_table(predictions)
     return _rank_sum_aucs(table.partition_id % n_partitions, table.p,
-                          table.y)[4].tolist()
+                          table.y, order)[4].tolist()
 
 
 # ----------------------------------------------------------------------
@@ -343,18 +350,24 @@ def grouped_report(predictions: Predictions,
     meta.setdefault("embedding_sharing",
                     "target and sequence items share one id table")
     table = _as_table(predictions)
+    # per key, the stable sort by key of the p-sorted rows: lexsort((p, key))
+    by_p = np.argsort(table.p, kind="stable")
+    orders = [by_p[np.argsort(key[by_p], kind="stable")] for key in (
+        table.partition_id % n_partitions, table.user_id)]
     masks = {"overall": np.ones(len(table), dtype=bool),
              "new": table.is_new,
              "limited": table.is_limited,
              "multi": ~table.is_limited}
     groups: dict[str, GroupMetrics] = {}
-    for name in GROUPS:
-        members = table[masks[name]]
+    for name, mask in masks.items():
+        members = table[np.flatnonzero(mask)]
         if len(members) == 0:
             groups[name] = GroupMetrics(n=0, n_pos=0, absent=True,
                                         note="empty group")
             continue
-        paucs = partition_aucs(members, n_partitions)
+        position = np.cumsum(mask) - 1  # of each member among the members
+        by_part, by_user = (position[o[mask[o]]] for o in orders)
+        paucs = partition_aucs(members, n_partitions, order=by_part)
         cal, cal_parts = cal_n(members, n_partitions)
         gm = GroupMetrics(
             n=len(members),
@@ -362,7 +375,7 @@ def grouped_report(predictions: Predictions,
             auc_avg=float(np.mean(paucs)) if paucs else None,
             auc_std=float(np.std(paucs)) if paucs else None,
             auc_partitions=len(paucs),
-            gauc=gauc(members),
+            gauc=gauc(members, order=by_user),
             pcoc=pcoc(members),
             cal_n=cal,
             cal_partitions=cal_parts,
@@ -390,16 +403,14 @@ _ROW_DTYPE = np.dtype([(f, np.float64 if f == "p" else np.int64)
 
 def write_predictions(predictions: Predictions, path: str | Path,
                       meta: dict | None = None) -> None:
-    path = Path(path)
-    rows = zip(*(c.tolist() for c in _as_table(predictions).columns()))
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(PREDICTION_HEADER + "\n")
+    columns = [c.tolist() for c in _as_table(predictions).columns()]
+    with Path(path).open("wb") as fh:
+        fh.write(f"{PREDICTION_HEADER}\n".encode())
         if meta:
             pairs = "\t".join(f"{k}={meta[k]}" for k in sorted(meta))
-            fh.write(f"#meta\t{pairs}\n")
-        fh.write("".join(
-            f"{user}\t{item}\t{p!r}\t{y}\t{int(new)}\t{int(limited)}\t{part}\n"
-            for user, item, p, y, new, limited, part in rows))
+            fh.write(f"#meta\t{pairs}\n".encode())
+        fh.write(b"%d\t%d\t%r\t%d\t%d\t%d\t%d\n" * len(columns[0])  # per row
+                 % tuple(chain.from_iterable(zip(*columns))))
 
 
 def _parse_rows(text: str) -> np.ndarray:
@@ -429,10 +440,10 @@ def _parse_rows(text: str) -> np.ndarray:
 def read_predictions(path: str | Path) -> tuple[PredictionTable, dict]:
     body = read_body(path, PREDICTION_HEADER, "prediction", MetricsError)
     meta: dict = {}
-    for line in re.findall(r"^#meta\t(.*)$", body, flags=re.MULTILINE):
-        for pair in line.split("\t"):
-            k, _, v = pair.partition("=")
-            meta[k] = v
+    text, at = f"\n{body}\n", -1  # each line starting "#meta\t", by str.find
+    while (at := text.find("\n#meta\t", at + 1)) != -1:
+        line = text[at + 7:text.find("\n", at + 1)]
+        meta.update(kv.partition("=")[::2] for kv in line.split("\t"))
     rows = parse_or_name_line(_parse_rows, body, MetricsError)
     return PredictionTable(
         *(np.ascontiguousarray(rows[f], dtype=dtype)

@@ -1234,6 +1234,51 @@ class TestKernelsMatchOracles:
                                   combine, 2, 2)
 
 
+class TestEmbeddingTablesRefused:
+    """An embedding table's leaf takes its gradient rows from
+    ``gather_rows`` alone, so the fused ops refuse a table passed whole
+    instead of dropping its gradient."""
+
+    @staticmethod
+    def _tape():
+        params = ParamStore()
+        params.add("emb", np.ones((4, 4)), embedding=True)
+        return Tape(params)
+
+    def _attention(self, tape, **tables):
+        args = {name: Tape.constant(np.eye(4))
+                for name in ("q", "k", "v", "combine")}
+        args.update(tables)
+        return tape.target_attention(args["q"], [0], args["k"], args["v"],
+                                     [0, 1], [2], args["combine"], 2, 2)
+
+    @pytest.mark.parametrize("arg", ["q", "k", "v", "combine"])
+    def test_target_attention(self, arg):
+        tape = self._tape()
+        with pytest.raises(AutodiffError, match=f"^target_attention takes "
+                           f"no embedding table as {arg}$"):
+            self._attention(tape, **{arg: tape.param("emb")})
+        # its gathered rows are a dense input, whose rows get gradient
+        rows = tape.gather_rows(tape.param("emb"), [3, 1, 2, 0])
+        out = self._attention(tape, **{arg: rows})[0]
+        grads = tape.backward(sum_all(tape, out))
+        assert sorted(grads["emb"].indices.tolist()) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("arg", ["b", "b_to"])
+    def test_cosine_gap_loss(self, arg):
+        tape = self._tape()
+        rng = np.random.default_rng(4)
+        args = {name: Tape.constant(rng.normal(size=(4, 4)))
+                for name in ("a", "a_to", "b", "b_to")}
+        with pytest.raises(AutodiffError, match=f"^cosine_gap_loss takes "
+                           f"no embedding table as {arg}$"):
+            tape.cosine_gap_loss(**{**args, arg: tape.param("emb")},
+                                 rows=[2, 0, 1, 2])
+        rows = tape.gather_rows(tape.param("emb"), [0, 1, 2, 3])
+        loss = tape.cosine_gap_loss(**{**args, arg: rows}, rows=[2, 0, 1, 2])
+        assert tape.backward(loss)["emb"].indices.size
+
+
 class TestFlatStore:
     def test_dense_params_are_views_of_one_vector(self):
         params = ParamStore()

@@ -8,17 +8,21 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from msnetlab import metrics
 from msnetlab.metrics import (
     CAL_N_NOT_FINITE,
     GROUPS,
     N_PARTITIONS,
     PREDICTION_FIELDS,
+    PREDICTION_HEADER,
     GroupMetrics,
     MetricReport,
     MetricsError,
@@ -106,7 +110,12 @@ def loop_pcoc(records):
     clicks = sum(r.y for r in records)
     if clicks == 0:
         return None
-    return sum(r.p for r in records) / clicks
+    # left to right: from Python 3.12 the built-in sum of floats is
+    # compensated, so it is no row-order oracle
+    predicted = 0.0
+    for r in records:
+        predicted += r.p
+    return predicted / clicks
 
 
 def loop_partitions(records, n_partitions):
@@ -122,7 +131,10 @@ def loop_cal_n(records, n_partitions=N_PARTITIONS):
     errors = [calibration_error(v) for v in per_part if v is not None]
     if not errors:
         return None, 0
-    value = math.sqrt(sum(e * e for e in errors) / len(errors))
+    squares = 0.0
+    for e in errors:  # left to right, as loop_pcoc adds
+        squares += e * e
+    value = math.sqrt(squares / len(errors))
     return (value if math.isfinite(value) else None), len(errors)
 
 
@@ -162,6 +174,29 @@ def loop_report_groups(records, baseline=None, n_partitions=N_PARTITIONS):
                 gm.rela_impr_gauc = rela_impr(gm.gauc, base_gm.gauc)
         groups[name] = gm
     return groups
+
+
+def fstring_write_predictions(table, path, meta=None):
+    """The writer the one-format-per-row writer replaced."""
+    rows = zip(*(c.tolist() for c in table.columns()))
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(PREDICTION_HEADER + "\n")
+        if meta:
+            pairs = "\t".join(f"{k}={meta[k]}" for k in sorted(meta))
+            fh.write(f"#meta\t{pairs}\n")
+        fh.write("".join(
+            f"{user}\t{item}\t{p!r}\t{y}\t{int(new)}\t{int(limited)}\t{part}\n"
+            for user, item, p, y, new, limited, part in rows))
+
+
+def regex_meta(body):
+    """The meta reader the str.find scan replaced."""
+    meta = {}
+    for line in re.findall(r"^#meta\t(.*)$", body, flags=re.MULTILINE):
+        for pair in line.split("\t"):
+            k, _, v = pair.partition("=")
+            meta[k] = v
+    return meta
 
 
 INT64 = st.integers(-(2 ** 63), 2 ** 63 - 1)
@@ -216,6 +251,56 @@ class TestColumnsMatchLoopOracles:
         assert rep.to_json() == MetricReport(
             metadata=rep.metadata,
             groups=loop_report_groups(records)).to_json()
+
+
+class TestReportSorts:
+    """``grouped_report`` sorts once per key and hands each group's part
+    of that sort to ``partition_aucs`` and ``gauc``."""
+
+    @staticmethod
+    def _spied_report(records):
+        """The report, and each (name, members, kwargs) of its calls to
+        the module's ``partition_aucs`` and ``gauc``."""
+        calls = []
+
+        def spy(name, original):
+            def wrapper(members, *args, **kwargs):
+                calls.append((name, members, kwargs))
+                return original(members, *args, **kwargs)
+            return wrapper
+
+        with mock.patch.object(metrics, "gauc",
+                               spy("gauc", metrics.gauc)), \
+                mock.patch.object(metrics, "partition_aucs",
+                                  spy("partition_aucs",
+                                      metrics.partition_aucs)):
+            report = metrics.grouped_report(
+                PredictionTable.from_records(records))
+        return report, calls
+
+    def test_one_call_of_each_per_non_empty_group(self):
+        # benchmark traces time these two names, once per group
+        records = random_records(np.random.default_rng(5), 120)
+        records = [dataclasses.replace(r, is_new=False) for r in records]
+        report, calls = self._spied_report(records)
+        assert report.groups["new"].absent
+        sizes = [report.groups[g].n for g in ("overall", "limited", "multi")]
+        for name in ("partition_aucs", "gauc"):
+            assert [len(m) for n, m, _ in calls if n == name] == sizes
+        assert all(set(kwargs) == {"order"} for _, _, kwargs in calls)
+
+    @given(st.lists(PREDICTION, max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_order_path_matches_own_sort(self, records):
+        # P_VALUES and the few user and partition ids make ties common
+        _, calls = self._spied_report(records)
+        for name, members, kwargs in calls:
+            key = (members.user_id if name == "gauc"
+                   else members.partition_id % N_PARTITIONS)
+            assert kwargs["order"].tolist() == \
+                np.lexsort((members.p, key)).tolist()
+            fn = getattr(metrics, name)
+            assert repr(fn(members, **kwargs)) == repr(fn(members))
 
 
 class TestPredictionTable:
@@ -347,6 +432,15 @@ class TestPcoc:
     def test_no_clicks_absent(self):
         assert pcoc([rec(.4, 0), rec(.2, 0)]) is None
 
+    def test_adds_in_row_order(self):
+        # left to right, each 1e-16 is lost against 1.0; a compensated
+        # sum (the built-in sum from Python 3.12) or a pairwise one keeps
+        # their total
+        records = [rec(1.0, 1)] + [rec(1e-16, 0)] * 10
+        assert pcoc(records) == 1.0
+        assert cal_n(records) == (0.0, 1)
+        assert grouped_report(records).groups["overall"].pcoc == 1.0
+
 
 class TestCalN:
     # record counts and click counts that make sum(0.5)/clicks hit each
@@ -411,6 +505,16 @@ class TestCalN:
         assert counted == 9
         assert value == 0.0
 
+    def test_squares_add_in_row_order(self):
+        # partition 0 has error 1, partitions 1-9 error 2**-27: each
+        # square, 2**-54, is lost against 1.0 left to right, where a
+        # compensated sum would keep their total
+        records = [rec(1.0, 1), rec(1.0, 0)]
+        for part in range(1, 10):
+            records += [rec(0.5 + 2.0 ** -28, y, part=part) for y in (1, 0)]
+        assert pcoc(records[2:4]) == 1.0 + 2.0 ** -27
+        assert cal_n(records) == (math.sqrt(1.0 / 10), 10)
+
     def test_nonnegative_zero_iff_all_one(self):
         records = self._partitioned([1.0, 1.5, 1.0, 0.5, 1.0, 1.0, 1.0,
                                      1.0, 1.0, 1.0])
@@ -452,9 +556,14 @@ class TestPartitions:
         assert got.tolist() == want
         assert [partition_of(u, i, seed) for u, i in
                 zip(users.tolist()[:20], items.tolist()[:20])] == want[:20]
-        assert partition_ids(users, items, seed, 7).tolist() == \
-            [self.loop_partition(u, i, seed, 7)
-             for u, i in zip(users.tolist(), items.tolist())]
+        # one partition, the most an int64 id allows, and no pairs
+        for n in (7, 1, 2**63 - 1):
+            got = partition_ids(users, items, seed, n)
+            assert got.dtype == np.int64 and got.tolist() == \
+                [self.loop_partition(u, i, seed, n)
+                 for u, i in zip(users.tolist(), items.tolist())]
+            empty = partition_ids(users[:0], items[:0], seed, n)
+            assert empty.dtype == np.int64 and empty.size == 0
 
     def test_empty_and_mismatched_columns(self):
         got = partition_ids(np.zeros(0, np.int64), np.zeros(0, np.int64), 1)
@@ -548,6 +657,55 @@ class TestPredictionFiles:
         for field in PREDICTION_FIELDS:
             a, b = getattr(loaded, field), getattr(table, field)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+    @given(st.lists(st.builds(
+        PredictionRecord, user_id=INT64, item_id=INT64,
+        p=st.one_of(st.sampled_from([math.nan, 0.0, -0.0, 5e-324, 1.0]),
+                    st.floats(allow_nan=True, allow_infinity=True)),
+        y=INT64, is_new=st.booleans(), is_limited=st.booleans(),
+        partition_id=INT64), max_size=40),
+        st.dictionaries(st.sampled_from(["arch", "seed", "é"]),
+                        st.text(alphabet="ab=é 1", max_size=4)))
+    @settings(max_examples=150, deadline=None)
+    def test_writer_bytes_match_fstring_oracle(self, tmp_path_factory,
+                                               records, meta):
+        table = PredictionTable.from_records(records)
+        folder = tmp_path_factory.mktemp("w")
+        write_predictions(table, folder / "got.tsv", meta=meta)
+        fstring_write_predictions(table, folder / "want.tsv", meta=meta)
+        assert (folder / "got.tsv").read_bytes() == \
+            (folder / "want.tsv").read_bytes()
+
+    META_CASES = [
+        # a meta line after the data rows, later keys winning
+        "#meta\ta=1\tb=2\n1\t2\t0.5\t1\t0\t0\t3\n#meta\tb=9\tc\n",
+        # the last line a meta line without a trailing newline
+        "1\t2\t0.5\t1\t0\t0\t3\n#meta\tk=v=w",
+        # "#meta\t" inside a row's trailing comment, or a comment that
+        # starts "#meta" without its tab: none of them a meta line
+        "1\t2\t0.5\t1\t0\t0\t3 #meta\tx=1\n#metadata\tz=3\n#meta z=4\n",
+        # an empty meta line, blank lines and no rows
+        "#meta\t\n\n\n#meta\tonly=\n",
+        "",
+    ]
+
+    @pytest.mark.parametrize("body", META_CASES)
+    def test_meta_lines_match_regex_oracle(self, tmp_path, body):
+        path = tmp_path / "p.tsv"
+        path.write_text(PREDICTION_HEADER + "\n" + body)
+        assert read_predictions(path)[1] == regex_meta(body)
+
+    @given(st.lists(st.sampled_from(
+        ["1\t2\t0.5\t1\t0\t0\t3", "1\t2\t0.5\t1\t0\t0\t3 #meta\tq=1",
+         "", "# note", "#meta", "#meta\t", "#meta\ta=1", "#meta\ta=2\tb",
+         "#meta\t#meta\tc=3"]), max_size=8), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_meta_lines_of_random_bodies(self, tmp_path_factory, lines,
+                                         newline_at_end):
+        body = "\n".join(lines) + ("\n" if newline_at_end else "")
+        path = tmp_path_factory.mktemp("m") / "p.tsv"
+        path.write_text(PREDICTION_HEADER + "\n" + body)
+        assert read_predictions(path)[1] == regex_meta(body)
 
     def test_bad_row_named_by_its_line(self, tmp_path):
         path = tmp_path / "p.tsv"
