@@ -24,7 +24,6 @@ from typing import NoReturn
 
 from .datagen import (
     INT64_MAX,
-    Catalog,
     DatasetError,
     GeneratorConfig,
     build_market,
@@ -244,6 +243,18 @@ def verify_dataset(data_dir: Path, manifest: dict, *,
 # subcommands
 
 
+def _make_out_dir(out_dir: Path) -> None:
+    """Makes ``out_dir`` and its missing parents; refuses a path that is
+    a file or lies under one."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        raise CliError("E_EXISTS", f"{out_dir} is not a directory")
+    except NotADirectoryError:
+        raise CliError("E_NOT_FOUND", f"{out_dir} lies under a file, not a "
+                       "directory")
+
+
 def _seed(args: argparse.Namespace, config: ExperimentConfig) -> int:
     """``--seed`` when given, else the config's seed."""
     if args.seed is None:
@@ -258,7 +269,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config = ExperimentConfig.load(args.config)
     seed = _seed(args, config)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     targets = [out_dir / n for n in (TRAIN_FILE, TEST_FILE, CATALOG_FILE,
                                      MANIFEST_NAME)]
     existing = [p for p in targets if p.exists()]
@@ -271,7 +282,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     train, test = split_train_test(result.records, gen.days)
     write_dataset(train, out_dir / TRAIN_FILE)
     write_dataset(test, out_dir / TEST_FILE)
-    write_catalog(Catalog.from_items(market.items), out_dir / CATALOG_FILE)
+    write_catalog(market.catalog(), out_dir / CATALOG_FILE)
     manifest = write_manifest(out_dir, config, seed,
                               {"train": len(train), "test": len(test)},
                               result.metadata)
@@ -307,7 +318,7 @@ def _train_one(config: ExperimentConfig, data_dir: Path, out_dir: Path,
     train, catalog, manifest = _load_data(
         data_dir, TRAIN_FILE, verify=verify,
         expected_id=config.dataset_hash if verify else None)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     ckpt_path = out_dir / f"{name}.ckpt.npz"
     log_path = out_dir / f"{name}.log.jsonl"
 
@@ -384,7 +395,7 @@ def _evaluate_checkpoint(ckpt_path: Path, data_dir: Path, out_dir: Path, *,
                     partition_seed=ckpt.config.seed,
                     score_accumulator=accumulator)
     stem = ckpt_path.name.replace(".ckpt.npz", "")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     pred_path = out_dir / f"{stem}.predictions.tsv"
     source = {"arch": ckpt.config.architecture,
               "config_hash": config_hash(ckpt.config),
@@ -440,7 +451,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     config = dataclasses.replace(config, seed=_seed(args, config))
     data_dir = Path(args.data)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     rows = _ablation_rows(config, args.sweep_alpha)
     results: dict[str, dict] = {}
     base_report: MetricReport | None = None

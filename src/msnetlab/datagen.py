@@ -167,26 +167,6 @@ class GeneratorConfig:
         return cls(**config_kwargs(cls, d, "generator", DatasetError))
 
 
-@dataclasses.dataclass
-class ItemSpec:
-    item_id: int
-    category_id: int
-    stock_count: int  # initial stock; 1 means limited-stock
-    quality: float    # in [-1, 1]
-    created_day: int
-
-    @property
-    def is_limited(self) -> bool:
-        return self.stock_count == 1
-
-
-@dataclasses.dataclass
-class UserSpec:
-    user_id: int
-    preference: np.ndarray  # unit-norm vector over categories
-    activity: float         # expected impressions per day
-
-
 @dataclasses.dataclass(frozen=True)
 class ImpressionRecord:
     day: int
@@ -311,39 +291,55 @@ class SimulationResult:
 
 
 class MarketState:
-    """Live items, remaining stock, per-user click histories, day counter,
-    and the seeded generator that drives every random choice."""
+    """The market as columns.  Users: ``preference``, one unit-norm row
+    over categories per user, and ``activity``, expected impressions per
+    day.  Items, indexed by id in creation order: ``category``, ``stock``
+    (initial; 1 means limited-stock), ``quality`` in [-1, 1], ``created``
+    (day) and ``remaining`` stock.  Beside them the live item ids, the
+    per-user click histories, the day counter, and the seeded generator
+    that drives every random choice."""
 
-    def __init__(self, config: GeneratorConfig, users: list[UserSpec],
-                 items: dict[int, ItemSpec], seed: int) -> None:
+    def __init__(self, config: GeneratorConfig, preference: np.ndarray,
+                 activity: list[float], rng: np.random.Generator) -> None:
         self.config = config
-        self.users = users
-        self.items = items
-        self.remaining: dict[int, int] = {i: s.stock_count
-                                          for i, s in items.items()}
-        self.live: set[int] = set(items)
+        self.preference = preference
+        self.activity = activity
+        self.category: list[int] = []
+        self.stock: list[int] = []
+        self.quality: list[float] = []
+        self.created: list[int] = []
+        self.remaining: list[int] = []
+        self.live: set[int] = set()
         # per user, the clicked (item_id, category_id, is_limited) triples,
         # most recent first, flattened into one list of ints
-        self.histories: dict[int, list[int]] = {u.user_id: [] for u in users}
+        self.histories: list[list[int]] = [[] for _ in activity]
         self.day = 0
-        self.next_item_id = max(items) + 1 if items else 0
-        self.rng = np.random.default_rng(seed)
-        self.seed = seed
+        self.rng = rng
 
+    def add_item(self, draws: _Draws, created_day: int) -> None:
+        """Appends a new live item, its attributes drawn from ``draws`` in
+        this order: stock type, a multi-stock item's stock, category,
+        quality."""
+        config = self.config
+        if draws.random() < config.limited_fraction:
+            stock = 1
+        else:
+            stock = draws.integers(config.min_multi_stock,
+                                   config.max_multi_stock + 1)
+        self.live.add(len(self.category))
+        self.category.append(draws.integers(config.n_categories))
+        self.stock.append(stock)
+        self.remaining.append(stock)
+        self.quality.append(draws.uniform(-1.0, 1.0))
+        self.created.append(created_day)
 
-def _make_item(config: GeneratorConfig, rng: np.random.Generator | _Draws,
-               item_id: int, created_day: int) -> ItemSpec:
-    limited = rng.random() < config.limited_fraction
-    if limited:
-        stock = 1
-    else:
-        stock = int(rng.integers(config.min_multi_stock,
-                                 config.max_multi_stock + 1))
-    return ItemSpec(item_id=item_id,
-                    category_id=int(rng.integers(config.n_categories)),
-                    stock_count=stock,
-                    quality=float(rng.uniform(-1.0, 1.0)),
-                    created_day=created_day)
+    def catalog(self) -> Catalog:
+        """Every item the market has made, as a ``Catalog``."""
+        return Catalog(np.arange(len(self.category), dtype=np.int64),
+                       np.array(self.category, dtype=np.int64),
+                       np.array(self.stock, dtype=np.int64),
+                       np.array(self.quality, dtype=np.float64),
+                       np.array(self.created, dtype=np.int64))
 
 
 def build_market(config: GeneratorConfig, seed: int) -> MarketState:
@@ -354,27 +350,31 @@ def build_market(config: GeneratorConfig, seed: int) -> MarketState:
     """
     config.validate()
     rng = np.random.default_rng(seed)
-    users = []
-    for uid in range(config.n_users):
-        pref = rng.normal(size=config.n_categories)
-        pref /= np.linalg.norm(pref)
-        activity = float(np.clip(
+    preference = np.empty((config.n_users, config.n_categories))
+    activity = []
+    for row in preference:
+        row[:] = rng.normal(size=config.n_categories)
+        row /= np.linalg.norm(row)
+        activity.append(float(np.clip(
             rng.gamma(shape=8.0, scale=config.mean_impressions_per_user_day / 8.0),
-            2.0, None))
-        users.append(UserSpec(user_id=uid, preference=pref, activity=activity))
-    items = {}
-    for iid in range(config.n_items):
-        created = int(rng.integers(-10, 1))
-        items[iid] = _make_item(config, rng, iid, created)
-    return MarketState(config, users, items, seed)
+            2.0, None)))
+    # the simulation's Generator starts over from the seed, so its stream
+    # is the one that drew the market
+    market = MarketState(config, preference, activity,
+                         np.random.default_rng(seed))
+    draws = _Draws(rng)
+    for _ in range(config.n_items):
+        market.add_item(draws, draws.integers(-10, 1))
+    return market
 
 
-def _category_cdf(user: UserSpec, config: GeneratorConfig) -> list[float]:
-    """Cumulative preference-softmax over categories, normalized as
+def _category_cdf(preference: np.ndarray, config: GeneratorConfig
+                  ) -> list[float]:
+    """Cumulative softmax of a user's ``preference`` row, normalized as
     ``Generator.choice(n, p=w)`` normalizes it, so that
     ``bisect_right(cdf, rng.random())`` draws what ``rng.choice`` draws
     from the same stream."""
-    z = config.affinity_temperature * user.preference
+    z = config.affinity_temperature * preference
     z = z - z.max()
     w = np.exp(z)
     cdf = (w / w.sum()).cumsum()
@@ -506,50 +506,39 @@ def _simulate(market: MarketState, days: int, rng: _Draws
     # the start)
     entries: list[int] = []
     offsets = [0]
-    current: dict[int, int | None] = dict.fromkeys(market.histories)
+    current: list[int | None] = [None] * len(market.histories)
     kept = 3 * config.history_max  # ints of the entries a history keeps
     empty_days = 0
 
-    cat_cdfs = {u.user_id: _category_cdf(u, config) for u in market.users}
+    cat_cdfs = [_category_cdf(row, config) for row in market.preference]
     # true_ctr's logit, split into a term per (user, category) and one per
     # item and added in its order: (bias + w_aff * affinity) + w_q * quality
-    user_terms = {u.user_id: [config.ctr_bias + config.ctr_w_affinity * a
-                              for a in u.preference.tolist()]
-                  for u in market.users}
-
-    def describe(s: ItemSpec) -> tuple[int, bool, int, float]:
-        """Category, limited, created day and quality term of an item."""
-        return (s.category_id, s.is_limited, s.created_day,
-                config.ctr_w_quality * s.quality)
-
-    info = {i: describe(s) for i, s in market.items.items()}
+    user_terms = [[config.ctr_bias + config.ctr_w_affinity * a for a in row]
+                  for row in market.preference.tolist()]
+    category, stock, created, quality = (market.category, market.stock,
+                                         market.created, market.quality)
+    w_quality = config.ctr_w_quality
     live, remaining, exp = market.live, market.remaining, np.exp
 
     for day in range(market.day + 1, market.day + days + 1):
         for _ in range(config.new_items_per_day):
-            item = _make_item(config, rng, market.next_item_id, day)
-            market.items[item.item_id] = item
-            remaining[item.item_id] = item.stock_count
-            live.add(item.item_id)
-            info[item.item_id] = describe(item)
-            market.next_item_id += 1
+            market.add_item(rng, day)
 
         # stable per-day index of live items by category, each pool in id
         # order
         by_cat: list[list[int]] = [[] for _ in range(config.n_categories)]
         live_sorted = sorted(live)
         for iid in live_sorted:
-            by_cat[info[iid][0]].append(iid)
+            by_cat[category[iid]].append(iid)
 
         day_cut_short = False
-        for user in market.users:
+        for uid, activity in enumerate(market.activity):
             if day_cut_short:
                 break
-            uid = user.user_id
             cdf, terms = cat_cdfs[uid], user_terms[uid]
             clicks = market.histories[uid]
             history = current[uid]
-            for _ in range(int(round(user.activity))):
+            for _ in range(int(round(activity))):
                 if not live:
                     day_cut_short = True
                     break
@@ -558,9 +547,10 @@ def _simulate(market: MarketState, days: int, rng: _Draws
                 if item_id is None:
                     day_cut_short = True
                     break
-                category, limited, created, quality_term = info[item_id]
+                item_category = category[item_id]
+                limited = stock[item_id] == 1
                 # the two forms of sigmoid, with numpy's exp for their bits
-                z = terms[category] + quality_term
+                z = terms[item_category] + w_quality * quality[item_id]
                 if z >= 0:
                     p = 1.0 / (1.0 + float(exp(-z)))
                 else:
@@ -577,17 +567,18 @@ def _simulate(market: MarketState, days: int, rng: _Draws
                 label_col.append(label)
                 ctr_col.append(p)
                 limited_col.append(limited)
-                new_col.append((day - created) <= NEW_ITEM_MAX_AGE_DAYS)
+                new_col.append((day - created[item_id])
+                               <= NEW_ITEM_MAX_AGE_DAYS)
                 history_col.append(history)
                 if label:
-                    clicks[0:0] = (item_id, category, limited)
+                    clicks[0:0] = (item_id, item_category, limited)
                     del clicks[4 * kept:]
                     history = None
                     if rng.random() < config.purchase_given_click:
                         remaining[item_id] -= 1
                         if remaining[item_id] <= 0:
                             live.discard(item_id)
-                            pool = by_cat[category]
+                            pool = by_cat[item_category]
                             del pool[bisect.bisect_left(pool, item_id)]
             current[uid] = history
         if day_cut_short:
@@ -771,35 +762,36 @@ def _parse_dataset(body: str) -> ImpressionTable:
         hist_limited=store[:, 2] != 0)
 
 
-def _history_texts(table: ImpressionTable) -> dict[int, str]:
+def _history_texts(table: ImpressionTable) -> dict[int, bytes]:
     """The dataset text of each history some row of ``table`` holds, by
     store index."""
     used = np.unique(table.history)
     idx, lengths = table.history_entries(used)
-    entries = [f"{i}:{c}:{l}" for i, c, l in zip(
+    entries = list(map(b"%d:%d:%d".__mod__, zip(
         table.hist_item[idx].tolist(), table.hist_category[idx].tolist(),
-        table.hist_limited[idx].astype(np.int64).tolist())]
+        table.hist_limited[idx].tolist())))
     ends = np.cumsum(lengths).tolist()
-    return dict(zip(used.tolist(), (",".join(entries[a:b]) for a, b in
+    return dict(zip(used.tolist(), (b",".join(entries[a:b]) for a, b in
                                     zip([0, *ends], ends))))
 
 
+def write_rows(path: str | Path, header: str, row_format: bytes,
+               columns: list[list]) -> None:
+    """Writes the file at ``path``: the ``header`` lines, then
+    ``row_format`` of each row of the aligned ``columns``, as the bytes of
+    one ``%``-format over all rows."""
+    with Path(path).open("wb") as fh:
+        fh.write(f"{header}\n".encode())
+        fh.write(row_format * len(columns[0])
+                 % tuple(itertools.chain.from_iterable(zip(*columns))))
+
+
 def write_dataset(table: ImpressionTable, path: str | Path) -> None:
-    path = Path(path)
     # histories repeat until the user's next click: format each once
     texts = _history_texts(table)
-    rows = zip(table.day.tolist(), table.user_id.tolist(),
-               table.item_id.tolist(), table.label.tolist(),
-               table.true_ctr.tolist(),
-               table.item_is_limited.astype(np.int64).tolist(),
-               table.item_is_new.astype(np.int64).tolist(),
-               map(texts.__getitem__, table.history.tolist()))
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(DATASET_HEADER + "\n")
-        fh.write("".join(
-            f"{day}\t{user}\t{item}\t{label}\t{ctr!r}\t{limited}\t{new}\t"
-            f"{history}\n"
-            for day, user, item, label, ctr, limited, new, history in rows))
+    write_rows(path, DATASET_HEADER, b"%d\t%d\t%d\t%d\t%r\t%d\t%d\t%s\n",
+               [*(c.tolist() for c in table.columns()[:-1]),
+                list(map(texts.__getitem__, table.history.tolist()))])
 
 
 def read_dataset(path: str | Path) -> ImpressionTable:
@@ -833,14 +825,6 @@ class Catalog:
     quality: np.ndarray      # float64
     created_day: np.ndarray  # int64
 
-    @classmethod
-    def from_items(cls, items: dict[int, ItemSpec]) -> "Catalog":
-        """The columns of a market's items, which are keyed by their ids."""
-        specs = [items[k] for k in sorted(items)]
-        return cls(*(np.array([getattr(s, f) for s in specs],
-                              dtype=_CATALOG_ROW[f])
-                     for f in CATALOG_FIELDS))
-
     def categories(self, item_ids: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
         """Per entry of ``item_ids``: whether the catalog holds the item,
@@ -850,12 +834,8 @@ class Catalog:
 
 
 def write_catalog(catalog: Catalog, path: str | Path) -> None:
-    rows = zip(*(getattr(catalog, f).tolist() for f in CATALOG_FIELDS))
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CATALOG_HEADER + "\n")
-        fh.write("".join(f"{item}\t{category}\t{stock}\t{quality!r}\t"
-                         f"{created}\n"
-                         for item, category, stock, quality, created in rows))
+    write_rows(path, CATALOG_HEADER, b"%d\t%d\t%d\t%r\t%d\n",
+               [getattr(catalog, f).tolist() for f in CATALOG_FIELDS])
 
 
 def _parse_catalog(body: str) -> np.ndarray:

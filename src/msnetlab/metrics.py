@@ -20,7 +20,6 @@ import json
 import math
 import struct
 from functools import reduce
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -31,6 +30,7 @@ from .datagen import (
     load_numbers,
     parse_or_name_line,
     read_body,
+    write_rows,
 )
 
 N_PARTITIONS = 10
@@ -403,14 +403,12 @@ _ROW_DTYPE = np.dtype([(f, np.float64 if f == "p" else np.int64)
 
 def write_predictions(predictions: Predictions, path: str | Path,
                       meta: dict | None = None) -> None:
-    columns = [c.tolist() for c in _as_table(predictions).columns()]
-    with Path(path).open("wb") as fh:
-        fh.write(f"{PREDICTION_HEADER}\n".encode())
-        if meta:
-            pairs = "\t".join(f"{k}={meta[k]}" for k in sorted(meta))
-            fh.write(f"#meta\t{pairs}\n".encode())
-        fh.write(b"%d\t%d\t%r\t%d\t%d\t%d\t%d\n" * len(columns[0])  # per row
-                 % tuple(chain.from_iterable(zip(*columns))))
+    header = PREDICTION_HEADER
+    if meta:
+        pairs = "\t".join(f"{k}={meta[k]}" for k in sorted(meta))
+        header += f"\n#meta\t{pairs}"
+    write_rows(path, header, b"%d\t%d\t%r\t%d\t%d\t%d\t%d\n",
+               [c.tolist() for c in _as_table(predictions).columns()])
 
 
 def _parse_rows(text: str) -> np.ndarray:

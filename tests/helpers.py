@@ -1,6 +1,7 @@
 """Test helpers that the package itself does not need: a one-value
 vocabulary lookup, the generator's click probability of one (user, item)
-pair, batches packed from and unpacked to padded [B, H] grids with the
+pair, the initial market drawn call by call with numpy's ``Generator``,
+batches packed from and unpacked to padded [B, H] grids with the
 mask-based oracles over them (``embed``, ``branch_masks``,
 ``add_batch_by_mask``, a sequence branch materialized as its own batch),
 meta nets made exact no-ops, the per-name gradient composition the tape's
@@ -28,7 +29,7 @@ from msnetlab.autodiff import (
     _accum,
     sigmoid,
 )
-from msnetlab.datagen import GeneratorConfig, ItemSpec, UserSpec
+from msnetlab.datagen import GeneratorConfig, MarketState
 from msnetlab.features import (
     OOV_INDEX,
     Embedded,
@@ -47,13 +48,46 @@ def lookup(vocab: Vocab, value: int) -> int:
     return values.index(value) + 1 if value in values else OOV_INDEX
 
 
-def true_ctr(user: UserSpec, item: ItemSpec, config: GeneratorConfig) -> float:
-    """Ground-truth click probability: a logistic in the user's affinity
-    for the item's category and the item's quality."""
-    affinity = float(user.preference[item.category_id])
+def true_ctr(market: MarketState, user: int, item: int) -> float:
+    """Ground-truth click probability of ``user`` shown ``item``, from the
+    market's columns: a logistic in the user's affinity for the item's
+    category and the item's quality."""
+    config = market.config
+    affinity = float(market.preference[user, market.category[item]])
     z = config.ctr_bias + config.ctr_w_affinity * affinity \
-        + config.ctr_w_quality * item.quality
+        + config.ctr_w_quality * market.quality[item]
     return float(sigmoid(z))
+
+
+def generator_market(config: GeneratorConfig, seed: int):
+    """What ``build_market(config, seed)`` draws, one ``Generator`` call at
+    a time in the order the market has always drawn it: each user's
+    preference row and activity, then per item its created day, stock
+    type, a multi-stock item's stock, category and quality.  Returns the
+    preference rows, the activities and the catalog rows as (id,
+    category, stock, quality, created)."""
+    rng = np.random.default_rng(seed)
+    preference, activity = [], []
+    for _ in range(config.n_users):
+        pref = rng.normal(size=config.n_categories)
+        pref /= np.linalg.norm(pref)
+        preference.append(pref)
+        activity.append(float(np.clip(
+            rng.gamma(shape=8.0,
+                      scale=config.mean_impressions_per_user_day / 8.0),
+            2.0, None)))
+    rows = []
+    for item_id in range(config.n_items):
+        created = int(rng.integers(-10, 1))
+        if rng.random() < config.limited_fraction:
+            stock = 1
+        else:
+            stock = int(rng.integers(config.min_multi_stock,
+                                     config.max_multi_stock + 1))
+        category = int(rng.integers(config.n_categories))
+        rows.append((item_id, category, stock, float(rng.uniform(-1.0, 1.0)),
+                     created))
+    return preference, activity, rows
 
 
 # a batch's histories as padded [B, H] grids

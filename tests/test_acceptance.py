@@ -17,7 +17,6 @@ import pytest
 from msnetlab.autodiff import ParamStore, Tape, check_gradients
 from msnetlab.cli import main as cli_main
 from msnetlab.datagen import (
-    Catalog,
     GeneratorConfig,
     build_market,
     simulate,
@@ -396,7 +395,7 @@ def full_scale_sweep():
         res = simulate(market, gen.days)
         outcome["digests"].append(table_digest(res.records))
         train, test = split_train_test(res.records, gen.days)
-        catalog = Catalog.from_items(market.items)
+        catalog = market.catalog()
         groups = {}
         for arch in ("din", "msnet"):
             mc = ModelConfig(architecture=arch, seed=seed)

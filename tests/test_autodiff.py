@@ -1236,13 +1236,17 @@ class TestKernelsMatchOracles:
 
 class TestEmbeddingTablesRefused:
     """An embedding table's leaf takes its gradient rows from
-    ``gather_rows`` alone, so the fused ops refuse a table passed whole
-    instead of dropping its gradient."""
+    ``gather_rows`` alone, so ``backward`` refuses a gradient that any
+    other op sends a table passed whole, instead of dropping it."""
+
+    REFUSED = "^embedding table 'emb' got a gradient from an op other " \
+        "than gather_rows$"
 
     @staticmethod
     def _tape():
         params = ParamStore()
         params.add("emb", np.ones((4, 4)), embedding=True)
+        params.add("w", np.ones((4, 2)))
         return Tape(params)
 
     def _attention(self, tape, **tables):
@@ -1255,10 +1259,11 @@ class TestEmbeddingTablesRefused:
     @pytest.mark.parametrize("arg", ["q", "k", "v", "combine"])
     def test_target_attention(self, arg):
         tape = self._tape()
-        with pytest.raises(AutodiffError, match=f"^target_attention takes "
-                           f"no embedding table as {arg}$"):
-            self._attention(tape, **{arg: tape.param("emb")})
+        out = self._attention(tape, **{arg: tape.param("emb")})[0]
+        with pytest.raises(AutodiffError, match=self.REFUSED):
+            tape.backward(sum_all(tape, out))
         # its gathered rows are a dense input, whose rows get gradient
+        tape = self._tape()
         rows = tape.gather_rows(tape.param("emb"), [3, 1, 2, 0])
         out = self._attention(tape, **{arg: rows})[0]
         grads = tape.backward(sum_all(tape, out))
@@ -1270,13 +1275,28 @@ class TestEmbeddingTablesRefused:
         rng = np.random.default_rng(4)
         args = {name: Tape.constant(rng.normal(size=(4, 4)))
                 for name in ("a", "a_to", "b", "b_to")}
-        with pytest.raises(AutodiffError, match=f"^cosine_gap_loss takes "
-                           f"no embedding table as {arg}$"):
-            tape.cosine_gap_loss(**{**args, arg: tape.param("emb")},
-                                 rows=[2, 0, 1, 2])
+        loss = tape.cosine_gap_loss(**{**args, arg: tape.param("emb")},
+                                    rows=[2, 0, 1, 2])
+        with pytest.raises(AutodiffError, match=self.REFUSED):
+            tape.backward(loss)
+        tape = self._tape()
         rows = tape.gather_rows(tape.param("emb"), [0, 1, 2, 3])
         loss = tape.cosine_gap_loss(**{**args, arg: rows}, rows=[2, 0, 1, 2])
         assert tape.backward(loss)["emb"].indices.size
+
+    def test_matmul(self):
+        # any op, not only the fused ones: a plain matmul of the whole
+        # table once gave ``w`` its gradient and the table none
+        tape = self._tape()
+        out = tape.matmul(tape.param("emb"), tape.param("w"))
+        with pytest.raises(AutodiffError, match=self.REFUSED):
+            tape.backward(sum_all(tape, out))
+        tape = self._tape()
+        rows = tape.gather_rows(tape.param("emb"), [2, 2, 0, 1])
+        grads = tape.backward(sum_all(tape, tape.matmul(rows,
+                                                        tape.param("w"))))
+        assert sorted(grads["emb"].indices.tolist()) == [0, 1, 2]
+        assert np.abs(grads["w"]).sum() > 0
 
 
 class TestFlatStore:

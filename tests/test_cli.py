@@ -638,6 +638,22 @@ def _ablate_alpha_sweep(workspace, tmp_path: Path, sweep) -> list[str]:
             str(tmp_path / "a"), "--sweep-alpha"]
 
 
+def _out_on_a_file(workspace, tmp_path: Path, command: str,
+                   under: bool) -> list[str]:
+    """``command`` with ``--out`` naming a file, or a path under one."""
+    _, cfg, data, run = workspace
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    argv = {"generate": ["generate", "--config", str(cfg)],
+            "train": ["train", "--config", str(cfg), "--data", str(data),
+                      "--arch", "din"],
+            "evaluate": ["evaluate", "--checkpoint",
+                         str(run / "din.ckpt.npz"), "--data", str(data)],
+            "ablate": ["ablate", "--config", str(cfg), "--data",
+                       str(data)]}[command]
+    return argv + ["--out", str(afile / "sub" if under else afile)]
+
+
 # name -> (expected code, argv builder over (workspace, tmp_path))
 MALFORMED_INPUTS = {
     "config_top_level_list": ("E_CONFIG", lambda ws, tmp: _config_text(
@@ -775,6 +791,22 @@ MALFORMED_INPUTS = {
         "init-config", "--out", str(tmp / "missing" / "x.json")]),
     "init_config_out_is_directory": ("E_EXISTS", lambda ws, tmp: [
         "init-config", "--out", str(tmp), "--force"]),
+    "generate_out_is_file": ("E_EXISTS", lambda ws, tmp: _out_on_a_file(
+        ws, tmp, "generate", under=False)),
+    "generate_out_under_file": ("E_NOT_FOUND", lambda ws, tmp: _out_on_a_file(
+        ws, tmp, "generate", under=True)),
+    "train_out_is_file": ("E_EXISTS", lambda ws, tmp: _out_on_a_file(
+        ws, tmp, "train", under=False)),
+    "train_out_under_file": ("E_NOT_FOUND", lambda ws, tmp: _out_on_a_file(
+        ws, tmp, "train", under=True)),
+    "evaluate_out_is_file": ("E_EXISTS", lambda ws, tmp: _out_on_a_file(
+        ws, tmp, "evaluate", under=False)),
+    "evaluate_out_under_file": ("E_NOT_FOUND", lambda ws, tmp: _out_on_a_file(
+        ws, tmp, "evaluate", under=True)),
+    "ablate_out_is_file": ("E_EXISTS", lambda ws, tmp: _out_on_a_file(
+        ws, tmp, "ablate", under=False)),
+    "ablate_out_under_file": ("E_NOT_FOUND", lambda ws, tmp: _out_on_a_file(
+        ws, tmp, "ablate", under=True)),
     "report_missing_predictions": ("E_FORMAT", lambda ws, tmp: [
         "report", str(tmp / "none.predictions.tsv")]),
     "report_checkpoint_without_data": ("E_CONFIG", lambda ws, tmp: [

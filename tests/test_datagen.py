@@ -1,7 +1,6 @@
 """Market simulator tests: boundaries, determinism, ground-truth click
 statistics, and the dataset file round trip."""
 
-import dataclasses
 import functools
 import math
 import re
@@ -25,8 +24,7 @@ from msnetlab.datagen import (
     GeneratorConfig,
     ImpressionRecord,
     ImpressionTable,
-    ItemSpec,
-    UserSpec,
+    MarketState,
     _category_cdf,
     _Draws,
     _sample_item,
@@ -45,7 +43,7 @@ from msnetlab.metrics import (
     read_predictions,
     write_predictions,
 )
-from helpers import true_ctr
+from helpers import generator_market, true_ctr
 from table_rows import table_of
 
 SMALL = GeneratorConfig(n_users=40, n_items=250, n_categories=4, days=4,
@@ -57,18 +55,17 @@ class TestBuildMarket:
     def test_all_limited(self):
         cfg = GeneratorConfig(n_users=5, n_items=50, limited_fraction=1.0)
         market = build_market(cfg, seed=0)
-        assert all(s.stock_count == 1 for s in market.items.values())
+        assert market.stock == [1] * cfg.n_items
 
     def test_none_limited(self):
         cfg = GeneratorConfig(n_users=5, n_items=50, limited_fraction=0.0)
         market = build_market(cfg, seed=0)
-        assert all(s.stock_count >= 2 for s in market.items.values())
+        assert all(s >= 2 for s in market.stock)
 
     def test_deterministic_serialization(self, tmp_path):
         def catalog_bytes(seed, name):
             path = tmp_path / name
-            write_catalog(
-                Catalog.from_items(build_market(SMALL, seed=seed).items), path)
+            write_catalog(build_market(SMALL, seed=seed).catalog(), path)
             return path.read_bytes()
 
         a = catalog_bytes(123, "a.tsv")
@@ -77,8 +74,40 @@ class TestBuildMarket:
 
     def test_user_preferences_unit_norm(self):
         market = build_market(SMALL, seed=3)
-        for u in market.users:
-            assert abs(np.linalg.norm(u.preference) - 1.0) < 1e-9
+        assert market.preference.shape == (SMALL.n_users, SMALL.n_categories)
+        for row in market.preference:
+            assert abs(np.linalg.norm(row) - 1.0) < 1e-9
+
+    @given(data=st.data(), seed=st.integers(0, 2 ** 64 - 1),
+           limited_fraction=st.one_of(st.sampled_from([0.0, 1.0]),
+                                      st.floats(0.0, 1.0)),
+           n_categories=st.sampled_from([1, 2, 5]),
+           min_multi_stock=st.integers(2, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_market_matches_generator_draws(self, data, seed,
+                                            limited_fraction, n_categories,
+                                            min_multi_stock):
+        # every item made through ``_Draws`` equals the one numpy's own
+        # Generator draws; the market's Generator, which simulate draws
+        # from, starts at the seed
+        spread = data.draw(st.one_of(st.just(0), st.integers(1, 5),
+                                     st.just(datagen.MAX_STOCK - 6)))
+        cfg = GeneratorConfig(
+            n_users=data.draw(st.integers(1, 4)),
+            n_items=data.draw(st.integers(1, 40)),
+            n_categories=n_categories, limited_fraction=limited_fraction,
+            min_multi_stock=min_multi_stock,
+            max_multi_stock=min_multi_stock + spread,
+            mean_impressions_per_user_day=data.draw(st.floats(0.0, 30.0)))
+        market = build_market(cfg, seed=seed)
+        preference, activity, rows = generator_market(cfg, seed)
+        assert catalog_rows(market.catalog()) == rows
+        assert market.preference.tobytes() == np.array(preference).tobytes()
+        assert market.activity == activity
+        assert market.live == set(range(cfg.n_items))
+        assert market.remaining == market.stock
+        assert market.rng.bit_generator.state == \
+            np.random.default_rng(seed).bit_generator.state
 
     def test_invalid_config_rejected(self):
         with pytest.raises(DatasetError):
@@ -104,42 +133,42 @@ class TestBuildMarket:
 
 
 class TestTrueCtr:
-    def _user(self, pref):
-        return UserSpec(user_id=0, preference=np.asarray(pref, dtype=float),
-                        activity=1.0)
-
-    def _item(self, cat=0, quality=0.0):
-        return ItemSpec(item_id=0, category_id=cat, stock_count=1,
-                        quality=quality, created_day=0)
+    @staticmethod
+    def _market(cfg, pref, categories, qualities):
+        """A market of one user with preference row ``pref``, and items of
+        the given categories and qualities."""
+        market = MarketState(cfg, np.array([pref], dtype=float), [1.0],
+                             np.random.default_rng(0))
+        market.category, market.quality = list(categories), list(qualities)
+        return market
 
     def test_constant_model_is_half(self):
         cfg = GeneratorConfig(ctr_bias=0.0, ctr_w_affinity=0.0,
                               ctr_w_quality=0.0)
-        user = self._user([1.0, 0.0])
-        assert true_ctr(user, self._item(cat=0, quality=0.7), cfg) == 0.5
-        assert true_ctr(user, self._item(cat=1, quality=-0.2), cfg) == 0.5
+        market = self._market(cfg, [1.0, 0.0], [0, 1], [0.7, -0.2])
+        assert true_ctr(market, 0, 0) == 0.5
+        assert true_ctr(market, 0, 1) == 0.5
 
     def test_unit_affinity_closed_form(self):
         # sigmoid(1) = 1/(1+e^-1)
         cfg = GeneratorConfig(ctr_bias=0.0, ctr_w_affinity=1.0,
                               ctr_w_quality=0.0)
-        got = true_ctr(self._user([1.0, 0.0]), self._item(cat=0), cfg)
+        got = true_ctr(self._market(cfg, [1.0, 0.0], [0], [0.0]), 0, 0)
         assert abs(got - 1.0 / (1.0 + math.exp(-1.0))) < 1e-12
         assert abs(got - 0.7310585786300049) < 1e-12
 
     def test_quality_monotone(self):
         cfg = GeneratorConfig(ctr_w_quality=1.0)
-        user = self._user([0.3, -0.3])
-        qualities = np.linspace(-1, 1, 11)
-        ctrs = [true_ctr(user, self._item(cat=0, quality=q), cfg)
-                for q in qualities]
+        qualities = np.linspace(-1, 1, 11).tolist()
+        market = self._market(cfg, [0.3, -0.3], [0] * 11, qualities)
+        ctrs = [true_ctr(market, 0, i) for i in range(11)]
         assert all(b >= a for a, b in zip(ctrs, ctrs[1:]))
 
 
-def choice_weights(user, config):
+def choice_weights(preference, config):
     """Preference-softmax weights as ``rng.choice(n, p=w)`` takes them:
     the oracle for the simulator's CDF draw."""
-    z = config.affinity_temperature * user.preference
+    z = config.affinity_temperature * preference
     z = z - z.max()
     w = np.exp(z)
     return w / w.sum()
@@ -158,9 +187,8 @@ class TestCategoryDraw:
         n = len(pref)
         config = GeneratorConfig(n_categories=n, exploration_rate=0.0,
                                  affinity_temperature=temperature)
-        user = UserSpec(user_id=0, preference=np.array(pref), activity=1.0)
-        w = choice_weights(user, config)
-        cdf = _category_cdf(user, config)
+        w = choice_weights(np.array(pref), config)
+        cdf = _category_cdf(np.array(pref), config)
         by_cat = [[c] for c in range(n)]
         got_rng = np.random.default_rng(seed)
         want_rng = np.random.default_rng(seed)
@@ -272,7 +300,7 @@ class TestSimulate:
         market = build_market(SMALL, seed=5)
         saw_sellout = False
         for _ in range(SMALL.days):
-            dead_before = {i for i, rem in market.remaining.items()
+            dead_before = {i for i, rem in enumerate(market.remaining)
                            if rem <= 0}
             saw_sellout = saw_sellout or bool(dead_before)
             res = simulate(market, 1)
@@ -289,8 +317,7 @@ class TestSimulate:
                               mean_impressions_per_user_day=10.0)
         market = build_market(cfg, seed=4)
         records = simulate(market, cfg.days).records
-        users = {u.user_id: u for u in market.users}
-        want = [true_ctr(users[u], market.items[i], cfg) for u, i in
+        want = [true_ctr(market, u, i) for u, i in
                 zip(records.user_id.tolist(), records.item_id.tolist())]
         assert records.true_ctr.tolist() == want
         # both sigmoid branches ran
@@ -363,9 +390,8 @@ class TestSimulate:
             assert r.history == tuple(stack[:SMALL.history_max])
             assert len(r.history) <= SMALL.history_max
             if r.label:
-                item = market.items[r.item_id]
-                stack.insert(0, (r.item_id, item.category_id,
-                                 item.is_limited))
+                stack.insert(0, (r.item_id, market.category[r.item_id],
+                                 market.stock[r.item_id] == 1))
 
     def test_limited_items_get_fewer_impressions(self):
         market = build_market(SMALL, seed=21)
@@ -373,10 +399,10 @@ class TestSimulate:
         counts: dict[int, int] = {}
         for r in res.records:
             counts[r.item_id] = counts.get(r.item_id, 0) + 1
-        lim = [counts[i] for i, s in market.items.items()
-               if s.is_limited and i in counts]
-        multi = [counts[i] for i, s in market.items.items()
-                 if not s.is_limited and i in counts]
+        lim = [counts[i] for i, s in enumerate(market.stock)
+               if s == 1 and i in counts]
+        multi = [counts[i] for i, s in enumerate(market.stock)
+                 if s != 1 and i in counts]
         assert np.mean(lim) < np.mean(multi)
 
     def test_deterministic_in_seed(self):
@@ -464,10 +490,11 @@ class TestDatasetFiles:
         market = build_market(SMALL, seed=4)
         simulate(market, 2)
         path = tmp_path / "items.tsv"
-        write_catalog(Catalog.from_items(market.items), path)
+        write_catalog(market.catalog(), path)
         loaded = read_catalog(path)
-        assert catalog_rows(loaded) == [
-            dataclasses.astuple(market.items[k]) for k in sorted(market.items)]
+        assert catalog_rows(loaded) == list(zip(
+            range(len(market.category)), market.category, market.stock,
+            market.quality, market.created))
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -753,13 +780,14 @@ class TestColumnarDataPath:
 
 
 def loop_read_catalog(path):
-    """The catalog per line with int() and float(), as a dict in file
-    order; the oracle for the values and types ``read_catalog`` gives."""
+    """The catalog per line with int() and float(), as a dict of id to
+    row tuple in file order; the oracle for the values and types
+    ``read_catalog`` gives."""
     items = {}
     lines = Path(path).read_text(encoding="utf-8").split("\n")[1:]
     for line in filter(None, lines):
         i, c, s, q, d = line.split("\t")
-        items[int(i)] = ItemSpec(int(i), int(c), int(s), float(q), int(d))
+        items[int(i)] = (int(i), int(c), int(s), float(q), int(d))
     return items
 
 
@@ -802,8 +830,7 @@ class TestOneReader:
         with pytest.raises(DatasetError, match=r"^line 4: "):
             read_dataset(path)
         catalog = tmp_path / "items.tsv"
-        write_catalog(Catalog.from_items(build_market(SMALL, seed=4).items),
-                      catalog)
+        write_catalog(build_market(SMALL, seed=4).catalog(), catalog)
         _edit_line(catalog, 5, 2, text)
         with pytest.raises(DatasetError, match=r"^line 5: "):
             read_catalog(catalog)
@@ -841,23 +868,22 @@ class TestOneReader:
         market = build_market(SMALL, seed=4)
         simulate(market, 2)
         path = tmp_path / "items.tsv"
-        write_catalog(Catalog.from_items(market.items), path)
+        write_catalog(market.catalog(), path)
         # a repeated id, out of id order, takes its last line's values
         with path.open("a") as fh:
             fh.write("3\t1\t5\t0.25\t-2\n")
         got, want = read_catalog(path), loop_read_catalog(path)
         rows = catalog_rows(got)
-        assert rows == [dataclasses.astuple(want[k]) for k in sorted(want)]
+        assert rows == [want[k] for k in sorted(want)]
         assert rows[got.item_id.tolist().index(3)] == (3, 1, 5, 0.25, -2)
         assert all(type(v) is type(w) for row, k in zip(rows, sorted(want))
-                   for v, w in zip(row, dataclasses.astuple(want[k])))
+                   for v, w in zip(row, want[k]))
 
     @pytest.mark.parametrize("field", [2, 4])
     def test_catalog_stock_and_created_day_inside_int64(self, tmp_path,
                                                         field):
         path = tmp_path / "items.tsv"
-        write_catalog(Catalog.from_items(build_market(SMALL, seed=4).items),
-                      path)
+        write_catalog(build_market(SMALL, seed=4).catalog(), path)
         _edit_line(path, 3, field, str(-2 ** 63 - 1))
         with pytest.raises(DatasetError, match=r"^line 3: could not convert "
                            rf"string '-{2 ** 63 + 1}' to int64 at column "
@@ -866,8 +892,7 @@ class TestOneReader:
 
     def test_catalog_field_count(self, tmp_path):
         path = tmp_path / "items.tsv"
-        write_catalog(Catalog.from_items(build_market(SMALL, seed=4).items),
-                      path)
+        write_catalog(build_market(SMALL, seed=4).catalog(), path)
         _edit_line(path, 7, 4, "1\t2")
         with pytest.raises(DatasetError) as got:
             read_catalog(path)
@@ -933,7 +958,8 @@ def _valid_files(root):
     rows = records[np.flatnonzero(np.diff(records.hist_offsets)
                                   [records.history] > 0)[:5]] + records[:1]
     write_dataset(rows, root / "data.tsv")
-    write_catalog(Catalog.from_items({k: market.items[k] for k in range(6)}),
+    catalog = market.catalog()
+    write_catalog(Catalog(*(getattr(catalog, f)[:6] for f in CATALOG_FIELDS)),
                   root / "items.tsv")
     write_predictions(_prediction_records(6), root / "p.tsv",
                       meta={"arch": "din", "dataset_hash": "ab12"})

@@ -9,7 +9,6 @@ from msnetlab.autodiff import ParamStore, SparseRows, Tape
 from msnetlab.datagen import (
     Catalog,
     ImpressionRecord,
-    ItemSpec,
     read_dataset,
     write_dataset,
 )
@@ -34,13 +33,15 @@ def make_record(item_id, history=(), label=1, day=1, user_id=0,
                             history=tuple(history))
 
 
-def make_catalog(*specs):
-    return Catalog.from_items({s.item_id: s for s in specs})
-
-
-def item_spec(item_id, cat=0, stock=1):
-    return ItemSpec(item_id=item_id, category_id=cat, stock_count=stock,
-                    quality=0.0, created_day=0)
+def make_catalog(categories):
+    """A catalog of the items of ``categories``, a dict of item id to
+    category: each limited-stock, of quality 0, made on day 0."""
+    ids = sorted(categories)
+    n = len(ids)
+    return Catalog(np.array(ids, dtype=np.int64),
+                   np.array([categories[i] for i in ids], dtype=np.int64),
+                   np.ones(n, dtype=np.int64), np.zeros(n),
+                   np.zeros(n, dtype=np.int64))
 
 
 class TestVocab:
@@ -61,8 +62,7 @@ class TestVocab:
 
     def test_train_only_vocab_cold_start(self):
         # ids appearing only in the test split map to row 0
-        catalog = make_catalog(item_spec(1, cat=3), item_spec(2, cat=5),
-                               item_spec(99, cat=3))
+        catalog = make_catalog({1: 3, 2: 5, 99: 3})
         train = table_of([make_record(1),
                           make_record(2, history=[(1, 3, False)])])
         vocabs = build_vocab(train, catalog)
@@ -74,13 +74,12 @@ class TestVocab:
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            build_vocab(table_of([]), make_catalog())
+            build_vocab(table_of([]), make_catalog({}))
 
 
 class TestEncodeBatch:
     def _setup(self):
-        catalog = make_catalog(item_spec(10, cat=1), item_spec(11, cat=2),
-                               item_spec(12, cat=1), item_spec(13, cat=2))
+        catalog = make_catalog({10: 1, 11: 2, 12: 1, 13: 2})
         hist = [(11, 2, True), (12, 1, False), (13, 2, True)]
         records = table_of([make_record(10, history=hist)])
         vocabs = build_vocab(records, catalog)
@@ -96,8 +95,7 @@ class TestEncodeBatch:
         assert np.all(~grids.limited[0, 3:])
 
     def test_truncation_keeps_most_recent(self):
-        catalog = make_catalog(item_spec(0, cat=0),
-                               *[item_spec(i, cat=0) for i in range(1, 9)])
+        catalog = make_catalog(dict.fromkeys(range(9), 0))
         hist = [(i, 0, False) for i in range(1, 9)]  # most recent first
         records = table_of([make_record(0, history=hist)])
         vocabs = build_vocab(records, catalog)
@@ -107,7 +105,7 @@ class TestEncodeBatch:
         assert batch.seq_mask[0].all()
 
     def test_empty_history(self):
-        catalog = make_catalog(item_spec(10, cat=1))
+        catalog = make_catalog({10: 1})
         records = table_of([make_record(10)])
         vocabs = build_vocab(records, catalog)
         batch = encode_batch(records, vocabs, catalog, history_len=3)
@@ -138,9 +136,9 @@ def loop_build_vocab(records, catalog):
     item, category = Vocab(), Vocab()
     for r in records:
         item.add(r.item_id)
-        spec = catalog.get(r.item_id)
-        if spec is not None:
-            category.add(spec.category_id)
+        cat = catalog.get(r.item_id)
+        if cat is not None:
+            category.add(cat)
         for hid, hcat, _ in r.history:
             item.add(hid)
             category.add(hcat)
@@ -166,10 +164,9 @@ def loop_encode_batch(records, vocabs, catalog, history_len):
                  seq_limited=np.zeros((b, h), dtype=bool))
     for i, r in enumerate(records):
         rows["target_item"][i] = lookup(vocabs.item, r.item_id)
-        spec = catalog.get(r.item_id)
-        if spec is not None:
-            rows["target_category"][i] = lookup(vocabs.category,
-                                                spec.category_id)
+        cat = catalog.get(r.item_id)
+        if cat is not None:
+            rows["target_category"][i] = lookup(vocabs.category, cat)
         rows["labels"][i] = float(r.label)
         rows["is_new"][i] = r.item_is_new
         rows["is_limited"][i] = r.item_is_limited
@@ -188,8 +185,8 @@ ENTRY = st.tuples(IDS, IDS, st.booleans())
 RECORD = st.builds(make_record, IDS, st.lists(ENTRY, max_size=8),
                    label=st.integers(0, 1), limited=st.booleans(),
                    new=st.booleans())
-CATALOG = st.dictionaries(IDS, IDS).map(
-    lambda d: {k: item_spec(k, cat=c) for k, c in d.items()})
+# item id -> category
+CATALOG = st.dictionaries(IDS, IDS)
 
 
 @st.composite
@@ -237,7 +234,7 @@ class TestArrayEncodingMatchesLoops:
         want = loop_build_vocab(records, catalog)
         forms = input_forms(records, tmp_path_factory.mktemp("v"), others)
         for form, given_records in forms.items():
-            got = build_vocab(given_records, Catalog.from_items(catalog))
+            got = build_vocab(given_records, make_catalog(catalog))
             for a, b in ((got.item, want.item),
                          (got.category, want.category)):
                 assert a == b, form
@@ -255,7 +252,7 @@ class TestArrayEncodingMatchesLoops:
         forms = input_forms(records, tmp_path_factory.mktemp("e"), others)
         for form, given_records in forms.items():
             got = encode_batch(given_records, vocabs,
-                               Catalog.from_items(catalog), history_len)
+                               make_catalog(catalog), history_len)
             pairs = [(f, getattr(got, f), getattr(want, f))
                      for f in ROW_FIELDS]
             pairs += zip(("seq_item", "seq_category", "seq_mask",
@@ -290,7 +287,7 @@ class TestHistoryStore:
         vocabs = loop_build_vocab(records + others, catalog)
         forms = input_forms(records, tmp_path_factory.mktemp("s"), others)
         for form, table in forms.items():
-            batch = encode_batch(table, vocabs, Catalog.from_items(catalog),
+            batch = encode_batch(table, vocabs, make_catalog(catalog),
                                  history_len)
             store = batch.store
             # the store follows np.unique over the rows' histories
@@ -312,7 +309,7 @@ class TestHistoryStore:
             assert batch.seq_mask.sum() == store.lengths[batch.history].sum()
 
     def test_shared_and_empty_histories(self):
-        catalog = make_catalog(item_spec(10, cat=1), item_spec(11, cat=2))
+        catalog = make_catalog({10: 1, 11: 2})
         hist = ((11, 2, True), (10, 1, False))
         records = table_of([make_record(10, history=hist), make_record(11),
                             make_record(11, history=hist)])
@@ -344,7 +341,7 @@ class TestInitEmbedding:
 
 class TestEmbed:
     def _params_and_batch(self):
-        catalog = make_catalog(item_spec(10, cat=1), item_spec(11, cat=2))
+        catalog = make_catalog({10: 1, 11: 2})
         records = table_of([make_record(10, history=[(11, 2, True),
                                                      (10, 1, False)])])
         vocabs = build_vocab(records, catalog)
@@ -379,7 +376,7 @@ class TestEmbed:
         assert e_item.shape == (2, 4)
 
     def test_identical_items_identical_rows(self):
-        catalog = make_catalog(item_spec(10, cat=1))
+        catalog = make_catalog({10: 1})
         records = table_of([make_record(10, history=[(10, 1, False),
                                                      (10, 1, False)])])
         vocabs = build_vocab(records, catalog)
@@ -394,7 +391,7 @@ class TestEmbed:
     def test_masked_position_is_row_zero(self):
         params, batch, vocabs = self._params_and_batch()
         # force an empty history
-        catalog = make_catalog(item_spec(10, cat=1))
+        catalog = make_catalog({10: 1})
         records = table_of([make_record(10)])
         batch = encode_batch(records, vocabs, catalog, history_len=2)
         tape = Tape(params)

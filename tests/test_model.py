@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from msnetlab.autodiff import ParamStore, SparseRows, Tape, check_gradients
 from msnetlab.datagen import (
-    Catalog,
     GeneratorConfig,
     build_market,
     simulate,
@@ -660,7 +659,7 @@ def tiny_training_setup(seed=0, n=400):
     market = build_market(cfg, seed=seed)
     res = simulate(market, cfg.days)
     train, test = split_train_test(res.records, cfg.days)
-    return Catalog.from_items(market.items), train[:max(n, 1)], test
+    return market.catalog(), train[:max(n, 1)], test
 
 
 class TestFit:
