@@ -28,7 +28,7 @@ import re
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -50,6 +50,12 @@ MAX_STOCK = 10**9
 
 # Config integers must fit numpy's int64 arithmetic.
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+
+# The TSV files are written, and tables iterated, a block of this many rows
+# (or distinct histories) at a time, and read a block of at least this many
+# characters at a time: no Python value is held for more than one block.
+_BLOCK_ROWS = 1 << 12
+_BLOCK_CHARS = 1 << 19
 
 
 class DatasetError(Exception):
@@ -259,11 +265,15 @@ class ImpressionTable:
                                **self._store())
 
     def __iter__(self):
+        """``ImpressionRecord``s in row order.  The columns are converted
+        to Python values one block of ``_BLOCK_ROWS`` rows at a time."""
         tuples = self.history_tuples()
-        rows = zip(*(c.tolist() for c in self.columns()[:-1]),
-                   map(tuples.__getitem__, self.history.tolist()))
-        for row in rows:
-            yield ImpressionRecord(*row)
+        for start in range(0, len(self), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            rows = zip(*(c[block].tolist() for c in self.columns()[:-1]),
+                       map(tuples.__getitem__, self.history[block].tolist()))
+            for row in rows:
+                yield ImpressionRecord(*row)
 
     def __add__(self, other: "ImpressionTable") -> "ImpressionTable":
         if not isinstance(other, ImpressionTable):
@@ -721,77 +731,154 @@ def _count_entries(history: str) -> int:
     return history.count(",") + 1 if history else 0
 
 
-def _parse_dataset(body: str) -> ImpressionTable:
-    """A dataset body in bulk: one ``np.loadtxt`` for the scalar fields,
-    one for the entries of the distinct history texts.  Raises ValueError
-    for a body with a bad line."""
-    lines = list(filter(None, body.split("\n")))
-    check_field_counts(lines, len(DATASET_FIELDS))
-    rows = load_numbers(body, _SCALAR_ROW, lines,
-                        usecols=range(len(_SCALAR_FIELDS)))
-    texts = list(map(operator.itemgetter(2),
-                     map(str.rpartition, lines, itertools.repeat("\t"))))
-    index = {text: i for i, text in enumerate(dict.fromkeys(texts))}
-    flat = ",".join(filter(None, index))
-    entries = flat.split(",") if flat else []
-    store = np.empty((0, 3), np.int64)
-    if entries:
-        try:
-            store = load_numbers(flat, np.int64, entries, delimiter=":",
-                                 ndmin=2)
-        except ValueError:
-            raise ValueError(_BAD_HISTORY) from None
-    # loadtxt skips empty entries, so a row count short of theirs is one
-    if store.shape != (len(entries), 3) or not _is_flag(store[:, 2]).all():
-        raise ValueError(_BAD_HISTORY)
+def _pieces(text: str, sep: str) -> Iterator[str]:
+    """``text`` cut at a ``sep`` after each ``_BLOCK_CHARS`` characters or
+    more, without the ``sep``s cut at: ``sep.join`` of the pieces is
+    ``text``."""
+    start = 0
+    while (end := text.find(sep, start + _BLOCK_CHARS)) != -1:
+        yield text[start:end]
+        start = end + 1
+    yield text[start:]
+
+
+def _row_fault(rows: np.ndarray) -> str | None:
+    """What the first value check that a row of ``rows``, read as
+    ``_SCALAR_ROW``, fails says; None if every row passes."""
     ctr = rows["true_ctr"]
     for ok, why in ((_is_flag(rows["label"]), "label must be 0 or 1"),
                     ((ctr > 0.0) & (ctr < 1.0), "true_ctr out of (0, 1)"),
                     *((_is_flag(rows[f]), f"{f} must be 0 or 1")
                       for f in ("item_is_limited", "item_is_new"))):
         if not ok.all():
-            raise ValueError(why)
-    return ImpressionTable(
-        *(np.ascontiguousarray(rows[f], dtype=dtype)
-          for f, dtype in zip(_SCALAR_FIELDS, _SCALAR_DTYPES)),
-        history=np.fromiter(map(index.__getitem__, texts), np.int64,
-                            len(texts)),
-        hist_offsets=np.cumsum([0, *map(_count_entries, index)],
-                               dtype=np.int64),
-        hist_item=store[:, 0].copy(), hist_category=store[:, 1].copy(),
-        hist_limited=store[:, 2] != 0)
+            return why
+    return None
 
 
-def _history_texts(table: ImpressionTable) -> dict[int, bytes]:
-    """The dataset text of each history some row of ``table`` holds, by
-    store index."""
-    used = np.unique(table.history)
-    idx, lengths = table.history_entries(used)
-    entries = list(map(b"%d:%d:%d".__mod__, zip(
-        table.hist_item[idx].tolist(), table.hist_category[idx].tolist(),
-        table.hist_limited[idx].tolist())))
-    ends = np.cumsum(lengths).tolist()
-    return dict(zip(used.tolist(), (b",".join(entries[a:b]) for a, b in
-                                    zip([0, *ends], ends))))
+def _parse_lines(body: str) -> tuple[list[np.ndarray], np.ndarray,
+                                      dict[str, int], str | None]:
+    """The scalar columns of a dataset body; each line's index among the
+    distinct history texts; those texts, in order of first line; and what
+    ``_row_fault`` says of the first block with a bad value, if any.
+    Per block of lines (``_pieces``), one ``np.loadtxt`` reads the scalar
+    fields into the columns and each history text is mapped as its line
+    is read, so no list of every line or text is held.  Raises ValueError
+    for a bad field count or number."""
+    size = body.count("\n") + (not body.endswith("\n"))  # lines at most
+    columns = [np.empty(size, dtype) for dtype in _SCALAR_DTYPES]
+    history = np.empty(size, np.int64)
+    index: dict[str, int] = {}
+    fault, n = None, 0
+    for piece in _pieces(body, "\n"):
+        lines = list(filter(None, piece.split("\n")))
+        if not lines:
+            continue
+        check_field_counts(lines, len(DATASET_FIELDS))
+        rows = load_numbers(piece, _SCALAR_ROW, lines,
+                            usecols=range(len(_SCALAR_FIELDS)))
+        fault = fault or _row_fault(rows)
+        block = slice(n, n + len(lines))
+        for column, f in zip(columns, _SCALAR_FIELDS):
+            column[block] = rows[f]
+        history[block] = np.fromiter(
+            (index.setdefault(text, len(index)) for text in map(
+                operator.itemgetter(2),
+                map(str.rpartition, lines, itertools.repeat("\t")))),
+            np.int64, len(lines))
+        n = block.stop
+    return [c[:n] for c in columns], history[:n], index, fault
+
+
+def _parse_entries(flat: str, n_entries: int) -> list[np.ndarray]:
+    """The item, category and limited-flag columns of the ``n_entries``
+    comma-separated history entries of ``flat``, one ``np.loadtxt`` per
+    block of entries (``_pieces``).  Raises ValueError for a bad entry."""
+    columns = [np.empty(n_entries, dtype) for dtype in (np.int64, np.int64,
+                                                        bool)]
+    at = 0
+    for piece in _pieces(flat, ",") if n_entries else ():
+        entries = piece.split(",")
+        try:
+            rows = load_numbers(piece, np.int64, entries, delimiter=":",
+                                ndmin=2)
+        except ValueError:
+            raise ValueError(_BAD_HISTORY) from None
+        # loadtxt skips empty entries, so a row count short of theirs is one
+        if rows.shape != (len(entries), 3) or not _is_flag(rows[:, 2]).all():
+            raise ValueError(_BAD_HISTORY)
+        for column, values in zip(columns, rows.T):
+            column[at:at + len(entries)] = values
+        at += len(entries)
+    return columns
+
+
+def _parse_dataset(body: str) -> ImpressionTable:
+    """A dataset body, block by block: the scalar fields and history
+    indices of a block of lines at a time (``_parse_lines``), then the
+    entries of the distinct history texts, joined once, a block of entries
+    at a time (``_parse_entries``).  A bad value is reported only after
+    the histories parse, as a line's checks run in that order.  Raises
+    ValueError for a body with a bad line."""
+    columns, history, index, fault = _parse_lines(body)
+    hist_offsets = np.cumsum([0, *map(_count_entries, index)],
+                             dtype=np.int64)
+    flat = ",".join(filter(None, index))
+    del index  # the texts live on in flat alone while the entries parse
+    entries = _parse_entries(flat, int(hist_offsets[-1]))
+    if fault is not None:
+        raise ValueError(fault)
+    return ImpressionTable(*columns, history, hist_offsets, *entries)
+
+
+def _history_texts(table: ImpressionTable) -> np.ndarray:
+    """The dataset text of each history some row of ``table`` holds, as an
+    object array over the store (None for a history no row holds).  The
+    entries are formatted one block of ``_BLOCK_ROWS`` distinct histories
+    at a time."""
+    texts = np.empty(len(table.hist_offsets) - 1, dtype=object)
+    used = np.flatnonzero(np.bincount(table.history, minlength=texts.size))
+    for start in range(0, used.size, _BLOCK_ROWS):
+        block = used[start:start + _BLOCK_ROWS]
+        idx, lengths = table.history_entries(block)
+        entries = list(map(b"%d:%d:%d".__mod__, zip(
+            table.hist_item[idx].tolist(), table.hist_category[idx].tolist(),
+            table.hist_limited[idx].tolist())))
+        ends = np.cumsum(lengths).tolist()
+        texts[block] = [b",".join(entries[a:b])
+                        for a, b in zip([0, *ends], ends)]
+    return texts
+
+
+@dataclasses.dataclass
+class _Gathered:
+    """The column ``values[index]``, gathered a slice at a time."""
+    values: np.ndarray
+    index: np.ndarray
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.values[self.index[rows]]
 
 
 def write_rows(path: str | Path, header: str, row_format: bytes,
-               columns: list[list]) -> None:
+               columns: Sequence) -> None:
     """Writes the file at ``path``: the ``header`` lines, then
-    ``row_format`` of each row of the aligned ``columns``, as the bytes of
-    one ``%``-format over all rows."""
+    ``row_format`` of each row of the aligned ``columns``, numpy arrays or
+    columns whose slices are numpy arrays.  Each block of ``_BLOCK_ROWS``
+    rows is one ``%``-format of the ``tolist()`` of each column's slice,
+    so no Python value outlives its block."""
     with Path(path).open("wb") as fh:
         fh.write(f"{header}\n".encode())
-        fh.write(row_format * len(columns[0])
-                 % tuple(itertools.chain.from_iterable(zip(*columns))))
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            fields = [c[start:start + _BLOCK_ROWS].tolist() for c in columns]
+            fh.write(row_format * len(fields[0])
+                     % tuple(itertools.chain.from_iterable(zip(*fields))))
 
 
 def write_dataset(table: ImpressionTable, path: str | Path) -> None:
     # histories repeat until the user's next click: format each once
-    texts = _history_texts(table)
     write_rows(path, DATASET_HEADER, b"%d\t%d\t%d\t%d\t%r\t%d\t%d\t%s\n",
-               [*(c.tolist() for c in table.columns()[:-1]),
-                list(map(texts.__getitem__, table.history.tolist()))])
+               [*table.columns()[:-1],
+                _Gathered(_history_texts(table), table.history)])
 
 
 def read_dataset(path: str | Path) -> ImpressionTable:
@@ -835,7 +922,7 @@ class Catalog:
 
 def write_catalog(catalog: Catalog, path: str | Path) -> None:
     write_rows(path, CATALOG_HEADER, b"%d\t%d\t%d\t%r\t%d\n",
-               [getattr(catalog, f).tolist() for f in CATALOG_FIELDS])
+               [getattr(catalog, f) for f in CATALOG_FIELDS])
 
 
 def _parse_catalog(body: str) -> np.ndarray:

@@ -352,8 +352,12 @@ def grouped_report(predictions: Predictions,
     table = _as_table(predictions)
     # per key, the stable sort by key of the p-sorted rows: lexsort((p, key))
     by_p = np.argsort(table.p, kind="stable")
-    orders = [by_p[np.argsort(key[by_p], kind="stable")] for key in (
-        table.partition_id % n_partitions, table.user_id)]
+    # the partition key in its narrowest dtype: up to 256 partitions,
+    # numpy's stable sort of it is a radix sort
+    part = (table.partition_id % n_partitions).astype(
+        np.min_scalar_type(n_partitions - 1))
+    orders = [by_p[np.argsort(key[by_p], kind="stable")]
+              for key in (part, table.user_id)]
     masks = {"overall": np.ones(len(table), dtype=bool),
              "new": table.is_new,
              "limited": table.is_limited,
@@ -408,7 +412,7 @@ def write_predictions(predictions: Predictions, path: str | Path,
         pairs = "\t".join(f"{k}={meta[k]}" for k in sorted(meta))
         header += f"\n#meta\t{pairs}"
     write_rows(path, header, b"%d\t%d\t%r\t%d\t%d\t%d\t%d\n",
-               [c.tolist() for c in _as_table(predictions).columns()])
+               _as_table(predictions).columns())
 
 
 def _parse_rows(text: str) -> np.ndarray:

@@ -282,12 +282,15 @@ def _at_least_two_rows(*ids: np.ndarray) -> list[np.ndarray]:
 @dataclasses.dataclass
 class Positions:
     """A branch's positions in a run of rows, packed row by row: each
-    position's row among the branch's entries (or in its k and v tables)
-    and its stock flag, and how many positions each row holds."""
+    position's row among the branch's entries (or in its k and v tables),
+    how many positions each row holds, and the positions' stock flags:
+    one per position in a model with one branch, and in a split model
+    the branch's one flag, a 0-d bool, since every position of a branch
+    has its stock type."""
 
     entry_row: np.ndarray  # [P]
     lengths: np.ndarray    # [rows]
-    limited: np.ndarray    # [P] bool
+    limited: np.ndarray    # [P] or 0-d bool
 
 
 @dataclasses.dataclass
@@ -312,17 +315,24 @@ def _history_entries(config: ModelConfig, batch: SampleBatch
     owner = np.repeat(np.arange(store.lengths.size), store.lengths)
     width = np.min_scalar_type(store.lengths.max(initial=0))
     entries = HistoryEntries([], [], [])
-    for keep in ([np.ones_like(store.limited)] if config.n_branches == 1
-                 else [~store.limited, store.limited]):
+    for keep, limited in (
+            [(np.ones_like(store.limited), store.limited)]
+            if config.n_branches == 1 else
+            [(~store.limited, np.False_), (store.limited, np.True_)]):
         pairs, rows = _distinct_pairs(store.item[keep], store.category[keep])
         lengths = np.bincount(owner[keep], minlength=store.lengths.size
                               ).astype(width)
         entries.pairs.append(pairs)
         entries.histories.append(Positions(
             rows.astype(np.min_scalar_type(pairs[0].size)), lengths,
-            store.limited[keep]))
+            limited))
         entries.starts.append(np.cumsum(lengths, dtype=np.int64) - lengths)
     return entries
+
+
+def _flags_at(limited: np.ndarray, at: np.ndarray | slice) -> np.ndarray:
+    """The stock flags of positions ``at`` of ``Positions.limited``."""
+    return limited if limited.ndim == 0 else limited[at]
 
 
 def _positions(entries: HistoryEntries, which: np.ndarray
@@ -338,7 +348,7 @@ def _positions(entries: HistoryEntries, which: np.ndarray
         shift = np.repeat(starts[which] - ends + lengths, lengths)
         at = np.arange(shift.size) + shift
         positions.append(Positions(history.entry_row[at], lengths,
-                                   history.limited[at]))
+                                   _flags_at(history.limited, at)))
     return positions
 
 
@@ -448,8 +458,10 @@ def compute_losses(tape: Tape, config: ModelConfig, batch: SampleBatch,
     aux = None
     if config.architecture == ARCH_MSNET and config.alpha > 0.0:
         pos, (item, category) = out.cache.positions[-1], out.cache.pairs[-1]
-        rows = pos.entry_row[pos.limited]
-        seq_row = np.repeat(np.arange(batch.size), pos.lengths)[pos.limited]
+        rows = pos.entry_row
+        seq_row = np.repeat(np.arange(batch.size), pos.lengths)
+        if pos.limited.ndim:
+            rows, seq_row = rows[pos.limited], seq_row[pos.limited]
         aux = loss_aux(tape, Embedded(*out.target, *embed_rows(
             tape, item[rows], category[rows]), seq_row))
     return ce, aux, total_loss(tape, ce, aux, config.alpha)
@@ -641,9 +653,11 @@ def _packed_positions(entries: HistoryEntries, which: np.ndarray
     # an empty table packs one empty block
     blocks = [_positions(entries, which[start:start + PACK_ROWS])
               for start in range(0, max(which.size, 1), PACK_ROWS)]
-    return [Positions(*(np.concatenate(parts) for parts in zip(
-        *((b[i].entry_row, b[i].lengths, b[i].limited) for b in blocks))))
-        for i in range(len(entries.histories))]
+    return [Positions(np.concatenate([b[i].entry_row for b in blocks]),
+                      np.concatenate([b[i].lengths for b in blocks]),
+                      np.concatenate([b[i].limited for b in blocks])
+                      if history.limited.ndim else history.limited)
+            for i, history in enumerate(entries.histories)]
 
 
 def _probabilities(params: ParamStore, config: ModelConfig,
@@ -673,7 +687,7 @@ def _probabilities(params: ParamStore, config: ModelConfig,
             lengths = pos.lengths[rows]
             run = slice(at[i], at[i] + int(lengths.sum()))
             positions.append(Positions(pos.entry_row[run], lengths,
-                                       pos.limited[run]))
+                                       _flags_at(pos.limited, run)))
             at[i] = run.stop
         fo = forward(Tape(params, record=False), config, batch,
                      ItemCache(kv, positions, entries.pairs,

@@ -185,13 +185,19 @@ class ScoreAccumulator:
         """``scores`` [P, n_heads] holds one row per packed position, as
         ``forward`` returns a branch's in ``branch_scores``; position p's
         target flag is ``target_limited[p]`` and its sequence flag
-        ``entry_limited[p]``."""
+        ``entry_limited[p]``, or ``entry_limited`` itself when it is one
+        flag (0-d) for every position, as a split branch's is.  The cells
+        a constant sequence flag leaves empty are skipped: they would add
+        0.0 to a sum and 0 to a count."""
         t_flags = np.asarray(target_limited, dtype=bool)
         s_flags = np.asarray(entry_limited, dtype=bool)
-        # the four (target, sequence) cells, built once for every head
-        cells = [((t_name, s_name), (t_flags == t_flag) & (s_flags == s_flag))
+        # the (target, sequence) cells, built once for every head
+        cells = [((t_name, s_name),
+                  t_flags == t_flag if s_flags.ndim == 0
+                  else (t_flags == t_flag) & (s_flags == s_flag))
                  for t_flag, t_name in ((False, "multi"), (True, "limited"))
-                 for s_flag, s_name in ((False, "multi"), (True, "limited"))]
+                 for s_flag, s_name in ((False, "multi"), (True, "limited"))
+                 if s_flags.ndim or s_flags == s_flag]
         for head in scores.T:
             for key, cell in cells:
                 vals = head[cell]

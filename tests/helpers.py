@@ -10,10 +10,14 @@ per-entry cache replaced, the attention composition, with its two
 segment ops, that ``Tape.target_attention`` replaced, and the
 compositions, with their primitives, that ``Tape.norm_ratio_blend`` and
 ``Tape.cosine_gap_loss`` replaced; ``sum_all`` makes the tests' scalar
-losses."""
+losses; and the one-shot file writer and dataset parser that the block
+by block ones replaced."""
 
 import collections
+import itertools
 import math
+import operator
+from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +33,20 @@ from msnetlab.autodiff import (
     _accum,
     sigmoid,
 )
-from msnetlab.datagen import GeneratorConfig, MarketState
+from msnetlab.datagen import (
+    _BAD_HISTORY,
+    _SCALAR_DTYPES,
+    _SCALAR_FIELDS,
+    _SCALAR_ROW,
+    DATASET_FIELDS,
+    GeneratorConfig,
+    ImpressionTable,
+    MarketState,
+    _count_entries,
+    _is_flag,
+    check_field_counts,
+    load_numbers,
+)
 from msnetlab.features import (
     OOV_INDEX,
     Embedded,
@@ -461,3 +478,53 @@ def per_position_forward(tape: Tape, config: "model.ModelConfig",
                                          grids.mask & grids.limited))
     return p, model.total_loss(tape, tape.bce(p, batch.labels), aux,
                                config.alpha)
+
+
+def write_rows_at_once(path, header: str, row_format: bytes,
+                       columns: list[list]) -> None:
+    """``datagen.write_rows`` as one ``%``-format over all rows of the
+    aligned ``columns``, lists of Python values."""
+    with Path(path).open("wb") as fh:
+        fh.write(f"{header}\n".encode())
+        fh.write(row_format * len(columns[0])
+                 % tuple(itertools.chain.from_iterable(zip(*columns))))
+
+
+def parse_dataset_at_once(body: str) -> ImpressionTable:
+    """``datagen._parse_dataset`` in bulk: one ``np.loadtxt`` for the
+    scalar fields of every line, one for the entries of every distinct
+    history text."""
+    lines = list(filter(None, body.split("\n")))
+    check_field_counts(lines, len(DATASET_FIELDS))
+    rows = load_numbers(body, _SCALAR_ROW, lines,
+                        usecols=range(len(_SCALAR_FIELDS)))
+    texts = list(map(operator.itemgetter(2),
+                     map(str.rpartition, lines, itertools.repeat("\t"))))
+    index = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    flat = ",".join(filter(None, index))
+    entries = flat.split(",") if flat else []
+    store = np.empty((0, 3), np.int64)
+    if entries:
+        try:
+            store = load_numbers(flat, np.int64, entries, delimiter=":",
+                                 ndmin=2)
+        except ValueError:
+            raise ValueError(_BAD_HISTORY) from None
+    if store.shape != (len(entries), 3) or not _is_flag(store[:, 2]).all():
+        raise ValueError(_BAD_HISTORY)
+    ctr = rows["true_ctr"]
+    for ok, why in ((_is_flag(rows["label"]), "label must be 0 or 1"),
+                    ((ctr > 0.0) & (ctr < 1.0), "true_ctr out of (0, 1)"),
+                    *((_is_flag(rows[f]), f"{f} must be 0 or 1")
+                      for f in ("item_is_limited", "item_is_new"))):
+        if not ok.all():
+            raise ValueError(why)
+    return ImpressionTable(
+        *(np.ascontiguousarray(rows[f], dtype=dtype)
+          for f, dtype in zip(_SCALAR_FIELDS, _SCALAR_DTYPES)),
+        history=np.fromiter(map(index.__getitem__, texts), np.int64,
+                            len(texts)),
+        hist_offsets=np.cumsum([0, *map(_count_entries, index)],
+                               dtype=np.int64),
+        hist_item=store[:, 0].copy(), hist_category=store[:, 1].copy(),
+        hist_limited=store[:, 2] != 0)

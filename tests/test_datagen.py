@@ -1,9 +1,12 @@
 """Market simulator tests: boundaries, determinism, ground-truth click
 statistics, and the dataset file round trip."""
 
+import dataclasses
 import functools
 import math
 import re
+import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msnetlab import datagen
+from msnetlab import datagen, metrics
 from msnetlab.datagen import (
     CATALOG_FIELDS,
     DATASET_FIELDS,
@@ -40,10 +43,16 @@ from msnetlab.metrics import (
     PREDICTION_HEADER,
     MetricsError,
     PredictionRecord,
+    PredictionTable,
     read_predictions,
     write_predictions,
 )
-from helpers import generator_market, true_ctr
+from helpers import (
+    generator_market,
+    parse_dataset_at_once,
+    true_ctr,
+    write_rows_at_once,
+)
 from table_rows import table_of
 
 SMALL = GeneratorConfig(n_users=40, n_items=250, n_categories=4, days=4,
@@ -1002,3 +1011,250 @@ class TestReaderFuzz:
         with pytest.raises(error) as again:
             read(alone)
         assert str(again.value) == "line 2: " + why.partition(": ")[2]
+
+
+# ----------------------------------------------------------------------
+# Files in blocks: the writers format, and the reader parses, a bounded
+# block of rows, lines or entries at a time.  With the block constants
+# made small, every file below spans several blocks; the one-shot writer
+# and parser of ``helpers`` are the oracles for bytes, columns and
+# messages.
+
+B = 3  # rows (or distinct histories) per block in these tests
+SIZES = [0, 1, B - 1, B, B + 1, 2 * B + 1]
+# non-ASCII header text for the prediction writer
+META = {"arch": "msnet", "note": "dïn → mßnet"}
+EXTREME_IDS = [0, INT64_MAX, INT64_MIN, -1, 2 ** 40]
+EDGE_FLOATS = [5e-324, math.nan, -0.0, 0.1, 1.0 - 2 ** -53, -math.inf]
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(datagen, "_BLOCK_ROWS", B)
+    monkeypatch.setattr(datagen, "_BLOCK_CHARS", 40)
+
+
+def edge_records(n):
+    """``n`` records cycling through int64-extreme ids and edge floats,
+    their histories drawn from seven distinct ones (one empty)."""
+    pool = [tuple((EXTREME_IDS[(h + j) % 5], EXTREME_IDS[(h * j) % 5],
+                   (h + j) % 2 == 0) for j in range(h % 4))
+            for h in range(7)]
+    return [ImpressionRecord(
+        day=EXTREME_IDS[i % 5], user_id=EXTREME_IDS[(i + 1) % 5],
+        item_id=EXTREME_IDS[(i + 2) % 5], label=i % 2,
+        true_ctr=EDGE_FLOATS[i % 6], item_is_limited=i % 3 == 0,
+        item_is_new=i % 2 == 1, history=pool[(i * 5) % 7])
+        for i in range(n)]
+
+
+def edge_catalog(n):
+    ids = np.array([EXTREME_IDS[i % 5] for i in range(n)], dtype=np.int64)
+    return Catalog(ids, ids[::-1].copy(), np.roll(ids, 1),
+                   np.array([EDGE_FLOATS[i % 6] for i in range(n)]),
+                   np.roll(ids, 2))
+
+
+def edge_predictions(n):
+    ids = np.array([EXTREME_IDS[i % 5] for i in range(n)], dtype=np.int64)
+    flags = np.arange(n) % 2 == 1
+    return PredictionTable(ids, np.roll(ids, 1),
+                           np.array([EDGE_FLOATS[i % 6] for i in range(n)]),
+                           np.arange(n) % 2, flags, ~flags,
+                           np.roll(ids, 2))
+
+
+def write_at_once(write, *args):
+    """``write(*args)`` with the one-shot writer in place of
+    ``write_rows``."""
+    def one_shot(path, header, row_format, columns):
+        write_rows_at_once(path, header, row_format,
+                           [c[:].tolist() for c in columns])
+    with mock.patch.object(datagen, "write_rows", one_shot), \
+            mock.patch.object(metrics, "write_rows", one_shot):
+        write(*args)
+
+
+def assert_same_columns(got, want):
+    for field in dataclasses.fields(ImpressionTable):
+        if field.name.startswith("_"):
+            continue
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.dtype == b.dtype, field.name
+        assert a.shape == b.shape, field.name
+        assert a.tobytes() == b.tobytes(), field.name
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("n", SIZES)
+    def test_writers_give_the_one_shot_bytes(self, small_blocks, tmp_path,
+                                             n):
+        records = edge_records(n)
+        writers = [
+            (write_dataset, table_of(records)),
+            (write_catalog, edge_catalog(n)),
+            (lambda table, path: write_predictions(table, path, meta=META),
+             edge_predictions(n))]
+        for i, (write, what) in enumerate(writers):
+            got, want = tmp_path / f"got{i}.tsv", tmp_path / f"want{i}.tsv"
+            write(what, got)
+            write_at_once(write, what, want)
+            assert got.read_bytes() == want.read_bytes(), i
+        # the history texts, formatted a block of histories at a time
+        loop_write_dataset(records, tmp_path / "loop.tsv")
+        assert (tmp_path / "got0.tsv").read_bytes() == \
+            (tmp_path / "loop.tsv").read_bytes()
+
+    def _body(self, tmp_path, n=60):
+        """A dataset file of ``n`` simulated rows whose last line holds a
+        history no earlier line holds, and its body."""
+        records = list(simulate(build_market(SMALL, seed=4),
+                                SMALL.days).records[:n - 1])
+        records.append(dataclasses.replace(
+            records[-1], history=((INT64_MAX, INT64_MIN, True),) * 3))
+        path = tmp_path / "data.tsv"
+        write_dataset(table_of(records), path)
+        return path, datagen.read_body(path, DATASET_HEADER, "dataset",
+                                       DatasetError)
+
+    @pytest.mark.parametrize("chars", [1, 40, 500, 1 << 19])
+    def test_reader_gives_the_one_shot_columns(self, tmp_path, monkeypatch,
+                                               chars):
+        monkeypatch.setattr(datagen, "_BLOCK_CHARS", chars)
+        path, body = self._body(tmp_path)
+        got = read_dataset(path)
+        assert_same_columns(got, parse_dataset_at_once(body))
+        # the last line's history was first seen in the last block
+        assert got.history[-1] == len(got.hist_offsets) - 2
+        assert got.history[:-1].max() < got.history[-1]
+
+    @pytest.mark.parametrize("edits", [
+        [(48, 1, "x")], [(48, 4, "1.5")], [(48, 3, "2")], [(48, 6, "7")],
+        [(48, 7, "1:2")], [(48, 7, "1:2:3,")], [(48, 7, "1:2:1٣")],
+        [(61, 7, "1:2:7")], [(48, 3, "2"), (48, 7, "1:2")],
+        [(30, 4, "0"), (48, 7, "1:2")], [(48, 7, "1:2"), (55, 5, "9")]])
+    def test_later_block_refusal_keeps_its_message(self, tmp_path,
+                                                   monkeypatch, edits):
+        # lines 30 and beyond are blocks after the first; line 61 is the
+        # last, whose history is the last distinct one
+        monkeypatch.setattr(datagen, "_BLOCK_CHARS", 40)
+        path, _ = self._body(tmp_path)
+        for lineno, field, value in edits:
+            _edit_line(path, lineno, field, value)
+        body = datagen.read_body(path, DATASET_HEADER, "dataset",
+                                 DatasetError)
+        with pytest.raises(DatasetError) as want:
+            datagen.parse_or_name_line(parse_dataset_at_once, body,
+                                       DatasetError)
+        with pytest.raises(DatasetError) as got:
+            read_dataset(path)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"line {edits[0][0]}: ")
+
+    def test_iteration_in_blocks(self, small_blocks, tmp_path):
+        path, _ = self._body(tmp_path)
+        table = read_dataset(path)
+        assert list(table) == loop_read_dataset(path)
+        assert list(table[5:12]) == loop_read_dataset(path)[5:12]
+        first: dict = {}
+        for r in table:
+            assert first.setdefault(r.history, r.history) is r.history
+        assert len(first) < len(table) // 2, "too few repeats to test"
+
+
+# ----------------------------------------------------------------------
+# Heap bounds.  The writers and the reader hold a fixed number of blocks
+# at once, so their traced peak does not grow with the file.  Each bound
+# below is what the design holds for a block, from Python's own object
+# sizes, times BLOCKS_AT_ONCE; it is not a measurement.
+
+BLOCKS_AT_ONCE = 2
+SLOT = 8  # bytes of a list, tuple or object-array slot
+
+
+def heap_table(n_rows, rng):
+    """``n_rows`` rows over four distinct histories of 1-3 entries."""
+    lengths = np.array([1, 2, 3, 1])
+    n = int(lengths.sum())
+    return ImpressionTable(
+        day=rng.integers(0, 9, n_rows), user_id=rng.integers(0, 10 ** 6,
+                                                             n_rows),
+        item_id=rng.integers(0, 10 ** 6, n_rows),
+        label=rng.integers(0, 2, n_rows),
+        true_ctr=rng.random(n_rows) * 0.9 + 0.05,
+        item_is_limited=rng.random(n_rows) < 0.5,
+        item_is_new=rng.random(n_rows) < 0.5,
+        history=rng.integers(0, lengths.size, n_rows),
+        hist_offsets=np.concatenate([[0], np.cumsum(lengths)]),
+        hist_item=rng.integers(0, 10 ** 6, n), hist_category=rng.integers(
+            0, 9, n), hist_limited=rng.random(n) < 0.5)
+
+
+def traced(fn, *args):
+    """``fn(*args)``'s traced heap peak above the start, and what it still
+    holds when it returns (its result)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)  # noqa: F841 - held while measured
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start, held - start
+
+
+class TestHeapBounds:
+    ROWS = 1 << 10
+    CHARS = 1 << 16
+
+    @pytest.fixture(autouse=True)
+    def blocks(self, monkeypatch):
+        monkeypatch.setattr(datagen, "_BLOCK_ROWS", self.ROWS)
+        monkeypatch.setattr(datagen, "_BLOCK_CHARS", self.CHARS)
+
+    def test_write_peak_does_not_grow_with_the_rows(self, tmp_path):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "data.tsv"
+        write_dataset(heap_table(10, rng), path)  # first-call set-up
+        row_format = b"%d\t%d\t%d\t%d\t%r\t%d\t%d\t%s\n"
+        for k in (2, 16):
+            table = heap_table(k * self.ROWS, rng)
+            peak, _ = traced(write_dataset, table, path)
+            line = path.stat().st_size / len(table)
+            # per row of a block: each field's Python value (an int of up
+            # to 36 bytes; a float, the flags and the history text are
+            # smaller or shared), its slot in its column's list and in the
+            # format's argument tuple, the row's share of the repeated
+            # format and of the formatted bytes
+            n_fields = row_format.count(b"%")
+            per_row = (n_fields * (sys.getsizeof(INT64_MAX) + 2 * SLOT)
+                       + len(row_format) + line)
+            # the history-text map: per history of the store an
+            # object-array slot, a use count and its text, at most three
+            # entries of at most 40 bytes each
+            store = len(table.hist_offsets) - 1
+            texts = store * (2 * SLOT + sys.getsizeof(b"") + 3 * 40)
+            bound = BLOCKS_AT_ONCE * self.ROWS * per_row + texts
+            assert peak < bound, (k, peak, bound)
+
+    def test_read_peak_is_a_few_blocks(self, tmp_path):
+        rng = np.random.default_rng(4)
+        path = tmp_path / "data.tsv"
+        write_dataset(heap_table(10, rng), path)  # first-call set-up
+        datagen._parse_dataset(datagen.read_body(
+            path, DATASET_HEADER, "dataset", DatasetError))
+        write_dataset(heap_table(16 * self.ROWS, rng), path)
+        body = datagen.read_body(path, DATASET_HEADER, "dataset",
+                                 DatasetError)
+        assert len(body) > 8 * self.CHARS, "the body spans too few blocks"
+        peak, held = traced(datagen._parse_dataset, body)
+        lines = self.CHARS / (len(body) / body.count("\n"))
+        # per block: its piece of the body and its lines (the characters
+        # twice, and per line a str header and two list slots), the rows
+        # np.loadtxt reads (twice over, for its growing buffer) and their
+        # history indices
+        per_line = (sys.getsizeof("") + 2 * SLOT
+                    + 2 * datagen._SCALAR_ROW.itemsize + 8)
+        per_block = 2 * self.CHARS + lines * per_line
+        # the distinct texts, as keys and joined, are a few short strings
+        assert peak - held < BLOCKS_AT_ONCE * per_block, (peak, held)

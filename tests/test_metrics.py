@@ -213,6 +213,15 @@ PREDICTION = st.builds(
     partition_id=st.integers(0, 2 * N_PARTITIONS))
 
 
+# PREDICTION, its partition id also around 256 and 65536, where the
+# report's partition key changes dtype (Cal-N counts every partition up to
+# the largest id, so the ids stay far below 2**63)
+WIDE_PREDICTION = st.tuples(PREDICTION, st.one_of(
+    st.integers(0, 2 * N_PARTITIONS),
+    st.sampled_from([254, 255, 256, 257, 65535, 65536]))).map(
+    lambda drawn: dataclasses.replace(drawn[0], partition_id=drawn[1]))
+
+
 class TestColumnsMatchLoopOracles:
     @given(st.lists(PREDICTION, max_size=80))
     @settings(max_examples=300, deadline=None)
@@ -258,9 +267,10 @@ class TestReportSorts:
     of that sort to ``partition_aucs`` and ``gauc``."""
 
     @staticmethod
-    def _spied_report(records):
-        """The report, and each (name, members, kwargs) of its calls to
-        the module's ``partition_aucs`` and ``gauc``."""
+    def _spied_report(records, n_partitions=N_PARTITIONS):
+        """The report over ``n_partitions`` partitions, and each (name,
+        members, kwargs) of its calls to the module's ``partition_aucs``
+        and ``gauc``."""
         calls = []
 
         def spy(name, original):
@@ -275,7 +285,8 @@ class TestReportSorts:
                                   spy("partition_aucs",
                                       metrics.partition_aucs)):
             report = metrics.grouped_report(
-                PredictionTable.from_records(records))
+                PredictionTable.from_records(records),
+                n_partitions=n_partitions)
         return report, calls
 
     def test_one_call_of_each_per_non_empty_group(self):
@@ -289,18 +300,23 @@ class TestReportSorts:
             assert [len(m) for n, m, _ in calls if n == name] == sizes
         assert all(set(kwargs) == {"order"} for _, _, kwargs in calls)
 
-    @given(st.lists(PREDICTION, max_size=80))
+    @given(st.lists(WIDE_PREDICTION, max_size=80))
     @settings(max_examples=200, deadline=None)
     def test_order_path_matches_own_sort(self, records):
-        # P_VALUES and the few user and partition ids make ties common
-        _, calls = self._spied_report(records)
-        for name, members, kwargs in calls:
-            key = (members.user_id if name == "gauc"
-                   else members.partition_id % N_PARTITIONS)
-            assert kwargs["order"].tolist() == \
-                np.lexsort((members.p, key)).tolist()
-            fn = getattr(metrics, name)
-            assert repr(fn(members, **kwargs)) == repr(fn(members))
+        # P_VALUES and the few user and partition ids make ties common.
+        # The partition key's dtype is the narrowest that holds
+        # n_partitions - 1: uint8 (a radix sort) up to 256, up to uint64
+        for n_partitions in (N_PARTITIONS, 1, 255, 256, 257, 2 ** 63 - 1):
+            _, calls = self._spied_report(records, n_partitions)
+            for name, members, kwargs in calls:
+                key = (members.user_id if name == "gauc"
+                       else members.partition_id % n_partitions)
+                assert kwargs["order"].tolist() == \
+                    np.lexsort((members.p, key)).tolist()
+                fn = getattr(metrics, name)
+                args = () if name == "gauc" else (n_partitions,)
+                assert repr(fn(members, *args, **kwargs)) == \
+                    repr(fn(members, *args)), n_partitions
 
 
 class TestPredictionTable:
